@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CurvatureConeError, IcfLabError
-from .radial_graph import GeometryBundle, StarShapedHypersurface, _curvature_core, geometry
+from .radial_graph import GeometryBundle, StarShapedHypersurface, curvature, geometry
 from .sphere_grid import ScalarField, make_grid
 from . import invariants as inv
 
@@ -223,36 +223,29 @@ def curvature_norm_speed() -> CustomSpeed:
 # flow stepping
 
 
-def _speed_values(grid, values, speed, n):
-    core = _curvature_core(grid, values, n)
-    ok = speed.in_cone(core["kappa"])
+def _check_cone(speed, kappa: np.ndarray):
+    """Raise CurvatureConeError at the first node outside the speed's cone."""
+    ok = speed.in_cone(kappa)
     if not np.all(ok):
         idx = np.unravel_index(int(np.argmin(ok)), ok.shape)
         raise CurvatureConeError(
-            f"kappa = {core['kappa'][idx]} at node {idx} outside the cone of {speed.label}",
-            node=idx, kappa=core["kappa"][idx])
-    return core
+            f"kappa = {kappa[idx]} at node {idx} outside the cone of {speed.label}",
+            node=idx, kappa=kappa[idx])
 
 
 def normal_speed(surface: StarShapedHypersurface, speed: SpeedFunction,
                  geom: GeometryBundle | None = None) -> ScalarField:
     """Outward normal speed field 1/rho(kappa); positive on the cone."""
-    if geom is not None:
-        kappa = geom.kappa
-        ok = speed.in_cone(kappa)
-        if not np.all(ok):
-            idx = np.unravel_index(int(np.argmin(ok)), ok.shape)
-            raise CurvatureConeError(
-                f"kappa = {kappa[idx]} at node {idx} outside the cone of {speed.label}",
-                node=idx, kappa=kappa[idx])
-        return ScalarField(surface.spec, 1.0 / speed.rho(kappa))
-    core = _speed_values(surface.grid(), surface.values, speed, surface.n)
-    return ScalarField(surface.spec, 1.0 / speed.rho(core["kappa"]))
+    kappa = geom.kappa if geom is not None \
+        else curvature(surface.grid(), surface.values).kappa
+    _check_cone(speed, kappa)
+    return ScalarField(surface.spec, 1.0 / speed.rho(kappa))
 
 
-def _graph_rhs(grid, values, speed, n):
-    core = _speed_values(grid, values, speed, n)
-    return core["sqv"] / speed.rho(core["kappa"])
+def _graph_rhs(grid, values, speed):
+    c = curvature(grid, values)
+    _check_cone(speed, c.kappa)
+    return c.sqv / speed.rho(c.kappa)
 
 
 def _exp_filter(grid, cutoff_frac=0.9, order=4, strength=36.0):
@@ -278,24 +271,22 @@ def step(surface: StarShapedHypersurface, speed: SpeedFunction, dt: float,
         raise ValueError("dt must be positive")
     grid = surface.grid()
     f0 = surface.values
-    n = surface.n
-    k1 = _graph_rhs(grid, f0, speed, n)
-    k2 = _graph_rhs(grid, f0 + 0.5 * dt * k1, speed, n)
-    k3 = _graph_rhs(grid, f0 + 0.5 * dt * k2, speed, n)
-    k4 = _graph_rhs(grid, f0 + dt * k3, speed, n)
+    k1 = _graph_rhs(grid, f0, speed)
+    k2 = _graph_rhs(grid, f0 + 0.5 * dt * k1, speed)
+    k3 = _graph_rhs(grid, f0 + 0.5 * dt * k2, speed)
+    k4 = _graph_rhs(grid, f0 + dt * k3, speed)
     f1 = f0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     f1 = grid.project(f1, _exp_filter(grid) if use_filter else None)
-    return StarShapedHypersurface(ScalarField(surface.spec, f1), n)
+    return StarShapedHypersurface(ScalarField(surface.spec, f1), surface.n)
 
 
 def stable_dt(surface: StarShapedHypersurface, speed: SpeedFunction,
               dt_safety: float) -> float:
     """Parabolic step bound dt_safety * h_min^2 / max diffusivity."""
-    grid = surface.grid()
-    core = _speed_values(grid, surface.values, speed, surface.n)
-    rho = speed.rho(core["kappa"])
-    drho = speed.drho(core["kappa"])
-    diffusivity = np.sum(drho, axis=-1) / (rho**2 * surface.values**2)
+    kappa = curvature(surface.grid(), surface.values).kappa
+    _check_cone(speed, kappa)
+    diffusivity = (np.sum(speed.drho(kappa), axis=-1)
+                   / (speed.rho(kappa)**2 * surface.values**2))
     h_min = min(np.pi / surface.spec.n_theta, 2.0 * np.pi / surface.spec.n_phi)
     return dt_safety * h_min**2 / float(diffusivity.max())
 
@@ -337,7 +328,6 @@ class FlowTrace:
     E_sup: dict = field(default_factory=dict)
     osc: list = field(default_factory=list)
     ubar_mean: list = field(default_factory=list)
-    ubar_osc: list = field(default_factory=list)
     shape_dev: list = field(default_factory=list)
     beta: float = float("nan")
     snapshots: list = field(default_factory=list)
@@ -352,11 +342,10 @@ class FlowTrace:
             self.E_sup.setdefault(a, []).append(inv.e_tensor(surface, a, geom)[1])
         f = surface.values
         self.osc.append(float(f.max() / f.min()))
-        # rescaled graph exp(-t/mu) f: round-sphere mean and oscillation
+        # rescaled graph exp(-t/mu) f: round-sphere mean (its oscillation is osc)
         scale = math.exp(-t / self.mu) if rescale else 1.0
         grid = make_grid(surface.spec)
         self.ubar_mean.append(scale * grid.integrate_values(f) / (4.0 * np.pi))
-        self.ubar_osc.append(float(f.max() / f.min()))
         # sup |f kappa_i - 1|: spectral norm of f h_i^j - delta_i^j,
         # invariant under the rescaling
         dev = np.abs(f[..., None] * geom.kappa - 1.0).max()
@@ -379,14 +368,13 @@ class FlowTrace:
     def csv_header(self) -> list[str]:
         return (["t", "W", "Q1"]
                 + [f"E_sup_a{a:g}" for a in self.a_values]
-                + ["osc", "ubar_mean", "ubar_osc", "shape_dev"])
+                + ["osc", "ubar_mean", "shape_dev"])
 
     def csv_rows(self):
         for i in range(len(self.t)):
             row = [self.t[i], self.W[i], self.Q1[i]]
             row += [self.E_sup[a][i] for a in self.a_values]
-            row += [self.osc[i], self.ubar_mean[i], self.ubar_osc[i],
-                    self.shape_dev[i]]
+            row += [self.osc[i], self.ubar_mean[i], self.shape_dev[i]]
             yield row
 
     def summary(self) -> dict:

@@ -10,8 +10,10 @@ round metric sigma, the induced geometry is, in chart components,
     h_ij   = f (sigma_ij + lam_i lam_j - hess_ij lam) / sqrt(1 + |grad lam|^2)
 
 with nu the outward unit normal, so round spheres have H = n/R > 0 and
-principal curvatures 1/R.  Inverting the surface about the unit sphere
-(f -> 1/f) relates mean curvatures through
+principal curvatures 1/R.  `curvature` is the one kernel that evaluates
+these components on a grid, with H = g^ij h_ij and K = det h / det g in
+closed form; `geometry` and the flow both build on it.  Inverting the
+surface about the unit sphere (f -> 1/f) relates mean curvatures through
 
     H_inverted = -f^2 H + 2 n f / sqrt(1 + |grad lam|^2),
 
@@ -22,6 +24,7 @@ independent second geometry computation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +35,8 @@ __all__ = [
     "POSITIVITY_FLOOR",
     "StarShapedHypersurface",
     "GeometryBundle",
+    "Curvature",
+    "curvature",
     "geometry",
     "area",
     "sigma_integral",
@@ -89,14 +94,12 @@ class GeometryBundle:
 
     spec: GridSpec
     n: int
-    f: np.ndarray
     position: np.ndarray        # (nt, nph, 3) ambient points f*p
     normal: np.ndarray          # (nt, nph, 3) outward unit normal
     metric: np.ndarray          # (nt, nph, 2, 2) g_ij
     metric_inv: np.ndarray      # (nt, nph, 2, 2) g^ij
     area_density: np.ndarray    # dmu / dmu_round
     second_form: np.ndarray     # (nt, nph, 2, 2) h_ij
-    shape_mixed: np.ndarray     # (nt, nph, 2, 2) h_i^j = g^{jk} h_ki
     H: np.ndarray               # mean curvature = sum kappa_i
     kappa: np.ndarray           # (nt, nph, 2) principal curvatures
     sigma_k: np.ndarray         # (nt, nph, n+1)
@@ -121,22 +124,36 @@ def graph_mean_curvature(f, grad_sq, lam_laplacian, lam_hess_quad, n):
     return (n - lam_laplacian + lam_hess_quad / v) / (f * np.sqrt(v))
 
 
-def _curvature_core(grid: Grid, f: np.ndarray, n: int) -> dict:
-    """Shared kernel: chart derivative data and principal curvatures."""
+class Curvature(NamedTuple):
+    """Output of `curvature`, per grid node.  Symmetric chart tensors are
+    given by their (00, 01, 11) components in (theta, phi) order."""
+
+    lam_grad: tuple             # (d_theta, d_phi) of lam = log f
+    grad_sq: np.ndarray         # |grad lam|^2 on the round sphere
+    sqv: np.ndarray             # sqrt(1 + |grad lam|^2)
+    metric: tuple               # g_ij
+    metric_inv: tuple           # g^ij
+    second_form: tuple          # h_ij
+    H: np.ndarray               # g^ij h_ij
+    K: np.ndarray               # det h / det g
+    kappa: np.ndarray           # (nt, nph, 2) principal curvatures, ascending
+
+
+def curvature(grid: Grid, f: np.ndarray) -> Curvature:
+    """The curvature kernel: principal curvatures of the radial graph of
+    f on an n = 2 grid, with the chart data they are built from.
+
+    Raises ResolutionError when the derivatives of log f are not finite or
+    the first fundamental form is too ill-conditioned to resolve.
+    """
     lam = np.log(f)
     lt, lp, ltt, ltp, lpp = grid.chart_derivatives(lam)
-    for arr in (lt, lp, ltt, ltp, lpp):
-        if not np.all(np.isfinite(arr)):
-            raise ResolutionError("non-finite derivatives of log f")
+    if not all(np.all(np.isfinite(arr)) for arr in (lt, lp, ltt, ltp, lpp)):
+        raise ResolutionError("non-finite derivatives of log f")
 
-    st = grid.sin_theta[:, None]
-    ct = grid.cos_theta[:, None]
-    inv_s2 = 1.0 / st**2
-
-    # covariant Hessian of lam on the round sphere
-    Ltt = ltt
-    Ltp = ltp - (ct / st) * lp
-    Lpp = lpp + st * ct * lt
+    st, ct = grid.sin_theta[:, None], grid.cos_theta[:, None]
+    s2 = st * st
+    inv_s2 = 1.0 / s2
 
     lp_up = lp * inv_s2
     grad_sq = lt * lt + lp * lp_up
@@ -144,14 +161,11 @@ def _curvature_core(grid: Grid, f: np.ndarray, n: int) -> dict:
     sqv = np.sqrt(v)
 
     f2 = f * f
-    g = np.empty(f.shape + (2, 2))
-    g[..., 0, 0] = f2 * (1.0 + lt * lt)
-    g[..., 0, 1] = f2 * (lt * lp)
-    g[..., 1, 0] = g[..., 0, 1]
-    g[..., 1, 1] = f2 * (st**2 + lp * lp)
-
-    det_g = f2 * f2 * st**2 * v
-    tr_g = g[..., 0, 0] + g[..., 1, 1]
+    g00 = f2 * (1.0 + lt * lt)
+    g01 = f2 * (lt * lp)
+    g11 = f2 * (s2 + lp * lp)
+    det_g = f2 * f2 * s2 * v
+    tr_g = g00 + g11
     disc_g = np.sqrt(np.clip(0.25 * tr_g**2 - det_g, 0.0, None))
     cond = (0.5 * tr_g + disc_g) / np.maximum(0.5 * tr_g - disc_g, 1e-300)
     if cond.max() > _COND_LIMIT:
@@ -159,31 +173,27 @@ def _curvature_core(grid: Grid, f: np.ndarray, n: int) -> dict:
             f"first fundamental form condition number {cond.max():.3g} "
             f"exceeds {_COND_LIMIT:g}")
 
-    ginv = np.empty_like(g)
-    ginv[..., 0, 0] = (1.0 - lt * lt / v) / f2
-    ginv[..., 0, 1] = (-lt * lp_up / v) / f2
-    ginv[..., 1, 0] = ginv[..., 0, 1]
-    ginv[..., 1, 1] = (inv_s2 - lp_up * lp_up / v) / f2
+    gi00 = (1.0 - lt * lt / v) / f2
+    gi01 = (-lt * lp_up / v) / f2
+    gi11 = (inv_s2 - lp_up * lp_up / v) / f2
 
-    h = np.empty_like(g)
+    # h_ij from the covariant Hessian of lam on the round sphere
     fac = f / sqv
-    h[..., 0, 0] = fac * (1.0 + lt * lt - Ltt)
-    h[..., 0, 1] = fac * (lt * lp - Ltp)
-    h[..., 1, 0] = h[..., 0, 1]
-    h[..., 1, 1] = fac * (st**2 + lp * lp - Lpp)
+    h00 = fac * (1.0 + lt * lt - ltt)
+    h01 = fac * (lt * lp - (ltp - (ct / st) * lp))
+    h11 = fac * (s2 + lp * lp - (lpp + st * ct * lt))
 
-    shape = np.einsum("...ik,...kj->...ij", ginv, h)
-    trace = shape[..., 0, 0] + shape[..., 1, 1]
-    det_h = h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] ** 2
-    det_s = det_h / det_g
-    disc = np.sqrt(np.clip(0.25 * trace**2 - det_s, 0.0, None))
-    kappa = np.stack([0.5 * trace - disc, 0.5 * trace + disc], axis=-1)
+    H = gi00 * h00 + 2.0 * gi01 * h01 + gi11 * h11
+    K = (h00 * h11 - h01 * h01) / det_g
+    disc = np.sqrt(np.clip(0.25 * H * H - K, 0.0, None))
+    kappa = np.stack([0.5 * H - disc, 0.5 * H + disc], axis=-1)
+    return Curvature((lt, lp), grad_sq, sqv, (g00, g01, g11),
+                     (gi00, gi01, gi11), (h00, h01, h11), H, K, kappa)
 
-    return dict(
-        lam_grad=(lt, lp), lam_hess=(Ltt, Ltp, Lpp), grad_sq=grad_sq,
-        v=v, sqv=sqv, metric=g, metric_inv=ginv, second_form=h,
-        shape_mixed=shape, kappa=kappa, H=trace, det_shape=det_s,
-    )
+
+def _sym2(c00, c01, c11):
+    """(..., 2, 2) symmetric chart tensor from its three components."""
+    return np.stack([np.stack([c00, c01], -1), np.stack([c01, c11], -1)], -2)
 
 
 def geometry(surface: StarShapedHypersurface) -> GeometryBundle:
@@ -192,44 +202,34 @@ def geometry(surface: StarShapedHypersurface) -> GeometryBundle:
         raise ValueError("grid geometry is implemented for n = 2 only")
     grid = surface.grid()
     f = surface.values
-    core = _curvature_core(grid, f, surface.n)
+    c = curvature(grid, f)
 
-    st = grid.sin_theta[:, None]
-    ct = grid.cos_theta[:, None]
+    st, ct = grid.sin_theta[:, None], grid.cos_theta[:, None]
     sph, cph = np.sin(grid.phi)[None, :], np.cos(grid.phi)[None, :]
     p = np.stack([st * cph, st * sph, ct * np.ones_like(cph)], axis=-1)
     e_t = np.stack([ct * cph, ct * sph, -st * np.ones_like(cph)], axis=-1)
     e_p = np.stack([-st * sph, st * cph, np.zeros_like(st * cph)], axis=-1)
 
-    lt, lp = core["lam_grad"]
+    lt, lp = c.lam_grad
     lp_up = lp / st**2
-    nu = (p - lt[..., None] * e_t - lp_up[..., None] * e_p) / core["sqv"][..., None]
+    nu = (p - lt[..., None] * e_t - lp_up[..., None] * e_p) / c.sqv[..., None]
 
-    H = core["H"]
-    kappa = core["kappa"]
-    n = surface.n
-    sigma = np.empty(f.shape + (n + 1,))
-    sigma[..., 0] = 1.0
-    sigma[..., 1] = H
-    sigma[..., 2] = core["det_shape"]
-    norm_A_sq = H * H - 2.0 * core["det_shape"]
-    tracefree_sq = norm_A_sq - H * H / n
+    sigma = np.stack([np.ones_like(c.H), c.H, c.K], axis=-1)
+    norm_A_sq = c.H * c.H - 2.0 * c.K
+    tracefree_sq = norm_A_sq - c.H * c.H / 2
 
     bundle = GeometryBundle(
-        spec=surface.spec, n=n, f=f,
+        spec=surface.spec, n=2,
         position=f[..., None] * p, normal=nu,
-        metric=core["metric"], metric_inv=core["metric_inv"],
-        area_density=f**n * core["sqv"],
-        second_form=core["second_form"], shape_mixed=core["shape_mixed"],
-        H=H, kappa=kappa, sigma_k=sigma,
+        metric=_sym2(*c.metric), metric_inv=_sym2(*c.metric_inv),
+        area_density=f**2 * c.sqv, second_form=_sym2(*c.second_form),
+        H=c.H, kappa=c.kappa, sigma_k=sigma,
         norm_A_sq=norm_A_sq, tracefree_sq=tracefree_sq,
-        grad_log_sq=core["grad_sq"],
+        grad_log_sq=c.grad_sq,
     )
-    for arr in (bundle.position, bundle.normal, bundle.metric,
-                bundle.metric_inv, bundle.area_density, bundle.second_form,
-                bundle.shape_mixed, bundle.H, bundle.kappa, bundle.sigma_k,
-                bundle.norm_A_sq, bundle.tracefree_sq, bundle.grad_log_sq):
-        arr.setflags(write=False)
+    for arr in vars(bundle).values():
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
     return bundle
 
 

@@ -2,12 +2,14 @@
 
 Floats are emitted with Python's shortest round-trip repr (at most 17
 significant digits), so reading a file back reproduces the original
-binary values bit for bit.
+binary values bit for bit.  JSON output is strict: a non-finite float
+(an unfitted rate, a singular Gram matrix) is written as null.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -60,8 +62,17 @@ def _atomic_write_text(path: str, text: str):
     os.replace(tmp, path)
 
 
+def _finite_or_null(obj):
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def write_json_atomic(path: str, payload: dict):
-    _atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
+    text = json.dumps(_finite_or_null(payload), indent=1, allow_nan=False)
+    _atomic_write_text(path, text + "\n")
 
 
 def write_csv_atomic(path: str, header: list[str], rows):

@@ -18,6 +18,13 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def load_strict_json(path):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
 @pytest.fixture()
 def sphere_file(tmp_path):
     out = tmp_path / "gen"
@@ -88,12 +95,16 @@ class TestFlow:
             lines = fh.read().strip().split("\n")
         header = lines[0].split(",")
         assert header[:3] == ["t", "W", "Q1"]
-        assert header[-4:] == ["osc", "ubar_mean", "ubar_osc", "shape_dev"]
+        assert header[-3:] == ["osc", "ubar_mean", "shape_dev"]
         W = np.array([float(l.split(",")[1]) for l in lines[1:]])
         assert np.all(np.diff(W) <= 1e-8 * W[:-1])
-        with open(out / "flow_summary.json") as fh:
-            summary = json.load(fh)
+        summary = load_strict_json(out / "flow_summary.json")
         assert summary["records"] == len(lines) - 1
+        # too few records to fit beta: written as null, not as bare NaN
+        short = tmp_path / "short"
+        assert run_cli("flow", str(out_g / "surface.json"), "--t-end", "0.01",
+                       "--out", str(short)) == 0
+        assert load_strict_json(short / "flow_summary.json")["beta"] is None
 
 
 class TestInvariance:

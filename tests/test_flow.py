@@ -70,10 +70,15 @@ class TestNormalSpeed:
         ns = normal_speed(s, SpeedFunction.power(2))
         assert np.abs(ns.values - 1.5).max() < 1e-12
 
-    def test_cone_violation_reports_node(self):
+    @pytest.mark.parametrize("entry", ["normal_speed", "normal_speed_geom", "step"])
+    def test_cone_violation_reports_node(self, entry):
         s = perturbed_sphere(SPEC32, amp=0.3)  # saddle regions: sigma_2 < 0
+        speed = SpeedFunction.power(2)
+        call = {"normal_speed": lambda: normal_speed(s, speed),
+                "normal_speed_geom": lambda: normal_speed(s, speed, geometry(s)),
+                "step": lambda: step(s, speed, 1e-4)}[entry]
         with pytest.raises(CurvatureConeError) as err:
-            normal_speed(s, SpeedFunction.power(2))
+            call()
         assert err.value.node is not None
         assert err.value.kappa is not None
 

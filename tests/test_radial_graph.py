@@ -90,6 +90,16 @@ class TestBundleInvariants:
         assert rel(g1.sigma_k[..., 2], g0.sigma_k[..., 2] / c**2) < 1e-10
         assert np.abs(g1.normal - g0.normal).max() < 1e-10
 
+    def test_kappa_are_eigenvalues_of_shape_operator(self, spheroid64, harmonic64,
+                                                    geom_cache):
+        # independent of the closed-form trace: eigenvalues of g^-1 h
+        for s in (spheroid64, harmonic64):
+            g = geom_cache(s)
+            eig = np.linalg.eigvals(np.linalg.inv(g.metric) @ g.second_form)
+            assert np.abs(eig.imag).max() < 1e-12 * np.abs(g.kappa).max()
+            eig = np.sort(eig.real, axis=-1)
+            assert np.abs(g.kappa - eig).max() < 1e-12 * np.abs(g.kappa).max()
+
     def test_appendix_formula_matches_shape_trace(self, spheroid64, geom_cache):
         # the explicit graph mean-curvature formula must reproduce the
         # trace of the shape operator
