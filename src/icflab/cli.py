@@ -147,7 +147,7 @@ def cmd_invariance(args) -> int:
     hm_max = max(hm)
 
     e_diffs = {}
-    for a in inv.default_a_values(surface.n):
+    for a in inv.DEFAULT_A_VALUES:
         Ea, _ = inv.e_tensor(surface, a, geom)
         Eb, _ = inv.e_tensor(invert(surface), a, geom_inv)
         e_diffs[repr(a)] = float(np.abs(Ea.components - Eb.components).max())

@@ -287,8 +287,7 @@ def pushforward_surface(V, t: float, surface: StarShapedHypersurface
         raise NotStarShapedError("mapped surface does not enclose the origin")
     if not np.all(np.isfinite(radii)):
         raise ResolutionError("non-finite radii after reconstruction")
-    return StarShapedHypersurface(ScalarField(spec, radii.reshape(spec.shape)),
-                                  surface.n)
+    return StarShapedHypersurface(ScalarField(spec, radii.reshape(spec.shape)))
 
 
 def component_quadratic_check(V, seed: int = 0, n_probes: int = 8) -> dict:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CurvatureConeError, IcfLabError
-from .radial_graph import GeometryBundle, StarShapedHypersurface, curvature, geometry
+from .radial_graph import N, GeometryBundle, StarShapedHypersurface, curvature, geometry
 from .sphere_grid import ScalarField, make_grid
 from . import invariants as inv
 
@@ -46,28 +46,11 @@ __all__ = [
 
 
 def sigma_all(kappa: np.ndarray) -> np.ndarray:
-    """All elementary symmetric polynomials of the last axis;
-    sigma_k(1,...,1) = C(n,k)."""
+    """The elementary symmetric polynomials (1, sigma_1, sigma_2) of the
+    two principal curvatures on the last axis; sigma_k(1, 1) = C(2, k)."""
     kappa = np.asarray(kappa, dtype=float)
-    n = kappa.shape[-1]
-    e = np.zeros(kappa.shape[:-1] + (n + 1,))
-    e[..., 0] = 1.0
-    for i in range(n):
-        x = kappa[..., i]
-        for k in range(min(i + 1, n), 0, -1):
-            e[..., k] = e[..., k] + x * e[..., k - 1]
-    return e
-
-
-def _deleted_sigma(kappa: np.ndarray, e: np.ndarray, up_to: int) -> np.ndarray:
-    """sigma_l of the tuple with entry i removed, for l = 0..up_to;
-    returns shape (..., n, up_to+1) indexed by the removed entry."""
-    n = kappa.shape[-1]
-    out = np.zeros(kappa.shape[:-1] + (n, up_to + 1))
-    out[..., :, 0] = 1.0
-    for l in range(1, up_to + 1):
-        out[..., :, l] = e[..., l][..., None] - kappa * out[..., :, l - 1]
-    return out
+    k0, k1 = kappa[..., 0], kappa[..., 1]
+    return np.stack([np.ones_like(k0), k0 + k1, k1 * k0], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -91,6 +74,8 @@ class SpeedFunction:
             raise ValueError("ratio speed needs i > j >= 0")
         if self.kind in ("quotient", "power") and self.i < 1:
             raise ValueError("k must be >= 1")
+        if self.i > N:
+            raise ValueError(f"sigma_{self.i} vanishes identically for n = {N}")
 
     # constructors -----------------------------------------------------
     @classmethod
@@ -160,11 +145,11 @@ class SpeedFunction:
     def drho(self, kappa: np.ndarray) -> np.ndarray:
         """Closed-form gradient d rho / d kappa_i."""
         kappa = np.asarray(kappa, dtype=float)
-        e = sigma_all(kappa)
-        top = self.cone_degree
-        d = _deleted_sigma(kappa, e, max(top - 1, 0))
         if self.kind == "H":
             return np.ones_like(kappa)
+        e = sigma_all(kappa)
+        # d[..., i, l]: sigma_l of the curvatures with kappa_i removed
+        d = np.stack([np.ones_like(kappa), e[..., 1, None] - kappa], axis=-1)
         if self.kind == "quotient":
             k = self.i
             num, den = e[..., k, None], e[..., k - 1, None]
@@ -182,8 +167,8 @@ class SpeedFunction:
 
     @property
     def mu(self) -> float:
-        """rho at the round point (1, ..., 1) for n = 2."""
-        return float(self.rho(np.ones(2)))
+        """rho at the round point (1, 1)."""
+        return float(self.rho(np.ones(N)))
 
 
 @dataclass(frozen=True)
@@ -277,7 +262,7 @@ def step(surface: StarShapedHypersurface, speed: SpeedFunction, dt: float,
     k4 = _graph_rhs(grid, f0 + dt * k3, speed)
     f1 = f0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     f1 = grid.project(f1, _exp_filter(grid) if use_filter else None)
-    return StarShapedHypersurface(ScalarField(surface.spec, f1), surface.n)
+    return StarShapedHypersurface(ScalarField(surface.spec, f1))
 
 
 def stable_dt(surface: StarShapedHypersurface, speed: SpeedFunction,
@@ -301,9 +286,6 @@ class FlowConfig:
     t_end: float
     dt_safety: float = 0.2
     record_every: int = 0
-    rescale: bool = True
-    a_values: tuple | None = None
-    use_filter: bool = True
     keep_snapshots: bool = True
 
     def __post_init__(self):
@@ -332,7 +314,7 @@ class FlowTrace:
     beta: float = float("nan")
     snapshots: list = field(default_factory=list)
 
-    def _record(self, t, surface, geom, rescale, keep):
+    def _record(self, t, surface, geom, keep):
         if self.t and t <= self.t[-1]:
             raise IcfLabError("record times must increase strictly")
         self.t.append(t)
@@ -343,7 +325,7 @@ class FlowTrace:
         f = surface.values
         self.osc.append(float(f.max() / f.min()))
         # rescaled graph exp(-t/mu) f: round-sphere mean (its oscillation is osc)
-        scale = math.exp(-t / self.mu) if rescale else 1.0
+        scale = math.exp(-t / self.mu)
         grid = make_grid(surface.spec)
         self.ubar_mean.append(scale * grid.integrate_values(f) / (4.0 * np.pi))
         # sup |f kappa_i - 1|: spectral norm of f h_i^j - delta_i^j,
@@ -395,14 +377,13 @@ class FlowTrace:
 def run(surface: StarShapedHypersurface, config: FlowConfig) -> FlowTrace:
     """Evolve a surface to t_end, recording diagnostics along the way."""
     speed = config.speed
-    a_values = tuple(config.a_values) if config.a_values is not None \
-        else inv.default_a_values(surface.n)
-    trace = FlowTrace(speed_label=speed.label, mu=speed.mu, a_values=a_values)
+    trace = FlowTrace(speed_label=speed.label, mu=speed.mu,
+                      a_values=inv.DEFAULT_A_VALUES)
 
     t = 0.0
     current = surface
     geom = geometry(current)
-    trace._record(t, current, geom, config.rescale, config.keep_snapshots)
+    trace._record(t, current, geom, config.keep_snapshots)
 
     dt0 = stable_dt(current, speed, config.dt_safety)
     record_every = config.record_every or max(1, round(0.02 / dt0))
@@ -410,12 +391,12 @@ def run(surface: StarShapedHypersurface, config: FlowConfig) -> FlowTrace:
     k = 0
     while t < config.t_end - 1e-14:
         dt = min(stable_dt(current, speed, config.dt_safety), config.t_end - t)
-        current = step(current, speed, dt, config.use_filter)
+        current = step(current, speed, dt)
         t += dt
         k += 1
         if k % record_every == 0 or t >= config.t_end - 1e-14:
             geom = geometry(current)
-            trace._record(t, current, geom, config.rescale, config.keep_snapshots)
+            trace._record(t, current, geom, config.keep_snapshots)
     trace.beta = trace.fit_beta()
     return trace
 
@@ -504,7 +485,7 @@ def _fd_hessian(rho, kappa, h):
     return H
 
 
-def class_c_audit(speed, n_samples: int = 10000, seed: int = 0, n: int = 2) -> dict:
+def class_c_audit(speed, n_samples: int = 10000, seed: int = 0) -> dict:
     """Sample the five admissibility conditions of a curvature function:
     positivity, symmetry, degree-1 homogeneity, strict monotonicity and
     concavity (semi-negative Hessian) on its cone.
@@ -515,7 +496,7 @@ def class_c_audit(speed, n_samples: int = 10000, seed: int = 0, n: int = 2) -> d
     report dict with per-condition verdicts and worst violations.
     """
     rng = np.random.default_rng(seed)
-    kappa = rng.uniform(0.2, 3.0, size=(n_samples, n))
+    kappa = rng.uniform(0.2, 3.0, size=(n_samples, N))
     kappa = kappa[speed.in_cone(kappa)]
     rho = speed.rho
 
@@ -523,7 +504,7 @@ def class_c_audit(speed, n_samples: int = 10000, seed: int = 0, n: int = 2) -> d
     positive = bool(np.all(values > 0.0))
 
     sym_dev = 0.0
-    for axis in range(1, n):
+    for axis in range(1, N):
         perm = kappa.copy()
         perm[:, [0, axis]] = perm[:, [axis, 0]]
         sym_dev = max(sym_dev, float(np.abs(rho(perm) - values).max()

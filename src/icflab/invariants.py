@@ -24,12 +24,12 @@ from math import comb
 import numpy as np
 
 from .errors import AuditError, ConvexityClassError, GridMismatchError, MeanConvexityError
-from .radial_graph import GeometryBundle, StarShapedHypersurface, geometry, invert
+from .radial_graph import N, GeometryBundle, StarShapedHypersurface, geometry, invert
 from .sphere_grid import CovariantTensor2, ScalarField, make_grid
 
 __all__ = [
     "EnergyReport",
-    "default_a_values",
+    "DEFAULT_A_VALUES",
     "e_eigenvalues",
     "e_tensor",
     "willmore",
@@ -44,34 +44,23 @@ __all__ = [
 ]
 
 
-def default_a_values(n: int) -> tuple[float, ...]:
-    """Default sweep for the invariant-tensor parameter; includes the
-    boundary case 2an+1 = 0."""
-    return (-1.0 / (2 * n), 0.0, 1.0)
+# default sweep for the invariant-tensor parameter, (-0.25, 0.0, 1.0);
+# includes the boundary case 2an+1 = 0
+DEFAULT_A_VALUES = (-1.0 / (2 * N), 0.0, 1.0)
 
 
 def _geom(surface, geom):
     return geom if geom is not None else geometry(surface)
 
 
-def e_eigenvalues(kappa, H, tracefree_sq, a, n):
+def e_eigenvalues(kappa, H, tracefree_sq, a):
     """Eigenvalues of E(a) with respect to the induced metric, one per
     principal curvature: -(n/2)(kappa_i - H/n)^2 - ((2an+1)/2)|A0|^2.
     All non-positive when 2an+1 >= 0, zero exactly at umbilic points."""
     kappa = np.asarray(kappa, dtype=float)
     H = np.asarray(H, dtype=float)
-    return (-0.5 * n * (kappa - H[..., None] / n) ** 2
-            - 0.5 * (2.0 * a * n + 1.0) * np.asarray(tracefree_sq)[..., None])
-
-
-def _mixed_invariants(ginv, T):
-    """Trace and determinant of g^{-1} T (the two spectral invariants of
-    the g-symmetric pair; stable even when the eigenvalues nearly
-    coincide, unlike extracting the eigenvalues themselves)."""
-    M = np.einsum("...ik,...kj->...ij", ginv, T)
-    tr = M[..., 0, 0] + M[..., 1, 1]
-    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    return tr, det
+    return (-0.5 * N * (kappa - H[..., None] / N) ** 2
+            - 0.5 * (2.0 * a * N + 1.0) * np.asarray(tracefree_sq)[..., None])
 
 
 def e_tensor(surface: StarShapedHypersurface, a: float,
@@ -85,24 +74,34 @@ def e_tensor(surface: StarShapedHypersurface, a: float,
     two must agree, which is enforced here.
     """
     geom = _geom(surface, geom)
-    n = geom.n
-    if 2.0 * a * n + 1.0 < 0.0:
+    if 2.0 * a * N + 1.0 < 0.0:
         warnings.warn(
-            f"2an+1 = {2.0 * a * n + 1.0:g} < 0: E(a) is still conformally "
+            f"2an+1 = {2.0 * a * N + 1.0:g} < 0: E(a) is still conformally "
             "invariant but no longer characterizes umbilic points",
             stacklevel=2)
 
-    g, ginv, h = geom.metric, geom.metric_inv, geom.second_form
-    H = geom.H[..., None, None]
-    absA2 = geom.norm_A_sq[..., None, None]
-    h_sq = np.einsum("...ik,...kl,...lj->...ij", h, ginv, h)
-    E = (H * h + a * H**2 * g - 0.5 * n * h_sq
-         - 0.5 * (2.0 * a * n + 1.0) * absA2 * g)
+    g00, g01, g11 = geom.metric
+    gi00, gi01, gi11 = geom.metric_inv
+    h00, h01, h11 = geom.second_form
+    H, absA2 = geom.H, geom.norm_A_sq
+    # (h g^-1 h)_ij through the mixed tensor h_i^l = h_ik g^kl
+    m00, m01 = h00 * gi00 + h01 * gi01, h00 * gi01 + h01 * gi11
+    m10, m11 = h01 * gi00 + h11 * gi01, h01 * gi01 + h11 * gi11
 
-    formula = e_eigenvalues(geom.kappa, geom.H, geom.tracefree_sq, a, n)
+    def component(g, h, h_sq):
+        return (H * h + a * H**2 * g - 0.5 * N * h_sq
+                - 0.5 * (2.0 * a * N + 1.0) * absA2 * g)
+
+    E00 = component(g00, h00, m00 * h00 + m01 * h01)
+    E01 = component(g01, h01, m00 * h01 + m01 * h11)
+    E11 = component(g11, h11, m10 * h01 + m11 * h11)
+
+    formula = e_eigenvalues(geom.kappa, geom.H, geom.tracefree_sq, a)
     # the two computation routes must agree; compare through the spectral
-    # invariants, which stay numerically stable at near-umbilic nodes
-    tr, det = _mixed_invariants(ginv, E)
+    # invariants of g^-1 E, which stay numerically stable at near-umbilic
+    # nodes (unlike extracting the eigenvalues themselves)
+    tr = gi00 * E00 + 2.0 * gi01 * E01 + gi11 * E11
+    det = (gi00 * gi11 - gi01 * gi01) * (E00 * E11 - E01 * E01)
     scale = 1.0 + float(geom.norm_A_sq.max())
     tr_dev = np.abs(tr - formula.sum(axis=-1)).max()
     det_dev = np.abs(det - formula[..., 0] * formula[..., 1]).max()
@@ -110,6 +109,7 @@ def e_tensor(surface: StarShapedHypersurface, a: float,
         raise AuditError(
             f"eigenvalue routes for E({a:g}) disagree: "
             f"trace {tr_dev:.3g}, det {det_dev:.3g}")
+    E = np.stack([np.stack([E00, E01], -1), np.stack([E01, E11], -1)], -2)
     return CovariantTensor2(surface.spec, E), float(np.abs(formula).max())
 
 
@@ -119,7 +119,7 @@ def willmore(surface: StarShapedHypersurface,
     geom = _geom(surface, geom)
     if geom.H.min() <= 0.0:
         raise MeanConvexityError(f"H reaches {geom.H.min():g}; not mean-convex")
-    return geom.integrate(geom.H ** geom.n)
+    return geom.integrate(geom.H ** N)
 
 
 def willmore_rate(surface: StarShapedHypersurface, speed: ScalarField,
@@ -141,17 +141,17 @@ def willmore_rate(surface: StarShapedHypersurface, speed: ScalarField,
     if geom.H.min() <= 0.0:
         raise MeanConvexityError(f"H reaches {geom.H.min():g}; not mean-convex")
     grid = make_grid(surface.spec)
-    n = geom.n
 
     CH = grid.analysis(geom.H - geom.H.mean())
     Cs = grid.analysis(speed.values - speed.values.mean())
-    dH = np.stack([grid.synth_dtheta(CH), grid.synth_dphi(CH)], axis=-1)
-    ds = np.stack([grid.synth_dtheta(Cs), grid.synth_dphi(Cs)], axis=-1)
-    grad_pair = np.einsum("...ij,...i,...j->...", geom.metric_inv, dH, ds)
+    dHt, dHp = grid.synth_dtheta(CH), grid.synth_dphi(CH)
+    dst, dsp = grid.synth_dtheta(Cs), grid.synth_dphi(Cs)
+    gi00, gi01, gi11 = geom.metric_inv
+    grad_pair = gi00 * dHt * dst + gi01 * (dHt * dsp + dHp * dst) + gi11 * dHp * dsp
 
-    integrand = (n * (n - 1) * geom.H ** (n - 2) * grad_pair
-                 - n * speed.values * geom.H ** (n - 1)
-                 * (geom.norm_A_sq - geom.H**2 / n))
+    integrand = (N * (N - 1) * geom.H ** (N - 2) * grad_pair
+                 - N * speed.values * geom.H ** (N - 1)
+                 * (geom.norm_A_sq - geom.H**2 / N))
     return geom.integrate(integrand)
 
 
@@ -161,15 +161,14 @@ def guan_li_q(surface: StarShapedHypersurface, k: int,
     (int sigma_{k-1})^{1/(n-k+1)}; k = n is excluded (the outer exponent
     degenerates)."""
     geom = _geom(surface, geom)
-    n = geom.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must lie in 1..{n - 1}")
+    if not 1 <= k <= N - 1:
+        raise ValueError(f"k must lie in 1..{N - 1}")
     num = geom.integrate(geom.sigma_k[..., k])
     den = geom.integrate(geom.sigma_k[..., k - 1])
     if num <= 0.0 or den <= 0.0:
         raise ConvexityClassError(
             f"curvature integrals not positive (k={k}): {num:g}, {den:g}")
-    return num ** (1.0 / (n - k)) / den ** (1.0 / (n - k + 1))
+    return num ** (1.0 / (N - k)) / den ** (1.0 / (N - k + 1))
 
 
 def hsiung_minkowski_residual(surface: StarShapedHypersurface, V, k: int,
@@ -187,13 +186,12 @@ def hsiung_minkowski_residual(surface: StarShapedHypersurface, V, k: int,
     scaled by the L1 size of the two integrands.
     """
     geom = _geom(surface, geom)
-    n = geom.n
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"k must lie in 0..{n - 1}")
+    if not 0 <= k <= N - 1:
+        raise ValueError(f"k must lie in 0..{N - 1}")
     alpha = np.asarray(V.conformal_factor(geom.position))
     vn = np.einsum("...c,...c->...", V.evaluate(geom.position), geom.normal)
-    lhs_density = alpha * geom.sigma_k[..., k] / comb(n, k)
-    rhs_density = vn * geom.sigma_k[..., k + 1] / comb(n, k + 1)
+    lhs_density = alpha * geom.sigma_k[..., k] / comb(N, k)
+    rhs_density = vn * geom.sigma_k[..., k + 1] / comb(N, k + 1)
     residual = geom.integrate(lhs_density - rhs_density)
     if not relative:
         return residual
@@ -210,9 +208,8 @@ def condition_v_residual(surface: StarShapedHypersurface, V, k: int,
     qk_rate = -Q_k/(n+1) * condition_v_residual identically.
     """
     geom = _geom(surface, geom)
-    n = geom.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must lie in 1..{n - 1}")
+    if not 1 <= k <= N - 1:
+        raise ValueError(f"k must lie in 1..{N - 1}")
     div = np.asarray(V.divergence(geom.position))
     avg_k = (geom.integrate(geom.sigma_k[..., k] * div)
              / geom.integrate(geom.sigma_k[..., k]))
@@ -234,15 +231,15 @@ def qk_rate(surface: StarShapedHypersurface, V, k: int,
     """
     geom = _geom(surface, geom)
     q = guan_li_q(surface, k, geom)
-    return -q / (geom.n + 1) * condition_v_residual(surface, V, k, geom)
+    return -q / (N + 1) * condition_v_residual(surface, V, k, geom)
 
 
 def center_of_mass(surface: StarShapedHypersurface, k: int,
                    geom: GeometryBundle | None = None) -> np.ndarray:
     """sigma_k-weighted barycenter int sigma_k x dmu / int sigma_k dmu."""
     geom = _geom(surface, geom)
-    if not 0 <= k <= geom.n:
-        raise ValueError(f"k must lie in 0..{geom.n}")
+    if not 0 <= k <= N:
+        raise ValueError(f"k must lie in 0..{N}")
     w = geom.sigma_k[..., k]
     total = geom.integrate(w)
     return np.array([geom.integrate(w * geom.position[..., c]) for c in range(3)]) / total
@@ -263,20 +260,19 @@ def qbar(surface: StarShapedHypersurface,
     """
     geom = _geom(surface, geom)
     geom_inv = geom_inv if geom_inv is not None else geometry(invert(surface))
-    n = geom.n
     area = geom.integrate(np.ones_like(geom.H))
     area_inv = geom_inv.integrate(np.ones_like(geom_inv.H))
-    q1 = geom.integrate(geom.H) / area ** ((n - 1) / n)
-    q1_inv = geom_inv.integrate(geom_inv.H) / area_inv ** ((n - 1) / n)
+    q1 = geom.integrate(geom.H) / area ** ((N - 1) / N)
+    q1_inv = geom_inv.integrate(geom_inv.H) / area_inv ** ((N - 1) / N)
     value = q1 + q1_inv
 
     r = surface.values.min()
     R = surface.values.max()
     sphere_area = make_grid(surface.spec).integrate_values(
         np.ones(surface.spec.shape))
-    base = 2.0 * n * sphere_area / (area * area_inv) ** ((n - 1) / (2 * n))
-    lower = (r / R) ** (1.5 * (n - 1)) * base
-    upper = (R / r) ** (1.5 * (n - 1)) * base
+    base = 2.0 * N * sphere_area / (area * area_inv) ** ((N - 1) / (2 * N))
+    lower = (r / R) ** (1.5 * (N - 1)) * base
+    upper = (R / r) ** (1.5 * (N - 1)) * base
     tol = 1e-9 * (1.0 + abs(value))
     if not (lower - tol <= value <= upper + tol):
         raise AuditError(
@@ -307,18 +303,15 @@ class EnergyReport:
 
 
 def energy_report(surface: StarShapedHypersurface,
-                  a_values=None,
                   geom: GeometryBundle | None = None) -> EnergyReport:
     """Evaluate every scalar diagnostic on one surface."""
     geom = _geom(surface, geom)
-    n = geom.n
-    a_values = tuple(a_values) if a_values is not None else default_a_values(n)
-    sig = [geom.integrate(geom.sigma_k[..., k]) for k in range(n + 1)]
+    sig = [geom.integrate(geom.sigma_k[..., k]) for k in range(N + 1)]
     return EnergyReport(
         W=willmore(surface, geom),
-        Q={k: guan_li_q(surface, k, geom) for k in range(1, n)},
+        Q={k: guan_li_q(surface, k, geom) for k in range(1, N)},
         Qbar=qbar(surface, geom)[0],
-        E_sup={a: e_tensor(surface, a, geom)[1] for a in a_values},
+        E_sup={a: e_tensor(surface, a, geom)[1] for a in DEFAULT_A_VALUES},
         area=sig[0],
         sigma_integrals=sig,
     )

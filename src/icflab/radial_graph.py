@@ -18,7 +18,8 @@ surface about the unit sphere (f -> 1/f) relates mean curvatures through
     H_inverted = -f^2 H + 2 n f / sqrt(1 + |grad lam|^2),
 
 which `inversion_mean_curvature_check` certifies numerically against an
-independent second geometry computation.
+independent second geometry computation.  The formulas keep n symbolic;
+the code fixes it at the module constant N = 2.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .errors import DegenerateSurfaceError, ResolutionError
 from .sphere_grid import Grid, GridSpec, ScalarField, make_grid
 
 __all__ = [
+    "N",
     "POSITIVITY_FLOOR",
     "StarShapedHypersurface",
     "GeometryBundle",
@@ -45,20 +47,20 @@ __all__ = [
     "graph_mean_curvature",
 ]
 
+# the dimension n in the formulas: every surface is a hypersurface of R^3
+N = 2
 POSITIVITY_FLOOR = 1e-8
 _COND_LIMIT = 1e8
 
 
 @dataclass
 class StarShapedHypersurface:
-    """Radial graph f over S^n; f strictly positive.  n is the surface
-    dimension (grids are built for n = 2 only; the formulas keep n
-    symbolic so lower-dimensional cross-checks can reuse them)."""
+    """Radial graph f over S^2, a closed star-shaped surface in R^3; f
+    strictly positive and read-only.  The dimension is fixed at n = N = 2."""
 
     f: ScalarField
-    n: int = 2
     _inverse: "StarShapedHypersurface | None" = field(
-        default=None, repr=False, compare=False)
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.f.values.min() <= POSITIVITY_FLOOR:
@@ -79,27 +81,30 @@ class StarShapedHypersurface:
         return make_grid(self.f.spec)
 
     def scaled(self, c: float) -> "StarShapedHypersurface":
-        return StarShapedHypersurface(ScalarField(self.spec, c * self.values), self.n)
+        return StarShapedHypersurface(ScalarField(self.spec, c * self.values))
 
 
 @dataclass(frozen=True)
 class GeometryBundle:
-    """Per-node extrinsic geometry; arrays are read-only after build.
+    """Per-node extrinsic geometry of an n = 2 surface; every array,
+    including each component of the chart tensors, is read-only after
+    build.
 
-    Index conventions: chart tensors carry trailing (2, 2) axes ordered
-    (theta, phi); `kappa` is sorted ascending; `sigma_k[..., k]` holds the
-    plain elementary symmetric polynomial of the principal curvatures
-    (sigma_k(1,...,1) = C(n,k)).
+    Index conventions: the symmetric chart tensors `metric`, `metric_inv`
+    and `second_form` are (00, 01, 11) tuples of (nt, nph) component
+    arrays in (theta, phi) order, as `curvature` returns them; `kappa` is
+    sorted ascending; `sigma_k[..., k]` holds the plain elementary
+    symmetric polynomial of the principal curvatures (sigma_k(1,...,1) =
+    C(n,k)).
     """
 
     spec: GridSpec
-    n: int
     position: np.ndarray        # (nt, nph, 3) ambient points f*p
     normal: np.ndarray          # (nt, nph, 3) outward unit normal
-    metric: np.ndarray          # (nt, nph, 2, 2) g_ij
-    metric_inv: np.ndarray      # (nt, nph, 2, 2) g^ij
+    metric: tuple               # g_ij
+    metric_inv: tuple           # g^ij
     area_density: np.ndarray    # dmu / dmu_round
-    second_form: np.ndarray     # (nt, nph, 2, 2) h_ij
+    second_form: tuple          # h_ij
     H: np.ndarray               # mean curvature = sum kappa_i
     kappa: np.ndarray           # (nt, nph, 2) principal curvatures
     sigma_k: np.ndarray         # (nt, nph, n+1)
@@ -191,15 +196,8 @@ def curvature(grid: Grid, f: np.ndarray) -> Curvature:
                      (gi00, gi01, gi11), (h00, h01, h11), H, K, kappa)
 
 
-def _sym2(c00, c01, c11):
-    """(..., 2, 2) symmetric chart tensor from its three components."""
-    return np.stack([np.stack([c00, c01], -1), np.stack([c01, c11], -1)], -2)
-
-
 def geometry(surface: StarShapedHypersurface) -> GeometryBundle:
-    """Full geometry bundle of a star-shaped hypersurface (n = 2 grid)."""
-    if surface.n != 2:
-        raise ValueError("grid geometry is implemented for n = 2 only")
+    """Full geometry bundle of a star-shaped surface."""
     grid = surface.grid()
     f = surface.values
     c = curvature(grid, f)
@@ -219,17 +217,18 @@ def geometry(surface: StarShapedHypersurface) -> GeometryBundle:
     tracefree_sq = norm_A_sq - c.H * c.H / 2
 
     bundle = GeometryBundle(
-        spec=surface.spec, n=2,
+        spec=surface.spec,
         position=f[..., None] * p, normal=nu,
-        metric=_sym2(*c.metric), metric_inv=_sym2(*c.metric_inv),
-        area_density=f**2 * c.sqv, second_form=_sym2(*c.second_form),
+        metric=c.metric, metric_inv=c.metric_inv,
+        area_density=f**2 * c.sqv, second_form=c.second_form,
         H=c.H, kappa=c.kappa, sigma_k=sigma,
         norm_A_sq=norm_A_sq, tracefree_sq=tracefree_sq,
         grad_log_sq=c.grad_sq,
     )
-    for arr in vars(bundle).values():
-        if isinstance(arr, np.ndarray):
-            arr.setflags(write=False)
+    for value in vars(bundle).values():
+        for arr in value if isinstance(value, tuple) else (value,):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
     return bundle
 
 
@@ -242,8 +241,8 @@ def sigma_integral(surface: StarShapedHypersurface, k: int,
                    geom: GeometryBundle | None = None) -> float:
     """Integral of the k-th elementary symmetric curvature polynomial."""
     geom = geom or geometry(surface)
-    if not 0 <= k <= geom.n:
-        raise ValueError(f"k must lie in 0..{geom.n}")
+    if not 0 <= k <= N:
+        raise ValueError(f"k must lie in 0..{N}")
     return geom.integrate(geom.sigma_k[..., k])
 
 
@@ -255,7 +254,7 @@ def invert(surface: StarShapedHypersurface) -> StarShapedHypersurface:
     """
     if surface._inverse is None:
         inv = StarShapedHypersurface(
-            ScalarField(surface.spec, 1.0 / surface.values), surface.n)
+            ScalarField(surface.spec, 1.0 / surface.values))
         inv._inverse = surface
         surface._inverse = inv
     return surface._inverse
@@ -274,6 +273,6 @@ def inversion_mean_curvature_check(
     geom = geom or geometry(surface)
     geom_inv = geom_inv or geometry(invert(surface))
     f = surface.values
-    predicted = -f**2 * geom.H + 2.0 * geom.n * f / np.sqrt(1.0 + geom.grad_log_sq)
+    predicted = -f**2 * geom.H + 2.0 * N * f / np.sqrt(1.0 + geom.grad_log_sq)
     residual = geom_inv.H - predicted
     return ScalarField(surface.spec, residual), float(np.abs(residual).max())

@@ -112,6 +112,11 @@ class Grid:
     (m_max+1, l_max+1, 2): axis 0 is the Fourier order m >= 0, axis 1 the
     harmonic degree l (entries with l < m are zero), axis 2 holds
     real/imaginary parts.
+
+    `legendre[m, i, l]` is the orthonormal associated Legendre function
+    P_l^m(cos theta_i) at the colatitude nodes (Condon-Shortley phase,
+    zero for l < m), shape (m_max+1, n_theta, l_max+1): the synthesis
+    table, shared with the surface generators, hence read-only.
     """
 
     def __init__(self, spec: GridSpec):
@@ -185,12 +190,13 @@ class Grid:
             C = am(m) * am(m - 1)
             Tdd[m] = 0.25 * (A * slab(m + 2) - B * slab(m) + C * slab(m - 2))
 
-        self._T = np.ascontiguousarray(P[: M + 1])            # (M+1, nt, L+1)
+        self.legendre = np.ascontiguousarray(P[: M + 1])      # (M+1, nt, L+1)
+        self.legendre.setflags(write=False)
         self._Td = Td
         self._Tdd = Tdd
         scale = 2.0 * np.pi / self.spec.n_phi
         self._TW = np.ascontiguousarray(
-            np.swapaxes(self._T, 1, 2) * (self.w_theta * scale))  # (M+1, L+1, nt)
+            np.swapaxes(self.legendre, 1, 2) * (self.w_theta * scale))  # (M+1, L+1, nt)
 
     # ------------------------------------------------------------------
     # transforms on raw arrays
@@ -210,7 +216,7 @@ class Grid:
         return np.fft.irfft(buf * self.spec.n_phi, n=self.spec.n_phi, axis=1)
 
     def synthesis(self, C2):
-        return self._synth_table(C2, self._T)
+        return self._synth_table(C2, self.legendre)
 
     def synth_dtheta(self, C2):
         return self._synth_table(C2, self._Td)
@@ -226,17 +232,17 @@ class Grid:
         return out
 
     def synth_dphi(self, C2):
-        return self._synth_table(self._times_im(C2, self.m_values), self._T)
+        return self._synth_table(self._times_im(C2, self.m_values), self.legendre)
 
     def synth_d2phi(self, C2):
-        return self._synth_table(-self.m_values[:, None, None] ** 2 * C2, self._T)
+        return self._synth_table(-self.m_values[:, None, None] ** 2 * C2, self.legendre)
 
     def synth_dtheta_dphi(self, C2):
         return self._synth_table(self._times_im(C2, self.m_values), self._Td)
 
     def synth_laplacian(self, C2):
         lam = -(self.ell * (self.ell + 1.0))
-        return self._synth_table(lam[None, :, None] * C2, self._T)
+        return self._synth_table(lam[None, :, None] * C2, self.legendre)
 
     def project(self, values, ell_filter=None):
         """Round-trip through coefficient space (band-limit projection);

@@ -45,7 +45,7 @@ def real_harmonic(ell: int, m: int, spec: GridSpec) -> np.ndarray:
         raise GenerationError(f"degree {ell} outside 0..{grid.l_max}")
     if abs(m) > ell or abs(m) > grid.m_max:
         raise GenerationError(f"order {m} not representable for degree {ell}")
-    pbar = grid._T[abs(m), :, ell][:, None]
+    pbar = grid.legendre[abs(m), :, ell][:, None]
     if m == 0:
         return np.broadcast_to(pbar, spec.shape).copy()
     if m > 0:

@@ -104,3 +104,42 @@ def min_norm_translated_sphere_fit(radius, c3):
                   [1.0, c3, radius**2 + c3**2]])
     y = np.array([0.5, 0.0])
     return A.T @ np.linalg.solve(A @ A.T, y)
+
+
+def stack_sym2(c00, c01, c11):
+    """(..., 2, 2) symmetric matrices from (00, 01, 11) chart components."""
+    return np.stack([np.stack([c00, c01], -1), np.stack([c01, c11], -1)], -2)
+
+
+def e_tensor_stacked(geom, a, n=2):
+    """E(a) = H h + (a H^2 - ((2an+1)/2)|A|^2) g - (n/2) h g^-1 h on stacked
+    (..., 2, 2) matrices, with g^-1 from np.linalg.inv of the metric."""
+    g, h = stack_sym2(*geom.metric), stack_sym2(*geom.second_form)
+    H = geom.H[..., None, None]
+    absA2 = geom.norm_A_sq[..., None, None]
+    return (H * h + (a * H**2 - 0.5 * (2 * a * n + 1) * absA2) * g
+            - 0.5 * n * h @ np.linalg.inv(g) @ h)
+
+
+def willmore_rate_stacked(geom, grid, speed, n=2):
+    """int n(n-1) H^{n-2} g^ij d_i H d_j s - n s H^{n-1} (|A|^2 - H^2/n) dmu,
+    pairing the chart gradients through np.linalg.inv of the stacked metric."""
+    CH, Cs = grid.analysis(geom.H), grid.analysis(speed)
+    dH = np.stack([grid.synth_dtheta(CH), grid.synth_dphi(CH)], -1)[..., None, :]
+    ds = np.stack([grid.synth_dtheta(Cs), grid.synth_dphi(Cs)], -1)[..., :, None]
+    pair = (dH @ np.linalg.inv(stack_sym2(*geom.metric)) @ ds)[..., 0, 0]
+    return geom.integrate(n * (n - 1) * geom.H ** (n - 2) * pair
+                          - n * speed * geom.H ** (n - 1)
+                          * (geom.norm_A_sq - geom.H**2 / n))
+
+
+def elementary_symmetric(kappa):
+    """sigma_0..sigma_n of the last axis by the one-entry-at-a-time
+    recurrence, for any n."""
+    n = kappa.shape[-1]
+    e = np.zeros(kappa.shape[:-1] + (n + 1,))
+    e[..., 0] = 1.0
+    for i in range(n):
+        for k in range(i + 1, 0, -1):
+            e[..., k] = e[..., k] + kappa[..., i] * e[..., k - 1]
+    return e

@@ -16,7 +16,7 @@ import pytest
 from icflab.conformal import AffineField, ConformalKillingField, pushforward_surface
 from icflab.flow import (FlowConfig, SpeedFunction, asymptotics_check,
                          class_c_audit, curvature_norm_speed, normal_speed, run)
-from icflab.invariants import (default_a_values, e_tensor, guan_li_q,
+from icflab.invariants import (e_tensor, guan_li_q,
                                hsiung_minkowski_residual, qbar, qk_rate,
                                willmore, willmore_rate)
 from icflab.radial_graph import (StarShapedHypersurface, area, geometry,

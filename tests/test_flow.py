@@ -10,6 +10,7 @@ from icflab.radial_graph import StarShapedHypersurface, geometry
 from icflab.sphere_grid import GridSpec, ScalarField, make_grid
 from icflab.surfaces import sphere_surface, spheroid_surface
 
+import oracles
 from conftest import SPEC32, SPEC48, nodes
 
 
@@ -29,13 +30,18 @@ class TestSpeedFunctions:
     def test_parse_round_trip(self):
         for text in ("H", "quotient:2", "power:2", "ratio:2,1"):
             assert SpeedFunction.parse(text).label == text
-        with pytest.raises(ValueError):
-            SpeedFunction.parse("bogus:3")
+        for text in ("bogus:3", "power:3", "quotient:3", "ratio:3,1"):
+            with pytest.raises(ValueError):
+                SpeedFunction.parse(text)
 
     def test_elementary_symmetric_normalization(self):
         # sigma_k(1, 1) = C(2, k)
         e = sigma_all(np.ones(2))
         assert_allclose(e, [1.0, 2.0, 1.0])
+
+    def test_closed_form_matches_generic_recurrence(self, rng):
+        kap = rng.uniform(-3.0, 3.0, size=(200, 2))
+        assert np.array_equal(sigma_all(kap), oracles.elementary_symmetric(kap))
 
     def test_homogeneity_symmetry_monotonicity(self, rng):
         kap = rng.uniform(0.2, 3.0, size=(200, 2))

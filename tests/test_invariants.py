@@ -6,7 +6,7 @@ from icflab.conformal import AffineField, ConformalKillingField, pushforward_sur
 from icflab.errors import MeanConvexityError
 from icflab.flow import SpeedFunction, normal_speed, step
 from icflab.invariants import (center_of_mass, condition_v_residual,
-                               default_a_values, e_eigenvalues, e_tensor,
+                               DEFAULT_A_VALUES, e_eigenvalues, e_tensor,
                                energy_report, guan_li_q,
                                hsiung_minkowski_residual, qbar, qk_rate,
                                willmore, willmore_rate)
@@ -37,7 +37,7 @@ def asym48():
 
 class TestETensor:
     def test_sphere_vanishes_for_all_a(self, sphere64, geom_cache):
-        for a in default_a_values(2):
+        for a in DEFAULT_A_VALUES:
             _, sup = e_tensor(sphere64, a, geom_cache(sphere64))
             assert sup < 1e-10
 
@@ -48,7 +48,7 @@ class TestETensor:
         H = np.array(2.0)
         absA2 = 4.0
         tf = absA2 - H**2 / 2
-        eig = e_eigenvalues(kap, H, tf, 0.0, 2)
+        eig = e_eigenvalues(kap, H, tf, 0.0)
         assert_allclose(eig, [-2.0, -2.0], rtol=0, atol=1e-14)
         direct = H * kap + 0.0 * H**2 - 1.0 * kap**2 - 0.5 * absA2
         assert_allclose(direct, eig, rtol=0, atol=1e-14)
@@ -56,10 +56,19 @@ class TestETensor:
     def test_eigenvalue_routes_agree_on_spheroid(self, spheroid64, geom_cache):
         # tensor-route spectral invariants vs closed-form eigenvalues
         g = geom_cache(spheroid64)
-        for a in default_a_values(2):
+        for a in DEFAULT_A_VALUES:
             tensor, sup = e_tensor(spheroid64, a, g)  # raises if routes split
-            eig = e_eigenvalues(g.kappa, g.H, g.tracefree_sq, a, 2)
+            eig = e_eigenvalues(g.kappa, g.H, g.tracefree_sq, a)
             assert sup == pytest.approx(np.abs(eig).max(), rel=1e-12)
+
+    def test_components_match_stacked_matrix_oracle(self, spheroid64, harmonic64,
+                                                    geom_cache):
+        for s in (spheroid64, harmonic64):
+            g = geom_cache(s)
+            for a in DEFAULT_A_VALUES:
+                E = e_tensor(s, a, g)[0].components
+                expected = oracles.e_tensor_stacked(g, a)
+                assert np.abs(E - expected).max() < 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("a", [-0.25, 0.0, 1.0])
     def test_conformal_invariance_under_inversion(self, a, spheroid64,
@@ -104,6 +113,14 @@ class TestWillmoreRate:
     def test_zero_speed(self, spheroid64, geom_cache):
         zero = ScalarField(SPEC64, np.zeros(SPEC64.shape))
         assert willmore_rate(spheroid64, zero, geom_cache(spheroid64)) == 0.0
+
+    def test_matches_stacked_metric_oracle(self, spheroid64, harmonic64, geom_cache):
+        grid = make_grid(SPEC64)
+        for s in (spheroid64, harmonic64):
+            g = geom_cache(s)
+            speed = normal_speed(s, SpeedFunction.mean_curvature(), g)
+            expected = oracles.willmore_rate_stacked(g, grid, speed.values)
+            assert willmore_rate(s, speed, g) == pytest.approx(expected, rel=1e-12)
 
     def test_perturbed_sphere_negative_and_matches_flow_differences(self):
         imcf = SpeedFunction.mean_curvature()

@@ -95,10 +95,20 @@ class TestBundleInvariants:
         # independent of the closed-form trace: eigenvalues of g^-1 h
         for s in (spheroid64, harmonic64):
             g = geom_cache(s)
-            eig = np.linalg.eigvals(np.linalg.inv(g.metric) @ g.second_form)
+            metric = oracles.stack_sym2(*g.metric)
+            second_form = oracles.stack_sym2(*g.second_form)
+            eig = np.linalg.eigvals(np.linalg.inv(metric) @ second_form)
             assert np.abs(eig.imag).max() < 1e-12 * np.abs(g.kappa).max()
             eig = np.sort(eig.real, axis=-1)
             assert np.abs(g.kappa - eig).max() < 1e-12 * np.abs(g.kappa).max()
+
+    def test_bundle_is_read_only(self, harmonic64, geom_cache):
+        g = geom_cache(harmonic64)
+        arrays = [v for v in vars(g).values() if isinstance(v, np.ndarray)]
+        for tensor in (g.metric, g.metric_inv, g.second_form):
+            assert len(tensor) == 3
+            arrays += tensor
+        assert not any(arr.flags.writeable for arr in arrays)
 
     def test_appendix_formula_matches_shape_trace(self, spheroid64, geom_cache):
         # the explicit graph mean-curvature formula must reproduce the
