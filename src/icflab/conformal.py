@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.spatial import cKDTree
 
 from .errors import FlowBlowUpError, NotStarShapedError, ResolutionError
 from .radial_graph import POSITIVITY_FLOOR, StarShapedHypersurface
@@ -175,14 +176,9 @@ def flow_map(V, t: float, x: np.ndarray) -> np.ndarray:
 
 
 def _nearest_cloud_start(directions, targets):
-    """Index of the mapped direction closest to each target direction."""
-    n_t = targets.shape[0]
-    best = np.empty(n_t, dtype=int)
-    block = 4096
-    for lo in range(0, n_t, block):
-        dots = targets[lo:lo + block] @ directions.T
-        best[lo:lo + block] = np.argmax(dots, axis=1)
-    return best
+    """Index of the mapped direction closest to each target direction; on
+    unit vectors the nearest point is the one of largest dot product."""
+    return cKDTree(directions).query(targets)[1]
 
 
 def _newton_ray_solve(grid, comp_coeffs, theta0, phi0, tangents):

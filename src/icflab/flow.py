@@ -303,7 +303,6 @@ class FlowTrace:
 
     speed_label: str
     mu: float
-    a_values: tuple
     t: list = field(default_factory=list)
     W: list = field(default_factory=list)
     Q1: list = field(default_factory=list)
@@ -320,7 +319,7 @@ class FlowTrace:
         self.t.append(t)
         self.W.append(inv.willmore(surface, geom))
         self.Q1.append(inv.guan_li_q(surface, 1, geom))
-        for a in self.a_values:
+        for a in inv.DEFAULT_A_VALUES:
             self.E_sup.setdefault(a, []).append(inv.e_tensor(surface, a, geom)[1])
         f = surface.values
         self.osc.append(float(f.max() / f.min()))
@@ -349,13 +348,13 @@ class FlowTrace:
 
     def csv_header(self) -> list[str]:
         return (["t", "W", "Q1"]
-                + [f"E_sup_a{a:g}" for a in self.a_values]
+                + [f"E_sup_a{a:g}" for a in inv.DEFAULT_A_VALUES]
                 + ["osc", "ubar_mean", "shape_dev"])
 
     def csv_rows(self):
         for i in range(len(self.t)):
             row = [self.t[i], self.W[i], self.Q1[i]]
-            row += [self.E_sup[a][i] for a in self.a_values]
+            row += [self.E_sup[a][i] for a in inv.DEFAULT_A_VALUES]
             row += [self.osc[i], self.ubar_mean[i], self.shape_dev[i]]
             yield row
 
@@ -370,15 +369,14 @@ class FlowTrace:
             "osc_final": self.osc[-1],
             "shape_dev_final": self.shape_dev[-1],
             "beta": self.beta,
-            "E_sup_final": {repr(a): self.E_sup[a][-1] for a in self.a_values},
+            "E_sup_final": {repr(a): self.E_sup[a][-1] for a in inv.DEFAULT_A_VALUES},
         }
 
 
 def run(surface: StarShapedHypersurface, config: FlowConfig) -> FlowTrace:
     """Evolve a surface to t_end, recording diagnostics along the way."""
     speed = config.speed
-    trace = FlowTrace(speed_label=speed.label, mu=speed.mu,
-                      a_values=inv.DEFAULT_A_VALUES)
+    trace = FlowTrace(speed_label=speed.label, mu=speed.mu)
 
     t = 0.0
     current = surface
@@ -436,7 +434,7 @@ def asymptotics_check(trace: FlowTrace) -> AsymptoticsReport:
     osc_from = int(rising[-1] + 1) if rising.size else 0
     tail_ok = osc_from <= max(1, len(osc) // 2)
 
-    a0 = trace.a_values[0]
+    a0 = inv.DEFAULT_A_VALUES[0]
     vals = np.maximum(np.array(trace.E_sup[a0]), 1e-300)
     m = len(vals)
     rate = float("nan")

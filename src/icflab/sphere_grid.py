@@ -13,6 +13,7 @@ up to degree n_phi-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +31,10 @@ __all__ = [
     "hessian",
     "laplacian",
 ]
+
+# points per block of scattered evaluation: bounds the (points, 2K(m_max+1))
+# products to a few MB at 128x256, where all points at once take hundreds
+_SCATTER_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -101,6 +106,32 @@ class CovariantTensor2:
         self.components = c
 
 
+def _legendre(x, s, L, M):
+    """Orthonormal associated Legendre functions P_l^m(x), with
+    Condon-Shortley phase, for m = 0..M and l = 0..L (zero for l < m), by
+    the standard stable recurrences; shape (M+1, x.size, L+1).
+
+    s is sin(theta) at x = cos(theta).  It may be negative: with the
+    signed sine the table is the 2pi-periodic continuation of
+    P_l^m(cos theta) to theta in (pi, 2pi).
+    """
+    P = np.zeros((M + 1, x.size, L + 1))
+    diag = np.full(x.size, np.sqrt(1.0 / (4.0 * np.pi)))
+    P[0, :, 0] = diag
+    for m in range(1, M + 1):
+        diag = -np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * diag
+        P[m, :, m] = diag
+    for m in range(M + 1):
+        if m + 1 <= L:
+            P[m, :, m + 1] = np.sqrt(2.0 * m + 3.0) * x * P[m, :, m]
+        for l in range(m + 2, L + 1):
+            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = np.sqrt((2.0 * l + 1.0) * (l + m - 1.0) * (l - m - 1.0)
+                        / ((2.0 * l - 3.0) * (l * l - m * m)))
+            P[m, :, l] = a * x * P[m, :, l - 1] - b * P[m, :, l - 2]
+    return P
+
+
 class Grid:
     """Grid nodes, quadrature weights and spectral differentiation tables.
 
@@ -146,24 +177,8 @@ class Grid:
 
     def _build_tables(self):
         nt, L, M = self.spec.n_theta, self.l_max, self.m_max
-        x, s = self.x, self.sin_theta
-
-        # P[m][l] = orthonormal associated Legendre \bar P_l^m(x_i), with
-        # Condon-Shortley phase, built by the standard stable recurrences.
-        P = np.zeros((L + 1, nt, L + 1))
-        diag = np.full(nt, np.sqrt(1.0 / (4.0 * np.pi)))
-        P[0, :, 0] = diag
-        for m in range(1, L + 1):
-            diag = -np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * diag
-            P[m, :, m] = diag
-        for m in range(L + 1):
-            if m + 1 <= L:
-                P[m, :, m + 1] = np.sqrt(2.0 * m + 3.0) * x * P[m, :, m]
-            for l in range(m + 2, L + 1):
-                a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-                b = np.sqrt((2.0 * l + 1.0) * (l + m - 1.0) * (l - m - 1.0)
-                            / ((2.0 * l - 3.0) * (l * l - m * m)))
-                P[m, :, l] = a * x * P[m, :, l - 1] - b * P[m, :, l - 2]
+        # every order up to L: the derivative ladder reads orders to m_max + 2
+        P = _legendre(self.x, self.sin_theta, L, L)
 
         def slab(m):
             # \bar P_l^m table for signed m: \bar P_l^{-m} = (-1)^m \bar P_l^m
@@ -275,57 +290,109 @@ class Grid:
     # ------------------------------------------------------------------
     # scattered evaluation (used by the conformal pushforward)
 
+    @cached_property
+    def _dfs(self) -> np.ndarray:
+        """Double-Fourier-sphere table, built on the first scattered call.
+
+        Row q of `_dfs[m]` holds the coefficients of cos(q theta) (m even)
+        or sin(q theta) (m odd), q = 0..l_max, of P_l^m(cos theta) for
+        each degree l: the signed-sine table at 2*l_max + 2 equispaced
+        theta on [0, 2pi), transformed by an FFT over theta.  Shape
+        (m_max+1, l_max+1, l_max+1); read-only.
+        """
+        L = self.l_max
+        n = 2 * L + 2
+        th = 2.0 * np.pi * np.arange(n) / n
+        F = np.fft.rfft(_legendre(np.cos(th), np.sin(th), L, self.m_max),
+                        axis=1)[:, : L + 1] * (2.0 / n)
+        F[:, 0] *= 0.5
+        odd = (self.m_values % 2 == 1)[:, None, None]
+        table = np.where(odd, -F.imag, F.real)
+        table.setflags(write=False)
+        return table
+
     def evaluate_scattered(self, C2_stack: np.ndarray, theta_s, phi_s,
                            derivatives: bool = False):
         """Evaluate K coefficient sets at arbitrary points off the grid.
 
         C2_stack has shape (K, m_max+1, l_max+1, 2).  Returns values of
         shape (K, P), and with ``derivatives=True`` also the theta and phi
-        partials.  Points must avoid the poles.
+        partials.  Valid at any theta, the poles included.
+
+        Method: the double Fourier sphere (Townsend, Wilber & Wright,
+        SIAM J. Sci. Comput. 38(4), 2016).  A band-limited expansion
+        extended by f(-theta, phi + pi) is a bivariate trigonometric
+        polynomial, so each order m has a theta profile that is a cosine
+        series (m even) or a sine series (m odd) of degree l_max, with
+        coefficients from one batched product with `_dfs`.  Two real
+        matrix products against cos(q theta_p) and sin(q theta_p) give
+        the profiles and their theta partials at the points, and the
+        phases exp(i m phi_p) sum them; the phi partial multiplies by i m.
+        Points are taken in fixed-size blocks, which bounds the memory.
         """
         theta_s = np.atleast_1d(np.asarray(theta_s, dtype=float))
         phi_s = np.atleast_1d(np.asarray(phi_s, dtype=float))
         K = C2_stack.shape[0]
         Pn = theta_s.size
-        xs = np.cos(theta_s)
-        ss = np.sin(theta_s)
         L, M = self.l_max, self.m_max
 
-        C = C2_stack[..., 0] + 1j * C2_stack[..., 1]          # (K, M+1, L+1)
-        val = np.zeros((K, Pn))
-        dth = np.zeros((K, Pn)) if derivatives else None
-        dph = np.zeros((K, Pn)) if derivatives else None
+        # coefficients of every order, weighted 1 (m = 0) or 2 (m > 0) for
+        # the conjugate order -m, as columns (real/imag part, set)
+        cols = np.moveaxis(C2_stack, 0, -1).reshape(M + 1, L + 1, 2 * K)
+        w = np.where(self.m_values == 0, 1.0, 2.0)[:, None, None]
+        D = (w * np.matmul(self._dfs, cols)).reshape(M + 1, L + 1, 2, K)
+        # per parity, columns ordered (real/imag part, order, set)
+        even = D[0::2].transpose(1, 2, 0, 3).reshape(L + 1, -1)  # cos(q theta)
+        odd = D[1::2].transpose(1, 2, 0, 3).reshape(L + 1, -1)   # sin(q theta)
+        n_even, n_odd = even.shape[1], odd.shape[1]
+        q = np.arange(L + 1.0)[:, None]
+        cos_c, sin_c = even, odd
+        if derivatives:
+            # theta partials: (cos q t)' = -q sin q t, (sin q t)' = q cos q t
+            cos_c = np.hstack([even, q * odd])
+            sin_c = np.hstack([odd, -q * even])
 
-        diag = np.full(Pn, np.sqrt(1.0 / (4.0 * np.pi)))
-        for m in range(M + 1):
-            if m > 0:
-                diag = -np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * ss * diag
-            acc = np.zeros((K, Pn), dtype=complex)
-            acc_t = np.zeros((K, Pn), dtype=complex) if derivatives else None
-            p_prev = np.zeros(Pn)
-            p_cur = diag
-            for l in range(m, L + 1):
-                if l > m:
-                    a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-                    b = 0.0 if l == m + 1 else np.sqrt(
-                        (2.0 * l + 1.0) * (l + m - 1.0) * (l - m - 1.0)
-                        / ((2.0 * l - 3.0) * (l * l - m * m)))
-                    p_next = a * xs * p_cur - b * p_prev
-                    p_prev, p_cur = p_cur, p_next
-                acc += C[:, m, l][:, None] * p_cur
-                if derivatives:
-                    e = np.sqrt((l * l - m * m) * (2.0 * l + 1.0) / max(2.0 * l - 1.0, 1.0))
-                    dp = (l * xs * p_cur - e * p_prev) / ss
-                    acc_t += C[:, m, l][:, None] * dp
-            phase = np.exp(1j * m * phi_s)
-            wgt = 1.0 if m == 0 else 2.0
-            val += wgt * (acc * phase).real
+        def phases(z):
+            # Re[(g_re + i g_im) z] = g_re Re z - g_im Im z, in column order
+            ze, zo = z[:, 0::2], z[:, 1::2]
+            return np.hstack([ze.real, -ze.imag, zo.real, -zo.imag])[:, None, :]
+
+        n_ph = 2 * (M // 2 + 1)                 # phase columns of the even m
+
+        def phase_sum(ph, g_even, g_odd):
+            # sum over orders: a (1, 2(M+1)) x (2(M+1), K) product per point
+            return (ph[..., :n_ph] @ g_even.reshape(len(ph), -1, K)
+                    + ph[..., n_ph:] @ g_odd.reshape(len(ph), -1, K))[:, 0].T
+
+        val = np.empty((K, Pn))
+        dth = np.empty((K, Pn)) if derivatives else None
+        dph = np.empty((K, Pn)) if derivatives else None
+        for lo in range(0, Pn, _SCATTER_BLOCK):
+            hi = min(lo + _SCATTER_BLOCK, Pn)
+            eq = _exp_powers(theta_s[lo:hi], L + 1)
+            cg = eq.real @ cos_c        # even-m profiles, odd-m theta partials
+            sg = eq.imag @ sin_c        # odd-m profiles, even-m theta partials
+            z = _exp_powers(phi_s[lo:hi], M + 1)
+            ph = phases(z)
+            val[:, lo:hi] = phase_sum(ph, cg[:, :n_even], sg[:, :n_odd])
             if derivatives:
-                dth += wgt * (acc_t * phase).real
-                dph += wgt * (1j * m * acc * phase).real
+                dth[:, lo:hi] = phase_sum(ph, sg[:, n_odd:], cg[:, n_even:])
+                dph[:, lo:hi] = phase_sum(phases(1j * self.m_values * z),
+                                          cg[:, :n_even], sg[:, :n_odd])
         if derivatives:
             return val, dth, dph
         return val
+
+
+def _exp_powers(angle, n):
+    """exp(i k angle) for k = 0..n-1, shape (angle.size, n), by repeated
+    multiplication, which is cheaper than cos and sin of k * angle; the
+    error grows at most linearly in k (within 7e-14 of exp(1j * k * angle)
+    for k < 128 and |angle| < 2 pi)."""
+    z = np.empty((angle.size, n), dtype=complex)
+    z[:, 0] = 1.0
+    z[:, 1:] = np.exp(1j * angle)[:, None]
+    return np.cumprod(z, axis=1)
 
 
 _GRID_CACHE: dict[tuple[int, int], Grid] = {}

@@ -143,3 +143,49 @@ def elementary_symmetric(kappa):
         for k in range(i + 1, 0, -1):
             e[..., k] = e[..., k] + kappa[..., i] * e[..., k - 1]
     return e
+
+
+def evaluate_scattered_recurrence(grid, C2_stack, theta_s, phi_s):
+    """Values, theta and phi partials of K coefficient sets at scattered
+    points, by running the associated Legendre recurrence at the points in
+    an (m, l) double loop; the theta partial divides by sin(theta), so the
+    points must avoid the poles."""
+    theta_s = np.atleast_1d(np.asarray(theta_s, dtype=float))
+    phi_s = np.atleast_1d(np.asarray(phi_s, dtype=float))
+    K = C2_stack.shape[0]
+    Pn = theta_s.size
+    xs = np.cos(theta_s)
+    ss = np.sin(theta_s)
+    L, M = grid.l_max, grid.m_max
+
+    C = C2_stack[..., 0] + 1j * C2_stack[..., 1]          # (K, M+1, L+1)
+    val = np.zeros((K, Pn))
+    dth = np.zeros((K, Pn))
+    dph = np.zeros((K, Pn))
+
+    diag = np.full(Pn, np.sqrt(1.0 / (4.0 * np.pi)))
+    for m in range(M + 1):
+        if m > 0:
+            diag = -np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * ss * diag
+        acc = np.zeros((K, Pn), dtype=complex)
+        acc_t = np.zeros((K, Pn), dtype=complex)
+        p_prev = np.zeros(Pn)
+        p_cur = diag
+        for l in range(m, L + 1):
+            if l > m:
+                a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+                b = 0.0 if l == m + 1 else np.sqrt(
+                    (2.0 * l + 1.0) * (l + m - 1.0) * (l - m - 1.0)
+                    / ((2.0 * l - 3.0) * (l * l - m * m)))
+                p_next = a * xs * p_cur - b * p_prev
+                p_prev, p_cur = p_cur, p_next
+            acc += C[:, m, l][:, None] * p_cur
+            e = np.sqrt((l * l - m * m) * (2.0 * l + 1.0) / max(2.0 * l - 1.0, 1.0))
+            dp = (l * xs * p_cur - e * p_prev) / ss
+            acc_t += C[:, m, l][:, None] * dp
+        phase = np.exp(1j * m * phi_s)
+        wgt = 1.0 if m == 0 else 2.0
+        val += wgt * (acc * phase).real
+        dth += wgt * (acc_t * phase).real
+        dph += wgt * (1j * m * acc * phase).real
+    return val, dth, dph

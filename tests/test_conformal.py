@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from icflab.conformal import (AffineField, ConformalKillingField,
-                              component_quadratic_check, flow_map,
-                              killing_residual, pushforward_surface)
+                              _nearest_cloud_start, component_quadratic_check,
+                              flow_map, killing_residual, pushforward_surface)
 from icflab.errors import FlowBlowUpError, NotStarShapedError
 from icflab.radial_graph import invert
 from icflab.sphere_grid import make_grid
@@ -188,6 +188,17 @@ class TestPushforward:
         V = ConformalKillingField([0, 0, 0], [0, 0, 0], np.log(1.0 / R**2), [0, 0, 0])
         out = pushforward_surface(V, 1.0, s)
         assert np.abs(out.values - invert(s).values).max() < 1e-9
+
+    def test_warm_start_is_largest_dot_product(self, rng):
+        cloud = rng.standard_normal((3000, 3))
+        cloud /= np.linalg.norm(cloud, axis=1, keepdims=True)
+        targets = rng.standard_normal((800, 3))
+        targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+        dots = targets @ cloud.T
+        top2 = np.sort(dots, axis=1)[:, -2:]
+        assert np.all(top2[:, 1] - top2[:, 0] > 1e-12)    # no ties
+        assert np.array_equal(_nearest_cloud_start(cloud, targets),
+                              np.argmax(dots, axis=1))
 
     def test_not_star_shaped_detected(self):
         s = sphere_surface(1.0, SPEC32)

@@ -6,6 +6,7 @@ from icflab.sphere_grid import (CovariantTensor2, GridSpec, ScalarField,
                                 contravariant_gradient, gradient, hessian,
                                 integrate, laplacian, make_grid)
 
+import oracles
 from conftest import SPEC16, SPEC32, SPEC64, nodes
 
 
@@ -198,3 +199,36 @@ class TestOperatorProperties:
         assert np.abs(v[0] - f[ii, jj]).max() < 1e-11
         assert np.abs(dt[0] - g.synth_dtheta(C)[ii, jj]).max() < 1e-10
         assert np.abs(dp[0] - g.synth_dphi(C)[ii, jj]).max() < 1e-10
+
+    def test_scattered_evaluation_matches_recurrence_oracle(self, rng):
+        g = make_grid(SPEC64)
+        C = np.stack([g.analysis(rng.standard_normal(SPEC64.shape)) for _ in range(3)])
+
+        def rel(a, b):
+            return np.abs(a - b).max() / np.abs(b).max()
+
+        # random points, two of them a milliradian from the poles
+        theta = np.concatenate([[1e-3, np.pi - 1e-3], rng.uniform(0.0, np.pi, 300)])
+        phi = rng.uniform(-np.pi, 2.0 * np.pi, theta.size)
+        v, dt, dp = g.evaluate_scattered(C, theta, phi, derivatives=True)
+        rv, rt, rp = oracles.evaluate_scattered_recurrence(g, C, theta, phi)
+        assert rel(v, rv) < 1e-12
+        assert rel(dp, rp) < 1e-12
+        assert rel(dt, rt) < 1e-11     # the oracle divides by sin(theta)
+        v_only = g.evaluate_scattered(C, theta, phi)
+        assert np.abs(v_only - v).max() <= 1e-15 * np.abs(v).max()
+
+        # on the poles only m = 0 survives: P_l^0(+-1) = (+-1)^l sqrt((2l+1)/4pi)
+        at_pole = np.sqrt((2.0 * g.ell + 1.0) / (4.0 * np.pi))
+        poles = g.evaluate_scattered(C, [0.0, np.pi], [0.7, 0.7])
+        for sign, got in ((1.0, poles[:, 0]), (-1.0, poles[:, 1])):
+            want = C[:, 0, :, 0] @ (sign ** g.ell * at_pole)
+            assert np.abs(got - want).max() < 1e-12 * np.abs(v).max()
+
+        # every grid node against the synthesis on the grid
+        T, Ph = nodes(SPEC64)
+        v, dt, dp = g.evaluate_scattered(C, T.ravel(), Ph.ravel(), derivatives=True)
+        for k in range(3):
+            assert rel(v[k], g.synthesis(C[k]).ravel()) < 1e-12
+            assert rel(dp[k], g.synth_dphi(C[k]).ravel()) < 1e-12
+            assert rel(dt[k], g.synth_dtheta(C[k]).ravel()) < 1e-11
