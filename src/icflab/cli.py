@@ -23,7 +23,7 @@ from . import invariants as inv
 from .conformal import ConformalKillingField
 from .errors import AuditError, IcfLabError
 from .flow import FlowConfig, SpeedFunction, run
-from .radial_graph import StarShapedHypersurface, geometry, invert
+from .radial_graph import invert
 from .serialize import (ckf_to_dict, load_surface, save_surface,
                         write_csv_atomic, write_json_atomic)
 from .soliton import classify
@@ -134,26 +134,25 @@ def cmd_flow(args) -> int:
 def cmd_invariance(args) -> int:
     started = time.monotonic()
     surface = load_surface(args.surface)
+    surface_inv = invert(surface)
     rng = np.random.default_rng(args.seed)
-    geom = geometry(surface)
-    geom_inv = geometry(invert(surface))
 
     hm = []
     for _ in range(args.trials):
         V = _random_ckf(rng)
         for k in (0, 1):
             hm.append(abs(inv.hsiung_minkowski_residual(
-                surface, V, k, geom, relative=True)))
+                surface, V, k, relative=True)))
     hm_max = max(hm)
 
     e_diffs = {}
     for a in inv.DEFAULT_A_VALUES:
-        Ea, _ = inv.e_tensor(surface, a, geom)
-        Eb, _ = inv.e_tensor(invert(surface), a, geom_inv)
+        Ea, _ = inv.e_tensor(surface, a)
+        Eb, _ = inv.e_tensor(surface_inv, a)
         e_diffs[repr(a)] = float(np.abs(Ea.components - Eb.components).max())
 
-    value, lower, upper = inv.qbar(surface, geom, geom_inv)
-    value2, _, _ = inv.qbar(invert(surface), geom_inv, geom)
+    value, lower, upper = inv.qbar(surface)
+    value2, _, _ = inv.qbar(surface_inv)
 
     passed = (hm_max < args.tol and max(e_diffs.values()) < args.tol
               and abs(value - value2) < args.tol * (1.0 + abs(value)))

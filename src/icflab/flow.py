@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CurvatureConeError, IcfLabError
-from .radial_graph import N, GeometryBundle, StarShapedHypersurface, curvature, geometry
+from .radial_graph import N, StarShapedHypersurface, curvature, geometry
 from .sphere_grid import ScalarField, make_grid
 from . import invariants as inv
 
@@ -218,11 +218,10 @@ def _check_cone(speed, kappa: np.ndarray):
             node=idx, kappa=kappa[idx])
 
 
-def normal_speed(surface: StarShapedHypersurface, speed: SpeedFunction,
-                 geom: GeometryBundle | None = None) -> ScalarField:
+def normal_speed(surface: StarShapedHypersurface,
+                 speed: SpeedFunction) -> ScalarField:
     """Outward normal speed field 1/rho(kappa); positive on the cone."""
-    kappa = geom.kappa if geom is not None \
-        else curvature(surface.grid(), surface.values).kappa
+    kappa = geometry(surface).kappa
     _check_cone(speed, kappa)
     return ScalarField(surface.spec, 1.0 / speed.rho(kappa))
 
@@ -289,8 +288,8 @@ class FlowConfig:
     keep_snapshots: bool = True
 
     def __post_init__(self):
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
+        if not (math.isfinite(self.t_end) and self.t_end > 0.0):
+            raise ValueError("t_end must be positive and finite")
         if not 0.0 < self.dt_safety <= 0.5:
             raise ValueError("dt_safety must lie in (0, 0.5]")
         if self.record_every < 0:
@@ -313,14 +312,14 @@ class FlowTrace:
     beta: float = float("nan")
     snapshots: list = field(default_factory=list)
 
-    def _record(self, t, surface, geom, keep):
+    def _record(self, t, surface, keep):
         if self.t and t <= self.t[-1]:
             raise IcfLabError("record times must increase strictly")
         self.t.append(t)
-        self.W.append(inv.willmore(surface, geom))
-        self.Q1.append(inv.guan_li_q(surface, 1, geom))
+        self.W.append(inv.willmore(surface))
+        self.Q1.append(inv.guan_li_q(surface, 1))
         for a in inv.DEFAULT_A_VALUES:
-            self.E_sup.setdefault(a, []).append(inv.e_tensor(surface, a, geom)[1])
+            self.E_sup.setdefault(a, []).append(inv.e_tensor(surface, a)[1])
         f = surface.values
         self.osc.append(float(f.max() / f.min()))
         # rescaled graph exp(-t/mu) f: round-sphere mean (its oscillation is osc)
@@ -329,7 +328,7 @@ class FlowTrace:
         self.ubar_mean.append(scale * grid.integrate_values(f) / (4.0 * np.pi))
         # sup |f kappa_i - 1|: spectral norm of f h_i^j - delta_i^j,
         # invariant under the rescaling
-        dev = np.abs(f[..., None] * geom.kappa - 1.0).max()
+        dev = np.abs(f[..., None] * geometry(surface).kappa - 1.0).max()
         self.shape_dev.append(float(dev))
         if keep:
             self.snapshots.append(ScalarField(surface.spec, f.copy()))
@@ -380,8 +379,7 @@ def run(surface: StarShapedHypersurface, config: FlowConfig) -> FlowTrace:
 
     t = 0.0
     current = surface
-    geom = geometry(current)
-    trace._record(t, current, geom, config.keep_snapshots)
+    trace._record(t, current, config.keep_snapshots)
 
     dt0 = stable_dt(current, speed, config.dt_safety)
     record_every = config.record_every or max(1, round(0.02 / dt0))
@@ -393,8 +391,7 @@ def run(surface: StarShapedHypersurface, config: FlowConfig) -> FlowTrace:
         t += dt
         k += 1
         if k % record_every == 0 or t >= config.t_end - 1e-14:
-            geom = geometry(current)
-            trace._record(t, current, geom, config.keep_snapshots)
+            trace._record(t, current, config.keep_snapshots)
     trace.beta = trace.fit_beta()
     return trace
 

@@ -24,7 +24,8 @@ from math import comb
 import numpy as np
 
 from .errors import AuditError, ConvexityClassError, GridMismatchError, MeanConvexityError
-from .radial_graph import N, GeometryBundle, StarShapedHypersurface, geometry, invert
+from .radial_graph import (N, StarShapedHypersurface, area, geometry, invert,
+                           sigma_integral)
 from .sphere_grid import CovariantTensor2, ScalarField, make_grid
 
 __all__ = [
@@ -49,10 +50,6 @@ __all__ = [
 DEFAULT_A_VALUES = (-1.0 / (2 * N), 0.0, 1.0)
 
 
-def _geom(surface, geom):
-    return geom if geom is not None else geometry(surface)
-
-
 def e_eigenvalues(kappa, H, tracefree_sq, a):
     """Eigenvalues of E(a) with respect to the induced metric, one per
     principal curvature: -(n/2)(kappa_i - H/n)^2 - ((2an+1)/2)|A0|^2.
@@ -63,9 +60,8 @@ def e_eigenvalues(kappa, H, tracefree_sq, a):
             - 0.5 * (2.0 * a * N + 1.0) * np.asarray(tracefree_sq)[..., None])
 
 
-def e_tensor(surface: StarShapedHypersurface, a: float,
-             geom: GeometryBundle | None = None
-             ) -> tuple[CovariantTensor2, float]:
+def e_tensor(surface: StarShapedHypersurface,
+             a: float) -> tuple[CovariantTensor2, float]:
     """Pointwise conformal-invariant tensor E(a) and its sup operator norm.
 
     The coordinate components are returned in the fixed chart; the
@@ -73,7 +69,7 @@ def e_tensor(surface: StarShapedHypersurface, a: float,
     eigenvalue expression is evaluated alongside the tensor build and the
     two must agree, which is enforced here.
     """
-    geom = _geom(surface, geom)
+    geom = geometry(surface)
     if 2.0 * a * N + 1.0 < 0.0:
         warnings.warn(
             f"2an+1 = {2.0 * a * N + 1.0:g} < 0: E(a) is still conformally "
@@ -113,17 +109,16 @@ def e_tensor(surface: StarShapedHypersurface, a: float,
     return CovariantTensor2(surface.spec, E), float(np.abs(formula).max())
 
 
-def willmore(surface: StarShapedHypersurface,
-             geom: GeometryBundle | None = None) -> float:
+def willmore(surface: StarShapedHypersurface) -> float:
     """Willmore energy: integral of H^n; requires mean convexity."""
-    geom = _geom(surface, geom)
+    geom = geometry(surface)
     if geom.H.min() <= 0.0:
         raise MeanConvexityError(f"H reaches {geom.H.min():g}; not mean-convex")
     return geom.integrate(geom.H ** N)
 
 
-def willmore_rate(surface: StarShapedHypersurface, speed: ScalarField,
-                  geom: GeometryBundle | None = None) -> float:
+def willmore_rate(surface: StarShapedHypersurface,
+                  speed: ScalarField) -> float:
     """First-variation rate of the Willmore energy under the normal
     speed field (positive speed moves along the outward normal):
 
@@ -137,7 +132,7 @@ def willmore_rate(surface: StarShapedHypersurface, speed: ScalarField,
     """
     if speed.spec != surface.spec:
         raise GridMismatchError("speed field lives on a different grid")
-    geom = _geom(surface, geom)
+    geom = geometry(surface)
     if geom.H.min() <= 0.0:
         raise MeanConvexityError(f"H reaches {geom.H.min():g}; not mean-convex")
     grid = make_grid(surface.spec)
@@ -155,16 +150,14 @@ def willmore_rate(surface: StarShapedHypersurface, speed: ScalarField,
     return geom.integrate(integrand)
 
 
-def guan_li_q(surface: StarShapedHypersurface, k: int,
-              geom: GeometryBundle | None = None) -> float:
+def guan_li_q(surface: StarShapedHypersurface, k: int) -> float:
     """Scale-invariant quotient (int sigma_k)^{1/(n-k)} /
     (int sigma_{k-1})^{1/(n-k+1)}; k = n is excluded (the outer exponent
     degenerates)."""
-    geom = _geom(surface, geom)
     if not 1 <= k <= N - 1:
         raise ValueError(f"k must lie in 1..{N - 1}")
-    num = geom.integrate(geom.sigma_k[..., k])
-    den = geom.integrate(geom.sigma_k[..., k - 1])
+    num = sigma_integral(surface, k)
+    den = sigma_integral(surface, k - 1)
     if num <= 0.0 or den <= 0.0:
         raise ConvexityClassError(
             f"curvature integrals not positive (k={k}): {num:g}, {den:g}")
@@ -172,7 +165,6 @@ def guan_li_q(surface: StarShapedHypersurface, k: int,
 
 
 def hsiung_minkowski_residual(surface: StarShapedHypersurface, V, k: int,
-                              geom: GeometryBundle | None = None,
                               relative: bool = False) -> float:
     """Residual of the Minkowski-type integral identity for conformal
     ambient fields,
@@ -185,7 +177,7 @@ def hsiung_minkowski_residual(surface: StarShapedHypersurface, V, k: int,
     sides equal to the area).  With ``relative=True`` the residual is
     scaled by the L1 size of the two integrands.
     """
-    geom = _geom(surface, geom)
+    geom = geometry(surface)
     if not 0 <= k <= N - 1:
         raise ValueError(f"k must lie in 0..{N - 1}")
     alpha = np.asarray(V.conformal_factor(geom.position))
@@ -199,27 +191,25 @@ def hsiung_minkowski_residual(surface: StarShapedHypersurface, V, k: int,
     return residual / max(scale, 1e-300)
 
 
-def condition_v_residual(surface: StarShapedHypersurface, V, k: int,
-                         geom: GeometryBundle | None = None) -> float:
+def condition_v_residual(surface: StarShapedHypersurface, V, k: int) -> float:
     """Difference of the sigma_{k-1}- and sigma_k-weighted averages of
     div(V); zero exactly when the two weighted averages coincide.
 
     Ordered so that the transport rate of Q_k satisfies
     qk_rate = -Q_k/(n+1) * condition_v_residual identically.
     """
-    geom = _geom(surface, geom)
     if not 1 <= k <= N - 1:
         raise ValueError(f"k must lie in 1..{N - 1}")
+    geom = geometry(surface)
     div = np.asarray(V.divergence(geom.position))
     avg_k = (geom.integrate(geom.sigma_k[..., k] * div)
-             / geom.integrate(geom.sigma_k[..., k]))
+             / sigma_integral(surface, k))
     avg_km1 = (geom.integrate(geom.sigma_k[..., k - 1] * div)
-               / geom.integrate(geom.sigma_k[..., k - 1]))
+               / sigma_integral(surface, k - 1))
     return avg_km1 - avg_k
 
 
-def qk_rate(surface: StarShapedHypersurface, V, k: int,
-            geom: GeometryBundle | None = None) -> float:
+def qk_rate(surface: StarShapedHypersurface, V, k: int) -> float:
     """Time derivative of Q_k when the surface is transported by the flow
     of the ambient field V (at t = 0):
 
@@ -229,25 +219,19 @@ def qk_rate(surface: StarShapedHypersurface, V, k: int,
     <V, nu> dmu and the Minkowski identity; zero whenever div V is
     constant, and zero on every round sphere.
     """
-    geom = _geom(surface, geom)
-    q = guan_li_q(surface, k, geom)
-    return -q / (N + 1) * condition_v_residual(surface, V, k, geom)
+    q = guan_li_q(surface, k)
+    return -q / (N + 1) * condition_v_residual(surface, V, k)
 
 
-def center_of_mass(surface: StarShapedHypersurface, k: int,
-                   geom: GeometryBundle | None = None) -> np.ndarray:
+def center_of_mass(surface: StarShapedHypersurface, k: int) -> np.ndarray:
     """sigma_k-weighted barycenter int sigma_k x dmu / int sigma_k dmu."""
-    geom = _geom(surface, geom)
-    if not 0 <= k <= N:
-        raise ValueError(f"k must lie in 0..{N}")
+    total = sigma_integral(surface, k)
+    geom = geometry(surface)
     w = geom.sigma_k[..., k]
-    total = geom.integrate(w)
     return np.array([geom.integrate(w * geom.position[..., c]) for c in range(3)]) / total
 
 
-def qbar(surface: StarShapedHypersurface,
-         geom: GeometryBundle | None = None,
-         geom_inv: GeometryBundle | None = None) -> tuple[float, float, float]:
+def qbar(surface: StarShapedHypersurface) -> tuple[float, float, float]:
     """Inversion-symmetric quantity Qbar = Q1(S) + Q1(S~) with
     Q1 = |S|^{-(n-1)/n} int H dmu and S~ the inversion of S, together
     with its sharp lower and upper bounds
@@ -258,19 +242,16 @@ def qbar(surface: StarShapedHypersurface,
     r and R the min and max of the graph function.  Equality holds
     exactly for round spheres; the bounds are verified before returning.
     """
-    geom = _geom(surface, geom)
-    geom_inv = geom_inv if geom_inv is not None else geometry(invert(surface))
-    area = geom.integrate(np.ones_like(geom.H))
-    area_inv = geom_inv.integrate(np.ones_like(geom_inv.H))
-    q1 = geom.integrate(geom.H) / area ** ((N - 1) / N)
-    q1_inv = geom_inv.integrate(geom_inv.H) / area_inv ** ((N - 1) / N)
-    value = q1 + q1_inv
+    inverse = invert(surface)
+    area_s, area_inv = area(surface), area(inverse)
+    value = (sigma_integral(surface, 1) / area_s ** ((N - 1) / N)
+             + sigma_integral(inverse, 1) / area_inv ** ((N - 1) / N))
 
     r = surface.values.min()
     R = surface.values.max()
     sphere_area = make_grid(surface.spec).integrate_values(
         np.ones(surface.spec.shape))
-    base = 2.0 * N * sphere_area / (area * area_inv) ** ((N - 1) / (2 * N))
+    base = 2.0 * N * sphere_area / (area_s * area_inv) ** ((N - 1) / (2 * N))
     lower = (r / R) ** (1.5 * (N - 1)) * base
     upper = (R / r) ** (1.5 * (N - 1)) * base
     tol = 1e-9 * (1.0 + abs(value))
@@ -302,16 +283,13 @@ class EnergyReport:
         }
 
 
-def energy_report(surface: StarShapedHypersurface,
-                  geom: GeometryBundle | None = None) -> EnergyReport:
+def energy_report(surface: StarShapedHypersurface) -> EnergyReport:
     """Evaluate every scalar diagnostic on one surface."""
-    geom = _geom(surface, geom)
-    sig = [geom.integrate(geom.sigma_k[..., k]) for k in range(N + 1)]
     return EnergyReport(
-        W=willmore(surface, geom),
-        Q={k: guan_li_q(surface, k, geom) for k in range(1, N)},
-        Qbar=qbar(surface, geom)[0],
-        E_sup={a: e_tensor(surface, a, geom)[1] for a in DEFAULT_A_VALUES},
-        area=sig[0],
-        sigma_integrals=sig,
+        W=willmore(surface),
+        Q={k: guan_li_q(surface, k) for k in range(1, N)},
+        Qbar=qbar(surface)[0],
+        E_sup={a: e_tensor(surface, a)[1] for a in DEFAULT_A_VALUES},
+        area=area(surface),
+        sigma_integrals=[sigma_integral(surface, k) for k in range(N + 1)],
     )

@@ -18,13 +18,16 @@ surface about the unit sphere (f -> 1/f) relates mean curvatures through
     H_inverted = -f^2 H + 2 n f / sqrt(1 + |grad lam|^2),
 
 which `inversion_mean_curvature_check` certifies numerically against an
-independent second geometry computation.  The formulas keep n symbolic;
-the code fixes it at the module constant N = 2.
+independent second geometry computation.  A surface owns its geometry:
+`geometry` builds the bundle on the first call and returns the same
+object after that.  The formulas keep n symbolic; the code fixes it at
+the module constant N = 2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -53,21 +56,30 @@ POSITIVITY_FLOOR = 1e-8
 _COND_LIMIT = 1e8
 
 
-@dataclass
+@dataclass(frozen=True)
 class StarShapedHypersurface:
     """Radial graph f over S^2, a closed star-shaped surface in R^3; f
-    strictly positive and read-only.  The dimension is fixed at n = N = 2."""
+    strictly positive.  The surface keeps a private read-only copy of the
+    values it is given, so the geometry bundle and the inverse it caches
+    always describe it.  The dimension is fixed at n = N = 2."""
 
     f: ScalarField
-    _inverse: "StarShapedHypersurface | None" = field(
-        default=None, init=False, repr=False, compare=False)
+
+    # caches, not dataclass fields: the bundle set by `geometry`; the
+    # surface an inverse was made from (strong) and the inverse made from
+    # this surface (weak), set by `invert`
+    _geometry = None
+    _original = None
+    _inverse_ref = None
 
     def __post_init__(self):
-        if self.f.values.min() <= POSITIVITY_FLOOR:
+        values = np.array(self.f.values)
+        if values.min() <= POSITIVITY_FLOOR:
             raise DegenerateSurfaceError(
-                f"graph function reaches {self.f.values.min():g} "
+                f"graph function reaches {values.min():g} "
                 f"(floor {POSITIVITY_FLOOR:g})")
-        self.f.values.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "f", ScalarField(self.f.spec, values))
 
     @property
     def spec(self) -> GridSpec:
@@ -197,7 +209,10 @@ def curvature(grid: Grid, f: np.ndarray) -> Curvature:
 
 
 def geometry(surface: StarShapedHypersurface) -> GeometryBundle:
-    """Full geometry bundle of a star-shaped surface."""
+    """Full geometry bundle of a star-shaped surface, built on the first
+    call and returned again on every later one."""
+    if surface._geometry is not None:
+        return surface._geometry
     grid = surface.grid()
     f = surface.values
     c = curvature(grid, f)
@@ -229,20 +244,20 @@ def geometry(surface: StarShapedHypersurface) -> GeometryBundle:
         for arr in value if isinstance(value, tuple) else (value,):
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
+    object.__setattr__(surface, "_geometry", bundle)
     return bundle
 
 
-def area(surface: StarShapedHypersurface, geom: GeometryBundle | None = None) -> float:
-    geom = geom or geometry(surface)
+def area(surface: StarShapedHypersurface) -> float:
+    geom = geometry(surface)
     return geom.integrate(np.ones_like(geom.H))
 
 
-def sigma_integral(surface: StarShapedHypersurface, k: int,
-                   geom: GeometryBundle | None = None) -> float:
+def sigma_integral(surface: StarShapedHypersurface, k: int) -> float:
     """Integral of the k-th elementary symmetric curvature polynomial."""
-    geom = geom or geometry(surface)
     if not 0 <= k <= N:
         raise ValueError(f"k must lie in 0..{N}")
+    geom = geometry(surface)
     return geom.integrate(geom.sigma_k[..., k])
 
 
@@ -250,28 +265,32 @@ def invert(surface: StarShapedHypersurface) -> StarShapedHypersurface:
     """Inversion about the unit sphere at the origin: f -> 1/f.
 
     Inverting twice returns the original object, so the involution is
-    exact by construction.
+    exact by construction.  The inverse holds its original, but the
+    original holds its inverse only weakly: a surface that is dropped
+    frees its bundle at once, with no reference cycle to collect.
     """
-    if surface._inverse is None:
-        inv = StarShapedHypersurface(
+    if surface._original is not None:
+        return surface._original
+    ref = surface._inverse_ref
+    inverse = ref() if ref is not None else None
+    if inverse is None:
+        inverse = StarShapedHypersurface(
             ScalarField(surface.spec, 1.0 / surface.values))
-        inv._inverse = surface
-        surface._inverse = inv
-    return surface._inverse
+        object.__setattr__(inverse, "_original", surface)
+        object.__setattr__(surface, "_inverse_ref", weakref.ref(inverse))
+    return inverse
 
 
 def inversion_mean_curvature_check(
-        surface: StarShapedHypersurface,
-        geom: GeometryBundle | None = None,
-        geom_inv: GeometryBundle | None = None) -> tuple[ScalarField, float]:
+        surface: StarShapedHypersurface) -> tuple[ScalarField, float]:
     """Residual of the mean-curvature relation between a surface and its
     inversion, computed through two independent geometry evaluations.
 
     Returns the pointwise residual field and its sup norm; a small sup
     norm certifies the identity at the grid's resolution.
     """
-    geom = geom or geometry(surface)
-    geom_inv = geom_inv or geometry(invert(surface))
+    geom = geometry(surface)
+    geom_inv = geometry(invert(surface))
     f = surface.values
     predicted = -f**2 * geom.H + 2.0 * N * f / np.sqrt(1.0 + geom.grad_log_sq)
     residual = geom_inv.H - predicted

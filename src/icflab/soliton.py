@@ -87,11 +87,11 @@ def field_from_params(p: np.ndarray) -> ConformalKillingField:
     return ConformalKillingField(p[0:3], p[3:6], p[6], p[7:10])
 
 
-def residual(surface: StarShapedHypersurface, V, speed: SpeedFunction,
-             geom: GeometryBundle | None = None) -> ScalarField:
+def residual(surface: StarShapedHypersurface, V,
+             speed: SpeedFunction) -> ScalarField:
     """Pointwise normal-speed mismatch <V, nu> - 1/rho(kappa)."""
-    geom = geom if geom is not None else geometry(surface)
-    target = normal_speed(surface, speed, geom).values
+    geom = geometry(surface)
+    target = normal_speed(surface, speed).values
     vn = np.einsum("...c,...c->...", V.evaluate(geom.position), geom.normal)
     return ScalarField(surface.spec, vn - target)
 
@@ -112,7 +112,6 @@ def _design_matrix(geom: GeometryBundle) -> np.ndarray:
 
 
 def best_fit_ckf(surface: StarShapedHypersurface, speed: SpeedFunction,
-                 geom: GeometryBundle | None = None,
                  tol: float = DEFAULT_TOL
                  ) -> tuple[ConformalKillingField, SolitonReport]:
     """Least-squares conformal field minimizing the area-weighted squared
@@ -124,8 +123,8 @@ def best_fit_ckf(surface: StarShapedHypersurface, speed: SpeedFunction,
     warning is emitted when the retained part of the Gram matrix has
     condition number above 1e10.
     """
-    geom = geom if geom is not None else geometry(surface)
-    target = normal_speed(surface, speed, geom).values.reshape(-1)
+    geom = geometry(surface)
+    target = normal_speed(surface, speed).values.reshape(-1)
     grid = make_grid(surface.spec)
     w = (grid.weights * geom.area_density).reshape(-1)
     sqw = np.sqrt(w)
@@ -165,10 +164,9 @@ def _verdict(rel: float, tol: float) -> str:
 
 
 def classify(surface: StarShapedHypersurface, speed: SpeedFunction,
-             tol: float = DEFAULT_TOL,
-             geom: GeometryBundle | None = None) -> SolitonReport:
+             tol: float = DEFAULT_TOL) -> SolitonReport:
     """Fit the best conformal field and classify the surface: soliton if
     the relative residual is below tol, not a soliton above 100*tol,
     inconclusive between (refine the grid or adjust tol to resolve)."""
-    _, report = best_fit_ckf(surface, speed, geom, tol)
+    _, report = best_fit_ckf(surface, speed, tol)
     return report

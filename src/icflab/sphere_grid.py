@@ -62,7 +62,7 @@ def _check_spec(a, b):
         raise GridMismatchError(f"grids differ: {a} vs {b}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScalarField:
     """Real-valued samples on a grid, row-major in (theta, phi)."""
 
@@ -75,7 +75,7 @@ class ScalarField:
             raise ValueError(f"value shape {v.shape} != grid shape {self.spec.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("field contains non-finite values")
-        self.values = v
+        object.__setattr__(self, "values", v)
 
     def __add__(self, other):
         if isinstance(other, ScalarField):

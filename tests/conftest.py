@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from icflab.radial_graph import geometry
 from icflab.sphere_grid import GridSpec, make_grid
 from icflab.surfaces import harmonic_surface, sphere_surface, spheroid_surface
 
@@ -28,19 +27,6 @@ def spheroid64():
 @pytest.fixture(scope="session")
 def harmonic64():
     return harmonic_surface(1.0, HARMONIC_TERMS, SPEC64)
-
-
-@pytest.fixture(scope="session")
-def geom_cache():
-    cache = {}
-
-    def get(surface):
-        key = id(surface)
-        if key not in cache:
-            cache[key] = (surface, geometry(surface))
-        return cache[key][1]
-
-    return get
 
 
 @pytest.fixture()

@@ -106,6 +106,13 @@ class TestFlow:
                        "--out", str(short)) == 0
         assert load_strict_json(short / "flow_summary.json")["beta"] is None
 
+    def test_non_finite_t_end_is_input_error(self, sphere_file, tmp_path, capsys):
+        out = tmp_path / "nan"
+        assert run_cli("flow", sphere_file, "--t-end", "nan",
+                       "--out", str(out)) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+        assert not (out / "trace.csv").exists()
+
 
 class TestInvariance:
     def test_audit_passes_and_is_deterministic(self, spheroid_file, tmp_path):
@@ -163,6 +170,28 @@ class TestInequality:
             rep = json.load(fh)
         assert rep["lower"] <= rep["Qbar"] <= rep["upper"]
         assert rep["margin_lower"] > 0 and rep["margin_upper"] > 0
+
+
+class TestGeometryCache:
+    @pytest.mark.parametrize("argv", [("diag",),
+                                      ("invariance", "--trials", "20",
+                                       "--tol", "1e-3")])
+    def test_one_kernel_call_per_surface(self, argv, spheroid_file, tmp_path,
+                                         monkeypatch):
+        # the surface and its inverse each build their bundle once
+        import icflab.radial_graph as rg
+        calls = []
+        kernel = rg.curvature
+
+        def counted(grid, f):
+            calls.append(f)
+            return kernel(grid, f)
+
+        monkeypatch.setattr(rg, "curvature", counted)
+        assert run_cli(argv[0], spheroid_file, *argv[1:],
+                       "--out", str(tmp_path / "o")) == 0
+        assert len(calls) == 2
+        assert np.allclose(calls[0] * calls[1], 1.0, rtol=1e-14, atol=0.0)
 
 
 class TestHelp:

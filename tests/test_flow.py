@@ -80,8 +80,10 @@ class TestNormalSpeed:
     def test_cone_violation_reports_node(self, entry):
         s = perturbed_sphere(SPEC32, amp=0.3)  # saddle regions: sigma_2 < 0
         speed = SpeedFunction.power(2)
+        if entry == "normal_speed_geom":
+            geometry(s)  # normal_speed then reads the cached bundle
         call = {"normal_speed": lambda: normal_speed(s, speed),
-                "normal_speed_geom": lambda: normal_speed(s, speed, geometry(s)),
+                "normal_speed_geom": lambda: normal_speed(s, speed),
                 "step": lambda: step(s, speed, 1e-4)}[entry]
         with pytest.raises(CurvatureConeError) as err:
             call()
@@ -224,6 +226,11 @@ class TestConfigValidation:
             FlowConfig(SpeedFunction.mean_curvature(), t_end=0.0)
         with pytest.raises(ValueError):
             FlowConfig(SpeedFunction.mean_curvature(), t_end=1.0, dt_safety=0.7)
+
+    @pytest.mark.parametrize("t_end", [float("nan"), float("inf")])
+    def test_non_finite_t_end_rejected(self, t_end):
+        with pytest.raises(ValueError):
+            FlowConfig(SpeedFunction.mean_curvature(), t_end=t_end)
 
     def test_stable_dt_scales_with_grid(self):
         s32 = sphere_surface(1.0, SPEC32)

@@ -1,3 +1,7 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,25 +19,25 @@ from conftest import HARMONIC_TERMS, SPEC16, SPEC32, SPEC64, nodes
 
 
 class TestRoundSphere:
-    def test_closed_forms(self, sphere64, geom_cache):
-        g = geom_cache(sphere64)
+    def test_closed_forms(self, sphere64):
+        g = geometry(sphere64)
         assert np.abs(g.H - 2.0).max() < 1e-12
         assert np.abs(g.kappa - 1.0).max() < 1e-12
         assert np.abs(g.sigma_k[..., 2] - 1.0).max() < 1e-12
         assert np.abs(g.tracefree_sq).max() < 1e-12
-        assert abs(area(sphere64, g) - 4.0 * np.pi) < 1e-12
-        assert abs(sigma_integral(sphere64, 1, g) - 8.0 * np.pi) < 1e-10
-        assert abs(sigma_integral(sphere64, 2, g) - 4.0 * np.pi) < 1e-10
+        assert abs(area(sphere64) - 4.0 * np.pi) < 1e-12
+        assert abs(sigma_integral(sphere64, 1) - 8.0 * np.pi) < 1e-10
+        assert abs(sigma_integral(sphere64, 2) - 4.0 * np.pi) < 1e-10
 
     def test_scaled_sphere(self):
         R = 3.0
         s = sphere_surface(R, SPEC32)
         g = geometry(s)
         assert np.abs(g.H - 2.0 / R).max() < 1e-12
-        assert abs(area(s, g) - 4.0 * np.pi * R**2) < 1e-10
+        assert abs(area(s) - 4.0 * np.pi * R**2) < 1e-10
 
-    def test_normal_is_radial_and_unit(self, sphere64, geom_cache):
-        g = geom_cache(sphere64)
+    def test_normal_is_radial_and_unit(self, sphere64):
+        g = geometry(sphere64)
         norms = np.linalg.norm(g.normal, axis=-1)
         assert np.abs(norms - 1.0).max() < 1e-10
         # outward: <nu, position> = f > 0
@@ -42,22 +46,21 @@ class TestRoundSphere:
 
 
 class TestSpheroidAgainstParametricOracle:
-    def test_pointwise_mean_curvature(self, spheroid64, geom_cache):
-        g = geom_cache(spheroid64)
+    def test_pointwise_mean_curvature(self, spheroid64):
+        g = geometry(spheroid64)
         grid = make_grid(SPEC64)
         H_oracle = oracles.spheroid_H_at_graph_nodes(1.0, 0.6, grid.theta)
         assert np.abs(g.H - H_oracle[:, None]).max() < 1e-6
 
-    def test_integrals(self, spheroid64, geom_cache):
-        g = geom_cache(spheroid64)
-        assert abs(area(spheroid64, g) - oracles.SPHEROID_AREA) < 1e-10
-        assert abs(sigma_integral(spheroid64, 1, g) - oracles.SPHEROID_INT_H) < 1e-10
+    def test_integrals(self, spheroid64):
+        assert abs(area(spheroid64) - oracles.SPHEROID_AREA) < 1e-10
+        assert abs(sigma_integral(spheroid64, 1) - oracles.SPHEROID_INT_H) < 1e-10
         # oracle self-consistency against the closed-form area
         assert abs(oracles.SPHEROID_AREA - oracles.spheroid_closed_area(1.0, 0.6)) < 1e-11
 
-    def test_gauss_bonnet_on_two_surfaces(self, spheroid64, harmonic64, geom_cache):
+    def test_gauss_bonnet_on_two_surfaces(self, spheroid64, harmonic64):
         for s in (spheroid64, harmonic64):
-            assert abs(sigma_integral(s, 2, geom_cache(s)) - 4.0 * np.pi) < 1e-9
+            assert abs(sigma_integral(s, 2) - 4.0 * np.pi) < 1e-9
 
     def test_refinement_reduces_H_error(self):
         errs = []
@@ -71,16 +74,16 @@ class TestSpheroidAgainstParametricOracle:
 
 
 class TestBundleInvariants:
-    def test_kappa_sums_and_products(self, spheroid64, geom_cache):
-        g = geom_cache(spheroid64)
+    def test_kappa_sums_and_products(self, spheroid64):
+        g = geometry(spheroid64)
         assert np.abs(g.kappa.sum(axis=-1) - g.H).max() < 1e-10
         assert np.abs(g.kappa.prod(axis=-1) - g.sigma_k[..., 2]).max() < 1e-10
         assert np.abs(g.norm_A_sq - (g.kappa**2).sum(axis=-1)).max() < 1e-10
         assert np.abs(g.tracefree_sq - (g.norm_A_sq - g.H**2 / 2)).max() < 1e-12
 
-    def test_scaling_covariance(self, spheroid64, geom_cache):
+    def test_scaling_covariance(self, spheroid64):
         c = 3.7
-        g0 = geom_cache(spheroid64)
+        g0 = geometry(spheroid64)
         g1 = geometry(spheroid64.scaled(c))
         def rel(x, y):
             return np.abs(x - y).max() / np.abs(y).max()
@@ -90,11 +93,10 @@ class TestBundleInvariants:
         assert rel(g1.sigma_k[..., 2], g0.sigma_k[..., 2] / c**2) < 1e-10
         assert np.abs(g1.normal - g0.normal).max() < 1e-10
 
-    def test_kappa_are_eigenvalues_of_shape_operator(self, spheroid64, harmonic64,
-                                                    geom_cache):
+    def test_kappa_are_eigenvalues_of_shape_operator(self, spheroid64, harmonic64):
         # independent of the closed-form trace: eigenvalues of g^-1 h
         for s in (spheroid64, harmonic64):
-            g = geom_cache(s)
+            g = geometry(s)
             metric = oracles.stack_sym2(*g.metric)
             second_form = oracles.stack_sym2(*g.second_form)
             eig = np.linalg.eigvals(np.linalg.inv(metric) @ second_form)
@@ -102,18 +104,18 @@ class TestBundleInvariants:
             eig = np.sort(eig.real, axis=-1)
             assert np.abs(g.kappa - eig).max() < 1e-12 * np.abs(g.kappa).max()
 
-    def test_bundle_is_read_only(self, harmonic64, geom_cache):
-        g = geom_cache(harmonic64)
+    def test_bundle_is_read_only(self, harmonic64):
+        g = geometry(harmonic64)
         arrays = [v for v in vars(g).values() if isinstance(v, np.ndarray)]
         for tensor in (g.metric, g.metric_inv, g.second_form):
             assert len(tensor) == 3
             arrays += tensor
         assert not any(arr.flags.writeable for arr in arrays)
 
-    def test_appendix_formula_matches_shape_trace(self, spheroid64, geom_cache):
+    def test_appendix_formula_matches_shape_trace(self, spheroid64):
         # the explicit graph mean-curvature formula must reproduce the
         # trace of the shape operator
-        g = geom_cache(spheroid64)
+        g = geometry(spheroid64)
         grid = make_grid(SPEC64)
         lam = np.log(spheroid64.values)
         lt, lp, ltt, ltp, lpp = grid.chart_derivatives(lam)
@@ -145,12 +147,12 @@ class TestInversion:
         _, sup = inversion_mean_curvature_check(s)
         assert sup < 1e-9
 
-    def test_mean_curvature_identity_spheroid(self, spheroid64, geom_cache):
-        _, sup = inversion_mean_curvature_check(spheroid64, geom_cache(spheroid64))
+    def test_mean_curvature_identity_spheroid(self, spheroid64):
+        _, sup = inversion_mean_curvature_check(spheroid64)
         assert sup < 1e-6
 
-    def test_mean_curvature_identity_harmonic(self, harmonic64, geom_cache):
-        _, sup = inversion_mean_curvature_check(harmonic64, geom_cache(harmonic64))
+    def test_mean_curvature_identity_harmonic(self, harmonic64):
+        _, sup = inversion_mean_curvature_check(harmonic64)
         assert sup < 1e-6
 
     def test_identity_stays_small_under_refinement(self):
@@ -159,6 +161,51 @@ class TestInversion:
             s = harmonic_surface(1.0, HARMONIC_TERMS, spec)
             sups.append(inversion_mean_curvature_check(s)[1])
         assert max(sups) < 1e-10  # round-off at every admissible grid
+
+
+class TestOwnership:
+    def test_geometry_is_built_once(self):
+        s = sphere_surface(1.0, SPEC16)
+        assert geometry(s) is geometry(s)
+
+    @pytest.mark.parametrize("with_inverse", [False, True])
+    def test_bundle_is_freed_with_its_surface(self, with_inverse):
+        # no reference cycle may keep a dropped surface's bundle alive, so
+        # the collector stays off while the surface is dropped
+        s = harmonic_surface(1.0, HARMONIC_TERMS, SPEC16)
+        if with_inverse:
+            geometry(invert(s))
+        ref = weakref.ref(geometry(s))
+        gc.disable()
+        try:
+            del s
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_caller_array_stays_writable_and_detached(self):
+        values = np.full(SPEC16.shape, 2.0)
+        s = StarShapedHypersurface(ScalarField(SPEC16, values))
+        assert values.flags.writeable
+        assert not s.values.flags.writeable
+        values[:] = 3.0
+        assert np.all(s.values == 2.0)
+
+    def test_surface_on_a_view_is_detached(self):
+        base = np.ones((32, SPEC16.n_phi))
+        s = StarShapedHypersurface(ScalarField(SPEC16, base[:16]))
+        si = invert(s)
+        base[:] = 2.0
+        assert np.all(s.values == 1.0)
+        assert invert(s) is si
+        assert np.array_equal(invert(s).values, 1.0 / s.values)
+
+    def test_values_cannot_be_rebound(self):
+        s = sphere_surface(1.0, SPEC16)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.f = ScalarField(SPEC16, np.full(SPEC16.shape, 2.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.f.values = np.full(SPEC16.shape, 2.0)
 
 
 class TestLowerDimensionalCrossCheck:
@@ -199,9 +246,9 @@ class TestErrors:
         with pytest.raises(ResolutionError):
             geometry(s)
 
-    def test_smooth_surfaces_stay_well_conditioned(self, spheroid64, geom_cache):
-        geom_cache(spheroid64)  # must not raise at the production limit
+    def test_smooth_surfaces_stay_well_conditioned(self, spheroid64):
+        geometry(spheroid64)  # must not raise at the production limit
 
-    def test_sigma_integral_bounds_k(self, sphere64, geom_cache):
+    def test_sigma_integral_bounds_k(self, sphere64):
         with pytest.raises(ValueError):
-            sigma_integral(sphere64, 3, geom_cache(sphere64))
+            sigma_integral(sphere64, 3)

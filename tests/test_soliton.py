@@ -50,8 +50,8 @@ class TestResidual:
 
 
 class TestBestFit:
-    def test_origin_sphere_recovers_dilation(self, sphere64, geom_cache):
-        V, rep = best_fit_ckf(sphere64, IMCF, geom_cache(sphere64))
+    def test_origin_sphere_recovers_dilation(self, sphere64):
+        V, rep = best_fit_ckf(sphere64, IMCF)
         assert abs(V.mu - 0.5) < 1e-10
         assert np.abs(V.v).max() < 1e-10
         assert np.abs(V.s_lower).max() < 1e-10  # minimum-norm zero
@@ -111,8 +111,8 @@ class TestClassify:
             rep = classify(s, IMCF)
         assert rep.verdict == "inconclusive"
 
-    def test_report_serializes(self, sphere64, geom_cache):
-        rep = classify(sphere64, IMCF, geom=geom_cache(sphere64))
+    def test_report_serializes(self, sphere64):
+        rep = classify(sphere64, IMCF)
         d = rep.to_dict()
         assert d["verdict"] == "soliton"
         assert "fitted" in d
@@ -155,7 +155,7 @@ class TestObjectiveStructure:
         grid = make_grid(SPEC32)
         w = (grid.weights * geom.area_density).reshape(-1)
         M = _design_matrix(geom)
-        y = normal_speed(s, IMCF, geom).values.reshape(-1)
+        y = normal_speed(s, IMCF).values.reshape(-1)
         G = M.T @ (w[:, None] * M)
         cvec = M.T @ (w * y)
         const = float(np.sum(w * y * y))
