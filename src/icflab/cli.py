@@ -24,8 +24,8 @@ from .conformal import ConformalKillingField
 from .errors import AuditError, IcfLabError
 from .flow import FlowConfig, SpeedFunction, run
 from .radial_graph import invert
-from .serialize import (ckf_to_dict, load_surface, save_surface,
-                        write_csv_atomic, write_json_atomic)
+from .serialize import (load_surface, save_surface, write_csv_atomic,
+                        write_json_atomic)
 from .soliton import classify
 from .sphere_grid import GridSpec
 from .surfaces import harmonic_surface, sphere_surface, spheroid_surface

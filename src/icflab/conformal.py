@@ -9,22 +9,24 @@ generator; a non-skew linear part fails the conformal Killing equation,
 which is why the skew generator rather than a full orthogonal matrix is
 stored).  The conformal factor div(V)/(dim) is the affine function
 mu + 2<b, X>, each component of V is a quadratic polynomial, and the
-generated diffeomorphisms are conformal maps wherever they exist; the
-special-conformal part can blow up in finite time, which is detected at
-integration time.
+generated diffeomorphisms are Moebius maps wherever they exist.  The
+conformal group acts linearly on the light cone of R^{4,1}, so the flow
+has the closed form exp(tA) there (`flow_map`); the special-conformal
+part can carry points through infinity in finite time, which `flow_map`
+detects on the whole time interval.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 from scipy.spatial import cKDTree
 
 from .errors import FlowBlowUpError, NotStarShapedError, ResolutionError
 from .radial_graph import POSITIVITY_FLOOR, StarShapedHypersurface
-from .sphere_grid import ScalarField, make_grid
+from .sphere_grid import ScalarField
 
 __all__ = [
     "ConformalKillingField",
@@ -36,7 +38,8 @@ __all__ = [
 ]
 
 _AMBIENT_DIM = 3
-_BLOWUP_RADIUS = 1e12
+_ESCAPE_RADIUS = 1e6
+_NEWTON_TOL = 1e-12
 
 
 @dataclass
@@ -143,36 +146,99 @@ def killing_residual(field, x) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(R))))
 
 
-def flow_map(V, t: float, x: np.ndarray) -> np.ndarray:
-    """Time-t point of the flow of V from x, by adaptive high-order ODE
-    integration (tolerances well below 1e-10 per step).
+def _generator(V) -> np.ndarray:
+    """The matrix A of so(4,1) with d/dt xi = A xi on the light cone for
+    the lift xi of V's flow; exp(tA) is then the time-t conformal map."""
+    v_plus, v_minus = V.v + V.b, V.v - V.b
+    A = np.zeros((5, 5))
+    A[:3, :3] = V.skew_matrix
+    A[:3, 3], A[:3, 4] = v_plus, v_minus
+    A[3, :3], A[4, :3] = -v_plus, v_minus
+    A[3, 4] = A[4, 3] = -V.mu
+    return A
 
-    x may be a batch (..., 3); the whole batch is integrated as one
-    system.  Raises FlowBlowUpError if any trajectory escapes past
-    |x| = 1e12 or the integrator fails (finite-time blow-up of the
-    special-conformal part).
+
+def _lift(x: np.ndarray) -> np.ndarray:
+    """Future null vectors (X, (1-|X|^2)/2, (1+|X|^2)/2) of points (P, 3)."""
+    xx = np.sum(x * x, axis=1)
+    return np.column_stack([x, 0.5 * (1.0 - xx), 0.5 * (1.0 + xx)])
+
+
+def _scale(xi: np.ndarray) -> np.ndarray:
+    """xi_3 + xi_4, the factor that projects a null vector to its point.
+
+    Near infinity xi_3 ~ -xi_4, so there it is computed from the null
+    relation xi_4^2 - xi_3^2 = |xi_:3|^2 without cancellation."""
+    x3, x4 = xi[:, 3], xi[:, 4]
+    near = np.sum(xi[:, :3] ** 2, axis=1) / np.where(x3 < 0.0, x4 - x3, 1.0)
+    return np.where(x3 < 0.0, near, x3 + x4)
+
+
+def _chord_to_infinity(xi: np.ndarray) -> np.ndarray:
+    """2 / sqrt(1 + |X|^2), the chordal distance from the point X of each
+    null vector to infinity on the unit 3-sphere."""
+    return np.sqrt(2.0 * _scale(xi) / xi[:, 4])
+
+
+def _check_no_escape(V, A: np.ndarray, t: float, xi0: np.ndarray,
+                     xi1: np.ndarray):
+    """Raise FlowBlowUpError if an orbit reaches |X| >= _ESCAPE_RADIUS at
+    some time in [0, t]; the point at infinity itself is such a time.
+
+    Along an orbit the chordal distance q to infinity changes at the rate
+    |dq/dt| = 2 |<X, V>| / (1 + |X|^2)^(3/2) <= lip (the skew part of V is
+    tangent to spheres about 0).  An interval of length h whose end values
+    are q_a and q_b therefore keeps q >= (q_a + q_b - lip h) / 2
+    throughout.  Intervals where that bound does not clear the threshold
+    are bisected until it does, or until an orbit is found below it.  So
+    an orbit that passes through infinity and returns is caught, which
+    no test of the end point can do.
+    """
+    q_min = 2.0 / np.sqrt(1.0 + _ESCAPE_RADIUS**2)
+    lip = 0.77 * (np.linalg.norm(V.v) + abs(V.mu)) + 2.0 * np.linalg.norm(V.b)
+    h = abs(float(t))
+    left, q_left, q_right = xi0, _chord_to_infinity(xi0), _chord_to_infinity(xi1)
+    while True:
+        unresolved = q_left + q_right - lip * h < 2.0 * q_min
+        reached = not (np.all(q_left >= q_min) and np.all(q_right >= q_min))
+        if reached or (unresolved.any() and lip * h < q_min):
+            raise FlowBlowUpError(
+                f"trajectory escapes past |x| = {_ESCAPE_RADIUS:g} before t = {t:g}")
+        if not unresolved.any():
+            return
+        h *= 0.5
+        left, q_left, q_right = left[unresolved], q_left[unresolved], q_right[unresolved]
+        mid = left @ expm(np.copysign(h, t) * A).T
+        q_mid = _chord_to_infinity(mid)
+        left = np.concatenate([left, mid])
+        q_left, q_right = (np.concatenate([q_left, q_mid]),
+                           np.concatenate([q_mid, q_right]))
+
+
+def flow_map(V, t: float, x: np.ndarray) -> np.ndarray:
+    """Time-t point of the flow of V from x, in closed form.
+
+    The conformal group of R^3 acts linearly on the light cone of
+    R^{4,1}: lift X to xi = (X, (1-|X|^2)/2, (1+|X|^2)/2), multiply by
+    exp(tA) (see `_generator`) and project back with
+    X = xi_:3 / (xi_3 + xi_4).  x may be a batch (..., 3).  Raises
+    FlowBlowUpError if any orbit reaches |x| = 1e6 on [0, t], which
+    includes every orbit through infinity (the special-conformal part
+    blows up in finite time).
     """
     x = np.asarray(x, dtype=float)
     shape = x.shape
     if shape[-1] != _AMBIENT_DIM:
         raise ValueError("points must have a trailing axis of length 3")
+    if not (np.isfinite(t) and np.all(np.isfinite(x))):
+        raise ValueError("non-finite time or points")
     if t == 0.0:
         return x.copy()
-
-    def rhs(_, y):
-        return V.evaluate(y.reshape(-1, _AMBIENT_DIM)).ravel()
-
-    def escaped(_, y):
-        return _BLOWUP_RADIUS - float(np.max(np.abs(y)))
-
-    escaped.terminal = True
-    sol = solve_ivp(rhs, (0.0, float(t)), x.reshape(-1), method="DOP853",
-                    rtol=1e-11, atol=1e-12, events=escaped)
-    if sol.status == 1:
-        raise FlowBlowUpError(f"trajectory escaped before t = {t:g}")
-    if not sol.success:
-        raise FlowBlowUpError(f"flow integration failed: {sol.message}")
-    return sol.y[:, -1].reshape(shape)
+    A = _generator(V)
+    xi0 = _lift(x.reshape(-1, _AMBIENT_DIM))
+    xi1 = xi0 @ expm(float(t) * A).T
+    _check_no_escape(V, A, t, xi0, xi1)
+    return (xi1[:, :3] / _scale(xi1)[:, None]).reshape(shape)
 
 
 def _nearest_cloud_start(directions, targets):
@@ -181,28 +247,42 @@ def _nearest_cloud_start(directions, targets):
     return cKDTree(directions).query(targets)[1]
 
 
-def _newton_ray_solve(grid, comp_coeffs, theta0, phi0, tangents):
-    """Solve Yhat(theta, phi) parallel to the target directions.
+def _newton_ray_solve(grid, comp_coeffs, u, frame):
+    """Solve Yhat(u) parallel to the target directions, for unit vectors u.
 
-    Newton steps are taken in the tangent plane of the current iterate
-    (well conditioned arbitrarily close to the poles) with a step cap;
-    the residual is measured against a fixed tangent basis at the target.
+    The residual is measured against a fixed tangent basis `frame` at the
+    targets.  Newton steps are taken in the tangent plane of the iterate
+    along (e_theta, e_phi), with a step cap, and theta is never clipped.
+    The frame and angles are read off u itself (sin theta as the length
+    of u's xy part), so they stay accurate up to the poles; only an
+    iterate exactly on the axis, where the phi partial vanishes, gives a
+    singular Jacobian, reported as degenerate.
+
+    Partials are requested only while the residual is at least
+    sqrt(_NEWTON_TOL); when a values-only call does not converge they are
+    fetched at the same iterate, so the iterates are those of full Newton.
     """
-    th, ph = theta0.copy(), phi0.copy()
-    e1, e2 = tangents
-    theta_lo, theta_hi = 1e-3, np.pi - 1e-3
-    th = np.clip(th, theta_lo, theta_hi)
-    Y = None
+    e1, e2 = frame
+    with_partials = True
     for _ in range(60):
-        vals, dth, dph = grid.evaluate_scattered(comp_coeffs, th, ph, derivatives=True)
+        rho = np.hypot(u[:, 0], u[:, 1])
+        th, ph = np.arctan2(rho, u[:, 2]), np.arctan2(u[:, 1], u[:, 0])
+        if with_partials:
+            vals, dth, dph = grid.evaluate_scattered(comp_coeffs, th, ph,
+                                                     derivatives=True)
+        else:
+            vals = grid.evaluate_scattered(comp_coeffs, th, ph)
         Y = vals.T
         E1 = np.einsum("pc,pc->p", Y, e1)
         E2 = np.einsum("pc,pc->p", Y, e2)
         scale = np.linalg.norm(Y, axis=1)
         err = np.hypot(E1, E2) / np.maximum(scale, 1e-300)
-        if err.max() < 1e-12:
+        if err.max() < _NEWTON_TOL:
             return Y
-        s_it = np.sin(th)
+        if not with_partials:
+            _, dth, dph = grid.evaluate_scattered(comp_coeffs, th, ph, derivatives=True)
+        with_partials = bool(err.max() >= np.sqrt(_NEWTON_TOL))
+        s_it = np.maximum(rho, 1e-300)
         J11 = np.einsum("cp,pc->p", dth, e1)
         J12 = np.einsum("cp,pc->p", dph, e1) / s_it
         J21 = np.einsum("cp,pc->p", dth, e2)
@@ -215,15 +295,11 @@ def _newton_ray_solve(grid, comp_coeffs, theta0, phi0, tangents):
         step = np.hypot(s1, s2)
         damp = np.minimum(1.0, 0.5 / np.maximum(step, 1e-300))
         s1, s2 = damp * s1, damp * s2
-        ct_it, st_it = np.cos(th), s_it
         cp_it, sp_it = np.cos(ph), np.sin(ph)
-        node = np.stack([st_it * cp_it, st_it * sp_it, ct_it], axis=-1)
-        et_it = np.stack([ct_it * cp_it, ct_it * sp_it, -st_it], axis=-1)
-        ep_it = np.stack([-sp_it, cp_it, np.zeros_like(sp_it)], axis=-1)
-        new = node - s1[:, None] * et_it - s2[:, None] * ep_it
-        new /= np.linalg.norm(new, axis=1, keepdims=True)
-        th = np.clip(np.arccos(np.clip(new[:, 2], -1.0, 1.0)), theta_lo, theta_hi)
-        ph = np.arctan2(new[:, 1], new[:, 0])
+        e_th = np.stack([u[:, 2] * cp_it, u[:, 2] * sp_it, -rho], axis=-1)
+        e_ph = np.stack([-sp_it, cp_it, np.zeros_like(sp_it)], axis=-1)
+        u = u - s1[:, None] * e_th - s2[:, None] * e_ph
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
     if err.max() < 1e-10:
         return Y
     raise NotStarShapedError(
@@ -236,12 +312,16 @@ def pushforward_surface(V, t: float, surface: StarShapedHypersurface
     """Transport a star-shaped surface by the time-t flow of V and
     reconstruct it as a radial graph on the same grid.
 
-    All surface points are integrated at once; the mapped surface is
-    re-sampled along the grid rays by Newton inversion of its direction
-    map (spectral interpolation of the mapped coordinates).  The
-    reconstruction certifies star-shapedness: the direction map must be
-    orientation-preserving at every node and every ray solve must
-    converge to a single radius.
+    The surface points are mapped at once by the closed-form `flow_map`,
+    and the mapped coordinates are interpolated spectrally.  Each grid
+    ray p is then solved for the source direction u whose image is
+    parallel to p, by Newton iteration (`_newton_ray_solve`).  The warm
+    start takes the radius r0 of the mapped node nearest in direction to
+    p and starts at the direction of Phi_{-t}(r0 p), so the first Newton
+    step usually meets the tolerance's square root and the second call
+    needs no partials.  The reconstruction certifies star-shapedness: the
+    direction map must be orientation-preserving at every node and every
+    ray solve must converge to a single radius.
     """
     grid = surface.grid()
     spec = surface.spec
@@ -250,7 +330,7 @@ def pushforward_surface(V, t: float, surface: StarShapedHypersurface
     p = np.stack([st * cph, st * sph, ct * np.ones_like(cph)], axis=-1)
     X = surface.values[..., None] * p
 
-    Y = flow_map(V, t, X.reshape(-1, 3)).reshape(X.shape) if t != 0.0 else X
+    Y = flow_map(V, t, X.reshape(-1, 3)).reshape(X.shape)
 
     comp_coeffs = np.stack([grid.analysis(Y[..., c]) for c in range(3)])
 
@@ -263,21 +343,22 @@ def pushforward_surface(V, t: float, surface: StarShapedHypersurface
             "mapped surface is not star-shaped about the origin "
             f"(orientation {orient.min():.3g})")
 
-    nt, nph = spec.shape
     pk = p.reshape(-1, 3)
     e_t = np.stack([ct * cph, ct * sph, -st * np.ones_like(cph)], axis=-1).reshape(-1, 3)
     e_p0 = np.stack([-sph * np.ones_like(st), cph * np.ones_like(st),
                      np.zeros(spec.shape)], axis=-1).reshape(-1, 3)
 
-    # warm start each ray from the nearest mapped sample direction
-    radii_cloud = np.linalg.norm(Y.reshape(-1, 3), axis=1)
+    # warm start: the preimage direction of each ray at the radius of the
+    # mapped node nearest to it in direction
+    cloud = Y.reshape(-1, 3)
+    radii_cloud = np.linalg.norm(cloud, axis=1)
     if radii_cloud.min() <= POSITIVITY_FLOOR:
         raise NotStarShapedError("mapped surface touches the origin")
-    seeds = _nearest_cloud_start(Y.reshape(-1, 3) / radii_cloud[:, None], pk)
-    theta0 = np.repeat(grid.theta, nph)[seeds]
-    phi0 = np.tile(grid.phi, nt)[seeds]
+    seeds = _nearest_cloud_start(cloud / radii_cloud[:, None], pk)
+    back = _lift(radii_cloud[seeds, None] * pk) @ expm(-float(t) * _generator(V)).T
+    u0 = back[:, :3] / np.linalg.norm(back[:, :3], axis=1, keepdims=True)
 
-    Ysol = _newton_ray_solve(grid, comp_coeffs, theta0, phi0, (e_t, e_p0))
+    Ysol = _newton_ray_solve(grid, comp_coeffs, u0, (e_t, e_p0))
     radii = np.einsum("pc,pc->p", Ysol, pk)
     if radii.min() <= POSITIVITY_FLOOR:
         raise NotStarShapedError("mapped surface does not enclose the origin")

@@ -24,6 +24,7 @@ import numpy as np
 from .conformal import ConformalKillingField
 from .flow import SpeedFunction, normal_speed
 from .radial_graph import GeometryBundle, StarShapedHypersurface, geometry
+from .serialize import ckf_to_dict
 from .sphere_grid import ScalarField, make_grid
 
 __all__ = [
@@ -61,12 +62,7 @@ class SolitonReport:
             "gram_condition": self.gram_condition,
         }
         if self.fitted is not None:
-            out["fitted"] = {
-                "v": list(self.fitted.v),
-                "S_lower": list(self.fitted.s_lower),
-                "mu": self.fitted.mu,
-                "b": list(self.fitted.b),
-            }
+            out["fitted"] = ckf_to_dict(self.fitted)
         return out
 
 

@@ -2,11 +2,14 @@
 
 Everything here is deliberately separate from the package's computation
 paths: parametric (not radial-graph) surface formulas, classical
-plane-curve curvature, a fixed-step reference integrator, and frozen
-constants produced by the quadrature routines in this file.
+plane-curve curvature, fixed-step and adaptive reference integrators,
+the light-cone image of round spheres, and frozen constants produced by
+the quadrature routines in this file.
 """
 
 import numpy as np
+from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 # frozen outputs of spheroid_integrals(1.0, 0.6) at 400 nodes; the area
 # agrees with the closed form 2*pi*a^2 + pi*c^2/e*log((1+e)/(1-e)) to 2e-13
@@ -85,6 +88,42 @@ def rk4_reference(field, t_end, x0, n_steps=4000):
         k4 = field(x + h * k3)
         x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return x
+
+
+def dop853_flow(field, t_end, x0, rtol=3e-14):
+    """Adaptive eighth-order (DOP853) reference for the flow of a
+    conformal Killing field from the points x0 (..., 3), integrated as
+    one system; rtol sits just above the integrator's floor."""
+    x0 = np.asarray(x0, dtype=float)
+    sol = solve_ivp(lambda _, y: field.evaluate(y.reshape(-1, 3)).ravel(),
+                    (0.0, float(t_end)), x0.ravel(), method="DOP853",
+                    rtol=rtol, atol=1e-2 * rtol)
+    assert sol.success, sol.message
+    return sol.y[:, -1].reshape(x0.shape)
+
+
+def mobius_sphere_image(field, t, center, radius):
+    """Center and radius of the image of the sphere |X - center| = radius
+    under the time-t flow of a conformal Killing field (v, S, mu, b).
+
+    With <x, y> = x_0 y_0 + ... + x_3 y_3 - x_4 y_4 on R^{4,1}, the points
+    lift to null vectors (X, (1-|X|^2)/2, (1+|X|^2)/2), and the sphere is
+    the set orthogonal to the spacelike sigma = (c, (1+R^2-|c|^2)/2,
+    (1-R^2+|c|^2)/2).  The flow acts by exp(tA), which preserves <,>, so
+    the image is the sphere orthogonal to exp(tA) sigma."""
+    v, b, S = field.v, field.b, field.skew_matrix
+    A = np.zeros((5, 5))
+    A[:3, :3] = S
+    A[:3, 3], A[:3, 4] = v + b, v - b
+    A[3, :3], A[4, :3] = -(v + b), v - b
+    A[3, 4] = A[4, 3] = -field.mu
+    c = np.asarray(center, dtype=float)
+    cc = c @ c
+    sigma = expm(t * A) @ np.concatenate(
+        [c, [0.5 * (1.0 + radius**2 - cc), 0.5 * (1.0 - radius**2 + cc)]])
+    k = sigma[3] + sigma[4]
+    c_img = sigma[:3] / k
+    return c_img, float(np.sqrt(c_img @ c_img + (sigma[3] - sigma[4]) / k))
 
 
 def min_norm_translated_sphere_fit(radius, c3):

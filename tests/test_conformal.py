@@ -6,12 +6,18 @@ from icflab.conformal import (AffineField, ConformalKillingField,
                               _nearest_cloud_start, component_quadratic_check,
                               flow_map, killing_residual, pushforward_surface)
 from icflab.errors import FlowBlowUpError, NotStarShapedError
-from icflab.radial_graph import invert
-from icflab.sphere_grid import make_grid
+from icflab.radial_graph import StarShapedHypersurface, invert
+from icflab.sphere_grid import Grid, ScalarField, make_grid
 from icflab.surfaces import harmonic_surface, sphere_surface, spheroid_surface
 
 import oracles
-from conftest import HARMONIC_TERMS, SPEC32, nodes
+from conftest import HARMONIC_TERMS, SPEC32, SPEC48, SPEC64, nodes
+
+
+# its ray preimages on the unit sphere at 32x64, t = 0.3, come within 1e-3
+# of a pole
+POLE_FIELD = ConformalKillingField([0.1, -0.2, 0.05], [0.2, 0.1, -0.3], 0.15,
+                                  [0.1, 0.05, -0.12])
 
 
 def random_ckf(rng, b_scale=0.3):
@@ -127,6 +133,45 @@ class TestFlowMap:
         with pytest.raises(FlowBlowUpError):
             flow_map(V, 0.6, np.array([2.0, 0.0, 0.0]))
 
+    def test_returning_orbit_blow_up_detected(self):
+        # v = b = 3 e1 moves the e1 axis by x' = 3 (1 + x^2), so x = tan 3t
+        # passes through infinity at t = pi/6 and is back at tan 3.6 ~ 0.49
+        # by t = 1.2; the end point alone looks harmless
+        V = ConformalKillingField([3.0, 0, 0], [0, 0, 0], 0.0, [3.0, 0, 0])
+        with pytest.raises(FlowBlowUpError):
+            flow_map(V, 1.2, np.zeros(3))
+
+    @pytest.mark.parametrize("t, x", [(np.nan, [1.0, 0, 0]), (np.inf, [1.0, 0, 0]),
+                                      (0.5, [np.nan, 0, 0])])
+    def test_non_finite_input_rejected(self, t, x):
+        V = ConformalKillingField([0.1, 0, 0.3], [0.1, 0, 0], 0.1, [0.1, 0, 0])
+        with pytest.raises(ValueError):
+            flow_map(V, t, np.array(x))
+
+    def test_start_beyond_escape_radius_is_blow_up(self):
+        V = ConformalKillingField([0.1, 0, 0.3], [0.1, 0, 0], 0.1, [0.1, 0, 0])
+        with pytest.raises(FlowBlowUpError):
+            flow_map(V, 0.5, np.array([1e7, 0.0, 0.0]))
+
+    def test_near_miss_is_not_blow_up(self):
+        # just off that axis the orbit turns at |x| ~ 1e3 and comes back
+        V = ConformalKillingField([3.0, 0, 0], [0, 0, 0], 0.0, [3.0, 0, 0])
+        x = np.array([[0.0, 1e-3, 0.0], [0.2, -0.1, 0.3]])
+        ref = oracles.dop853_flow(V, 1.2, x)
+        err = np.linalg.norm(flow_map(V, 1.2, x) - ref, axis=1)
+        assert np.all(err < 1e-12 * np.linalg.norm(ref, axis=1))
+
+    def test_matches_dop853_oracle(self, rng):
+        # the random-field distribution of the CLI audits
+        for _ in range(20):
+            V = ConformalKillingField(rng.normal(0, 0.3, 3), rng.normal(0, 0.3, 3),
+                                      rng.normal(0, 0.3), rng.normal(0, 0.2, 3))
+            x = rng.normal(size=(64, 3)) * 0.7
+            for t in (-0.5, 1e-3, 0.5):
+                ref = oracles.dop853_flow(V, t, x)
+                err = np.linalg.norm(flow_map(V, t, x) - ref, axis=1)
+                assert np.all(err < 1e-13 * np.linalg.norm(ref, axis=1))
+
     def test_group_law(self, rng):
         V = random_ckf(rng, b_scale=0.2)
         x = rng.normal(size=3) * 0.5
@@ -188,6 +233,44 @@ class TestPushforward:
         V = ConformalKillingField([0, 0, 0], [0, 0, 0], np.log(1.0 / R**2), [0, 0, 0])
         out = pushforward_surface(V, 1.0, s)
         assert np.abs(out.values - invert(s).values).max() < 1e-9
+
+    @pytest.mark.parametrize("spec, V, t, center, radius", [
+        (SPEC32, POLE_FIELD, 0.3, [0.0, 0.0, 0.0], 1.0),
+        (SPEC32, POLE_FIELD, -0.3, [0.05, -0.1, 0.2], 0.9),
+        (SPEC48, ConformalKillingField([0.2, 0.1, -0.1], [0.3, -0.2, 0.1],
+                                       -0.1, [-0.2, 0.15, 0.1]),
+         0.5, [-0.1, 0.0, 0.1], 1.2),
+    ], ids=["pole_case", "offset_backward", "offset_48"])
+    def test_round_spheres_match_light_cone_image(self, spec, V, t, center, radius):
+        # a conformal map takes spheres to spheres, in closed form
+        s_values = oracles.translated_sphere_graph(radius, center, make_grid(spec))
+        s = StarShapedHypersurface(ScalarField(spec, s_values))
+        c_img, r_img = oracles.mobius_sphere_image(V, t, center, radius)
+        out = pushforward_surface(V, t, s)
+        expected = oracles.translated_sphere_graph(r_img, c_img, make_grid(spec))
+        assert np.abs(out.values - expected).max() < 1e-10
+
+    @pytest.mark.parametrize("t", [0.3, -0.3])
+    def test_pole_preimages_round_trip(self, t):
+        # a surface whose ray preimages come within 1e-3 of a pole at 64x128
+        s = harmonic_surface(1.0, HARMONIC_TERMS + [(1, 0, 0.1)], SPEC64)
+        back = pushforward_surface(POLE_FIELD, -t, pushforward_surface(POLE_FIELD, t, s))
+        assert np.abs(back.values - s.values).max() < 1e-10
+
+    def test_partials_only_where_newton_uses_them(self, rng, monkeypatch):
+        # a small step: the warm start is within the tolerance's square
+        # root after one Newton step, so the second call is values only
+        flags = []
+        evaluate = Grid.evaluate_scattered
+
+        def recording(self, *args, derivatives=False):
+            flags.append(derivatives)
+            return evaluate(self, *args, derivatives=derivatives)
+
+        monkeypatch.setattr(Grid, "evaluate_scattered", recording)
+        s = harmonic_surface(1.0, HARMONIC_TERMS, SPEC32)
+        pushforward_surface(random_ckf(rng, b_scale=0.2), 1e-3, s)
+        assert flags == [True, False]
 
     def test_warm_start_is_largest_dot_product(self, rng):
         cloud = rng.standard_normal((3000, 3))

@@ -1,5 +1,6 @@
 """No icflab module imports another module's private helpers: neither
-`from .mod import _name` nor `mod._name` on an imported icflab module."""
+`from .mod import _name` nor `mod._name` on an imported icflab module.
+And no module imports a name it neither uses nor exports."""
 
 import ast
 import pathlib
@@ -49,6 +50,65 @@ def private_uses(source: str) -> list[str]:
             found.append(f"line {node.lineno}: uses "
                          f"{_dotted(node.value)}.{node.attr}")
     return found
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names that `source` imports but neither reads nor lists in its
+    `__all__`."""
+    tree = ast.parse(source)
+    imported, exported = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    read = set()
+
+    def visit(node, local):
+        # a name a function binds (a parameter or an assignment) is local
+        # in all of it, so reading it there does not use an import
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            local = local | {p.arg for p in params if p} | {
+                n.id for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+              and node.id not in local):
+            read.add(node.id)
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    visit(tree, frozenset())
+    return [f"line {line}: {name}" for name, line in imported.items()
+            if name not in read and name not in exported]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("from .serialize import ckf_to_dict", ["line 1: ckf_to_dict"]),
+    ("import numpy as np\nimport os.path", ["line 1: np", "line 2: os"]),
+    ("from .flow import run\nrun = 1", ["line 1: run"]),
+    ("from dataclasses import field\ndef f(field):\n    return field",
+     ["line 1: field"]),
+    ("import numpy as np\ndef f():\n    np = 1\n    return np", ["line 1: np"]),
+    ("import numpy as np\ndef f(x):\n    return np.abs(x)", []),
+    ("from __future__ import annotations", []),
+    ("import numpy as np\nnp.zeros(1)", []),
+    ("import os.path\nos.path.join('a')", []),
+    ("from .sphere_grid import make_grid\n__all__ = ['make_grid']", []),
+])
+def test_unused_import_checker(source, expected):
+    assert unused_imports(source) == expected
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
