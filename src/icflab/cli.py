@@ -149,7 +149,7 @@ def cmd_invariance(args) -> int:
     for a in inv.DEFAULT_A_VALUES:
         Ea, _ = inv.e_tensor(surface, a)
         Eb, _ = inv.e_tensor(surface_inv, a)
-        e_diffs[repr(a)] = float(np.abs(Ea.components - Eb.components).max())
+        e_diffs[repr(a)] = float(max(np.abs(x - y).max() for x, y in zip(Ea, Eb)))
 
     value, lower, upper = inv.qbar(surface)
     value2, _, _ = inv.qbar(surface_inv)

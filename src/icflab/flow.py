@@ -14,9 +14,9 @@ on an open curvature cone; `class_c_audit` samples all five conditions.
 Time stepping is the classical explicit 4-stage scheme with a parabolic
 step bound dt = dt_safety * h_min^2 / D, D the sampled diffusivity
 max (sum_i d rho/d kappa_i) / (rho^2 f^2).  After each step the graph is
-projected onto its resolved harmonic band, optionally with an exponential
-tail filter; on spheres the projection is exact, so filtered and
-unfiltered trajectories coincide there.
+projected onto its resolved harmonic band with an exponential filter on
+the top tenth of the band; a round sphere is a constant graph, whose one
+coefficient (degree 0) the filter does not damp.
 """
 
 from __future__ import annotations
@@ -242,14 +242,14 @@ def _exp_filter(grid, cutoff_frac=0.9, order=4, strength=36.0):
     return fac
 
 
-def step(surface: StarShapedHypersurface, speed: SpeedFunction, dt: float,
-         use_filter: bool = True) -> StarShapedHypersurface:
+def step(surface: StarShapedHypersurface, speed: SpeedFunction,
+         dt: float) -> StarShapedHypersurface:
     """One classical 4-stage explicit step of the graph flow.
 
     On a round sphere the update reproduces r exp(dt/mu) to fifth order
-    in dt.  The result is re-projected onto the resolved harmonic band;
-    with ``use_filter`` the top tenth of the band is damped exponentially
-    to suppress aliasing of the nonlinear terms.
+    in dt.  The result is re-projected onto the resolved harmonic band,
+    with the top tenth of the band damped exponentially to suppress
+    aliasing of the nonlinear terms.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -260,7 +260,7 @@ def step(surface: StarShapedHypersurface, speed: SpeedFunction, dt: float,
     k3 = _graph_rhs(grid, f0 + 0.5 * dt * k2, speed)
     k4 = _graph_rhs(grid, f0 + dt * k3, speed)
     f1 = f0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    f1 = grid.project(f1, _exp_filter(grid) if use_filter else None)
+    f1 = grid.project(f1, _exp_filter(grid))
     return StarShapedHypersurface(ScalarField(surface.spec, f1))
 
 
@@ -277,14 +277,14 @@ def stable_dt(surface: StarShapedHypersurface, speed: SpeedFunction,
 
 @dataclass
 class FlowConfig:
-    """Run parameters; ``record_every = 0`` picks a cadence of roughly
-    0.02 time units between records (fine enough that finite differences
-    of the records resolve the energy rates to three digits)."""
+    """Run parameters.  A run records every max(1, round(0.02 / dt0))
+    steps, dt0 the first step bound, and at t_end: roughly 0.02 time units
+    apart, fine enough that finite differences of the records resolve the
+    energy rates to three digits."""
 
     speed: SpeedFunction
     t_end: float
     dt_safety: float = 0.2
-    record_every: int = 0
     keep_snapshots: bool = True
 
     def __post_init__(self):
@@ -292,8 +292,6 @@ class FlowConfig:
             raise ValueError("t_end must be positive and finite")
         if not 0.0 < self.dt_safety <= 0.5:
             raise ValueError("dt_safety must lie in (0, 0.5]")
-        if self.record_every < 0:
-            raise ValueError("record_every must be >= 0")
 
 
 @dataclass
@@ -382,7 +380,7 @@ def run(surface: StarShapedHypersurface, config: FlowConfig) -> FlowTrace:
     trace._record(t, current, config.keep_snapshots)
 
     dt0 = stable_dt(current, speed, config.dt_safety)
-    record_every = config.record_every or max(1, round(0.02 / dt0))
+    cadence = max(1, round(0.02 / dt0))
 
     k = 0
     while t < config.t_end - 1e-14:
@@ -390,7 +388,7 @@ def run(surface: StarShapedHypersurface, config: FlowConfig) -> FlowTrace:
         current = step(current, speed, dt)
         t += dt
         k += 1
-        if k % record_every == 0 or t >= config.t_end - 1e-14:
+        if k % cadence == 0 or t >= config.t_end - 1e-14:
             trace._record(t, current, config.keep_snapshots)
     trace.beta = trace.fit_beta()
     return trace

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import AuditError, ConvexityClassError, GridMismatchError, MeanConvexityError
 from .radial_graph import (N, StarShapedHypersurface, area, geometry, invert,
                            sigma_integral)
-from .sphere_grid import CovariantTensor2, ScalarField, make_grid
+from .sphere_grid import ScalarField, make_grid
 
 __all__ = [
     "EnergyReport",
@@ -61,13 +61,15 @@ def e_eigenvalues(kappa, H, tracefree_sq, a):
 
 
 def e_tensor(surface: StarShapedHypersurface,
-             a: float) -> tuple[CovariantTensor2, float]:
+             a: float) -> tuple[tuple, float]:
     """Pointwise conformal-invariant tensor E(a) and its sup operator norm.
 
-    The coordinate components are returned in the fixed chart; the
-    operator norm is measured against the induced metric.  The closed-form
-    eigenvalue expression is evaluated alongside the tensor build and the
-    two must agree, which is enforced here.
+    The tensor is returned as the tuple (E00, E01, E11) of its (nt, nph)
+    coordinate components in the fixed (theta, phi) chart, like
+    `GeometryBundle.metric`; the operator norm is measured against the
+    induced metric.  The closed-form eigenvalue expression is evaluated
+    alongside the tensor build and the two must agree, which is enforced
+    here.
     """
     geom = geometry(surface)
     if 2.0 * a * N + 1.0 < 0.0:
@@ -105,8 +107,7 @@ def e_tensor(surface: StarShapedHypersurface,
         raise AuditError(
             f"eigenvalue routes for E({a:g}) disagree: "
             f"trace {tr_dev:.3g}, det {det_dev:.3g}")
-    E = np.stack([np.stack([E00, E01], -1), np.stack([E01, E11], -1)], -2)
-    return CovariantTensor2(surface.spec, E), float(np.abs(formula).max())
+    return (E00, E01, E11), float(np.abs(formula).max())
 
 
 def willmore(surface: StarShapedHypersurface) -> float:

@@ -47,7 +47,6 @@ __all__ = [
     "sigma_integral",
     "invert",
     "inversion_mean_curvature_check",
-    "graph_mean_curvature",
 ]
 
 # the dimension n in the formulas: every surface is a hypersurface of R^3
@@ -127,18 +126,6 @@ class GeometryBundle:
     def integrate(self, values: np.ndarray) -> float:
         """Surface integral of a per-node quantity against dmu."""
         return make_grid(self.spec).integrate_values(values * self.area_density)
-
-
-def graph_mean_curvature(f, grad_sq, lam_laplacian, lam_hess_quad, n):
-    """Mean curvature of a radial graph from log-derivative data.
-
-    grad_sq = |grad lam|^2, lam_laplacian = Delta lam, lam_hess_quad =
-    grad^i lam grad^j lam hess_ij lam, all on the round unit sphere of
-    dimension n.  Dimension-generic; the S^1 (closed curve) case serves
-    as an independent cross-check of the formula.
-    """
-    v = 1.0 + grad_sq
-    return (n - lam_laplacian + lam_hess_quad / v) / (f * np.sqrt(v))
 
 
 class Curvature(NamedTuple):

@@ -3,11 +3,10 @@
 Nodes are (theta_i, phi_j) with cos(theta_i) the Gauss-Legendre points on
 (-1, 1) and phi_j uniform on [0, 2pi); no node sits on a pole.  Smooth
 fields are represented by their values on this grid and differentiated
-through an orthonormal spherical-harmonic transform, so all covariant
-operators (gradient, Hessian, Laplace-Beltrami) converge spectrally for
-fields resolved by the grid.  Quadrature is exact for polynomials in
-cos(theta) up to degree 2*n_theta-1 and trigonometric polynomials in phi
-up to degree n_phi-1.
+through an orthonormal spherical-harmonic transform, so chart partials and
+the Laplace-Beltrami operator converge spectrally for fields resolved by
+the grid.  Quadrature is exact for polynomials in cos(theta) up to degree
+2*n_theta-1 and trigonometric polynomials in phi up to degree n_phi-1.
 """
 
 from __future__ import annotations
@@ -17,19 +16,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatchError
-
 __all__ = [
     "GridSpec",
     "Grid",
     "ScalarField",
-    "CovariantTensor2",
     "make_grid",
-    "integrate",
-    "gradient",
-    "contravariant_gradient",
-    "hessian",
-    "laplacian",
 ]
 
 # points per block of scattered evaluation: bounds the (points, 2K(m_max+1))
@@ -57,11 +48,6 @@ class GridSpec:
         return (self.n_theta, self.n_phi)
 
 
-def _check_spec(a, b):
-    if a != b:
-        raise GridMismatchError(f"grids differ: {a} vs {b}")
-
-
 @dataclass(frozen=True)
 class ScalarField:
     """Real-valued samples on a grid, row-major in (theta, phi)."""
@@ -76,34 +62,6 @@ class ScalarField:
         if not np.all(np.isfinite(v)):
             raise ValueError("field contains non-finite values")
         object.__setattr__(self, "values", v)
-
-    def __add__(self, other):
-        if isinstance(other, ScalarField):
-            _check_spec(self.spec, other.spec)
-            return ScalarField(self.spec, self.values + other.values)
-        return ScalarField(self.spec, self.values + other)
-
-    def __mul__(self, c):
-        return ScalarField(self.spec, self.values * c)
-
-    __rmul__ = __mul__
-
-
-@dataclass
-class CovariantTensor2:
-    """Symmetric rank-2 covariant tensor, coordinate components in the
-    fixed (theta, phi) chart; array shape (n_theta, n_phi, 2, 2)."""
-
-    spec: GridSpec
-    components: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.components, dtype=float)
-        if c.shape != self.spec.shape + (2, 2):
-            raise ValueError("component array has wrong shape")
-        if not np.allclose(c[..., 0, 1], c[..., 1, 0], rtol=0.0, atol=1e-12 * (1.0 + np.abs(c).max())):
-            raise ValueError("tensor is not symmetric")
-        self.components = c
 
 
 def _legendre(x, s, L, M):
@@ -137,7 +95,7 @@ class Grid:
 
     Use :func:`make_grid` to obtain (cached) instances.  The transform
     methods operate on raw (n_theta, n_phi) arrays and are shared by the
-    geometry and flow modules; the typed field operations below wrap them.
+    geometry, invariants and flow modules.
 
     Spectral coefficients are stored stacked-real with shape
     (m_max+1, l_max+1, 2): axis 0 is the Fourier order m >= 0, axis 1 the
@@ -259,13 +217,10 @@ class Grid:
         lam = -(self.ell * (self.ell + 1.0))
         return self._synth_table(lam[None, :, None] * C2, self.legendre)
 
-    def project(self, values, ell_filter=None):
-        """Round-trip through coefficient space (band-limit projection);
-        optionally damp degrees by the given factor array over ell."""
-        C2 = self.analysis(values)
-        if ell_filter is not None:
-            C2 = C2 * ell_filter[None, :, None]
-        return self.synthesis(C2)
+    def project(self, values, ell_filter):
+        """Round-trip through coefficient space (band-limit projection),
+        damping each degree l by the factor ell_filter[l]."""
+        return self.synthesis(self.analysis(values) * ell_filter[None, :, None])
 
     def integrate_values(self, values: np.ndarray) -> float:
         return float(np.sum(self.weights * values))
@@ -404,52 +359,3 @@ def make_grid(spec: GridSpec) -> Grid:
     if key not in _GRID_CACHE:
         _GRID_CACHE[key] = Grid(spec)
     return _GRID_CACHE[key]
-
-
-# ----------------------------------------------------------------------
-# field-level operations
-
-
-def integrate(f: ScalarField) -> float:
-    """Quadrature of f against the round area element of the unit sphere."""
-    return make_grid(f.spec).integrate_values(f.values)
-
-
-def gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:
-    """Covector components (d_theta f, d_phi f) of the round-sphere gradient."""
-    g = make_grid(f.spec)
-    C2 = g.analysis(f.values - f.values.mean())
-    return (ScalarField(f.spec, g.synth_dtheta(C2)),
-            ScalarField(f.spec, g.synth_dphi(C2)))
-
-
-def contravariant_gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:
-    """Raised components sigma^{ij} d_j f = (d_theta f, d_phi f / sin^2)."""
-    g = make_grid(f.spec)
-    ft, fp = gradient(f)
-    return ft, ScalarField(f.spec, fp.values / g.sin_theta[:, None] ** 2)
-
-
-def hessian(f: ScalarField) -> CovariantTensor2:
-    """Second covariant derivative on the round sphere.
-
-    Uses the chart Christoffel symbols Gamma^theta_{phi phi} = -sin cos
-    and Gamma^phi_{theta phi} = cot(theta); returns the symmetric tensor
-    nabla_i nabla_j f in the (theta, phi) chart.
-    """
-    g = make_grid(f.spec)
-    ft, fp, ftt, ftp, fpp = g.chart_derivatives(f.values)
-    st, ct = g.sin_theta[:, None], g.cos_theta[:, None]
-    comp = np.empty(f.spec.shape + (2, 2))
-    comp[..., 0, 0] = ftt
-    comp[..., 0, 1] = ftp - (ct / st) * fp
-    comp[..., 1, 0] = comp[..., 0, 1]
-    comp[..., 1, 1] = fpp + st * ct * ft
-    return CovariantTensor2(f.spec, comp)
-
-
-def laplacian(f: ScalarField) -> ScalarField:
-    """Laplace-Beltrami operator; spherical harmonics are exact
-    eigenfunctions with eigenvalue -l(l+1)."""
-    g = make_grid(f.spec)
-    return ScalarField(f.spec, g.synth_laplacian(g.analysis(f.values - f.values.mean())))

@@ -2,9 +2,10 @@
 
 Everything here is deliberately separate from the package's computation
 paths: parametric (not radial-graph) surface formulas, classical
-plane-curve curvature, fixed-step and adaptive reference integrators,
-the light-cone image of round spheres, and frozen constants produced by
-the quadrature routines in this file.
+plane-curve curvature, the dimension-generic radial-graph mean curvature,
+the covariant Hessian on the round sphere, an adaptive reference
+integrator, the light-cone image of round spheres, and frozen constants
+produced by the quadrature routines in this file.
 """
 
 import numpy as np
@@ -67,6 +68,28 @@ def circle_curvature(f, df, d2f):
     return (f**2 + 2.0 * df**2 - f * d2f) / (f**2 + df**2) ** 1.5
 
 
+def graph_mean_curvature(f, grad_sq, lam_laplacian, lam_hess_quad, n):
+    """Mean curvature of a radial graph from log-derivative data.
+
+    grad_sq = |grad lam|^2, lam_laplacian = Delta lam, lam_hess_quad =
+    grad^i lam grad^j lam hess_ij lam, all on the round unit sphere of
+    dimension n.  Dimension-generic; the S^1 (closed curve) case serves
+    as an independent cross-check of the formula.
+    """
+    v = 1.0 + grad_sq
+    return (n - lam_laplacian + lam_hess_quad / v) / (f * np.sqrt(v))
+
+
+def covariant_hessian(grid, values):
+    """Second covariant derivative nabla_i nabla_j f on the round sphere,
+    as (..., 2, 2) matrices in the (theta, phi) chart, from the grid's
+    chart partials and the Christoffel symbols Gamma^theta_{phi phi} =
+    -sin cos and Gamma^phi_{theta phi} = cot(theta)."""
+    ft, fp, ftt, ftp, fpp = grid.chart_derivatives(values)
+    st, ct = grid.sin_theta[:, None], grid.cos_theta[:, None]
+    return stack_sym2(ftt, ftp - (ct / st) * fp, fpp + st * ct * ft)
+
+
 def translated_sphere_graph(radius, center, grid):
     """Radial graph of the sphere |X - center| = radius (closed form),
     valid while the origin is enclosed."""
@@ -75,19 +98,6 @@ def translated_sphere_graph(radius, center, grid):
     p = np.stack([st * cph, st * sph, ct * np.ones_like(cph)], axis=-1)
     cp = np.tensordot(p, np.asarray(center, dtype=float), axes=(-1, 0))
     return cp + np.sqrt(cp**2 + radius**2 - np.dot(center, center))
-
-
-def rk4_reference(field, t_end, x0, n_steps=4000):
-    """Fixed-step classical Runge-Kutta reference for ambient flows."""
-    x = np.array(x0, dtype=float)
-    h = t_end / n_steps
-    for _ in range(n_steps):
-        k1 = field(x)
-        k2 = field(x + 0.5 * h * k1)
-        k3 = field(x + 0.5 * h * k2)
-        k4 = field(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return x
 
 
 def dop853_flow(field, t_end, x0, rtol=3e-14):

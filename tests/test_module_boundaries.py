@@ -1,11 +1,15 @@
 """No icflab module imports another module's private helpers: neither
 `from .mod import _name` nor `mod._name` on an imported icflab module.
-And no module imports a name it neither uses nor exports."""
+No module imports a name it neither uses nor exports.  And every public
+module-level function and class is read somewhere in icflab or exported
+from the package, so none is left that only tests reach."""
 
 import ast
 import pathlib
 
 import pytest
+
+import icflab
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "icflab"
 MODULES = {path.stem for path in SRC.glob("*.py")}
@@ -109,6 +113,47 @@ def test_no_unused_imports(path):
 ])
 def test_unused_import_checker(source, expected):
     assert unused_imports(source) == expected
+
+
+def unreached_definitions(sources: dict[str, str], exported) -> list[str]:
+    """Public module-level functions and classes, as `module.name`, that no
+    module in `sources` reads (as a bare name or as an attribute) and that
+    `exported` does not list.  Importing a name is not reading it."""
+    read, defined = set(), []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not _private(node.name)):
+                defined.append((module, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{module}.{name}" for module, name in defined
+            if name not in read and name not in exported]
+
+
+def test_every_public_definition_is_read_or_exported():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert unreached_definitions(sources, set(icflab.__all__)) == []
+
+
+@pytest.mark.parametrize("sources, exported, expected", [
+    ({"a": "def f():\n    pass"}, set(), ["a.f"]),
+    ({"a": "class C:\n    pass"}, set(), ["a.C"]),
+    ({"a": "def f():\n    pass"}, {"f"}, []),
+    ({"a": "def f():\n    pass", "b": "from .a import f\nf()"}, set(), []),
+    ({"a": "def f():\n    pass", "b": "from . import a\na.f"}, set(), []),
+    ({"a": "def f():\n    pass", "b": "from .a import f"}, set(), ["a.f"]),
+    ({"a": "def f():\n    pass\n__all__ = ['f']"}, set(), ["a.f"]),
+    ({"a": "def f():\n    pass\ndef g():\n    return f()"}, set(), ["a.g"]),
+    ({"a": "def _f():\n    pass"}, set(), []),
+    ({"a": "def f():\n    def g():\n        pass"}, {"f"}, []),
+])
+def test_unreached_definition_checker(sources, exported, expected):
+    assert unreached_definitions(sources, exported) == expected
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -2,16 +2,29 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from icflab.sphere_grid import (CovariantTensor2, GridSpec, ScalarField,
-                                contravariant_gradient, gradient, hessian,
-                                integrate, laplacian, make_grid)
+from icflab.errors import GridMismatchError
+from icflab.invariants import willmore_rate
+from icflab.sphere_grid import GridSpec, ScalarField, make_grid
+from icflab.surfaces import sphere_surface
 
 import oracles
 from conftest import SPEC16, SPEC32, SPEC64, nodes
 
 
-def field(spec, values):
-    return ScalarField(spec, values)
+def laplacian(spec, values):
+    """Laplace-Beltrami of grid values; the node mean is removed first, as
+    `Grid.chart_derivatives` does."""
+    g = make_grid(spec)
+    return g.synth_laplacian(g.analysis(values - values.mean()))
+
+
+def gradient(spec, values):
+    """Covector components (d_theta f, d_phi f)."""
+    return make_grid(spec).chart_derivatives(values)[:2]
+
+
+def hessian(spec, values):
+    return oracles.covariant_hessian(make_grid(spec), values)
 
 
 class TestGridSpec:
@@ -35,17 +48,17 @@ class TestGridSpec:
 class TestQuadrature:
     @pytest.mark.parametrize("spec", [GridSpec(8, 16), SPEC16, SPEC32, SPEC64])
     def test_constant_gives_sphere_area(self, spec):
-        total = integrate(field(spec, np.ones(spec.shape)))
+        total = make_grid(spec).integrate_values(np.ones(spec.shape))
         assert abs(total / (4.0 * np.pi) - 1.0) < 1e-12
 
     def test_odd_function_integrates_to_zero(self):
         T, _ = nodes(SPEC32)
-        assert abs(integrate(field(SPEC32, np.cos(T)))) < 1e-13
+        assert abs(make_grid(SPEC32).integrate_values(np.cos(T))) < 1e-13
 
     def test_cos_squared(self):
         # analytic: int cos^2(theta) dmu = 4 pi / 3
         T, _ = nodes(SPEC32)
-        assert_allclose(integrate(field(SPEC32, np.cos(T) ** 2)),
+        assert_allclose(make_grid(SPEC32).integrate_values(np.cos(T) ** 2),
                         4.0 * np.pi / 3.0, rtol=1e-14)
 
     def test_polynomial_exactness_in_cos_theta(self):
@@ -54,36 +67,37 @@ class TestQuadrature:
         T, _ = nodes(spec)
         for k in range(2 * spec.n_theta):
             exact = 2.0 * np.pi * (1.0 + (-1.0) ** k) / (k + 1.0)
-            got = integrate(field(spec, np.cos(T) ** k))
+            got = make_grid(spec).integrate_values(np.cos(T) ** k)
             assert abs(got - exact) < 1e-12 * max(1.0, abs(exact))
 
     def test_trigonometric_exactness_in_phi(self):
         spec = GridSpec(8, 16)
         T, P = nodes(spec)
+        g = make_grid(spec)
         for m in range(1, spec.n_phi):
-            assert abs(integrate(field(spec, np.cos(m * P) + 0.0 * T))) < 1e-12
+            assert abs(g.integrate_values(np.cos(m * P) + 0.0 * T)) < 1e-12
 
 
 class TestGradient:
     def test_cos_theta(self):
         T, _ = nodes(SPEC32)
-        ft, fp = gradient(field(SPEC32, np.cos(T)))
-        assert np.abs(ft.values + np.sin(T)).max() < 1e-10
-        assert np.abs(fp.values).max() < 1e-12
+        ft, fp = gradient(SPEC32, np.cos(T))
+        assert np.abs(ft + np.sin(T)).max() < 1e-10
+        assert np.abs(fp).max() < 1e-12
 
     def test_constant(self):
-        ft, fp = gradient(field(SPEC32, np.full(SPEC32.shape, 3.25)))
-        assert np.abs(ft.values).max() < 1e-12
-        assert np.abs(fp.values).max() < 1e-12
+        ft, fp = gradient(SPEC32, np.full(SPEC32.shape, 3.25))
+        assert np.abs(ft).max() < 1e-12
+        assert np.abs(fp).max() < 1e-12
 
     def test_gradient_norm_of_y11(self):
         # |grad(sin cos phi)|^2 = cos^2 cos^2 phi + sin^2 phi, by symbolic
         # differentiation
         T, P = nodes(SPEC32)
-        f = field(SPEC32, np.sin(T) * np.cos(P))
-        ft, fp = gradient(f)
-        gt, gp = contravariant_gradient(f)
-        grad_sq = ft.values * gt.values + fp.values * gp.values
+        ft, fp = gradient(SPEC32, np.sin(T) * np.cos(P))
+        # raised components sigma^ij d_j f = (d_theta f, d_phi f / sin^2)
+        gt, gp = ft, fp / np.sin(T) ** 2
+        grad_sq = ft * gt + fp * gp
         exact = np.cos(T) ** 2 * np.cos(P) ** 2 + np.sin(P) ** 2
         assert np.abs(grad_sq - exact).max() < 1e-11
 
@@ -92,23 +106,23 @@ class TestHessian:
     def test_degree_one_harmonic_identity(self):
         # hess(cos theta) = -cos(theta) * round metric
         T, _ = nodes(SPEC32)
-        comp = hessian(field(SPEC32, np.cos(T))).components
+        comp = hessian(SPEC32, np.cos(T))
         sigma = np.zeros(SPEC32.shape + (2, 2))
         sigma[..., 0, 0] = 1.0
         sigma[..., 1, 1] = np.sin(T) ** 2
         assert np.abs(comp + np.cos(T)[..., None, None] * sigma).max() < 1e-10
 
     def test_constant(self):
-        comp = hessian(field(SPEC32, np.full(SPEC32.shape, 2.0))).components
+        comp = hessian(SPEC32, np.full(SPEC32.shape, 2.0))
         assert np.abs(comp).max() < 1e-12
 
     def test_trace_equals_laplacian_everywhere(self):
         # also on a non-band-limited smooth field
         T, P = nodes(SPEC32)
-        f = field(SPEC32, np.exp(np.sin(T) * np.cos(P)))
-        comp = hessian(f).components
+        f = np.exp(np.sin(T) * np.cos(P))
+        comp = hessian(SPEC32, f)
         trace = comp[..., 0, 0] + comp[..., 1, 1] / np.sin(T) ** 2
-        lap = laplacian(f).values
+        lap = laplacian(SPEC32, f)
         scale = np.abs(lap).max()
         assert np.abs(trace - lap).max() < 1e-10 * scale
 
@@ -116,18 +130,18 @@ class TestHessian:
 class TestLaplacian:
     def test_degree_one_eigenvalue(self):
         T, _ = nodes(SPEC32)
-        f = field(SPEC32, np.cos(T))
-        assert np.abs(laplacian(f).values + 2.0 * f.values).max() < 1e-10
+        f = np.cos(T)
+        assert np.abs(laplacian(SPEC32, f) + 2.0 * f).max() < 1e-10
 
     def test_constant(self):
-        f = field(SPEC32, np.full(SPEC32.shape, 1.5))
-        assert np.abs(laplacian(f).values).max() < 1e-12
+        f = np.full(SPEC32.shape, 1.5)
+        assert np.abs(laplacian(SPEC32, f)).max() < 1e-12
 
     def test_degree_two_eigenvalue(self):
         # sin^2 cos(2 phi) is a degree-2 harmonic: eigenvalue -6
         T, P = nodes(SPEC32)
-        f = field(SPEC32, np.sin(T) ** 2 * np.cos(2 * P))
-        assert np.abs(laplacian(f).values + 6.0 * f.values).max() < 1e-11
+        f = np.sin(T) ** 2 * np.cos(2 * P)
+        assert np.abs(laplacian(SPEC32, f) + 6.0 * f).max() < 1e-11
 
 
 class TestOperatorProperties:
@@ -136,13 +150,13 @@ class TestOperatorProperties:
         f1 = g.synthesis(g.analysis(rng.standard_normal(SPEC32.shape)))
         f2 = g.synthesis(g.analysis(rng.standard_normal(SPEC32.shape)))
         a, b = 1.7, -0.4
-        for op in (laplacian, lambda f: gradient(f)[0], lambda f: gradient(f)[1]):
-            lhs = op(field(SPEC32, a * f1 + b * f2)).values
-            rhs = a * op(field(SPEC32, f1)).values + b * op(field(SPEC32, f2)).values
+        for op in (laplacian, lambda s, f: gradient(s, f)[0],
+                   lambda s, f: gradient(s, f)[1]):
+            lhs = op(SPEC32, a * f1 + b * f2)
+            rhs = a * op(SPEC32, f1) + b * op(SPEC32, f2)
             assert np.abs(lhs - rhs).max() < 1e-11 * (1.0 + np.abs(rhs).max())
-        lhs = hessian(field(SPEC32, a * f1 + b * f2)).components
-        rhs = a * hessian(field(SPEC32, f1)).components \
-            + b * hessian(field(SPEC32, f2)).components
+        lhs = hessian(SPEC32, a * f1 + b * f2)
+        rhs = a * hessian(SPEC32, f1) + b * hessian(SPEC32, f2)
         assert np.abs(lhs - rhs).max() < 1e-10 * (1.0 + np.abs(rhs).max())
 
     def test_coefficient_roundtrip(self, rng):
@@ -163,31 +177,25 @@ class TestOperatorProperties:
             dth = 2.0 * np.cos(T) * np.cos(P) * f
             grad_g_sq = 4.0 * (np.cos(T) ** 2 * np.cos(P) ** 2 + np.sin(P) ** 2)
             lap = f * (-2.0 * g + grad_g_sq)  # Delta e^g = e^g (Delta g + |grad g|^2)
-            return field(spec, f), dth, lap
+            return f, dth, lap
 
         errs_g, errs_l, errs_h = [], [], []
         for spec in (GridSpec(8, 16), GridSpec(12, 24)):
             f, dth, lap = forms(spec)
             T, _ = nodes(spec)
-            errs_g.append(np.abs(gradient(f)[0].values - dth).max())
-            errs_l.append(np.abs(laplacian(f).values - lap).max())
-            comp = hessian(f).components
+            errs_g.append(np.abs(gradient(spec, f)[0] - dth).max())
+            errs_l.append(np.abs(laplacian(spec, f) - lap).max())
+            comp = hessian(spec, f)
             trace = comp[..., 0, 0] + comp[..., 1, 1] / np.sin(T) ** 2
             errs_h.append(np.abs(trace - lap).max())
         for errs in (errs_g, errs_l, errs_h):
             assert errs[0] / max(errs[1], 1e-300) > 2.0 ** 3.5
 
     def test_grid_mismatch_rejected(self):
-        from icflab.errors import GridMismatchError
-        from icflab.sphere_grid import _check_spec
+        # a speed field sampled on another grid than the surface
+        speed = ScalarField(SPEC16, np.ones(SPEC16.shape))
         with pytest.raises(GridMismatchError):
-            _check_spec(SPEC16, SPEC32)
-
-    def test_tensor_symmetry_enforced(self):
-        comp = np.zeros(SPEC16.shape + (2, 2))
-        comp[..., 0, 1] = 1.0
-        with pytest.raises(ValueError):
-            CovariantTensor2(SPEC16, comp)
+            willmore_rate(sphere_surface(1.0, SPEC32), speed)
 
     def test_scattered_evaluation_matches_grid(self, rng):
         g = make_grid(SPEC32)
