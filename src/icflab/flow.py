@@ -7,9 +7,12 @@ graph f to the scalar parabolic equation
 
 because the radial component of the outward normal is
 1/sqrt(1 + |grad log f|^2).  Round spheres evolve exactly by
-r(t) = r0 exp(t/mu) with mu = rho(1, ..., 1).  Admissible speeds are
+r(t) = r0 exp(t/mu) with mu = rho(1, 1).  Admissible speeds are
 positive, symmetric, degree-1 homogeneous, strictly monotone and concave
 on an open curvature cone; `class_c_audit` samples all five conditions.
+The speeds of `SpeedFunction` are the three closed forms H, K/H and
+sqrt K of the principal curvatures, each reached by several spellings
+that share its one code path.
 
 Time stepping is the classical explicit 4-stage scheme with a parabolic
 step bound dt = dt_safety * h_min^2 / D, D the sampled diffusivity
@@ -45,22 +48,27 @@ __all__ = [
 ]
 
 
-def sigma_all(kappa: np.ndarray) -> np.ndarray:
-    """The elementary symmetric polynomials (1, sigma_1, sigma_2) of the
-    two principal curvatures on the last axis; sigma_k(1, 1) = C(2, k)."""
+def _h_k(kappa) -> tuple[np.ndarray, np.ndarray]:
+    """H = sigma_1 and K = sigma_2 of the two principal curvatures on the
+    last axis."""
     kappa = np.asarray(kappa, dtype=float)
     k0, k1 = kappa[..., 0], kappa[..., 1]
-    return np.stack([np.ones_like(k0), k0 + k1, k1 * k0], axis=-1)
+    return k0 + k1, k1 * k0
 
 
 @dataclass(frozen=True)
 class SpeedFunction:
     """Degree-1 homogeneous symmetric curvature function on its cone.
 
-    Kinds: mean curvature H; quotient sigma_k/sigma_{k-1}; root power
-    sigma_k^(1/k); ratio root (sigma_i/sigma_j)^(1/(i-j)) for i > j.
-    The cone is the Garding-type cone {sigma_l > 0 for l <= K} with K the
-    highest sigma degree entering the formula.
+    Spellings: mean curvature H; quotient sigma_k/sigma_{k-1}; root power
+    sigma_k^(1/k); ratio root (sigma_i/sigma_j)^(1/(i-j)) for i > j.  For
+    the two principal curvatures of a surface (sigma_1 = H, sigma_2 = K)
+    they name three speeds, each with one closed form for rho, its
+    gradient and its cone, whatever the spelling:
+
+        H       H, quotient:1, power:1, ratio:1,0    cone H > 0
+        K/H     quotient:2, ratio:2,1                cone H > 0, K > 0
+        sqrt K  power:2, ratio:2,0                   cone H > 0, K > 0
     """
 
     kind: str
@@ -122,48 +130,40 @@ class SpeedFunction:
                 "ratio": f"ratio:{self.i},{self.j}"}[self.kind]
 
     @property
-    def cone_degree(self) -> int:
-        return 1 if self.kind == "H" else self.i
+    def _form(self) -> str:
+        """The speed this spelling names: "H", "K/H" or "sqrt K"."""
+        if self.kind == "H" or self.i == 1:
+            return "H"
+        if self.kind == "quotient" or (self.kind == "ratio" and self.j == 1):
+            return "K/H"
+        return "sqrt K"
 
     def in_cone(self, kappa: np.ndarray) -> np.ndarray:
-        e = sigma_all(kappa)
-        ok = np.ones(e.shape[:-1], dtype=bool)
-        for l in range(1, self.cone_degree + 1):
-            ok &= e[..., l] > 0.0
-        return ok
+        H, K = _h_k(kappa)
+        if self._form == "H":
+            return H > 0.0
+        return (H > 0.0) & (K > 0.0)
 
     def rho(self, kappa: np.ndarray) -> np.ndarray:
-        e = sigma_all(kappa)
-        if self.kind == "H":
-            return e[..., 1]
-        if self.kind == "quotient":
-            return e[..., self.i] / e[..., self.i - 1]
-        if self.kind == "power":
-            return e[..., self.i] ** (1.0 / self.i)
-        return (e[..., self.i] / e[..., self.j]) ** (1.0 / (self.i - self.j))
+        H, K = _h_k(kappa)
+        form = self._form
+        if form == "H":
+            return H
+        if form == "K/H":
+            return K / H
+        return K ** 0.5
 
     def drho(self, kappa: np.ndarray) -> np.ndarray:
-        """Closed-form gradient d rho / d kappa_i."""
+        """Closed-form gradient d rho / d kappa_i, from dH/dkappa_i = 1 and
+        dK/dkappa_i = H - kappa_i."""
         kappa = np.asarray(kappa, dtype=float)
-        if self.kind == "H":
+        form = self._form
+        if form == "H":
             return np.ones_like(kappa)
-        e = sigma_all(kappa)
-        # d[..., i, l]: sigma_l of the curvatures with kappa_i removed
-        d = np.stack([np.ones_like(kappa), e[..., 1, None] - kappa], axis=-1)
-        if self.kind == "quotient":
-            k = self.i
-            num, den = e[..., k, None], e[..., k - 1, None]
-            dnum = d[..., :, k - 1]
-            dden = d[..., :, k - 2] if k >= 2 else np.zeros_like(kappa)
-            return (dnum * den - num * dden) / den**2
-        if self.kind == "power":
-            k = self.i
-            return (1.0 / k) * e[..., k, None] ** (1.0 / k - 1.0) * d[..., :, k - 1]
-        i, j = self.i, self.j
-        rho = self.rho(kappa)[..., None]
-        di = d[..., :, i - 1] / e[..., i, None]
-        dj = (d[..., :, j - 1] / e[..., j, None]) if j >= 1 else 0.0
-        return rho * (di - dj) / (i - j)
+        H, K = (a[..., None] for a in _h_k(kappa))
+        if form == "K/H":
+            return ((H - kappa) * H - K) / H**2
+        return 0.5 * K ** -0.5 * (H - kappa)
 
     @property
     def mu(self) -> float:
@@ -208,28 +208,28 @@ def curvature_norm_speed() -> CustomSpeed:
 # flow stepping
 
 
-def _check_cone(speed, kappa: np.ndarray):
-    """Raise CurvatureConeError at the first node outside the speed's cone."""
+def _cone_rho(speed, kappa: np.ndarray) -> np.ndarray:
+    """rho(kappa), after raising CurvatureConeError at the first node
+    outside the speed's cone."""
     ok = speed.in_cone(kappa)
     if not np.all(ok):
         idx = np.unravel_index(int(np.argmin(ok)), ok.shape)
         raise CurvatureConeError(
             f"kappa = {kappa[idx]} at node {idx} outside the cone of {speed.label}",
             node=idx, kappa=kappa[idx])
+    return speed.rho(kappa)
 
 
 def normal_speed(surface: StarShapedHypersurface,
                  speed: SpeedFunction) -> ScalarField:
     """Outward normal speed field 1/rho(kappa); positive on the cone."""
     kappa = geometry(surface).kappa
-    _check_cone(speed, kappa)
-    return ScalarField(surface.spec, 1.0 / speed.rho(kappa))
+    return ScalarField(surface.spec, 1.0 / _cone_rho(speed, kappa))
 
 
 def _graph_rhs(grid, values, speed):
     c = curvature(grid, values)
-    _check_cone(speed, c.kappa)
-    return c.sqv / speed.rho(c.kappa)
+    return c.sqv / _cone_rho(speed, c.kappa)
 
 
 def _exp_filter(grid, cutoff_frac=0.9, order=4, strength=36.0):
@@ -268,9 +268,9 @@ def stable_dt(surface: StarShapedHypersurface, speed: SpeedFunction,
               dt_safety: float) -> float:
     """Parabolic step bound dt_safety * h_min^2 / max diffusivity."""
     kappa = curvature(surface.grid(), surface.values).kappa
-    _check_cone(speed, kappa)
+    rho = _cone_rho(speed, kappa)
     diffusivity = (np.sum(speed.drho(kappa), axis=-1)
-                   / (speed.rho(kappa)**2 * surface.values**2))
+                   / (rho**2 * surface.values**2))
     h_min = min(np.pi / surface.spec.n_theta, 2.0 * np.pi / surface.spec.n_phi)
     return dt_safety * h_min**2 / float(diffusivity.max())
 
@@ -331,18 +331,6 @@ class FlowTrace:
         if keep:
             self.snapshots.append(ScalarField(surface.spec, f.copy()))
 
-    def fit_beta(self):
-        """Least-squares exponential rate of the trailing half of the
-        shape-operator deviation."""
-        m = len(self.t)
-        if m < 4:
-            return float("nan")
-        lo = m // 2
-        tt = np.array(self.t[lo:])
-        dd = np.maximum(np.array(self.shape_dev[lo:]), 1e-300)
-        slope = np.polyfit(tt, np.log(dd), 1)[0]
-        return float(-slope)
-
     def csv_header(self) -> list[str]:
         return (["t", "W", "Q1"]
                 + [f"E_sup_a{a:g}" for a in inv.DEFAULT_A_VALUES]
@@ -370,6 +358,16 @@ class FlowTrace:
         }
 
 
+def _decay_rate(t: list, values: list) -> float:
+    """Least-squares exponential decay rate of the trailing half of a
+    series; nan with fewer than 4 records."""
+    m = len(t)
+    if m < 4:
+        return float("nan")
+    tail = np.maximum(np.array(values[m // 2:]), 1e-300)
+    return float(-np.polyfit(np.array(t[m // 2:]), np.log(tail), 1)[0])
+
+
 def run(surface: StarShapedHypersurface, config: FlowConfig) -> FlowTrace:
     """Evolve a surface to t_end, recording diagnostics along the way."""
     speed = config.speed
@@ -379,18 +377,22 @@ def run(surface: StarShapedHypersurface, config: FlowConfig) -> FlowTrace:
     current = surface
     trace._record(t, current, config.keep_snapshots)
 
-    dt0 = stable_dt(current, speed, config.dt_safety)
-    cadence = max(1, round(0.02 / dt0))
+    # the first step bound also sizes the record cadence
+    dt = stable_dt(current, speed, config.dt_safety)
+    cadence = max(1, round(0.02 / dt))
 
     k = 0
     while t < config.t_end - 1e-14:
-        dt = min(stable_dt(current, speed, config.dt_safety), config.t_end - t)
+        if k:
+            dt = stable_dt(current, speed, config.dt_safety)
+        dt = min(dt, config.t_end - t)
         current = step(current, speed, dt)
         t += dt
         k += 1
         if k % cadence == 0 or t >= config.t_end - 1e-14:
             trace._record(t, current, config.keep_snapshots)
-    trace.beta = trace.fit_beta()
+    # exponential rate of the shape-operator deviation
+    trace.beta = _decay_rate(trace.t, trace.shape_dev)
     return trace
 
 
@@ -399,11 +401,9 @@ class AsymptoticsReport:
     willmore_nonincreasing: bool
     q1_nonincreasing: bool
     e_sup_decreased: dict
-    e_sup_final: dict
     osc_monotone_from: int
     osc_monotone_tail: bool
     e_decay_rate: float
-    beta: float
     flags_ok: bool
 
 
@@ -422,23 +422,18 @@ def asymptotics_check(trace: FlowTrace) -> AsymptoticsReport:
     q_ok = bool(np.all(np.diff(Q) <= 1e-8 * Q[:-1]))
     e_dec = {a: bool(v[-1] < v[0] or v[0] < 1e-12)
              for a, v in trace.E_sup.items()}
-    e_fin = {a: v[-1] for a, v in trace.E_sup.items()}
 
     osc = np.array(trace.osc)
     rising = np.where(np.diff(osc) > 1e-10 * osc[:-1])[0]
     osc_from = int(rising[-1] + 1) if rising.size else 0
     tail_ok = osc_from <= max(1, len(osc) // 2)
 
-    a0 = inv.DEFAULT_A_VALUES[0]
-    vals = np.maximum(np.array(trace.E_sup[a0]), 1e-300)
-    m = len(vals)
-    rate = float("nan")
-    if m >= 4 and vals[m // 2:].max() > 1e-14:
-        tt = np.array(trace.t[m // 2:])
-        rate = float(-np.polyfit(tt, np.log(vals[m // 2:]), 1)[0])
+    # decay rate of E_sup at the first a; nan once it is at round-off
+    E = trace.E_sup[inv.DEFAULT_A_VALUES[0]]
+    rate = (_decay_rate(trace.t, E) if max(E[len(E) // 2:]) > 1e-14
+            else float("nan"))
     ok = w_ok and q_ok and all(e_dec.values()) and tail_ok
-    return AsymptoticsReport(w_ok, q_ok, e_dec, e_fin, osc_from, tail_ok,
-                             rate, trace.beta, ok)
+    return AsymptoticsReport(w_ok, q_ok, e_dec, osc_from, tail_ok, rate, ok)
 
 
 # ----------------------------------------------------------------------

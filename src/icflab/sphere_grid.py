@@ -120,7 +120,6 @@ class Grid:
         self.phi = 2.0 * np.pi * np.arange(nph) / nph
         self.sin_theta = np.sin(self.theta)
         self.cos_theta = self.x
-        self.cot_theta = self.cos_theta / self.sin_theta
         self.weights = np.outer(self.w_theta, np.full(nph, 2.0 * np.pi / nph))
 
         self.l_max = nt - 1

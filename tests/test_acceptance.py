@@ -247,8 +247,8 @@ def test_criterion_9_soliton_fitting(test_surfaces):
     assert rept.residual_l2 < 1e-8
     assert abs(Vt.v[2] - v3) < 1e-7 and abs(Vt.mu - mu) < 1e-7 \
         and abs(Vt.b[2] - b3) < 1e-7
-    # the naive generator (X - c)/n describes the same motion and must
-    # also have zero residual
+    # the dilation about the centre, (X - c)/n, also has zero residual; it,
+    # not the min-norm field, is the one whose flow is the IMCF motion
     naive = ConformalKillingField([0, 0, -c3 / 2.0], [0, 0, 0], 0.5, [0, 0, 0])
     assert np.abs(residual(st, naive, IMCF).values).max() < 1e-7
 

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from icflab.errors import CurvatureConeError
 from icflab.flow import (FlowConfig, SpeedFunction, asymptotics_check,
                          class_c_audit, curvature_norm_speed, normal_speed,
-                         run, sigma_all, stable_dt, step)
+                         run, stable_dt, step)
 from icflab.radial_graph import StarShapedHypersurface, curvature, geometry
 from icflab.sphere_grid import GridSpec, ScalarField, make_grid
 from icflab.surfaces import sphere_surface, spheroid_surface
 
-import oracles
 from conftest import SPEC32, SPEC48, nodes
 
 
@@ -18,6 +16,14 @@ def perturbed_sphere(spec, amp=0.1):
     T, P = nodes(spec)
     return StarShapedHypersurface(
         ScalarField(spec, 1.0 + amp * np.sin(T) ** 2 * np.cos(2 * P)))
+
+
+# every spelling the parser accepts, grouped by the speed it names:
+# H, K/H and sqrt K
+ALIASES = [("H", "quotient:1", "power:1", "ratio:1,0"),
+           ("quotient:2", "ratio:2,1"),
+           ("power:2", "ratio:2,0")]
+SPELLINGS = [SpeedFunction.parse(text) for group in ALIASES for text in group]
 
 
 class TestSpeedFunctions:
@@ -34,19 +40,9 @@ class TestSpeedFunctions:
             with pytest.raises(ValueError):
                 SpeedFunction.parse(text)
 
-    def test_elementary_symmetric_normalization(self):
-        # sigma_k(1, 1) = C(2, k)
-        e = sigma_all(np.ones(2))
-        assert_allclose(e, [1.0, 2.0, 1.0])
-
-    def test_closed_form_matches_generic_recurrence(self, rng):
-        kap = rng.uniform(-3.0, 3.0, size=(200, 2))
-        assert np.array_equal(sigma_all(kap), oracles.elementary_symmetric(kap))
-
     def test_homogeneity_symmetry_monotonicity(self, rng):
         kap = rng.uniform(0.2, 3.0, size=(200, 2))
-        for sp in (SpeedFunction.mean_curvature(), SpeedFunction.power(2),
-                   SpeedFunction.quotient(2)):
+        for sp in SPELLINGS:
             vals = sp.rho(kap)
             assert np.all(vals > 0)
             for c in (0.5, 3.0):
@@ -57,8 +53,7 @@ class TestSpeedFunctions:
     def test_gradient_matches_finite_differences(self, rng):
         kap = rng.uniform(0.3, 2.0, size=(50, 2))
         h = 1e-6
-        for sp in (SpeedFunction.power(2), SpeedFunction.quotient(2),
-                   SpeedFunction.ratio_root(2, 1)):
+        for sp in SPELLINGS:
             for i, e in enumerate(np.eye(2)):
                 fd = (sp.rho(kap + h * e) - sp.rho(kap - h * e)) / (2 * h)
                 assert np.abs(sp.drho(kap)[:, i] - fd).max() < 1e-8
@@ -128,6 +123,21 @@ class TestStep:
         unprojected = f0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         a = step(s, speed, dt)
         assert np.abs(a.values - unprojected).max() < 1e-12
+
+
+class TestSpellingsAreAliases:
+    @pytest.mark.parametrize("group", ALIASES, ids=lambda g: g[0])
+    def test_runs_are_identical(self, group):
+        # one speed, one code path: every spelling gives the same run
+        s = perturbed_sphere(SPEC32, amp=0.05)
+        first, *others = [run(s, FlowConfig(SpeedFunction.parse(text), t_end=0.05))
+                          for text in group]
+        for trace in others:
+            assert trace.t == first.t
+            assert trace.W == first.W
+            assert trace.Q1 == first.Q1
+            assert np.array_equal(trace.snapshots[-1].values,
+                                  first.snapshots[-1].values)
 
 
 class TestRunOnSpheres:

@@ -80,6 +80,15 @@ class TestBundleInvariants:
         assert np.abs(g.norm_A_sq - (g.kappa**2).sum(axis=-1)).max() < 1e-10
         assert np.abs(g.tracefree_sq - (g.norm_A_sq - g.H**2 / 2)).max() < 1e-12
 
+    def test_sigma_k_matches_elementary_symmetric_oracle(self, spheroid64,
+                                                         harmonic64):
+        for s in (spheroid64, harmonic64):
+            g = geometry(s)
+            ref = oracles.elementary_symmetric(g.kappa)
+            for k in range(3):
+                scale = np.abs(ref[..., k]).max()
+                assert np.abs(g.sigma_k[..., k] - ref[..., k]).max() < 1e-12 * scale
+
     def test_scaling_covariance(self, spheroid64):
         c = 3.7
         g0 = geometry(spheroid64)

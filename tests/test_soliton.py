@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from icflab.conformal import ConformalKillingField
-from icflab.flow import SpeedFunction, normal_speed
+from icflab.conformal import ConformalKillingField, pushforward_surface
+from icflab.flow import FlowConfig, SpeedFunction, normal_speed, run
 from icflab.radial_graph import StarShapedHypersurface, geometry
 from icflab.soliton import (basis_fields, best_fit_ckf, classify,
                             field_from_params, residual)
@@ -76,8 +76,9 @@ class TestBestFit:
         assert np.abs(V.b[:2]).max() < 1e-7
 
     def test_translated_sphere_naive_field_is_exact(self):
-        # the field (X - c)/n also reproduces the speed; geometrically the
-        # same soliton motion even though it is not the min-norm point
+        # the dilation about the centre, (X - c)/n, also reproduces the
+        # speed on this surface; unlike the min-norm point, it is the field
+        # that generates the flow (TestSelfConformalOracle)
         c3 = 0.3
         st = StarShapedHypersurface(ScalarField(
             SPEC48, oracles.translated_sphere_graph(1.0, [0, 0, c3],
@@ -90,6 +91,33 @@ class TestBestFit:
             rep = classify(spheroid_surface(1.0, 0.6, spec), IMCF)
             assert rep.verdict == "not_soliton"
             assert rep.residual_l2 > 0.2  # measured 0.251, grid-stable
+
+
+class TestSelfConformalOracle:
+    def test_imcf_of_translated_sphere_is_dilation_about_centre(self):
+        # IMCF moves the sphere |X - c| = 1 by the dilation (X - c)/2 about
+        # its centre; the min-norm fit of the initial surface also has zero
+        # residual there, but its flow is another motion
+        c3 = 0.3
+        st = StarShapedHypersurface(ScalarField(
+            SPEC32, oracles.translated_sphere_graph(1.0, [0, 0, c3],
+                                                    make_grid(SPEC32))))
+        trace = run(st, FlowConfig(IMCF, t_end=0.3))
+        t_end, evolved = trace.t[-1], StarShapedHypersurface(trace.snapshots[-1])
+        dilation = ConformalKillingField([0, 0, -c3 / 2], [0, 0, 0], 0.5, [0, 0, 0])
+        fitted, _ = best_fit_ckf(st, IMCF)
+
+        def pushforward_error(V):
+            pushed = pushforward_surface(V, t_end, st).values
+            return np.abs(pushed - evolved.values).max()
+
+        def residual_sup(V):
+            return np.abs(residual(evolved, V, IMCF).values).max()
+
+        assert pushforward_error(dilation) < 1e-9   # measured 3.4e-12
+        assert residual_sup(dilation) < 1e-9        # measured 4.9e-11
+        assert pushforward_error(fitted) > 1e-3     # measured 4.0e-3
+        assert residual_sup(fitted) > 1e-2          # measured 2.6e-2
 
 
 class TestClassify:
