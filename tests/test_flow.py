@@ -9,6 +9,7 @@ from icflab.radial_graph import StarShapedHypersurface, curvature, geometry
 from icflab.sphere_grid import GridSpec, ScalarField, make_grid
 from icflab.surfaces import sphere_surface, spheroid_surface
 
+import oracles
 from conftest import SPEC32, SPEC48, nodes
 
 
@@ -39,6 +40,35 @@ class TestSpeedFunctions:
         for text in ("bogus:3", "power:3", "quotient:3", "ratio:3,1"):
             with pytest.raises(ValueError):
                 SpeedFunction.parse(text)
+
+    def test_elementary_symmetric_normalization(self, sphere64):
+        # sigma_k(1, 1) = C(2, k), on the unit sphere and in the oracle
+        assert np.array_equal(oracles.elementary_symmetric(np.ones(2)),
+                              [1.0, 2.0, 1.0])
+        sig = geometry(sphere64).sigma_k
+        assert np.abs(sig - [1.0, 2.0, 1.0]).max() < 1e-12
+
+    def test_closed_form_matches_generic_recurrence(self, rng):
+        # each spelling's closed form against its generic sigma formula,
+        # with the sigmas from the recurrence and the cone
+        # {sigma_l > 0 for l <= the highest degree in the formula}
+        kap = rng.uniform(-3.0, 3.0, size=(200, 2))
+        e = oracles.elementary_symmetric(kap)
+        for sp in SPELLINGS:
+            degree = 1 if sp.kind == "H" else sp.i
+            cone = np.all(e[:, 1:degree + 1] > 0.0, axis=-1)
+            assert cone.any() and not cone.all()
+            assert np.array_equal(sp.in_cone(kap), cone), sp.label
+            c = e[cone]
+            if sp.kind == "H":
+                generic = c[:, 1]
+            elif sp.kind == "quotient":
+                generic = c[:, sp.i] / c[:, sp.i - 1]
+            elif sp.kind == "power":
+                generic = c[:, sp.i] ** (1.0 / sp.i)
+            else:
+                generic = (c[:, sp.i] / c[:, sp.j]) ** (1.0 / (sp.i - sp.j))
+            assert np.array_equal(sp.rho(kap[cone]), generic), sp.label
 
     def test_homogeneity_symmetry_monotonicity(self, rng):
         kap = rng.uniform(0.2, 3.0, size=(200, 2))
