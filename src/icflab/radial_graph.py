@@ -189,7 +189,11 @@ def curvature(grid: Grid, f: np.ndarray) -> Curvature:
 
     H = gi00 * h00 + 2.0 * gi01 * h01 + gi11 * h11
     K = (h00 * h11 - h01 * h01) / det_g
-    disc = np.sqrt(np.clip(0.25 * H * H - K, 0.0, None))
+    # trace-free discriminant of S = g^-1 h; H^2/4 - K cancels at umbilics
+    half_diff = 0.5 * (gi00 * h00 - gi11 * h11)             # (S00 - S11) / 2
+    S01 = gi00 * h01 + gi01 * h11
+    S10 = gi01 * h00 + gi11 * h01
+    disc = np.sqrt(np.clip(half_diff * half_diff + S01 * S10, 0.0, None))
     kappa = np.stack([0.5 * H - disc, 0.5 * H + disc], axis=-1)
     return Curvature((lt, lp), grad_sq, sqv, (g00, g01, g11),
                      (gi00, gi01, gi11), (h00, h01, h11), H, K, kappa)

@@ -105,7 +105,8 @@ class Grid:
     `legendre[m, i, l]` is the orthonormal associated Legendre function
     P_l^m(cos theta_i) at the colatitude nodes (Condon-Shortley phase,
     zero for l < m), shape (m_max+1, n_theta, l_max+1): the synthesis
-    table, shared with the surface generators, hence read-only.
+    table, shared with the surface generators, hence read-only, and a
+    non-contiguous view into the stacked table chart_derivatives reads.
     """
 
     def __init__(self, spec: GridSpec):
@@ -152,23 +153,27 @@ class Grid:
             return np.sqrt(np.clip((lv + m) * (lv - m + 1.0), 0.0, None))
 
         # d/dtheta and d^2/dtheta^2 of \bar P_l^m(cos theta) from the
-        # order-ladder identities; exact for every degree.
-        Td = np.zeros((M + 1, nt, L + 1))
-        Tdd = np.zeros((M + 1, nt, L + 1))
+        # order-ladder identities; exact for every degree.  All three go in
+        # place into one stacked table (Td, Tdd, P); its views are taken
+        # after setflags, as a view made before would stay writable.
+        T3 = np.empty((M + 1, 3 * nt, L + 1))
+        T3[:, 2 * nt:] = P[: M + 1]
         for m in range(M + 1):
-            Td[m] = 0.5 * (ap(m) * slab(m + 1) - am(m) * slab(m - 1))
+            T3[m, :nt] = 0.5 * (ap(m) * slab(m + 1) - am(m) * slab(m - 1))
             A = ap(m) * ap(m + 1)
             B = (lv - m) * (lv + m + 1.0) + (lv + m) * (lv - m + 1.0)
             C = am(m) * am(m - 1)
-            Tdd[m] = 0.25 * (A * slab(m + 2) - B * slab(m) + C * slab(m - 2))
-
-        self.legendre = np.ascontiguousarray(P[: M + 1])      # (M+1, nt, L+1)
-        self.legendre.setflags(write=False)
-        self._Td = Td
-        self._Tdd = Tdd
+            T3[m, nt: 2 * nt] = 0.25 * (A * slab(m + 2) - B * slab(m)
+                                        + C * slab(m - 2))
+        del P  # before _TW is allocated, so that it can reuse this memory
+        T3.setflags(write=False)
+        self._T3 = T3
+        self._Td, self._Tdd = T3[:, :nt], T3[:, nt: 2 * nt]
+        self.legendre = T3[:, 2 * nt:]                         # (M+1, nt, L+1)
         scale = 2.0 * np.pi / self.spec.n_phi
-        self._TW = np.ascontiguousarray(
-            np.swapaxes(self.legendre, 1, 2) * (self.w_theta * scale))  # (M+1, L+1, nt)
+        self._TW = np.multiply(np.swapaxes(self.legendre, 1, 2), self.w_theta * scale,
+                               out=np.empty((M + 1, L + 1, nt)))
+        self._TW.setflags(write=False)
 
     # ------------------------------------------------------------------
     # transforms on raw arrays
@@ -181,11 +186,15 @@ class Grid:
         C2[0, :, 1] = 0.0
         return C2
 
+    def _from_orders(self, G: np.ndarray) -> np.ndarray:
+        # grid values from complex order profiles G[..., m, i], by one irfft
+        nt, nph = self.spec.shape
+        buf = np.zeros(G.shape[:-2] + (nt, nph // 2 + 1), dtype=complex)
+        buf[..., : self.m_max + 1] = np.swapaxes(G, -1, -2)
+        return np.fft.irfft(buf, n=nph, axis=-1, norm="forward")
+
     def _synth_table(self, C2: np.ndarray, table: np.ndarray) -> np.ndarray:
-        G2 = np.matmul(table, C2)                             # (M+1, nt, 2)
-        buf = np.zeros((self.spec.n_theta, self.spec.n_phi // 2 + 1), dtype=complex)
-        buf[:, : self.m_max + 1] = (G2[..., 0] + 1j * G2[..., 1]).T
-        return np.fft.irfft(buf * self.spec.n_phi, n=self.spec.n_phi, axis=1)
+        return self._from_orders(np.matmul(table, C2).view(complex)[..., 0])
 
     def synthesis(self, C2):
         return self._synth_table(C2, self.legendre)
@@ -231,15 +240,17 @@ class Grid:
         respect to theta and phi of the band-limited representative.
         The node mean is removed first (derivatives are unaffected), which
         keeps the outputs exactly covariant under constant shifts.
+
+        One analysis, one product with the stacked (Td, Tdd, P) table and
+        one inverse FFT of all five outputs: a phi-derivative multiplies
+        order m by i m or -m^2, which commutes with the Legendre product,
+        so f_p, f_tp and f_pp reuse the P and Td products.
         """
         C2 = self.analysis(values - values.mean())
-        return (
-            self.synth_dtheta(C2),
-            self.synth_dphi(C2),
-            self.synth_d2theta(C2),
-            self.synth_dtheta_dphi(C2),
-            self.synth_d2phi(C2),
-        )
+        Gd, Gdd, Gp = np.split(np.matmul(self._T3, C2).view(complex)[..., 0], 3, axis=1)
+        m = self.m_values[:, None]
+        return tuple(self._from_orders(
+            np.stack((Gd, 1j * m * Gp, Gdd, 1j * m * Gd, -m * m * Gp))))
 
     # ------------------------------------------------------------------
     # scattered evaluation (used by the conformal pushforward)

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from icflab.errors import DegenerateSurfaceError, ResolutionError
+from icflab.flow import SpeedFunction, step
 from icflab.radial_graph import (StarShapedHypersurface, area, geometry,
                                  invert, inversion_mean_curvature_check,
                                  sigma_integral)
@@ -27,6 +28,13 @@ class TestRoundSphere:
         assert abs(area(sphere64) - 4.0 * np.pi) < 1e-12
         assert abs(sigma_integral(sphere64, 1) - 8.0 * np.pi) < 1e-10
         assert abs(sigma_integral(sphere64, 2) - 4.0 * np.pi) < 1e-10
+
+    def test_principal_curvatures_keep_digits_at_umbilics(self, sphere64):
+        # one IMCF step leaves a sphere round to about 1e-12: f kappa_i must
+        # be as close to 1 as f H is to 2, not only to its square root
+        s = step(sphere64, SpeedFunction.mean_curvature(), 0.01)
+        kappa = geometry(s).kappa
+        assert np.abs(s.values[..., None] * kappa - 1.0).max() < 5e-9
 
     def test_scaled_sphere(self):
         R = 3.0

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from icflab.errors import GridMismatchError
 from icflab.invariants import willmore_rate
-from icflab.sphere_grid import GridSpec, ScalarField, make_grid
+from icflab.sphere_grid import Grid, GridSpec, ScalarField, make_grid
 from icflab.surfaces import sphere_surface
 
 import oracles
@@ -165,6 +165,25 @@ class TestOperatorProperties:
         f = g.synthesis(C)
         assert np.abs(g.analysis(f) - C).max() < 1e-12
         assert np.abs(g.synthesis(g.analysis(f)) - f).max() < 1e-12
+
+    def test_tables_are_read_only(self):
+        # a grid built here, not the cached one other tests share
+        g = Grid(GridSpec(10, 20))
+        for table in (g.legendre, g._Td, g._Tdd, g._T3, g._TW):
+            with pytest.raises(ValueError):
+                table[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("spec", [GridSpec(15, 32), GridSpec(16, 16), SPEC64],
+                             ids=["15x32", "16x16", "64x128"])
+    def test_chart_derivatives_match_per_table_synthesis(self, spec, rng):
+        # odd n_theta, and m_max = 7 < l_max = 15 on 16x16
+        g = make_grid(spec)
+        values = rng.standard_normal(spec.shape)
+        C2 = g.analysis(values - values.mean())
+        per_table = (g.synth_dtheta(C2), g.synth_dphi(C2), g.synth_d2theta(C2),
+                     g.synth_dtheta_dphi(C2), g.synth_d2phi(C2))
+        for fused, ref in zip(g.chart_derivatives(values), per_table, strict=True):
+            assert np.abs(fused - ref).max() < 1e-13 * np.abs(ref).max()
 
     def test_convergence_order_exceeds_four(self):
         # smooth but not band-limited: errors of gradient, laplacian and
