@@ -10,9 +10,9 @@ because the radial component of the outward normal is
 r(t) = r0 exp(t/mu) with mu = rho(1, 1).  Admissible speeds are
 positive, symmetric, degree-1 homogeneous, strictly monotone and concave
 on an open curvature cone; `class_c_audit` samples all five conditions.
-The speeds of `SpeedFunction` are the three closed forms H, K/H and
-sqrt K of the principal curvatures, each reached by several spellings
-that share its one code path.
+`_SPEEDS` maps each accepted spelling to the speed it names: one of the
+three closed forms H, K/H and sqrt K of the principal curvatures, so all
+spellings of a speed share its one code path.
 
 Time stepping is the classical explicit 4-stage scheme with a parabolic
 step bound dt = dt_safety * h_min^2 / D, D the sampled diffusivity
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,97 +57,48 @@ def _h_k(kappa) -> tuple[np.ndarray, np.ndarray]:
     return k0 + k1, k1 * k0
 
 
+# every accepted spelling of a speed, and the speed it names
+_SPEEDS = {"H": "H", "quotient:1": "H", "power:1": "H", "ratio:1,0": "H",
+          "quotient:2": "K/H", "ratio:2,1": "K/H",
+          "power:2": "sqrt K", "ratio:2,0": "sqrt K"}
+
+
 @dataclass(frozen=True)
 class SpeedFunction:
     """Degree-1 homogeneous symmetric curvature function on its cone.
 
-    Spellings: mean curvature H; quotient sigma_k/sigma_{k-1}; root power
-    sigma_k^(1/k); ratio root (sigma_i/sigma_j)^(1/(i-j)) for i > j.  For
-    the two principal curvatures of a surface (sigma_1 = H, sigma_2 = K)
-    they name three speeds, each with one closed form for rho, its
-    gradient and its cone, whatever the spelling:
+    `label` is one of the spellings of `_SPEEDS`: mean curvature H;
+    quotient sigma_k/sigma_{k-1}; root power sigma_k^(1/k); ratio root
+    (sigma_i/sigma_j)^(1/(i-j)).  For the two principal curvatures of a
+    surface (sigma_1 = H, sigma_2 = K) they name three speeds, each with
+    one closed form for rho, its gradient and its cone:
 
         H       H, quotient:1, power:1, ratio:1,0    cone H > 0
         K/H     quotient:2, ratio:2,1                cone H > 0, K > 0
         sqrt K  power:2, ratio:2,0                   cone H > 0, K > 0
     """
 
-    kind: str
-    i: int = 1
-    j: int = 0
+    label: str
 
     def __post_init__(self):
-        if self.kind not in ("H", "quotient", "power", "ratio"):
-            raise ValueError(f"unknown speed kind {self.kind!r}")
-        if self.kind == "ratio" and not self.i > self.j >= 0:
-            raise ValueError("ratio speed needs i > j >= 0")
-        if self.kind in ("quotient", "power") and self.i < 1:
-            raise ValueError("k must be >= 1")
-        if self.i > N:
-            raise ValueError(f"sigma_{self.i} vanishes identically for n = {N}")
-
-    # constructors -----------------------------------------------------
-    @classmethod
-    def mean_curvature(cls):
-        return cls("H")
-
-    @classmethod
-    def quotient(cls, k: int):
-        return cls("quotient", k)
-
-    @classmethod
-    def power(cls, k: int):
-        return cls("power", k)
-
-    @classmethod
-    def ratio_root(cls, i: int, j: int):
-        return cls("ratio", i, j)
+        if self.label not in _SPEEDS:
+            raise ValueError(f"unknown speed {self.label!r}; expected one of "
+                             + ", ".join(_SPEEDS))
 
     @classmethod
     def parse(cls, text: str) -> "SpeedFunction":
-        """Parse 'H', 'quotient:k', 'power:k' or 'ratio:i,j'."""
-        text = text.strip()
-        if text == "H":
-            return cls.mean_curvature()
-        head, _, arg = text.partition(":")
-        try:
-            if head == "quotient":
-                return cls.quotient(int(arg))
-            if head == "power":
-                return cls.power(int(arg))
-            if head == "ratio":
-                i, j = arg.split(",")
-                return cls.ratio_root(int(i), int(j))
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"cannot parse speed {text!r}") from exc
-        raise ValueError(f"cannot parse speed {text!r}")
-
-    # ------------------------------------------------------------------
-    @property
-    def label(self) -> str:
-        return {"H": "H",
-                "quotient": f"quotient:{self.i}",
-                "power": f"power:{self.i}",
-                "ratio": f"ratio:{self.i},{self.j}"}[self.kind]
-
-    @property
-    def _form(self) -> str:
-        """The speed this spelling names: "H", "K/H" or "sqrt K"."""
-        if self.kind == "H" or self.i == 1:
-            return "H"
-        if self.kind == "quotient" or (self.kind == "ratio" and self.j == 1):
-            return "K/H"
-        return "sqrt K"
+        """The speed spelled by `text`, blanks ignored."""
+        return cls("".join(text.split()))
 
     def in_cone(self, kappa: np.ndarray) -> np.ndarray:
         H, K = _h_k(kappa)
-        if self._form == "H":
+        if _SPEEDS[self.label] == "H":
             return H > 0.0
         return (H > 0.0) & (K > 0.0)
 
     def rho(self, kappa: np.ndarray) -> np.ndarray:
         H, K = _h_k(kappa)
-        form = self._form
+        form = _SPEEDS[self.label]
         if form == "H":
             return H
         if form == "K/H":
@@ -157,7 +109,7 @@ class SpeedFunction:
         """Closed-form gradient d rho / d kappa_i, from dH/dkappa_i = 1 and
         dK/dkappa_i = H - kappa_i."""
         kappa = np.asarray(kappa, dtype=float)
-        form = self._form
+        form = _SPEEDS[self.label]
         if form == "H":
             return np.ones_like(kappa)
         H, K = (a[..., None] for a in _h_k(kappa))
@@ -171,23 +123,12 @@ class SpeedFunction:
         return float(self.rho(np.ones(N)))
 
 
-@dataclass(frozen=True)
-class CustomSpeed:
+class CustomSpeed(NamedTuple):
     """Ad-hoc curvature function for audits (e.g. negative controls)."""
 
-    name: str
-    rho_fn: object
-    cone_fn: object
-
-    @property
-    def label(self):
-        return self.name
-
-    def rho(self, kappa):
-        return self.rho_fn(kappa)
-
-    def in_cone(self, kappa):
-        return self.cone_fn(kappa)
+    label: str
+    rho: Callable
+    in_cone: Callable
 
 
 def curvature_norm_speed() -> CustomSpeed:
@@ -232,13 +173,15 @@ def _graph_rhs(grid, values, speed):
     return c.sqv / _cone_rho(speed, c.kappa)
 
 
-def _exp_filter(grid, cutoff_frac=0.9, order=4, strength=36.0):
+def _exp_filter(grid):
+    """Damping factor per degree: exp(-36 x^4) above 0.9 l_max, x the
+    distance from that cutoff over the rest of the band."""
     ell = grid.ell.astype(float)
     L = grid.l_max
-    lc = cutoff_frac * L
+    lc = 0.9 * L
     fac = np.ones(L + 1)
     hot = ell > lc
-    fac[hot] = np.exp(-strength * ((ell[hot] - lc) / (L - lc)) ** order)
+    fac[hot] = np.exp(-36.0 * ((ell[hot] - lc) / (L - lc)) ** 4)
     return fac
 
 

@@ -30,7 +30,7 @@ from conftest import HARMONIC_TERMS
 
 SPEC = GridSpec(64, 128)
 SPEC_FINE = GridSpec(128, 256)
-IMCF = SpeedFunction.mean_curvature()
+IMCF = SpeedFunction("H")
 A_SWEEP = (-0.25, 0.0, 1.0)
 
 
@@ -267,7 +267,7 @@ def test_criterion_9_soliton_fitting(test_surfaces):
 
 def test_criterion_10_class_c_audit():
     reports = {}
-    for sp in (IMCF, SpeedFunction.power(2), SpeedFunction.quotient(2)):
+    for sp in (IMCF, SpeedFunction("power:2"), SpeedFunction("quotient:2")):
         rep = class_c_audit(sp, n_samples=10000, seed=11)
         reports[sp.label] = rep["passed"]
         assert rep["passed"], rep

@@ -113,6 +113,15 @@ class TestFlow:
         assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
         assert not (out / "trace.csv").exists()
 
+    def test_unknown_speed_is_input_error(self, sphere_file, tmp_path, capsys):
+        out = tmp_path / "p3"
+        assert run_cli("flow", sphere_file, "--speed", "power:3",
+                       "--out", str(out)) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "quotient:2" in err["message"]
+        assert not (out / "trace.csv").exists()
+
 
 class TestInvariance:
     def test_audit_passes_and_is_deterministic(self, spheroid_file, tmp_path):

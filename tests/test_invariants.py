@@ -105,7 +105,7 @@ class TestWillmore:
 
 class TestWillmoreRate:
     def test_sphere_rate_vanishes(self, sphere64):
-        speed = normal_speed(sphere64, SpeedFunction.mean_curvature())
+        speed = normal_speed(sphere64, SpeedFunction("H"))
         assert abs(willmore_rate(sphere64, speed)) < 1e-8
 
     def test_zero_speed(self, spheroid64):
@@ -116,12 +116,12 @@ class TestWillmoreRate:
         grid = make_grid(SPEC64)
         for s in (spheroid64, harmonic64):
             g = geometry(s)
-            speed = normal_speed(s, SpeedFunction.mean_curvature())
+            speed = normal_speed(s, SpeedFunction("H"))
             expected = oracles.willmore_rate_stacked(g, grid, speed.values)
             assert willmore_rate(s, speed) == pytest.approx(expected, rel=1e-12)
 
     def test_perturbed_sphere_negative_and_matches_flow_differences(self):
-        imcf = SpeedFunction.mean_curvature()
+        imcf = SpeedFunction("H")
         T, P = nodes(SPEC48)
         s0 = StarShapedHypersurface(
             ScalarField(SPEC48, 1.0 + 0.05 * np.sin(T) ** 2 * np.cos(2 * P)))

@@ -32,7 +32,7 @@ class TestRoundSphere:
     def test_principal_curvatures_keep_digits_at_umbilics(self, sphere64):
         # one IMCF step leaves a sphere round to about 1e-12: f kappa_i must
         # be as close to 1 as f H is to 2, not only to its square root
-        s = step(sphere64, SpeedFunction.mean_curvature(), 0.01)
+        s = step(sphere64, SpeedFunction("H"), 0.01)
         kappa = geometry(s).kappa
         assert np.abs(s.values[..., None] * kappa - 1.0).max() < 5e-9
 

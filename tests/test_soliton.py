@@ -13,7 +13,7 @@ from icflab.surfaces import harmonic_surface, sphere_surface, spheroid_surface
 import oracles
 from conftest import SPEC32, SPEC48, SPEC64, nodes
 
-IMCF = SpeedFunction.mean_curvature()
+IMCF = SpeedFunction("H")
 
 
 def rotate_about_z(surface, angle):
