@@ -11,12 +11,14 @@ r(t) = r0 exp(t/mu) with mu = rho(1, 1).  Admissible speeds are
 positive, symmetric, degree-1 homogeneous, strictly monotone and concave
 on an open curvature cone; `class_c_audit` samples all five conditions.
 `_SPEEDS` maps each accepted spelling to the speed it names: one of the
-three closed forms H, K/H and sqrt K of the principal curvatures, so all
-spellings of a speed share its one code path.
+closed forms H, K/H and sqrt K in H = kappa_1 + kappa_2 and
+K = kappa_1 kappa_2, so all spellings of a speed share one code path and
+the flow never forms the kappa_i.
 
 Time stepping is the classical explicit 4-stage scheme with a parabolic
-step bound dt = dt_safety * h_min^2 / D, D the sampled diffusivity
-max (sum_i d rho/d kappa_i) / (rho^2 f^2).  After each step the graph is
+step bound dt = dt_safety * h_min^2 / max(D / (rho^2 f^2)), with the
+closed-form diffusivity D = sum_i d rho/d kappa_i: 2, (H^2 - 2K)/H^2 or
+H/(2 sqrt K).  After each step the graph is
 projected onto its resolved harmonic band with an exponential filter on
 the top tenth of the band; a round sphere is a constant graph, whose one
 coefficient (degree 0) the filter does not damp.
@@ -49,14 +51,6 @@ __all__ = [
 ]
 
 
-def _h_k(kappa) -> tuple[np.ndarray, np.ndarray]:
-    """H = sigma_1 and K = sigma_2 of the two principal curvatures on the
-    last axis."""
-    kappa = np.asarray(kappa, dtype=float)
-    k0, k1 = kappa[..., 0], kappa[..., 1]
-    return k0 + k1, k1 * k0
-
-
 # every accepted spelling of a speed, and the speed it names
 _SPEEDS = {"H": "H", "quotient:1": "H", "power:1": "H", "ratio:1,0": "H",
           "quotient:2": "K/H", "ratio:2,1": "K/H",
@@ -71,11 +65,13 @@ class SpeedFunction:
     quotient sigma_k/sigma_{k-1}; root power sigma_k^(1/k); ratio root
     (sigma_i/sigma_j)^(1/(i-j)).  For the two principal curvatures of a
     surface (sigma_1 = H, sigma_2 = K) they name three speeds, each with
-    one closed form for rho, its gradient and its cone:
+    one closed form in (H, K) for rho, its cone and its diffusivity
+    D = sum_i d rho / d kappa_i:
 
-        H       H, quotient:1, power:1, ratio:1,0    cone H > 0
-        K/H     quotient:2, ratio:2,1                cone H > 0, K > 0
-        sqrt K  power:2, ratio:2,0                   cone H > 0, K > 0
+        rho     spellings                          cone          D
+        H       H, quotient:1, power:1, ratio:1,0  H > 0         2
+        K/H     quotient:2, ratio:2,1              H, K > 0      (H^2 - 2K)/H^2
+        sqrt K  power:2, ratio:2,0                 H, K > 0      H/(2 sqrt K)
     """
 
     label: str
@@ -90,14 +86,12 @@ class SpeedFunction:
         """The speed spelled by `text`, blanks ignored."""
         return cls("".join(text.split()))
 
-    def in_cone(self, kappa: np.ndarray) -> np.ndarray:
-        H, K = _h_k(kappa)
+    def in_cone(self, H, K):
         if _SPEEDS[self.label] == "H":
             return H > 0.0
         return (H > 0.0) & (K > 0.0)
 
-    def rho(self, kappa: np.ndarray) -> np.ndarray:
-        H, K = _h_k(kappa)
+    def rho(self, H, K):
         form = _SPEEDS[self.label]
         if form == "H":
             return H
@@ -105,26 +99,25 @@ class SpeedFunction:
             return K / H
         return K ** 0.5
 
-    def drho(self, kappa: np.ndarray) -> np.ndarray:
-        """Closed-form gradient d rho / d kappa_i, from dH/dkappa_i = 1 and
-        dK/dkappa_i = H - kappa_i."""
-        kappa = np.asarray(kappa, dtype=float)
+    def diffusivity(self, H, K):
+        """sum_i d rho / d kappa_i, from dH/dkappa_i = 1 and
+        dK/dkappa_i = H - kappa_i, which sums to H."""
         form = _SPEEDS[self.label]
         if form == "H":
-            return np.ones_like(kappa)
-        H, K = (a[..., None] for a in _h_k(kappa))
+            return np.full(np.shape(H), 2.0)
         if form == "K/H":
-            return ((H - kappa) * H - K) / H**2
-        return 0.5 * K ** -0.5 * (H - kappa)
+            return (H * H - 2.0 * K) / (H * H)
+        return H / (2.0 * np.sqrt(K))
 
     @property
     def mu(self) -> float:
-        """rho at the round point (1, 1)."""
-        return float(self.rho(np.ones(N)))
+        """rho at the round point kappa = (1, 1): H = 2, K = 1."""
+        return float(self.rho(2.0, 1.0))
 
 
 class CustomSpeed(NamedTuple):
-    """Ad-hoc curvature function for audits (e.g. negative controls)."""
+    """Ad-hoc curvature function for audits (e.g. negative controls);
+    `rho` and `in_cone` take (H, K), as `SpeedFunction`'s do."""
 
     label: str
     rho: Callable
@@ -132,45 +125,46 @@ class CustomSpeed(NamedTuple):
 
 
 def curvature_norm_speed() -> CustomSpeed:
-    """The Euclidean norm of the shape operator, sqrt(sum kappa_i^2).
+    """The Euclidean norm of the shape operator, sqrt(sum kappa_i^2) =
+    sqrt(H^2 - 2K), on the positive cone H > 0, K > 0.
 
     Degree-1 homogeneous, symmetric, positive and monotone on the
     positive cone, but convex rather than concave; serves as the negative
     control for the concavity audit.
     """
-    return CustomSpeed(
-        "|A|",
-        lambda kappa: np.sqrt(np.sum(np.asarray(kappa) ** 2, axis=-1)),
-        lambda kappa: np.all(np.asarray(kappa) > 0.0, axis=-1),
-    )
+    return CustomSpeed("|A|", lambda H, K: np.sqrt(H * H - 2.0 * K),
+                       lambda H, K: (H > 0.0) & (K > 0.0))
 
 
 # ----------------------------------------------------------------------
 # flow stepping
 
 
-def _cone_rho(speed, kappa: np.ndarray) -> np.ndarray:
-    """rho(kappa), after raising CurvatureConeError at the first node
-    outside the speed's cone."""
-    ok = speed.in_cone(kappa)
+def _cone_rho(speed, H: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """rho(H, K), after raising CurvatureConeError at the first node
+    outside the speed's cone, with the principal curvatures there."""
+    ok = speed.in_cone(H, K)
     if not np.all(ok):
         idx = np.unravel_index(int(np.argmin(ok)), ok.shape)
+        d = math.sqrt(max(0.25 * H[idx] ** 2 - K[idx], 0.0))
+        kappa = np.array([0.5 * H[idx] - d, 0.5 * H[idx] + d])
         raise CurvatureConeError(
-            f"kappa = {kappa[idx]} at node {idx} outside the cone of {speed.label}",
-            node=idx, kappa=kappa[idx])
-    return speed.rho(kappa)
+            f"kappa = {kappa} at node {idx} outside the cone of {speed.label}",
+            node=idx, kappa=kappa)
+    return speed.rho(H, K)
 
 
 def normal_speed(surface: StarShapedHypersurface,
                  speed: SpeedFunction) -> ScalarField:
     """Outward normal speed field 1/rho(kappa); positive on the cone."""
-    kappa = geometry(surface).kappa
-    return ScalarField(surface.spec, 1.0 / _cone_rho(speed, kappa))
+    geom = geometry(surface)
+    return ScalarField(surface.spec,
+                       1.0 / _cone_rho(speed, geom.H, geom.sigma_k[..., 2]))
 
 
 def _graph_rhs(grid, values, speed):
     c = curvature(grid, values)
-    return c.sqv / _cone_rho(speed, c.kappa)
+    return c.sqv / _cone_rho(speed, c.H, c.K)
 
 
 def _exp_filter(grid):
@@ -210,12 +204,11 @@ def step(surface: StarShapedHypersurface, speed: SpeedFunction,
 def stable_dt(surface: StarShapedHypersurface, speed: SpeedFunction,
               dt_safety: float) -> float:
     """Parabolic step bound dt_safety * h_min^2 / max diffusivity."""
-    kappa = curvature(surface.grid(), surface.values).kappa
-    rho = _cone_rho(speed, kappa)
-    diffusivity = (np.sum(speed.drho(kappa), axis=-1)
-                   / (rho**2 * surface.values**2))
+    c = curvature(surface.grid(), surface.values)
+    rho = _cone_rho(speed, c.H, c.K)
+    D = speed.diffusivity(c.H, c.K) / (rho**2 * surface.values**2)
     h_min = min(np.pi / surface.spec.n_theta, 2.0 * np.pi / surface.spec.n_phi)
-    return dt_safety * h_min**2 / float(diffusivity.max())
+    return dt_safety * h_min**2 / float(D.max())
 
 
 @dataclass
@@ -384,11 +377,8 @@ def asymptotics_check(trace: FlowTrace) -> AsymptoticsReport:
 
 
 def _fd_gradient(rho, kappa, h):
-    n = kappa.shape[-1]
     grad = np.empty_like(kappa)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
+    for i, e in enumerate(np.eye(kappa.shape[-1])):
         grad[..., i] = (rho(kappa + h * e) * 8.0 - rho(kappa - h * e) * 8.0
                         - rho(kappa + 2 * h * e) + rho(kappa - 2 * h * e)) / (12.0 * h)
     return grad
@@ -396,16 +386,13 @@ def _fd_gradient(rho, kappa, h):
 
 def _fd_hessian(rho, kappa, h):
     n = kappa.shape[-1]
+    eye = np.eye(n)
     H = np.empty(kappa.shape[:-1] + (n, n))
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = 1.0
+    for i, ei in enumerate(eye):
         H[..., i, i] = (-rho(kappa + 2 * h * ei) + 16 * rho(kappa + h * ei)
                         - 30 * rho(kappa) + 16 * rho(kappa - h * ei)
                         - rho(kappa - 2 * h * ei)) / (12.0 * h * h)
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = 1.0
+        for j, ej in enumerate(eye[i + 1:], i + 1):
             fine = (rho(kappa + h * ei + h * ej) - rho(kappa + h * ei - h * ej)
                     - rho(kappa - h * ei + h * ej) + rho(kappa - h * ei - h * ej)
                     ) / (4.0 * h * h)
@@ -421,15 +408,19 @@ def class_c_audit(speed, n_samples: int = 10000, seed: int = 0) -> dict:
     positivity, symmetry, degree-1 homogeneity, strict monotonicity and
     concavity (semi-negative Hessian) on its cone.
 
-    Samples are drawn in the cone and normalized to unit scale before the
-    finite-difference Hessian check (homogeneity makes that lossless and
-    keeps round-off far below the 1e-8 eigenvalue tolerance).  Returns a
-    report dict with per-condition verdicts and worst violations.
+    Samples kappa are drawn in the cone and passed to the speed as
+    (H, K) = (kappa.sum(-1), kappa.prod(-1)), so symmetry holds by
+    construction; its check stays.  Samples are normalized to unit scale
+    before the finite-difference Hessian check (homogeneity makes that
+    lossless and keeps round-off far below the 1e-8 eigenvalue tolerance).
+    Returns a report dict with per-condition verdicts and worst violations.
     """
     rng = np.random.default_rng(seed)
     kappa = rng.uniform(0.2, 3.0, size=(n_samples, N))
-    kappa = kappa[speed.in_cone(kappa)]
-    rho = speed.rho
+    kappa = kappa[speed.in_cone(kappa.sum(-1), kappa.prod(-1))]
+
+    def rho(k):
+        return speed.rho(k.sum(-1), k.prod(-1))
 
     values = rho(kappa)
     positive = bool(np.all(values > 0.0))

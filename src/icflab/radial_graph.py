@@ -12,7 +12,8 @@ round metric sigma, the induced geometry is, in chart components,
 with nu the outward unit normal, so round spheres have H = n/R > 0 and
 principal curvatures 1/R.  `curvature` is the one kernel that evaluates
 these components on a grid, with H = g^ij h_ij and K = det h / det g in
-closed form; `geometry` and the flow both build on it.  Inverting the
+closed form; the flow reads only H and K, and `geometry` adds the
+principal curvatures.  Inverting the
 surface about the unit sphere (f -> 1/f) relates mean curvatures through
 
     H_inverted = -f^2 H + 2 n f / sqrt(1 + |grad lam|^2),
@@ -140,15 +141,15 @@ class Curvature(NamedTuple):
     second_form: tuple          # h_ij
     H: np.ndarray               # g^ij h_ij
     K: np.ndarray               # det h / det g
-    kappa: np.ndarray           # (nt, nph, 2) principal curvatures, ascending
 
 
 def curvature(grid: Grid, f: np.ndarray) -> Curvature:
-    """The curvature kernel: principal curvatures of the radial graph of
-    f on an n = 2 grid, with the chart data they are built from.
+    """The curvature kernel: H and K of the radial graph of f on an n = 2
+    grid, with the chart data they are built from; no principal curvatures.
 
     Raises ResolutionError when the derivatives of log f are not finite or
-    the first fundamental form is too ill-conditioned to resolve.
+    when tr(g)^2/det(g) = c + 1/c + 2 exceeds C + 1/C + 2: the condition
+    number c of g exceeds C = _COND_LIMIT, read at call time.
     """
     lam = np.log(f)
     lt, lp, ltt, ltp, lpp = grid.chart_derivatives(lam)
@@ -169,13 +170,11 @@ def curvature(grid: Grid, f: np.ndarray) -> Curvature:
     g01 = f2 * (lt * lp)
     g11 = f2 * (s2 + lp * lp)
     det_g = f2 * f2 * s2 * v
-    tr_g = g00 + g11
-    disc_g = np.sqrt(np.clip(0.25 * tr_g**2 - det_g, 0.0, None))
-    cond = (0.5 * tr_g + disc_g) / np.maximum(0.5 * tr_g - disc_g, 1e-300)
-    if cond.max() > _COND_LIMIT:
+    q = float(((g00 + g11) ** 2 / det_g).max()) - 2.0     # max c + 1/c
+    if q > _COND_LIMIT + 1.0 / _COND_LIMIT:
         raise ResolutionError(
-            f"first fundamental form condition number {cond.max():.3g} "
-            f"exceeds {_COND_LIMIT:g}")
+            f"first fundamental form condition number "
+            f"{0.5 * (q + np.sqrt(q * q - 4.0)):.3g} exceeds {_COND_LIMIT:g}")
 
     gi00 = (1.0 - lt * lt / v) / f2
     gi01 = (-lt * lp_up / v) / f2
@@ -189,14 +188,8 @@ def curvature(grid: Grid, f: np.ndarray) -> Curvature:
 
     H = gi00 * h00 + 2.0 * gi01 * h01 + gi11 * h11
     K = (h00 * h11 - h01 * h01) / det_g
-    # trace-free discriminant of S = g^-1 h; H^2/4 - K cancels at umbilics
-    half_diff = 0.5 * (gi00 * h00 - gi11 * h11)             # (S00 - S11) / 2
-    S01 = gi00 * h01 + gi01 * h11
-    S10 = gi01 * h00 + gi11 * h01
-    disc = np.sqrt(np.clip(half_diff * half_diff + S01 * S10, 0.0, None))
-    kappa = np.stack([0.5 * H - disc, 0.5 * H + disc], axis=-1)
     return Curvature((lt, lp), grad_sq, sqv, (g00, g01, g11),
-                     (gi00, gi01, gi11), (h00, h01, h11), H, K, kappa)
+                     (gi00, gi01, gi11), (h00, h01, h11), H, K)
 
 
 def geometry(surface: StarShapedHypersurface) -> GeometryBundle:
@@ -218,6 +211,14 @@ def geometry(surface: StarShapedHypersurface) -> GeometryBundle:
     lp_up = lp / st**2
     nu = (p - lt[..., None] * e_t - lp_up[..., None] * e_p) / c.sqv[..., None]
 
+    # trace-free discriminant of S = g^-1 h; H^2/4 - K cancels at umbilics
+    (gi00, gi01, gi11), (h00, h01, h11) = c.metric_inv, c.second_form
+    half_diff = 0.5 * (gi00 * h00 - gi11 * h11)             # (S00 - S11) / 2
+    S01 = gi00 * h01 + gi01 * h11
+    S10 = gi01 * h00 + gi11 * h01
+    disc = np.sqrt(np.clip(half_diff * half_diff + S01 * S10, 0.0, None))
+    kappa = np.stack([0.5 * c.H - disc, 0.5 * c.H + disc], axis=-1)
+
     sigma = np.stack([np.ones_like(c.H), c.H, c.K], axis=-1)
     norm_A_sq = c.H * c.H - 2.0 * c.K
     tracefree_sq = norm_A_sq - c.H * c.H / 2
@@ -227,7 +228,7 @@ def geometry(surface: StarShapedHypersurface) -> GeometryBundle:
         position=f[..., None] * p, normal=nu,
         metric=c.metric, metric_inv=c.metric_inv,
         area_density=f**2 * c.sqv, second_form=c.second_form,
-        H=c.H, kappa=c.kappa, sigma_k=sigma,
+        H=c.H, kappa=kappa, sigma_k=sigma,
         norm_A_sq=norm_A_sq, tracefree_sq=tracefree_sq,
         grad_log_sq=c.grad_sq,
     )

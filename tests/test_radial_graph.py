@@ -263,6 +263,23 @@ class TestErrors:
         with pytest.raises(ResolutionError):
             geometry(s)
 
+    @pytest.mark.parametrize("factor, raises", [(0.99, True), (1.01, False)])
+    def test_condition_threshold(self, monkeypatch, harmonic64, factor, raises):
+        # the largest condition number of the bundle's metric, from the
+        # eigenvalues of each 2x2 g_ij; the guard fires just below it only
+        import icflab.radial_graph as rg
+        g00, g01, g11 = geometry(harmonic64).metric
+        eig = np.linalg.eigvalsh(np.stack([g00, g01, g01, g11], -1).reshape(
+            g00.shape + (2, 2)))
+        cond = float((eig[..., 1] / eig[..., 0]).max())
+        monkeypatch.setattr(rg, "_COND_LIMIT", factor * cond)
+        grid, f = harmonic64.grid(), harmonic64.values
+        if raises:
+            with pytest.raises(ResolutionError):
+                rg.curvature(grid, f)
+        else:
+            rg.curvature(grid, f)
+
     def test_smooth_surfaces_stay_well_conditioned(self, spheroid64):
         geometry(spheroid64)  # must not raise at the production limit
 
