@@ -61,6 +61,20 @@ class TestQuadrature:
         assert_allclose(make_grid(SPEC32).integrate_values(np.cos(T) ** 2),
                         4.0 * np.pi / 3.0, rtol=1e-14)
 
+    def test_legendre_orthonormal_at_128(self):
+        # 2 pi sum_i w_i P_l^m P_k^m = delta_lk is exact in the quadrature;
+        # it holds to round-off only with accurate weights
+        g = make_grid(GridSpec(128, 256))
+        for m in (0, 5, 20):
+            Pm = g.legendre[m][:, m:]
+            gram = 2.0 * np.pi * (Pm.T * g.w_theta) @ Pm
+            assert np.abs(gram - np.eye(len(gram))).max() < 1e-13, m
+
+    def test_constant_round_trip_at_128(self):
+        g = make_grid(GridSpec(128, 256))
+        one = np.ones(g.spec.shape)
+        assert np.abs(g.synthesis(g.analysis(one)) - 1.0).max() < 1e-12
+
     def test_polynomial_exactness_in_cos_theta(self):
         # exact through degree 2*n_theta - 1
         spec = GridSpec(8, 16)
