@@ -116,8 +116,7 @@ class SpeedFunction:
 
 
 class CustomSpeed(NamedTuple):
-    """Ad-hoc curvature function for audits (e.g. negative controls);
-    `rho` and `in_cone` take (H, K), as `SpeedFunction`'s do."""
+    """Ad-hoc speed of (H, K) for audits (e.g. negative controls)."""
 
     label: str
     rho: Callable
