@@ -9,15 +9,15 @@ from .radial_graph import (StarShapedHypersurface, GeometryBundle, geometry,
                            inversion_mean_curvature_check)
 from .conformal import (ConformalKillingField, AffineField, killing_residual,
                         flow_map, pushforward_surface, component_quadratic_check)
-from .invariants import (EnergyReport, e_tensor, willmore, willmore_rate,
+from .invariants import (e_tensor, willmore, willmore_rate,
                          guan_li_q, hsiung_minkowski_residual, qk_rate,
                          condition_v_residual, center_of_mass, qbar,
                          energy_report)
 from .flow import (SpeedFunction, FlowConfig, FlowTrace, normal_speed, step,
                    run, asymptotics_check, class_c_audit, curvature_norm_speed)
-from .soliton import SolitonReport, residual, best_fit_ckf, classify
+from .soliton import residual, best_fit_ckf, classify
 from .surfaces import sphere_surface, spheroid_surface, harmonic_surface
-from .serialize import ckf_from_dict
+from .serialize import ckf_from_dict, load_surface, save_surface
 
 __all__ = [
     "GridSpec", "ScalarField", "make_grid",
@@ -25,12 +25,12 @@ __all__ = [
     "sigma_integral", "invert", "inversion_mean_curvature_check",
     "ConformalKillingField", "AffineField", "killing_residual", "flow_map",
     "pushforward_surface", "component_quadratic_check",
-    "EnergyReport", "e_tensor", "willmore", "willmore_rate", "guan_li_q",
+    "e_tensor", "willmore", "willmore_rate", "guan_li_q",
     "hsiung_minkowski_residual", "qk_rate", "condition_v_residual",
     "center_of_mass", "qbar", "energy_report",
     "SpeedFunction", "FlowConfig", "FlowTrace", "normal_speed", "step",
     "run", "asymptotics_check", "class_c_audit", "curvature_norm_speed",
-    "SolitonReport", "residual", "best_fit_ckf", "classify",
+    "residual", "best_fit_ckf", "classify",
     "sphere_surface", "spheroid_surface", "harmonic_surface",
-    "ckf_from_dict",
+    "ckf_from_dict", "load_surface", "save_surface",
 ]

@@ -2,10 +2,11 @@
 invariance audits, soliton fitting and the inversion inequality.
 
 Exit codes: 0 success, 2 an audit or assertion failed its tolerance,
-3 invalid input (a structured JSON error is printed to stderr).  Every
-output file is paired with a `<file>.manifest.json` recording the exact
-command, inputs, configuration, seed and tool version; identical inputs
-and seed reproduce outputs byte for byte.
+3 invalid input or usage (a structured JSON error is printed to stderr).
+Commands write the dicts that the report functions return, through one
+writer that pairs every output file with a `<file>.manifest.json`
+recording the exact command, inputs, configuration, seed and tool
+version; identical inputs and seed reproduce outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .conformal import ConformalKillingField
 from .errors import AuditError, IcfLabError
 from .flow import FlowConfig, SpeedFunction, run
 from .radial_graph import invert
-from .serialize import (load_surface, save_surface, write_csv_atomic,
+from .serialize import (load_surface, surface_to_dict, write_csv_atomic,
                         write_json_atomic)
 from .soliton import classify
 from .sphere_grid import GridSpec
@@ -43,24 +44,30 @@ def _parse_grid(text: str) -> GridSpec:
         raise ValueError(f"bad --grid {text!r}; expected NTHETAxNPHI") from exc
 
 
-def _manifest(path: str, args, inputs: list[str], outputs: list[str],
-              config: dict, grid: GridSpec | None, started: float):
-    payload = {
+def _write(args, surface, config: dict, outputs: dict):
+    """Write each output into --out (a `.csv` name takes a (header, rows)
+    pair, any other a JSON payload), then one manifest per output that
+    lists all of them, and print the first path."""
+    os.makedirs(args.out, exist_ok=True)
+    paths = [os.path.join(args.out, name) for name in outputs]
+    for path, payload in zip(paths, outputs.values()):
+        if path.endswith(".csv"):
+            write_csv_atomic(path, *payload)
+        else:
+            write_json_atomic(path, payload)
+    manifest = {
         "command": " ".join(args.command_line),
-        "inputs": inputs,
+        "inputs": [args.surface] if "surface" in vars(args) else [],
         "config": config,
         "tool_version": __version__,
-        "grid": None if grid is None else {"n_theta": grid.n_theta,
-                                           "n_phi": grid.n_phi},
-        "wall_clock_s": time.monotonic() - started,
-        "outputs": outputs,
+        "grid": {"n_theta": surface.spec.n_theta, "n_phi": surface.spec.n_phi},
+        "wall_clock_s": None,
+        "outputs": paths,
     }
-    write_json_atomic(path, payload)
-
-
-def _out_path(args, name: str) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
+    for path in paths:
+        manifest["wall_clock_s"] = time.monotonic() - args.started
+        write_json_atomic(path + ".manifest.json", manifest)
+    print(paths[0])
 
 
 def _random_ckf(rng) -> ConformalKillingField:
@@ -73,7 +80,6 @@ def _random_ckf(rng) -> ConformalKillingField:
 
 
 def cmd_gen(args) -> int:
-    started = time.monotonic()
     grid = _parse_grid(args.grid)
     if args.kind == "sphere":
         (radius,) = args.params
@@ -93,46 +99,29 @@ def cmd_gen(args) -> int:
         meta = {"name": "harmonic",
                 "params": {"base": base,
                            "terms": [list(t) for t in terms]}}
-    out = _out_path(args, "surface.json")
-    save_surface(out, surface, meta)
-    _manifest(out + ".manifest.json", args, [], [out], meta, grid, started)
-    print(out)
+    _write(args, surface, meta, {"surface.json": surface_to_dict(surface, meta)})
     return EXIT_OK
 
 
 def cmd_diag(args) -> int:
-    started = time.monotonic()
     surface = load_surface(args.surface)
-    report = inv.energy_report(surface)
-    out = _out_path(args, "diag.json")
-    write_json_atomic(out, report.to_dict())
-    _manifest(out + ".manifest.json", args, [args.surface], [out], {},
-              surface.spec, started)
-    print(out)
+    _write(args, surface, {}, {"diag.json": inv.energy_report(surface)})
     return EXIT_OK
 
 
 def cmd_flow(args) -> int:
-    started = time.monotonic()
     surface = load_surface(args.surface)
     config = FlowConfig(SpeedFunction.parse(args.speed), t_end=args.t_end,
                         dt_safety=args.dt_safety, keep_snapshots=False)
     trace = run(surface, config)
-    csv_path = _out_path(args, "trace.csv")
-    write_csv_atomic(csv_path, trace.csv_header(), trace.csv_rows())
-    summary_path = _out_path(args, "flow_summary.json")
-    write_json_atomic(summary_path, trace.summary())
-    cfg = {"speed": args.speed, "t_end": args.t_end,
-           "dt_safety": args.dt_safety}
-    for path in (csv_path, summary_path):
-        _manifest(path + ".manifest.json", args, [args.surface],
-                  [csv_path, summary_path], cfg, surface.spec, started)
-    print(csv_path)
+    _write(args, surface, {"speed": args.speed, "t_end": args.t_end,
+                           "dt_safety": args.dt_safety},
+           {"trace.csv": (trace.csv_header(), trace.csv_rows()),
+            "flow_summary.json": trace.summary()})
     return EXIT_OK
 
 
 def cmd_invariance(args) -> int:
-    started = time.monotonic()
     surface = load_surface(args.surface)
     surface_inv = invert(surface)
     rng = np.random.default_rng(args.seed)
@@ -163,105 +152,93 @@ def cmd_invariance(args) -> int:
         "qbar": {"value": value, "lower": lower, "upper": upper},
         "passed": passed,
     }
-    out = _out_path(args, "invariance.json")
-    write_json_atomic(out, audit)
-    _manifest(out + ".manifest.json", args, [args.surface], [out],
-              {"seed": args.seed, "trials": args.trials, "tol": args.tol},
-              surface.spec, started)
-    print(out)
+    _write(args, surface,
+           {"seed": args.seed, "trials": args.trials, "tol": args.tol},
+           {"invariance.json": audit})
     return EXIT_OK if passed else EXIT_AUDIT
 
 
 def cmd_soliton(args) -> int:
-    started = time.monotonic()
     surface = load_surface(args.surface)
     report = classify(surface, SpeedFunction.parse(args.speed), tol=args.tol)
-    out = _out_path(args, "soliton.json")
-    write_json_atomic(out, report.to_dict())
-    _manifest(out + ".manifest.json", args, [args.surface], [out],
-              {"speed": args.speed, "tol": args.tol}, surface.spec, started)
-    print(out)
+    _write(args, surface, {"speed": args.speed, "tol": args.tol},
+           {"soliton.json": report})
     return EXIT_OK
 
 
 def cmd_inequality(args) -> int:
-    started = time.monotonic()
     surface = load_surface(args.surface)
     value, lower, upper = inv.qbar(surface)
-    payload = {
+    _write(args, surface, {}, {"inequality.json": {
         "Qbar": value, "lower": lower, "upper": upper,
-        "margin_lower": value - lower, "margin_upper": upper - value,
-    }
-    out = _out_path(args, "inequality.json")
-    write_json_atomic(out, payload)
-    _manifest(out + ".manifest.json", args, [args.surface], [out], {},
-              surface.spec, started)
-    print(out)
+        "margin_lower": value - lower, "margin_upper": upper - value}})
     return EXIT_OK
 
 
 # ----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise into `main`'s input-error branch (exit 3)."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="icflab",
         description="Inverse curvature flows of star-shaped hypersurfaces: "
                     "geometry, monotone energies, conformal-invariance "
                     "audits and soliton fitting.")
     sub = parser.add_subparsers(dest="cmd", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=".")
+    surface = argparse.ArgumentParser(add_help=False, parents=[out])
+    surface.add_argument("surface")
 
-    p = sub.add_parser("gen", help="generate a surface file")
+    p = sub.add_parser("gen", help="generate a surface file", parents=[out])
     p.add_argument("kind", choices=["sphere", "spheroid", "harmonic"])
     p.add_argument("params", nargs="+",
                    help="sphere R | spheroid a c | harmonic base l,m,amp ...")
     p.add_argument("--grid", default="64x128")
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("diag", help="energy/invariant report of a surface")
-    p.add_argument("surface")
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_diag)
+    sub.add_parser("diag", help="energy/invariant report of a surface",
+                   parents=[surface]).set_defaults(func=cmd_diag)
 
-    p = sub.add_parser("flow", help="run an inverse curvature flow")
-    p.add_argument("surface")
+    p = sub.add_parser("flow", help="run an inverse curvature flow",
+                       parents=[surface])
     p.add_argument("--speed", default="H",
                    help="H | quotient:k | power:k | ratio:i,j")
     p.add_argument("--t-end", type=float, default=1.0)
     p.add_argument("--dt-safety", type=float, default=0.2)
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_flow)
 
-    p = sub.add_parser("invariance",
+    p = sub.add_parser("invariance", parents=[surface],
                        help="randomized conformal-invariance audit")
-    p.add_argument("surface")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_invariance)
 
-    p = sub.add_parser("soliton", help="best-fit conformal field and verdict")
-    p.add_argument("surface")
+    p = sub.add_parser("soliton", help="best-fit conformal field and verdict",
+                       parents=[surface])
     p.add_argument("--speed", default="H")
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_soliton)
 
-    p = sub.add_parser("inequality", help="two-sided bound on Qbar")
-    p.add_argument("surface")
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_inequality)
+    sub.add_parser("inequality", help="two-sided bound on Qbar",
+                   parents=[surface]).set_defaults(func=cmd_inequality)
     return parser
 
 
 def main(argv=None) -> int:
+    started = time.monotonic()
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.command_line = ["icflab"] + argv
     try:
+        args = build_parser().parse_args(argv)
+        args.command_line, args.started = ["icflab"] + argv, started
         return args.func(args)
     except AuditError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

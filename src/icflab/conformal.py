@@ -325,9 +325,7 @@ def pushforward_surface(V, t: float, surface: StarShapedHypersurface
     """
     grid = surface.grid()
     spec = surface.spec
-    st, ct = grid.sin_theta[:, None], grid.cos_theta[:, None]
-    sph, cph = np.sin(grid.phi)[None, :], np.cos(grid.phi)[None, :]
-    p = np.stack([st * cph, st * sph, ct * np.ones_like(cph)], axis=-1)
+    p, e_t, e_p = grid.node_frame()
     X = surface.values[..., None] * p
 
     Y = flow_map(V, t, X.reshape(-1, 3)).reshape(X.shape)
@@ -344,9 +342,6 @@ def pushforward_surface(V, t: float, surface: StarShapedHypersurface
             f"(orientation {orient.min():.3g})")
 
     pk = p.reshape(-1, 3)
-    e_t = np.stack([ct * cph, ct * sph, -st * np.ones_like(cph)], axis=-1).reshape(-1, 3)
-    e_p0 = np.stack([-sph * np.ones_like(st), cph * np.ones_like(st),
-                     np.zeros(spec.shape)], axis=-1).reshape(-1, 3)
 
     # warm start: the preimage direction of each ray at the radius of the
     # mapped node nearest to it in direction
@@ -358,7 +353,8 @@ def pushforward_surface(V, t: float, surface: StarShapedHypersurface
     back = _lift(radii_cloud[seeds, None] * pk) @ expm(-float(t) * _generator(V)).T
     u0 = back[:, :3] / np.linalg.norm(back[:, :3], axis=1, keepdims=True)
 
-    Ysol = _newton_ray_solve(grid, comp_coeffs, u0, (e_t, e_p0))
+    Ysol = _newton_ray_solve(grid, comp_coeffs, u0,
+                             (e_t.reshape(-1, 3), e_p.reshape(-1, 3)))
     radii = np.einsum("pc,pc->p", Ysol, pk)
     if radii.min() <= POSITIVITY_FLOOR:
         raise NotStarShapedError("mapped surface does not enclose the origin")

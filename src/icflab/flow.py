@@ -331,19 +331,10 @@ def run(surface: StarShapedHypersurface, config: FlowConfig) -> FlowTrace:
     return trace
 
 
-@dataclass
-class AsymptoticsReport:
-    willmore_nonincreasing: bool
-    q1_nonincreasing: bool
-    e_sup_decreased: dict
-    osc_monotone_from: int
-    osc_monotone_tail: bool
-    e_decay_rate: float
-    flags_ok: bool
-
-
-def asymptotics_check(trace: FlowTrace) -> AsymptoticsReport:
-    """Audit the monotone quantities and fitted decay rates of a trace.
+def asymptotics_check(trace: FlowTrace) -> dict:
+    """Audit the monotone quantities and fitted decay rates of a trace;
+    returns the flags, the record from which `osc` stays monotone, the
+    `E_sup` decay rate and their conjunction `flags_ok`.
 
     Monotonicity tolerates per-step wiggles of 1e-8 relative (explicit
     stepping leaves residuals at discretization scale); violations are
@@ -368,7 +359,9 @@ def asymptotics_check(trace: FlowTrace) -> AsymptoticsReport:
     rate = (_decay_rate(trace.t, E) if max(E[len(E) // 2:]) > 1e-14
             else float("nan"))
     ok = w_ok and q_ok and all(e_dec.values()) and tail_ok
-    return AsymptoticsReport(w_ok, q_ok, e_dec, osc_from, tail_ok, rate, ok)
+    return {"willmore_nonincreasing": w_ok, "q1_nonincreasing": q_ok,
+            "e_sup_decreased": e_dec, "osc_monotone_from": osc_from,
+            "osc_monotone_tail": tail_ok, "e_decay_rate": rate, "flags_ok": ok}
 
 
 # ----------------------------------------------------------------------

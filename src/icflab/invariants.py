@@ -18,7 +18,6 @@ Sign conventions follow the outward-normal, H > 0 orientation fixed in
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -29,7 +28,6 @@ from .radial_graph import (N, StarShapedHypersurface, area, geometry, invert,
 from .sphere_grid import ScalarField, make_grid
 
 __all__ = [
-    "EnergyReport",
     "DEFAULT_A_VALUES",
     "e_eigenvalues",
     "e_tensor",
@@ -262,35 +260,14 @@ def qbar(surface: StarShapedHypersurface) -> tuple[float, float, float]:
     return value, lower, upper
 
 
-@dataclass
-class EnergyReport:
-    """Bundle of the scalar diagnostics of one surface."""
-
-    W: float
-    Q: dict[int, float]
-    Qbar: float
-    E_sup: dict[float, float]
-    area: float
-    sigma_integrals: list[float]
-
-    def to_dict(self) -> dict:
-        return {
-            "W": self.W,
-            "Q": {str(k): v for k, v in self.Q.items()},
-            "Qbar": self.Qbar,
-            "E_sup": {repr(a): v for a, v in self.E_sup.items()},
-            "area": self.area,
-            "sigma_integrals": list(self.sigma_integrals),
-        }
-
-
-def energy_report(surface: StarShapedHypersurface) -> EnergyReport:
-    """Evaluate every scalar diagnostic on one surface."""
-    return EnergyReport(
-        W=willmore(surface),
-        Q={k: guan_li_q(surface, k) for k in range(1, N)},
-        Qbar=qbar(surface)[0],
-        E_sup={a: e_tensor(surface, a)[1] for a in DEFAULT_A_VALUES},
-        area=area(surface),
-        sigma_integrals=[sigma_integral(surface, k) for k in range(N + 1)],
-    )
+def energy_report(surface: StarShapedHypersurface) -> dict:
+    """Every scalar diagnostic of one surface, as the dict `icflab diag`
+    writes."""
+    return {
+        "W": willmore(surface),
+        "Q": {str(k): guan_li_q(surface, k) for k in range(1, N)},
+        "Qbar": qbar(surface)[0],
+        "E_sup": {repr(a): e_tensor(surface, a)[1] for a in DEFAULT_A_VALUES},
+        "area": area(surface),
+        "sigma_integrals": [sigma_integral(surface, k) for k in range(N + 1)],
+    }

@@ -201,11 +201,9 @@ def geometry(surface: StarShapedHypersurface) -> GeometryBundle:
     f = surface.values
     c = curvature(grid, f)
 
-    st, ct = grid.sin_theta[:, None], grid.cos_theta[:, None]
-    sph, cph = np.sin(grid.phi)[None, :], np.cos(grid.phi)[None, :]
-    p = np.stack([st * cph, st * sph, ct * np.ones_like(cph)], axis=-1)
-    e_t = np.stack([ct * cph, ct * sph, -st * np.ones_like(cph)], axis=-1)
-    e_p = np.stack([-st * sph, st * cph, np.zeros_like(st * cph)], axis=-1)
+    p, e_t, e_p = grid.node_frame()
+    st = grid.sin_theta[:, None]
+    e_p *= st[..., None]                    # the chart's d/dphi, sin(theta) e_phi
 
     lt, lp = c.lam_grad
     lp_up = lp / st**2

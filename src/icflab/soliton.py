@@ -17,7 +17,6 @@ returned for those.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .serialize import ckf_to_dict
 from .sphere_grid import ScalarField, make_grid
 
 __all__ = [
-    "SolitonReport",
     "residual",
     "basis_fields",
     "best_fit_ckf",
@@ -37,33 +35,6 @@ __all__ = [
 
 N_PARAMS = 10
 DEFAULT_TOL = 1e-6
-
-
-@dataclass
-class SolitonReport:
-    """Outcome of a soliton test: residual norms, the fitted field (if a
-    fit was performed) and the verdict at the given relative tolerance."""
-
-    residual_sup: float
-    residual_l2: float
-    fitted: ConformalKillingField | None
-    verdict: str
-    tolerance: float
-    relative_residual: float
-    gram_condition: float
-
-    def to_dict(self) -> dict:
-        out = {
-            "residual_sup": self.residual_sup,
-            "residual_l2": self.residual_l2,
-            "verdict": self.verdict,
-            "tolerance": self.tolerance,
-            "relative_residual": self.relative_residual,
-            "gram_condition": self.gram_condition,
-        }
-        if self.fitted is not None:
-            out["fitted"] = ckf_to_dict(self.fitted)
-        return out
 
 
 def basis_fields() -> list[ConformalKillingField]:
@@ -108,10 +79,11 @@ def _design_matrix(geom: GeometryBundle) -> np.ndarray:
 
 
 def best_fit_ckf(surface: StarShapedHypersurface, speed: SpeedFunction,
-                 tol: float = DEFAULT_TOL
-                 ) -> tuple[ConformalKillingField, SolitonReport]:
+                 tol: float = DEFAULT_TOL) -> tuple[ConformalKillingField, dict]:
     """Least-squares conformal field minimizing the area-weighted squared
-    normal-speed mismatch.
+    normal-speed mismatch, and the report dict `icflab soliton` writes:
+    residual norms, verdict at the relative tolerance `tol`, Gram
+    condition number and the fitted field.
 
     The objective is exactly quadratic in the ten parameters; it is
     solved by an orthogonal factorization of the weighted design matrix,
@@ -144,11 +116,12 @@ def best_fit_ckf(surface: StarShapedHypersurface, speed: SpeedFunction,
     res_sup = float(np.abs(r).max())
     mean_speed = float(np.sum(w * target) / area)
     rel = res_l2 / mean_speed
-    report = SolitonReport(
-        residual_sup=res_sup, residual_l2=res_l2, fitted=fitted,
-        verdict=_verdict(rel, tol), tolerance=tol, relative_residual=rel,
-        gram_condition=gram_cond)
-    return fitted, report
+    return fitted, {
+        "residual_sup": res_sup, "residual_l2": res_l2,
+        "verdict": _verdict(rel, tol), "tolerance": tol,
+        "relative_residual": rel, "gram_condition": gram_cond,
+        "fitted": ckf_to_dict(fitted),
+    }
 
 
 def _verdict(rel: float, tol: float) -> str:
@@ -160,7 +133,7 @@ def _verdict(rel: float, tol: float) -> str:
 
 
 def classify(surface: StarShapedHypersurface, speed: SpeedFunction,
-             tol: float = DEFAULT_TOL) -> SolitonReport:
+             tol: float = DEFAULT_TOL) -> dict:
     """Fit the best conformal field and classify the surface: soliton if
     the relative residual is below tol, not a soliton above 100*tol,
     inconclusive between (refine the grid or adjust tol to resolve)."""

@@ -205,14 +205,14 @@ def test_criterion_6_guan_li_monotonicity_and_rate(imcf_trace):
 def test_criterion_7_rescaled_asymptotics(imcf_trace):
     rep = asymptotics_check(imcf_trace)
     assert imcf_trace.beta > 0.0
-    assert rep.osc_monotone_tail
+    assert rep["osc_monotone_tail"]
     assert imcf_trace.osc[-1] - 1.0 < 1e-2
 
     sphere_trace = run(sphere_surface(1.0, SPEC), FlowConfig(IMCF, t_end=1.0))
     drift = float(np.abs(np.array(sphere_trace.ubar_mean) - 1.0).max())
     assert drift < 1e-9
     print(f"\nACCEPTANCE 7 PASS: fitted beta={imcf_trace.beta:.3f}, osc "
-          f"monotone from record {rep.osc_monotone_from}, final osc-1="
+          f"monotone from record {rep['osc_monotone_from']}, final osc-1="
           f"{imcf_trace.osc[-1]-1:.2e}, sphere rescaled drift {drift:.2e}")
 
 
@@ -237,14 +237,14 @@ def test_criterion_9_soliton_fitting(test_surfaces):
     start = time.monotonic()
     V, rep = best_fit_ckf(sphere_surface(1.0, SPEC), IMCF)
     assert abs(V.mu - 0.5) < 1e-8
-    assert rep.residual_l2 < 1e-8
+    assert rep["residual_l2"] < 1e-8
 
     c3 = 0.3
     st = StarShapedHypersurface(ScalarField(
         SPEC, oracles.translated_sphere_graph(1.0, [0, 0, c3], make_grid(SPEC))))
     Vt, rept = best_fit_ckf(st, IMCF)
     v3, mu, b3 = oracles.min_norm_translated_sphere_fit(1.0, c3)
-    assert rept.residual_l2 < 1e-8
+    assert rept["residual_l2"] < 1e-8
     assert abs(Vt.v[2] - v3) < 1e-7 and abs(Vt.mu - mu) < 1e-7 \
         and abs(Vt.b[2] - b3) < 1e-7
     # the dilation about the centre, (X - c)/n, also has zero residual; it,
@@ -255,9 +255,9 @@ def test_criterion_9_soliton_fitting(test_surfaces):
     res = {}
     for spec in (SPEC, GridSpec(96, 192)):
         rep_sp = classify(spheroid_surface(1.0, 0.6, spec), IMCF)
-        res[spec.n_theta] = rep_sp.residual_l2
-        assert rep_sp.verdict == "not_soliton"
-        assert rep_sp.residual_l2 > 0.2
+        res[spec.n_theta] = rep_sp["residual_l2"]
+        assert rep_sp["verdict"] == "not_soliton"
+        assert rep_sp["residual_l2"] > 0.2
     elapsed = time.monotonic() - start
     assert elapsed < 30.0  # three fits, < 10 s each
     print(f"\nACCEPTANCE 9 PASS: sphere mu*=0.5, translated-sphere min-norm "

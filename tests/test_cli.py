@@ -152,6 +152,9 @@ class TestInvariance:
     def test_impossible_tolerance_fails_audit(self, spheroid_file, tmp_path):
         assert run_cli("invariance", spheroid_file, "--tol", "1e-18",
                        "--trials", "2", "--out", str(tmp_path / "i")) == 2
+        # the failed audit is still written, with its manifest
+        assert load_strict_json(tmp_path / "i" / "invariance.json")["passed"] is False
+        assert (tmp_path / "i" / "invariance.json.manifest.json").exists()
 
 
 class TestSolitonCommand:
@@ -201,6 +204,38 @@ class TestGeometryCache:
                        "--out", str(tmp_path / "o")) == 0
         assert len(calls) == 2
         assert np.allclose(calls[0] * calls[1], 1.0, rtol=1e-14, atol=0.0)
+
+
+class TestOutputContract:
+    def test_report_key_order(self, spheroid_file, tmp_path):
+        assert run_cli("diag", spheroid_file, "--out", str(tmp_path)) == 0
+        assert run_cli("soliton", spheroid_file, "--out", str(tmp_path)) == 0
+        assert list(load_strict_json(tmp_path / "diag.json")) == [
+            "W", "Q", "Qbar", "E_sup", "area", "sigma_integrals"]
+        assert list(load_strict_json(tmp_path / "soliton.json")) == [
+            "residual_sup", "residual_l2", "verdict", "tolerance",
+            "relative_residual", "gram_condition", "fitted"]
+
+    def test_flow_manifests_list_both_outputs(self, sphere_file, tmp_path):
+        assert run_cli("flow", sphere_file, "--t-end", "0.01",
+                       "--out", str(tmp_path)) == 0
+        outputs = [str(tmp_path / "trace.csv"),
+                   str(tmp_path / "flow_summary.json")]
+        for path in outputs:
+            manifest = load_strict_json(path + ".manifest.json")
+            assert list(manifest) == ["command", "inputs", "config",
+                                      "tool_version", "grid", "wall_clock_s",
+                                      "outputs"]
+            assert manifest["outputs"] == outputs
+            assert manifest["inputs"] == [sphere_file]
+
+    def test_usage_errors_are_input_errors(self, sphere_file, tmp_path, capsys):
+        # an unknown option and a missing argument: exit 3, a JSON error
+        for argv in (["flow", sphere_file, "--bogus", "1"], ["gen", "sphere"]):
+            assert run_cli(*argv, "--out", str(tmp_path / "u")) == 3
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ValueError" and err["message"]
+        assert not (tmp_path / "u").exists()
 
 
 class TestHelp:

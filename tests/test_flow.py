@@ -233,17 +233,17 @@ class TestRunPerturbed:
     def test_positive_fitted_rates(self, trace):
         assert trace.beta > 0.5
         rep = asymptotics_check(trace)
-        assert rep.flags_ok
-        assert rep.e_decay_rate > 0.5
-        assert all(rep.e_sup_decreased.values())
+        assert rep["flags_ok"]
+        assert rep["e_decay_rate"] > 0.5
+        assert all(rep["e_sup_decreased"].values())
 
     def test_adversarial_noise_raises_flags(self, trace):
         import copy
         noisy = copy.deepcopy(trace)
         noisy.W[len(noisy.W) // 2] *= 1.01  # inject a bump
         rep = asymptotics_check(noisy)
-        assert not rep.willmore_nonincreasing
-        assert not rep.flags_ok
+        assert not rep["willmore_nonincreasing"]
+        assert not rep["flags_ok"]
 
 
 class TestOtherSpeeds:
