@@ -178,6 +178,13 @@ def cmd_inequality(args) -> int:
 # ----------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise into `main`'s input-error branch (exit 3)."""
 
@@ -218,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariance", parents=[surface],
                        help="randomized conformal-invariance audit")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=cmd_invariance)
 

@@ -11,9 +11,11 @@ round metric sigma, the induced geometry is, in chart components,
 
 with nu the outward unit normal, so round spheres have H = n/R > 0 and
 principal curvatures 1/R.  `curvature` is the one kernel that evaluates
-these components on a grid, with H = g^ij h_ij and K = det h / det g in
-closed form; the flow reads only H and K, and `geometry` adds the
-principal curvatures.  Inverting the
+them on a grid.  It returns H = g^ij h_ij and K = det h / det g in
+closed form from the f-free factors gbar = sigma + dlam dlam and
+hbar = gbar - hess lam, so it never forms g, g^-1 or h; the flow reads
+only H and K.  `geometry` forms the chart tensors from gbar and hbar
+and adds the normal and the principal curvatures.  Inverting the
 surface about the unit sphere (f -> 1/f) relates mean curvatures through
 
     H_inverted = -f^2 H + 2 n f / sqrt(1 + |grad lam|^2),
@@ -104,10 +106,10 @@ class GeometryBundle:
 
     Index conventions: the symmetric chart tensors `metric`, `metric_inv`
     and `second_form` are (00, 01, 11) tuples of (nt, nph) component
-    arrays in (theta, phi) order, as `curvature` returns them; `kappa` is
-    sorted ascending; `sigma_k[..., k]` holds the plain elementary
-    symmetric polynomial of the principal curvatures (sigma_k(1,...,1) =
-    C(n,k)).
+    arrays in (theta, phi) order, formed by `geometry` from the f-free
+    factors `curvature` returns; `kappa` is sorted ascending;
+    `sigma_k[..., k]` holds the plain elementary symmetric polynomial of
+    the principal curvatures (sigma_k(1,...,1) = C(n,k)).
     """
 
     spec: GridSpec
@@ -131,65 +133,64 @@ class GeometryBundle:
 
 class Curvature(NamedTuple):
     """Output of `curvature`, per grid node.  Symmetric chart tensors are
-    given by their (00, 01, 11) components in (theta, phi) order."""
+    given by their (00, 01, 11) components in (theta, phi) order; `gbar`
+    and `hbar` are the f-free factors of the first and second forms,
+    g = f^2 gbar and h = (f / sqv) hbar, with det gbar = sin^2(theta) v."""
 
     lam_grad: tuple             # (d_theta, d_phi) of lam = log f
     grad_sq: np.ndarray         # |grad lam|^2 on the round sphere
-    sqv: np.ndarray             # sqrt(1 + |grad lam|^2)
-    metric: tuple               # g_ij
-    metric_inv: tuple           # g^ij
-    second_form: tuple          # h_ij
+    sqv: np.ndarray             # sqrt(v), v = 1 + |grad lam|^2
+    gbar: tuple                 # sigma_ij + lam_i lam_j
+    hbar: tuple                 # sigma_ij + lam_i lam_j - hess_ij lam
     H: np.ndarray               # g^ij h_ij
     K: np.ndarray               # det h / det g
 
 
 def curvature(grid: Grid, f: np.ndarray) -> Curvature:
     """The curvature kernel: H and K of the radial graph of f on an n = 2
-    grid, with the chart data they are built from; no principal curvatures.
+    grid, with the f-free chart factors they are built from; it forms
+    neither g, g^-1 and h (`geometry` does) nor principal curvatures.
+
+    With s = sin(theta) and det gbar = s^2 v, in closed form
+
+        H = (gbar11 hbar00 - 2 gbar01 hbar01 + gbar00 hbar11) / (f s^2 v^3/2)
+        K = det hbar / (f^2 s^2 v^2).
 
     Raises ResolutionError when the derivatives of log f are not finite or
     when tr(g)^2/det(g) = c + 1/c + 2 exceeds C + 1/C + 2: the condition
-    number c of g exceeds C = _COND_LIMIT, read at call time.
+    number c of g exceeds C = _COND_LIMIT, read at call time.  f cancels
+    from that ratio, so it is read from gbar.
     """
-    lam = np.log(f)
-    lt, lp, ltt, ltp, lpp = grid.chart_derivatives(lam)
-    if not all(np.all(np.isfinite(arr)) for arr in (lt, lp, ltt, ltp, lpp)):
+    d = grid.chart_derivatives(np.log(f))
+    if not np.all(np.isfinite(d)):
         raise ResolutionError("non-finite derivatives of log f")
+    lt, lp, ltt, ltp, lpp = d
 
     st, ct = grid.sin_theta[:, None], grid.cos_theta[:, None]
     s2 = st * st
-    inv_s2 = 1.0 / s2
-
-    lp_up = lp * inv_s2
-    grad_sq = lt * lt + lp * lp_up
+    grad_sq = lt * lt + lp * lp / s2
     v = 1.0 + grad_sq
     sqv = np.sqrt(v)
 
-    f2 = f * f
-    g00 = f2 * (1.0 + lt * lt)
-    g01 = f2 * (lt * lp)
-    g11 = f2 * (s2 + lp * lp)
-    det_g = f2 * f2 * s2 * v
+    g00 = 1.0 + lt * lt
+    g01 = lt * lp
+    g11 = s2 + lp * lp
+    det_g = s2 * v
     q = float(((g00 + g11) ** 2 / det_g).max()) - 2.0     # max c + 1/c
     if q > _COND_LIMIT + 1.0 / _COND_LIMIT:
         raise ResolutionError(
             f"first fundamental form condition number "
             f"{0.5 * (q + np.sqrt(q * q - 4.0)):.3g} exceeds {_COND_LIMIT:g}")
 
-    gi00 = (1.0 - lt * lt / v) / f2
-    gi01 = (-lt * lp_up / v) / f2
-    gi11 = (inv_s2 - lp_up * lp_up / v) / f2
+    # the covariant Hessian of lam on the round sphere enters hbar
+    h00 = g00 - ltt
+    h01 = g01 - ltp + (ct / st) * lp
+    h11 = g11 - lpp - (st * ct) * lt
 
-    # h_ij from the covariant Hessian of lam on the round sphere
-    fac = f / sqv
-    h00 = fac * (1.0 + lt * lt - ltt)
-    h01 = fac * (lt * lp - (ltp - (ct / st) * lp))
-    h11 = fac * (s2 + lp * lp - (lpp + st * ct * lt))
-
-    H = gi00 * h00 + 2.0 * gi01 * h01 + gi11 * h11
-    K = (h00 * h11 - h01 * h01) / det_g
-    return Curvature((lt, lp), grad_sq, sqv, (g00, g01, g11),
-                     (gi00, gi01, gi11), (h00, h01, h11), H, K)
+    f_det = f * det_g
+    H = (g11 * h00 - 2.0 * g01 * h01 + g00 * h11) / (f_det * sqv)
+    K = (h00 * h11 - h01 * h01) / (f_det * f * v)
+    return Curvature((lt, lp), grad_sq, sqv, (g00, g01, g11), (h00, h01, h11), H, K)
 
 
 def geometry(surface: StarShapedHypersurface) -> GeometryBundle:
@@ -209,8 +210,15 @@ def geometry(surface: StarShapedHypersurface) -> GeometryBundle:
     lp_up = lp / st**2
     nu = (p - lt[..., None] * e_t - lp_up[..., None] * e_p) / c.sqv[..., None]
 
+    # g = f^2 gbar, g^-1 = adj gbar / (f^2 s^2 v), h = (f / sqv) hbar
+    f2 = f * f
+    (g00, g01, g11), fac = c.gbar, f / c.sqv
+    metric = (f2 * g00, f2 * g01, f2 * g11)
+    inv_det = 1.0 / (f2 * st**2 * (1.0 + c.grad_sq))
+    gi00, gi01, gi11 = g11 * inv_det, -g01 * inv_det, g00 * inv_det
+    h00, h01, h11 = (fac * h for h in c.hbar)
+
     # trace-free discriminant of S = g^-1 h; H^2/4 - K cancels at umbilics
-    (gi00, gi01, gi11), (h00, h01, h11) = c.metric_inv, c.second_form
     half_diff = 0.5 * (gi00 * h00 - gi11 * h11)             # (S00 - S11) / 2
     S01 = gi00 * h01 + gi01 * h11
     S10 = gi01 * h00 + gi11 * h01
@@ -224,8 +232,8 @@ def geometry(surface: StarShapedHypersurface) -> GeometryBundle:
     bundle = GeometryBundle(
         spec=surface.spec,
         position=f[..., None] * p, normal=nu,
-        metric=c.metric, metric_inv=c.metric_inv,
-        area_density=f**2 * c.sqv, second_form=c.second_form,
+        metric=metric, metric_inv=(gi00, gi01, gi11),
+        area_density=f2 * c.sqv, second_form=(h00, h01, h11),
         H=c.H, kappa=kappa, sigma_k=sigma,
         norm_A_sq=norm_A_sq, tracefree_sq=tracefree_sq,
         grad_log_sq=c.grad_sq,

@@ -26,6 +26,10 @@ __all__ = [
 # points per block of scattered evaluation: bounds the (points, 2K(m_max+1))
 # products to a few MB at 128x256, where all points at once take hundreds
 _SCATTER_BLOCK = 512
+# orders per block of a Legendre product: block [m0, m0 + 16) skips degrees
+# l < m0, most of the zero triangle, in few enough products that the
+# per-product overhead stays small
+_ORDER_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,22 @@ def _legendre(x, s, L, M):
     return P
 
 
+def _order_product(table, x, out, degree_rows=False):
+    """Write out[m] = table[m] @ x[m] for every order m, in blocks of
+    _ORDER_BLOCK orders.  The table vanishes at degrees l < m, so block
+    [m0, m1) reads only degrees l >= m0: of the table's last axis and of
+    x's rows, or with `degree_rows` of the table's rows, writing only
+    those rows of `out` (the caller zeroes the rest).  Every operand a
+    block reads or writes keeps a unit last stride, so each product
+    stays a BLAS call."""
+    for m0 in range(0, table.shape[0], _ORDER_BLOCK):
+        m = slice(m0, m0 + _ORDER_BLOCK)
+        if degree_rows:
+            np.matmul(table[m, ..., m0:, :], x[m], out=out[m, ..., m0:, :])
+        else:
+            np.matmul(table[m, ..., m0:], x[m, ..., m0:, :], out=out[m])
+
+
 class Grid:
     """Grid nodes, quadrature weights and spectral differentiation tables.
 
@@ -107,6 +127,11 @@ class Grid:
     zero for l < m), shape (m_max+1, n_theta, l_max+1): the synthesis
     table, shared with the surface generators, hence read-only, and a
     non-contiguous view into the stacked table chart_derivatives reads.
+
+    Every Legendre table product (analysis, synthesis and the synth_*
+    methods, chart_derivatives) goes through `_order_product`, which
+    takes the orders in blocks of _ORDER_BLOCK and skips the degrees
+    l < m0 below each block's first order, where every table vanishes.
     """
 
     def __init__(self, spec: GridSpec):
@@ -171,23 +196,23 @@ class Grid:
             return np.sqrt(np.clip((lv + m) * (lv - m + 1.0), 0.0, None))
 
         # d/dtheta and d^2/dtheta^2 of \bar P_l^m(cos theta) from the
-        # order-ladder identities; exact for every degree.  All three go in
-        # place into one stacked table (Td, Tdd, P); its views are taken
-        # after setflags, as a view made before would stay writable.
-        T3 = np.empty((M + 1, 3 * nt, L + 1))
-        T3[:, 2 * nt:] = P[: M + 1]
+        # order-ladder identities; exact for every degree, and like P zero
+        # at l < m.  All three go in place into one stacked table
+        # (Td, Tdd, P); its views are taken after setflags, as a view made
+        # before would stay writable.
+        T3 = np.empty((M + 1, 3, nt, L + 1))
+        T3[:, 2] = P[: M + 1]
         for m in range(M + 1):
-            T3[m, :nt] = 0.5 * (ap(m) * slab(m + 1) - am(m) * slab(m - 1))
+            T3[m, 0] = 0.5 * (ap(m) * slab(m + 1) - am(m) * slab(m - 1))
             A = ap(m) * ap(m + 1)
             B = (lv - m) * (lv + m + 1.0) + (lv + m) * (lv - m + 1.0)
             C = am(m) * am(m - 1)
-            T3[m, nt: 2 * nt] = 0.25 * (A * slab(m + 2) - B * slab(m)
-                                        + C * slab(m - 2))
+            T3[m, 1] = 0.25 * (A * slab(m + 2) - B * slab(m) + C * slab(m - 2))
         del P  # before _TW is allocated, so that it can reuse this memory
         T3.setflags(write=False)
         self._T3 = T3
-        self._Td, self._Tdd = T3[:, :nt], T3[:, nt: 2 * nt]
-        self.legendre = T3[:, 2 * nt:]                         # (M+1, nt, L+1)
+        self._Td, self._Tdd = T3[:, 0], T3[:, 1]
+        self.legendre = T3[:, 2]                               # (M+1, nt, L+1)
         scale = 2.0 * np.pi / self.spec.n_phi
         self._TW = np.multiply(np.swapaxes(self.legendre, 1, 2), self.w_theta * scale,
                                out=np.empty((M + 1, L + 1, nt)))
@@ -198,21 +223,31 @@ class Grid:
 
     def analysis(self, values: np.ndarray) -> np.ndarray:
         """Project grid values onto orthonormal spherical harmonics."""
-        F = np.fft.rfft(values, axis=1)[:, : self.m_max + 1].T
-        F2 = np.stack([F.real, F.imag], axis=-1)              # (M+1, nt, 2)
-        C2 = np.matmul(self._TW, F2)                          # (M+1, L+1, 2)
+        M1, nt = self.m_max + 1, self.spec.n_theta
+        F = np.ascontiguousarray(np.fft.rfft(values, axis=1)[:, :M1].T)
+        C2 = np.zeros((M1, self.l_max + 1, 2))
+        _order_product(self._TW, F.view(float).reshape(M1, nt, 2), C2,
+                       degree_rows=True)
         C2[0, :, 1] = 0.0
         return C2
 
-    def _from_orders(self, G: np.ndarray) -> np.ndarray:
-        # grid values from complex order profiles G[..., m, i], by one irfft
+    def _orders_buffer(self, *lead):
+        """A zeroed irfft input of shape (*lead, n_theta, n_phi/2+1) and
+        the real view of its first m_max+1 orders with the order axis
+        first, (m_max+1, *lead, n_theta, 2): a product written into the
+        view lands in place, with no transposed copy."""
         nt, nph = self.spec.shape
-        buf = np.zeros(G.shape[:-2] + (nt, nph // 2 + 1), dtype=complex)
-        buf[..., : self.m_max + 1] = np.swapaxes(G, -1, -2)
-        return np.fft.irfft(buf, n=nph, axis=-1, norm="forward")
+        buf = np.zeros(lead + (nt, nph // 2 + 1), dtype=complex)
+        view = buf.view(float).reshape(buf.shape + (2,))
+        return buf, np.moveaxis(view, -2, 0)[: self.m_max + 1]
+
+    def _to_grid(self, buf: np.ndarray) -> np.ndarray:
+        return np.fft.irfft(buf, n=self.spec.n_phi, axis=-1, norm="forward")
 
     def _synth_table(self, C2: np.ndarray, table: np.ndarray) -> np.ndarray:
-        return self._from_orders(np.matmul(table, C2).view(complex)[..., 0])
+        buf, out = self._orders_buffer()
+        _order_product(table, C2, out)
+        return self._to_grid(buf)
 
     def synthesis(self, C2):
         return self._synth_table(C2, self.legendre)
@@ -254,21 +289,28 @@ class Grid:
     def chart_derivatives(self, values: np.ndarray):
         """All first and second chart partials of a scalar field.
 
-        Returns (f_t, f_p, f_tt, f_tp, f_pp); partial derivatives with
-        respect to theta and phi of the band-limited representative.
-        The node mean is removed first (derivatives are unaffected), which
-        keeps the outputs exactly covariant under constant shifts.
+        Returns one (5, n_theta, n_phi) array, which unpacks into
+        (f_t, f_p, f_tt, f_tp, f_pp): partial derivatives with respect to
+        theta and phi of the band-limited representative.  The node mean
+        is removed first (derivatives are unaffected), which keeps the
+        outputs exactly covariant under constant shifts.
 
-        One analysis, one product with the stacked (Td, Tdd, P) table and
-        one inverse FFT of all five outputs: a phi-derivative multiplies
-        order m by i m or -m^2, which commutes with the Legendre product,
-        so f_p, f_tp and f_pp reuse the P and Td products.
+        One analysis, one order-blocked product with the stacked
+        (Td, Tdd, P) table, written straight into the f_t, f_tt and f_pp
+        slots of the inverse-FFT buffer, and one inverse FFT of all five:
+        a phi-derivative multiplies order m by i m or -m^2, which commutes
+        with the Legendre product, so f_p, f_tp and f_pp reuse the P and
+        Td products.
         """
         C2 = self.analysis(values - values.mean())
-        Gd, Gdd, Gp = np.split(np.matmul(self._T3, C2).view(complex)[..., 0], 3, axis=1)
-        m = self.m_values[:, None]
-        return tuple(self._from_orders(
-            np.stack((Gd, 1j * m * Gp, Gdd, 1j * m * Gd, -m * m * Gp))))
+        buf, out = self._orders_buffer(5)
+        _order_product(self._T3, C2[:, None], out[:, 0::2])
+        G = buf[..., : self.m_max + 1]
+        im = 1j * self.m_values
+        np.multiply(im, G[4], out=G[1])                 # f_p = i m (P C)
+        np.multiply(im, G[0], out=G[3])                 # f_tp = i m (Td C)
+        G[4] *= -self.m_values * self.m_values          # f_pp = -m^2 (P C)
+        return self._to_grid(buf)
 
     # ------------------------------------------------------------------
     # scattered evaluation (used by the conformal pushforward)

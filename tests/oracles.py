@@ -80,6 +80,51 @@ def graph_mean_curvature(f, grad_sq, lam_laplacian, lam_hess_quad, n):
     return (n - lam_laplacian + lam_hess_quad / v) / (f * np.sqrt(v))
 
 
+def whole_table_analysis(grid, values):
+    """`Grid.analysis` as one matmul of every order with the whole weighted
+    Legendre table, zero triangle l < m included."""
+    F = np.fft.rfft(values, axis=1)[:, : grid.m_max + 1].T
+    weighted = np.swapaxes(grid.legendre, 1, 2) * (
+        grid.w_theta * 2.0 * np.pi / grid.spec.n_phi)
+    C2 = np.matmul(weighted, np.stack([F.real, F.imag], axis=-1))
+    C2[0, :, 1] = 0.0
+    return C2
+
+
+def whole_table_synthesis(grid, table, C2):
+    """Grid values of sum_{l,m} table[m, :, l] C_lm e^{i m phi}: one matmul
+    of every order with the whole table, then one inverse FFT."""
+    G = np.matmul(table, C2)
+    nt, nph = grid.spec.shape
+    buf = np.zeros((nt, nph // 2 + 1), dtype=complex)
+    buf[:, : grid.m_max + 1] = (G[..., 0] + 1j * G[..., 1]).T
+    return np.fft.irfft(buf, n=nph, axis=-1) * nph
+
+
+def whole_table_synth(grid, C2):
+    """Every `Grid.synth_*` (and `synthesis`) of C2, by method name, from
+    whole-table products; a phi-derivative multiplies order m by i m."""
+    m = grid.m_values[:, None, None]
+    im_C2 = np.concatenate([-m * C2[..., 1:], m * C2[..., :1]], axis=-1)
+    lap_C2 = -(grid.ell * (grid.ell + 1.0))[None, :, None] * C2
+    P, Td, Tdd = grid.legendre, grid._Td, grid._Tdd
+    return {name: whole_table_synthesis(grid, table, coeffs)
+            for name, table, coeffs in (
+                ("synthesis", P, C2), ("synth_dtheta", Td, C2),
+                ("synth_d2theta", Tdd, C2), ("synth_dphi", P, im_C2),
+                ("synth_d2phi", P, -m * m * C2),
+                ("synth_dtheta_dphi", Td, im_C2),
+                ("synth_laplacian", P, lap_C2))}
+
+
+def whole_table_chart_derivatives(grid, values):
+    """(f_t, f_p, f_tt, f_tp, f_pp) of `Grid.chart_derivatives` from the
+    whole-table analysis and synthesis."""
+    s = whole_table_synth(grid, whole_table_analysis(grid, values - values.mean()))
+    return tuple(s[name] for name in ("synth_dtheta", "synth_dphi", "synth_d2theta",
+                                      "synth_dtheta_dphi", "synth_d2phi"))
+
+
 def covariant_hessian(grid, values):
     """Second covariant derivative nabla_i nabla_j f on the round sphere,
     as (..., 2, 2) matrices in the (theta, phi) chart, from the grid's

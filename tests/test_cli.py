@@ -156,6 +156,16 @@ class TestInvariance:
         assert load_strict_json(tmp_path / "i" / "invariance.json")["passed"] is False
         assert (tmp_path / "i" / "invariance.json.manifest.json").exists()
 
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_trials_below_one_is_input_error(self, spheroid_file, tmp_path,
+                                             capsys, trials):
+        out = tmp_path / "i"
+        assert run_cli("invariance", spheroid_file, "--trials", trials,
+                       "--out", str(out)) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "--trials" in err["message"]
+        assert not out.exists()
+
 
 class TestSolitonCommand:
     def test_sphere_is_soliton(self, sphere_file, tmp_path):

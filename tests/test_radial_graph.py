@@ -8,10 +8,11 @@ from numpy.testing import assert_allclose
 
 from icflab.errors import DegenerateSurfaceError, ResolutionError
 from icflab.flow import SpeedFunction, step
-from icflab.radial_graph import (StarShapedHypersurface, area, geometry,
-                                 invert, inversion_mean_curvature_check,
+from icflab.radial_graph import (StarShapedHypersurface, area, curvature,
+                                 geometry, invert,
+                                 inversion_mean_curvature_check,
                                  sigma_integral)
-from icflab.sphere_grid import GridSpec, ScalarField, make_grid
+from icflab.sphere_grid import Grid, GridSpec, ScalarField, make_grid
 from icflab.surfaces import harmonic_surface, real_harmonic, sphere_surface, spheroid_surface
 
 import oracles
@@ -87,6 +88,25 @@ class TestBundleInvariants:
         assert np.abs(g.kappa.prod(axis=-1) - g.sigma_k[..., 2]).max() < 1e-10
         assert np.abs(g.norm_A_sq - (g.kappa**2).sum(axis=-1)).max() < 1e-10
         assert np.abs(g.tracefree_sq - (g.norm_A_sq - g.H**2 / 2)).max() < 1e-12
+
+    def test_kernel_closed_forms_match_bundle_tensors(self, spheroid64,
+                                                      harmonic64):
+        # the kernel's f-free H and K against g^ij h_ij and det h / det g of
+        # the tensors geometry forms, through np.linalg on stacked matrices,
+        # and against the principal curvatures
+        def rel(a, b):
+            return np.abs(a - b).max() / np.abs(b).max()
+
+        for s in (spheroid64, harmonic64):
+            c = curvature(s.grid(), s.values)
+            g = geometry(s)
+            metric = oracles.stack_sym2(*g.metric)
+            second_form = oracles.stack_sym2(*g.second_form)
+            H = np.trace(np.linalg.inv(metric) @ second_form, axis1=-2, axis2=-1)
+            K = np.linalg.det(second_form) / np.linalg.det(metric)
+            assert rel(c.H, H) < 1e-12 and rel(c.K, K) < 1e-12
+            assert rel(c.H, g.kappa.sum(-1)) < 1e-12
+            assert rel(c.K, g.kappa.prod(-1)) < 1e-12
 
     def test_sigma_k_matches_elementary_symmetric_oracle(self, spheroid64,
                                                          harmonic64):
@@ -279,6 +299,23 @@ class TestErrors:
                 rg.curvature(grid, f)
         else:
             rg.curvature(grid, f)
+
+    def test_non_finite_derivatives_raise_resolution_error(self, monkeypatch,
+                                                           spheroid64):
+        # a NaN partial at one node must be reported as lost resolution,
+        # not as the cone violation the NaN curvatures would look like
+        chart_derivatives = Grid.chart_derivatives
+
+        def with_nan(grid, values):
+            d = chart_derivatives(grid, values)
+            d[2, 5, 7] = np.nan
+            return d
+
+        monkeypatch.setattr(Grid, "chart_derivatives", with_nan)
+        with pytest.raises(ResolutionError, match="non-finite"):
+            curvature(spheroid64.grid(), spheroid64.values)
+        with pytest.raises(ResolutionError, match="non-finite"):
+            step(spheroid64, SpeedFunction("H"), 1e-4)
 
     def test_smooth_surfaces_stay_well_conditioned(self, spheroid64):
         geometry(spheroid64)  # must not raise at the production limit

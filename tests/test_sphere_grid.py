@@ -199,6 +199,28 @@ class TestOperatorProperties:
         for fused, ref in zip(g.chart_derivatives(values), per_table, strict=True):
             assert np.abs(fused - ref).max() < 1e-13 * np.abs(ref).max()
 
+    @pytest.mark.parametrize(
+        "spec", [GridSpec(15, 32), GridSpec(16, 16), GridSpec(40, 80), SPEC64],
+        ids=["15x32", "16x16", "40x80", "64x128"])
+    def test_blocked_products_match_whole_tables(self, spec, rng):
+        # odd n_theta; m_max = 7 < l_max = 15; 40 orders, not a multiple
+        # of the order block; and the production grid
+        g = make_grid(spec)
+        values = rng.standard_normal(spec.shape)
+
+        def rel(a, b):
+            return np.abs(a - b).max() / np.abs(b).max()
+
+        C2 = oracles.whole_table_analysis(g, values)
+        assert rel(g.analysis(values), C2) < 1e-13
+        for name, ref in oracles.whole_table_synth(g, C2).items():
+            assert rel(getattr(g, name)(C2), ref) < 1e-13, name
+        derivs = g.chart_derivatives(values)
+        assert derivs.shape == (5,) + spec.shape
+        for got, ref in zip(derivs, oracles.whole_table_chart_derivatives(g, values),
+                            strict=True):
+            assert rel(got, ref) < 1e-13
+
     def test_convergence_order_exceeds_four(self):
         # smooth but not band-limited: errors of gradient, laplacian and
         # hessian trace must all fall much faster than 2^(order - 0.5)
