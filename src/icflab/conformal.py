@@ -63,13 +63,6 @@ class ConformalKillingField:
         if not np.isfinite(self.mu):
             raise ValueError("non-finite field parameters")
 
-    @classmethod
-    def from_matrix(cls, v, S, mu, b) -> "ConformalKillingField":
-        S = np.asarray(S, dtype=float)
-        if not np.array_equal(S, -S.T):
-            raise ValueError("rotation generator must be exactly skew")
-        return cls(v, np.array([S[1, 0], S[2, 0], S[2, 1]]), mu, b)
-
     @property
     def skew_matrix(self) -> np.ndarray:
         a, b_, c = self.s_lower
@@ -100,13 +93,6 @@ class ConformalKillingField:
 
     def divergence(self, x: np.ndarray) -> np.ndarray:
         return _AMBIENT_DIM * self.conformal_factor(x)
-
-    def conjugated(self, R: np.ndarray) -> "ConformalKillingField":
-        """Parameters of R_* V for a rotation matrix R."""
-        R = np.asarray(R, dtype=float)
-        S = R @ self.skew_matrix @ R.T
-        S = 0.5 * (S - S.T)
-        return ConformalKillingField.from_matrix(R @ self.v, S, self.mu, R @ self.b)
 
 
 @dataclass

@@ -5,11 +5,22 @@ one-parameter family of pointwise conformal-invariant 2-tensors
 
     E_ij(a) = H h_ij + a H^2 g_ij - (n/2) h_i^k h_kj - ((2an+1)/2) |A|^2 g_ij,
 
-whose g-eigenvalues equal -(n/2)(kappa_i - H/n)^2 - ((2an+1)/2)|A0|^2 and
-which vanish exactly at umbilic points when 2an+1 >= 0, the scale-invariant
-curvature quotients Q_k with their rate under conformal transport, the
-Hsiung-Minkowski integral residuals, curvature centers of mass, and the
-inversion-symmetric quantity Qbar with its sharp two-sided bound.
+whose g-eigenvalues in general dimension are
+-(n/2)(kappa_i - H/n)^2 - ((2an+1)/2)|A0|^2, with |A0|^2 = |A|^2 - H^2/n,
+the scale-invariant curvature quotients Q_k with their rate under
+conformal transport, the Hsiung-Minkowski integral residuals, curvature
+centers of mass, and the inversion-symmetric quantity Qbar with its
+sharp two-sided bound.
+
+In n = 2 the tensor family has a closed form.  Cayley-Hamilton for the
+shape operator g^-1 h gives h g^-1 h = H h - K g, and |A|^2 = H^2 - 2K,
+so the H h terms cancel and
+
+    E(a) = (a H^2 + K - ((4a+1)/2)(H^2 - 2K)) g = -(2a+1) |A0|^2 g,
+
+|A0|^2 = H^2/2 - 2K: both g-eigenvalues equal -(2a+1)|A0|^2.  E(a)
+therefore vanishes exactly at umbilic points for every a != -1/2, and
+identically at a = -1/2.
 
 Sign conventions follow the outward-normal, H > 0 orientation fixed in
 `radial_graph`; every identity's sign is pinned by the round-sphere case.
@@ -29,7 +40,6 @@ from .sphere_grid import ScalarField, make_grid
 
 __all__ = [
     "DEFAULT_A_VALUES",
-    "e_eigenvalues",
     "e_tensor",
     "willmore",
     "willmore_rate",
@@ -44,68 +54,29 @@ __all__ = [
 
 
 # default sweep for the invariant-tensor parameter, (-0.25, 0.0, 1.0);
-# includes the boundary case 2an+1 = 0
+# -1/(2n) is where the general-n coefficient 2an+1 vanishes, but in n = 2
+# E(-1/4) = -|A0|^2 g / 2 still vanishes exactly at umbilic points
 DEFAULT_A_VALUES = (-1.0 / (2 * N), 0.0, 1.0)
-
-
-def e_eigenvalues(kappa, H, tracefree_sq, a):
-    """Eigenvalues of E(a) with respect to the induced metric, one per
-    principal curvature: -(n/2)(kappa_i - H/n)^2 - ((2an+1)/2)|A0|^2.
-    All non-positive when 2an+1 >= 0, zero exactly at umbilic points."""
-    kappa = np.asarray(kappa, dtype=float)
-    H = np.asarray(H, dtype=float)
-    return (-0.5 * N * (kappa - H[..., None] / N) ** 2
-            - 0.5 * (2.0 * a * N + 1.0) * np.asarray(tracefree_sq)[..., None])
 
 
 def e_tensor(surface: StarShapedHypersurface,
              a: float) -> tuple[tuple, float]:
     """Pointwise conformal-invariant tensor E(a) and its sup operator norm.
 
-    The tensor is returned as the tuple (E00, E01, E11) of its (nt, nph)
+    In n = 2, E(a) = -(2a+1)|A0|^2 g (see the module docstring).  The
+    tensor is returned as the tuple (E00, E01, E11) of its (nt, nph)
     coordinate components in the fixed (theta, phi) chart, like
-    `GeometryBundle.metric`; the operator norm is measured against the
-    induced metric.  The closed-form eigenvalue expression is evaluated
-    alongside the tensor build and the two must agree, which is enforced
-    here.
+    `GeometryBundle.metric`; its operator norm against the induced metric
+    is |2a+1| |A0|^2.  Warns at 2a+1 = 0, where E(a) vanishes identically.
     """
-    geom = geometry(surface)
-    if 2.0 * a * N + 1.0 < 0.0:
+    k = 2.0 * a + 1.0
+    if k == 0.0:
         warnings.warn(
-            f"2an+1 = {2.0 * a * N + 1.0:g} < 0: E(a) is still conformally "
-            "invariant but no longer characterizes umbilic points",
-            stacklevel=2)
-
-    g00, g01, g11 = geom.metric
-    gi00, gi01, gi11 = geom.metric_inv
-    h00, h01, h11 = geom.second_form
-    H, absA2 = geom.H, geom.norm_A_sq
-    # (h g^-1 h)_ij through the mixed tensor h_i^l = h_ik g^kl
-    m00, m01 = h00 * gi00 + h01 * gi01, h00 * gi01 + h01 * gi11
-    m10, m11 = h01 * gi00 + h11 * gi01, h01 * gi01 + h11 * gi11
-
-    def component(g, h, h_sq):
-        return (H * h + a * H**2 * g - 0.5 * N * h_sq
-                - 0.5 * (2.0 * a * N + 1.0) * absA2 * g)
-
-    E00 = component(g00, h00, m00 * h00 + m01 * h01)
-    E01 = component(g01, h01, m00 * h01 + m01 * h11)
-    E11 = component(g11, h11, m10 * h01 + m11 * h11)
-
-    formula = e_eigenvalues(geom.kappa, geom.H, geom.tracefree_sq, a)
-    # the two computation routes must agree; compare through the spectral
-    # invariants of g^-1 E, which stay numerically stable at near-umbilic
-    # nodes (unlike extracting the eigenvalues themselves)
-    tr = gi00 * E00 + 2.0 * gi01 * E01 + gi11 * E11
-    det = (gi00 * gi11 - gi01 * gi01) * (E00 * E11 - E01 * E01)
-    scale = 1.0 + float(geom.norm_A_sq.max())
-    tr_dev = np.abs(tr - formula.sum(axis=-1)).max()
-    det_dev = np.abs(det - formula[..., 0] * formula[..., 1]).max()
-    if tr_dev > 1e-8 * scale or det_dev > 1e-8 * scale**2:
-        raise AuditError(
-            f"eigenvalue routes for E({a:g}) disagree: "
-            f"trace {tr_dev:.3g}, det {det_dev:.3g}")
-    return (E00, E01, E11), float(np.abs(formula).max())
+            f"a = {a:g}: E(a) = -(2a+1)|A0|^2 g vanishes identically in "
+            "n = 2 and does not detect umbilic points", stacklevel=2)
+    geom = geometry(surface)
+    c = -k * geom.tracefree_sq
+    return tuple(c * g for g in geom.metric), abs(k) * float(geom.tracefree_sq.max())
 
 
 def willmore(surface: StarShapedHypersurface) -> float:
@@ -145,7 +116,7 @@ def willmore_rate(surface: StarShapedHypersurface,
 
     integrand = (N * (N - 1) * geom.H ** (N - 2) * grad_pair
                  - N * speed.values * geom.H ** (N - 1)
-                 * (geom.norm_A_sq - geom.H**2 / N))
+                 * geom.tracefree_sq)
     return geom.integrate(integrand)
 
 

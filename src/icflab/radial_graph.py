@@ -14,8 +14,8 @@ principal curvatures 1/R.  `curvature` is the one kernel that evaluates
 them on a grid.  It returns H = g^ij h_ij and K = det h / det g in
 closed form from the f-free factors gbar = sigma + dlam dlam and
 hbar = gbar - hess lam, so it never forms g, g^-1 or h; the flow reads
-only H and K.  `geometry` forms the chart tensors from gbar and hbar
-and adds the normal and the principal curvatures.  Inverting the
+only H and K.  `geometry` keeps g and g^-1, forms h only for the
+principal curvatures, and adds the normal.  Inverting the
 surface about the unit sphere (f -> 1/f) relates mean curvatures through
 
     H_inverted = -f^2 H + 2 n f / sqrt(1 + |grad lam|^2),
@@ -94,9 +94,6 @@ class StarShapedHypersurface:
     def grid(self) -> Grid:
         return make_grid(self.f.spec)
 
-    def scaled(self, c: float) -> "StarShapedHypersurface":
-        return StarShapedHypersurface(ScalarField(self.spec, c * self.values))
-
 
 @dataclass(frozen=True)
 class GeometryBundle:
@@ -104,12 +101,15 @@ class GeometryBundle:
     including each component of the chart tensors, is read-only after
     build.
 
-    Index conventions: the symmetric chart tensors `metric`, `metric_inv`
-    and `second_form` are (00, 01, 11) tuples of (nt, nph) component
-    arrays in (theta, phi) order, formed by `geometry` from the f-free
-    factors `curvature` returns; `kappa` is sorted ascending;
+    Index conventions: the symmetric chart tensors `metric` and
+    `metric_inv` are (00, 01, 11) tuples of (nt, nph) component arrays in
+    (theta, phi) order, formed by `geometry` from the f-free factors
+    `curvature` returns; the second form h is not kept, since every
+    reader needs only its invariants.  `kappa` is sorted ascending;
     `sigma_k[..., k]` holds the plain elementary symmetric polynomial of
-    the principal curvatures (sigma_k(1,...,1) = C(n,k)).
+    the principal curvatures (sigma_k(1,...,1) = C(n,k)); `tracefree_sq`
+    comes from the trace-free discriminant, so it is >= 0 and keeps its
+    digits at umbilic points, where |A|^2 - H^2/n cancels.
     """
 
     spec: GridSpec
@@ -118,7 +118,6 @@ class GeometryBundle:
     metric: tuple               # g_ij
     metric_inv: tuple           # g^ij
     area_density: np.ndarray    # dmu / dmu_round
-    second_form: tuple          # h_ij
     H: np.ndarray               # mean curvature = sum kappa_i
     kappa: np.ndarray           # (nt, nph, 2) principal curvatures
     sigma_k: np.ndarray         # (nt, nph, n+1)
@@ -218,24 +217,26 @@ def geometry(surface: StarShapedHypersurface) -> GeometryBundle:
     gi00, gi01, gi11 = g11 * inv_det, -g01 * inv_det, g00 * inv_det
     h00, h01, h11 = (fac * h for h in c.hbar)
 
-    # trace-free discriminant of S = g^-1 h; H^2/4 - K cancels at umbilics
+    # trace-free discriminant of S = g^-1 h, (kappa_2 - kappa_1)^2 / 4;
+    # H^2/4 - K cancels at umbilics.  |A0|^2 = sum (kappa_i - H/2)^2 is
+    # twice it.
     half_diff = 0.5 * (gi00 * h00 - gi11 * h11)             # (S00 - S11) / 2
     S01 = gi00 * h01 + gi01 * h11
     S10 = gi01 * h00 + gi11 * h01
-    disc = np.sqrt(np.clip(half_diff * half_diff + S01 * S10, 0.0, None))
+    disc_sq = np.clip(half_diff * half_diff + S01 * S10, 0.0, None)
+    disc = np.sqrt(disc_sq)
     kappa = np.stack([0.5 * c.H - disc, 0.5 * c.H + disc], axis=-1)
 
     sigma = np.stack([np.ones_like(c.H), c.H, c.K], axis=-1)
     norm_A_sq = c.H * c.H - 2.0 * c.K
-    tracefree_sq = norm_A_sq - c.H * c.H / 2
 
     bundle = GeometryBundle(
         spec=surface.spec,
         position=f[..., None] * p, normal=nu,
         metric=metric, metric_inv=(gi00, gi01, gi11),
-        area_density=f2 * c.sqv, second_form=(h00, h01, h11),
+        area_density=f2 * c.sqv,
         H=c.H, kappa=kappa, sigma_k=sigma,
-        norm_A_sq=norm_A_sq, tracefree_sq=tracefree_sq,
+        norm_A_sq=norm_A_sq, tracefree_sq=2.0 * disc_sq,
         grad_log_sq=c.grad_sq,
     )
     for value in vars(bundle).values():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from icflab.sphere_grid import GridSpec, make_grid
+from icflab.radial_graph import StarShapedHypersurface
+from icflab.sphere_grid import GridSpec, ScalarField, make_grid
 from icflab.surfaces import harmonic_surface, sphere_surface, spheroid_surface
 
 SPEC16 = GridSpec(16, 32)
@@ -32,6 +33,11 @@ def harmonic64():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+def scaled(surface, c):
+    """The surface dilated by c about the origin: graph function c f."""
+    return StarShapedHypersurface(ScalarField(surface.spec, c * surface.values))
 
 
 def nodes(spec):

@@ -3,7 +3,8 @@
 Everything here is deliberately separate from the package's computation
 paths: parametric (not radial-graph) surface formulas, classical
 plane-curve curvature, the dimension-generic radial-graph mean curvature,
-the covariant Hessian on the round sphere, an adaptive reference
+the general-n invariant tensor E(a) and its eigenvalues, the covariant
+Hessian on the round sphere, an adaptive reference
 integrator, the light-cone image of round spheres, and frozen constants
 produced by the quadrature routines in this file.
 """
@@ -205,14 +206,32 @@ def stack_sym2(c00, c01, c11):
     return np.stack([np.stack([c00, c01], -1), np.stack([c01, c11], -1)], -2)
 
 
-def e_tensor_stacked(geom, a, n=2):
+def second_form(curv, f):
+    """h_ij = (f / sqrt v) hbar_ij as (00, 01, 11) chart components, from
+    the `curvature` output `curv` of the graph function f."""
+    return tuple(f / curv.sqv * hbar for hbar in curv.hbar)
+
+
+def e_tensor_stacked(metric, second_form, a, n=2):
     """E(a) = H h + (a H^2 - ((2an+1)/2)|A|^2) g - (n/2) h g^-1 h on stacked
-    (..., 2, 2) matrices, with g^-1 from np.linalg.inv of the metric."""
-    g, h = stack_sym2(*geom.metric), stack_sym2(*geom.second_form)
-    H = geom.H[..., None, None]
-    absA2 = geom.norm_A_sq[..., None, None]
+    (..., 2, 2) matrices, for any n: no n = 2 identity is used.  g^-1 is
+    np.linalg.inv of the metric, H = tr(g^-1 h), |A|^2 = tr((g^-1 h)^2)."""
+    g, h = stack_sym2(*metric), stack_sym2(*second_form)
+    g_inv = np.linalg.inv(g)
+    S = g_inv @ h
+    H = np.trace(S, axis1=-2, axis2=-1)[..., None, None]
+    absA2 = np.trace(S @ S, axis1=-2, axis2=-1)[..., None, None]
     return (H * h + (a * H**2 - 0.5 * (2 * a * n + 1) * absA2) * g
-            - 0.5 * n * h @ np.linalg.inv(g) @ h)
+            - 0.5 * n * h @ g_inv @ h)
+
+
+def e_eigenvalues(kappa, a):
+    """g-eigenvalues of E(a), one per principal curvature, in the general-n
+    form -(n/2)(kappa_i - H/n)^2 - ((2an+1)/2)|A0|^2, n = kappa.shape[-1]."""
+    n = kappa.shape[-1]
+    dev_sq = (kappa - kappa.sum(-1, keepdims=True) / n) ** 2
+    return (-0.5 * n * dev_sq
+            - 0.5 * (2 * a * n + 1) * dev_sq.sum(-1, keepdims=True))
 
 
 def willmore_rate_stacked(geom, grid, speed, n=2):

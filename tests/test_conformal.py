@@ -46,9 +46,6 @@ class TestEvaluate:
         V = ConformalKillingField([0, 0, 0], [0.3, -0.7, 1.1], 0.0, [0, 0, 0])
         S = V.skew_matrix
         assert np.array_equal(S, -S.T)
-        with pytest.raises(ValueError):
-            ConformalKillingField.from_matrix(
-                np.zeros(3), np.eye(3), 0.0, np.zeros(3))
 
 
 class TestDivergence:

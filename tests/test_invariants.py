@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,16 +8,17 @@ from icflab.conformal import AffineField, ConformalKillingField, pushforward_sur
 from icflab.errors import MeanConvexityError
 from icflab.flow import SpeedFunction, normal_speed, step
 from icflab.invariants import (center_of_mass, condition_v_residual,
-                               DEFAULT_A_VALUES, e_eigenvalues, e_tensor,
+                               DEFAULT_A_VALUES, e_tensor,
                                energy_report, guan_li_q,
                                hsiung_minkowski_residual, qbar, qk_rate,
                                willmore, willmore_rate)
-from icflab.radial_graph import StarShapedHypersurface, geometry, invert
+from icflab.radial_graph import (StarShapedHypersurface, curvature, geometry,
+                                 invert)
 from icflab.sphere_grid import GridSpec, ScalarField, make_grid
 from icflab.surfaces import harmonic_surface, sphere_surface, spheroid_surface
 
 import oracles
-from conftest import HARMONIC_TERMS, SPEC32, SPEC48, SPEC64, nodes
+from conftest import HARMONIC_TERMS, SPEC32, SPEC48, SPEC64, nodes, scaled
 
 
 def dilation_field(mu=1.0):
@@ -43,30 +46,39 @@ class TestETensor:
 
     def test_hand_eigenvalues_at_kappa_2_0(self):
         # kappa=(2,0), n=2, a=0: both metric eigenvalues equal -2, through
-        # both closed forms (direct substitution and the square form)
+        # the general-n square form, direct substitution and the n = 2
+        # closed form -(2a+1)|A0|^2 with |A0|^2 = H^2/2 - 2K = 2
         kap = np.array([2.0, 0.0])
-        H = np.array(2.0)
-        absA2 = 4.0
-        tf = absA2 - H**2 / 2
-        eig = e_eigenvalues(kap, H, tf, 0.0)
+        H, absA2 = 2.0, 4.0
+        eig = oracles.e_eigenvalues(kap, 0.0)
         assert_allclose(eig, [-2.0, -2.0], rtol=0, atol=1e-14)
         direct = H * kap + 0.0 * H**2 - 1.0 * kap**2 - 0.5 * absA2
         assert_allclose(direct, eig, rtol=0, atol=1e-14)
+        for a in (-0.5, -0.3, 0.0, 1.0):
+            assert_allclose(oracles.e_eigenvalues(kap, a),
+                            [-(2 * a + 1) * 2.0] * 2, rtol=0, atol=1e-14)
 
     def test_eigenvalue_routes_agree_on_spheroid(self, spheroid64):
-        # tensor-route spectral invariants vs closed-form eigenvalues
+        # the closed form against the general-n eigenvalues at the bundle's
+        # principal curvatures: the sup, and the spectrum of g^-1 E
         g = geometry(spheroid64)
+        g_inv = np.linalg.inv(oracles.stack_sym2(*g.metric))
         for a in DEFAULT_A_VALUES:
-            tensor, sup = e_tensor(spheroid64, a)  # raises if routes split
-            eig = e_eigenvalues(g.kappa, g.H, g.tracefree_sq, a)
+            tensor, sup = e_tensor(spheroid64, a)
+            eig = oracles.e_eigenvalues(g.kappa, a)
             assert sup == pytest.approx(np.abs(eig).max(), rel=1e-12)
+            mixed = np.linalg.eigvals(g_inv @ oracles.stack_sym2(*tensor))
+            scale = np.abs(eig).max()
+            assert np.abs(mixed.imag).max() < 1e-12 * scale
+            assert np.abs(np.sort(mixed.real, axis=-1) - eig).max() < 1e-12 * scale
 
     def test_components_match_stacked_matrix_oracle(self, spheroid64, harmonic64):
         for s in (spheroid64, harmonic64):
             g = geometry(s)
+            h = oracles.second_form(curvature(s.grid(), s.values), s.values)
             for a in DEFAULT_A_VALUES:
                 E = oracles.stack_sym2(*e_tensor(s, a)[0])
-                expected = oracles.e_tensor_stacked(g, a)
+                expected = oracles.e_tensor_stacked(g.metric, h, a)
                 assert np.abs(E - expected).max() < 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("a", [-0.25, 0.0, 1.0])
@@ -77,9 +89,20 @@ class TestETensor:
             E1, _ = e_tensor(invert(s), a)
             assert max(np.abs(c1 - c0).max() for c0, c1 in zip(E0, E1)) < 1e-6
 
-    def test_boundary_case_warns(self, sphere64):
-        with pytest.warns(UserWarning):
-            e_tensor(sphere64, -0.3)
+    def test_boundary_case_warns(self, spheroid64):
+        # 2a+1 = 0: E(a) vanishes identically, even off umbilic points
+        with pytest.warns(UserWarning, match="vanishes identically"):
+            E, sup = e_tensor(spheroid64, -0.5)
+        assert sup == 0.0
+        assert all(np.abs(c).max() == 0.0 for c in E)
+
+    def test_negative_4a_plus_1_does_not_warn(self, spheroid64):
+        # in n = 2, E(-0.3) = -0.4 |A0|^2 g still vanishes only at umbilics
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, sup = e_tensor(spheroid64, -0.3)
+        g = geometry(spheroid64)
+        assert sup == pytest.approx(0.4 * g.tracefree_sq.max(), rel=1e-15)
 
 
 class TestWillmore:
@@ -93,7 +116,7 @@ class TestWillmore:
     def test_scale_invariance(self, spheroid64):
         w0 = willmore(spheroid64)
         for c in (0.5, 2.0, 10.0):
-            assert abs(willmore(spheroid64.scaled(c)) - w0) < 1e-10 * w0
+            assert abs(willmore(scaled(spheroid64, c)) - w0) < 1e-10 * w0
 
     def test_mean_convexity_error(self):
         T, P = nodes(SPEC32)
@@ -143,7 +166,7 @@ class TestGuanLiQuotient:
     def test_scale_invariance(self, spheroid64):
         q0 = guan_li_q(spheroid64, 1)
         for c in (0.5, 2.0, 10.0):
-            assert abs(guan_li_q(spheroid64.scaled(c), 1) - q0) < 1e-10 * q0
+            assert abs(guan_li_q(scaled(spheroid64, c), 1) - q0) < 1e-10 * q0
 
     def test_spheroid_exceeds_sphere(self, spheroid64):
         q = guan_li_q(spheroid64, 1)

@@ -1,8 +1,9 @@
 """No icflab module imports another module's private helpers: neither
 `from .mod import _name` nor `mod._name` on an imported icflab module.
 No module imports a name it neither uses nor exports.  And every public
-module-level function and class is read somewhere in icflab or exported
-from the package, so none is left that only tests reach."""
+module-level function and class, and every public method of a public
+class, is read somewhere in icflab or exported from the package, so none
+is left that only tests reach."""
 
 import ast
 import pathlib
@@ -116,28 +117,42 @@ def test_unused_import_checker(source, expected):
 
 
 def unreached_definitions(sources: dict[str, str], exported) -> list[str]:
-    """Public module-level functions and classes, as `module.name`, that no
+    """Public module-level functions and classes, as `module.name`, and
+    public methods of public classes, as `module.Class.name`, that no
     module in `sources` reads (as a bare name or as an attribute) and that
     `exported` does not list.  Importing a name is not reading it."""
     read, defined = set(), []
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not _private(node.name)):
-                defined.append((module, node.name))
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or _private(node.name)):
+                continue
+            defined.append((f"{module}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{module}.{node.name}.{item.name}", item.name)
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    return [f"{module}.{name}" for module, name in defined
+    return [qualified for qualified, name in defined
             if name not in read and name not in exported]
+
+
+# methods that no module reads but that bench/spans.py looks up by name;
+# they go together with its SYNTH_METHODS list (ROADMAP item 1)
+BENCH_LOOKUPS = ["synth_d2theta", "synth_d2phi", "synth_dtheta_dphi",
+                 "synth_laplacian"]
 
 
 def test_every_public_definition_is_read_or_exported():
     sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
-    assert unreached_definitions(sources, set(icflab.__all__)) == []
+    unreached = unreached_definitions(sources, set(icflab.__all__))
+    assert unreached == [f"sphere_grid.Grid.{name}" for name in BENCH_LOOKUPS]
 
 
 @pytest.mark.parametrize("sources, exported, expected", [
@@ -151,6 +166,12 @@ def test_every_public_definition_is_read_or_exported():
     ({"a": "def f():\n    pass\ndef g():\n    return f()"}, set(), ["a.g"]),
     ({"a": "def _f():\n    pass"}, set(), []),
     ({"a": "def f():\n    def g():\n        pass"}, {"f"}, []),
+    ({"a": "class C:\n    def m(self):\n        pass\n"
+           "    def _p(self):\n        pass\n"
+           "    def __init__(self):\n        pass",
+      "b": "from .a import C\nC()"}, set(), ["a.C.m"]),
+    ({"a": "class C:\n    def m(self):\n        pass",
+      "b": "from .a import C\nC().m()"}, set(), []),
 ])
 def test_unreached_definition_checker(sources, exported, expected):
     assert unreached_definitions(sources, exported) == expected
