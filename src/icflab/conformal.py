@@ -68,6 +68,11 @@ class ConformalKillingField:
         a, b_, c = self.s_lower
         return np.array([[0.0, -a, -b_], [a, 0.0, -c], [b_, c, 0.0]])
 
+    @property
+    def coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(v, M, b) of V(X) = v + M X + 2<b, X> X - |X|^2 b, M = S + mu I."""
+        return self.v, self.skew_matrix + self.mu * np.eye(_AMBIENT_DIM), self.b
+
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Field value at ambient points of shape (..., 3)."""
         x = np.asarray(x, dtype=float)
@@ -107,6 +112,11 @@ class AffineField:
     def __post_init__(self):
         self.v = np.asarray(self.v, dtype=float).reshape(_AMBIENT_DIM)
         self.M = np.asarray(self.M, dtype=float).reshape(_AMBIENT_DIM, _AMBIENT_DIM)
+
+    @property
+    def coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(v, M, b) of the conformal-field form, with b = 0."""
+        return self.v, self.M, np.zeros(_AMBIENT_DIM)
 
     def evaluate(self, x):
         return self.v + np.asarray(x, dtype=float) @ self.M.T

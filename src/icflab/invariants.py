@@ -22,6 +22,17 @@ so the H h terms cancel and
 therefore vanishes exactly at umbilic points for every a != -1/2, and
 identically at a = -1/2.
 
+The Hsiung-Minkowski residual is linear in the field.  Both field
+classes of `conformal` share the form V(X) = v + M X + 2<b, X> X - |X|^2 b
+with conformal factor alpha_V = tr(M)/3 + 2<b, X> (`coefficients`), so
+
+    <V, nu> = v . nu + sum_ij M_ij nu_i X_j + b . (2 (X . nu) X - |X|^2 nu)
+
+is one product of the 15 coefficients (v, M row-major, b) with 15
+per-surface moment rows: nu (3), nu_i X_j (9) and 2(X . nu)X - |X|^2 nu
+(3).  The moments and the weights dmu sigma_k / C(n,k) are built once per
+call, and each field costs two small matrix-vector products.
+
 Sign conventions follow the outward-normal, H > 0 orientation fixed in
 `radial_graph`; every identity's sign is pinned by the round-sphere case.
 """
@@ -134,31 +145,46 @@ def guan_li_q(surface: StarShapedHypersurface, k: int) -> float:
     return num ** (1.0 / (N - k)) / den ** (1.0 / (N - k + 1))
 
 
-def hsiung_minkowski_residual(surface: StarShapedHypersurface, V, k: int,
-                              relative: bool = False) -> float:
-    """Residual of the Minkowski-type integral identity for conformal
-    ambient fields,
+def hsiung_minkowski_residual(surface: StarShapedHypersurface, fields,
+                              k: int, relative: bool = False) -> np.ndarray:
+    """Residuals of the Minkowski-type integral identity for conformal
+    ambient fields, one per field in ``fields``,
 
         int alpha_V sigma_k / C(n,k) dmu
             = int <V, nu> sigma_{k+1} / C(n,k+1) dmu,
 
     which holds for every closed hypersurface when V is conformal Killing
     (outward-normal convention; the round sphere with V = X gives both
-    sides equal to the area).  With ``relative=True`` the residual is
-    scaled by the L1 size of the two integrands.
+    sides equal to the area).  With ``relative=True`` each residual is
+    scaled by the L1 size of its two integrands.  The fields enter through
+    `coefficients` and the moment rows of the module docstring.
     """
-    geom = geometry(surface)
     if not 0 <= k <= N - 1:
         raise ValueError(f"k must lie in 0..{N - 1}")
-    alpha = np.asarray(V.conformal_factor(geom.position))
-    vn = np.einsum("...c,...c->...", V.evaluate(geom.position), geom.normal)
-    lhs_density = alpha * geom.sigma_k[..., k] / comb(N, k)
-    rhs_density = vn * geom.sigma_k[..., k + 1] / comb(N, k + 1)
-    residual = geom.integrate(lhs_density - rhs_density)
-    if not relative:
-        return residual
-    scale = geom.integrate(np.abs(lhs_density)) + geom.integrate(np.abs(rhs_density))
-    return residual / max(scale, 1e-300)
+    geom = geometry(surface)
+    X = np.ascontiguousarray(geom.position.reshape(-1, 3).T)
+    nu = np.ascontiguousarray(geom.normal.reshape(-1, 3).T)
+    moments = np.empty((15, X.shape[1]))
+    moments[:3] = nu
+    np.multiply(nu[:, None, :], X[None, :, :],
+                out=moments[3:12].reshape(3, 3, -1))
+    x_nu, x_sq = np.einsum("cn,cn->n", X, nu), np.einsum("cn,cn->n", X, X)
+    moments[12:] = 2.0 * x_nu * X - x_sq * nu
+    dmu = (make_grid(surface.spec).weights * geom.area_density).reshape(-1)
+    w_lhs = dmu * geom.sigma_k[..., k].reshape(-1) / comb(N, k)
+    w_rhs = dmu * geom.sigma_k[..., k + 1].reshape(-1) / comb(N, k + 1)
+
+    residuals = np.empty(len(fields))
+    for i, V in enumerate(fields):
+        v, M, b = V.coefficients
+        rhs = np.concatenate([v, M.reshape(-1), b]) @ moments     # <V, nu>
+        rhs *= w_rhs
+        lhs = 2.0 * (b @ X) + np.trace(M) / (N + 1)              # alpha_V
+        lhs *= w_lhs
+        residuals[i] = np.sum(lhs - rhs)
+        if relative:
+            residuals[i] /= max(np.abs(lhs).sum() + np.abs(rhs).sum(), 1e-300)
+    return residuals
 
 
 def condition_v_residual(surface: StarShapedHypersurface, V, k: int) -> float:

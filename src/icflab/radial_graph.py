@@ -121,7 +121,6 @@ class GeometryBundle:
     H: np.ndarray               # mean curvature = sum kappa_i
     kappa: np.ndarray           # (nt, nph, 2) principal curvatures
     sigma_k: np.ndarray         # (nt, nph, n+1)
-    norm_A_sq: np.ndarray       # |A|^2 = sum kappa_i^2
     tracefree_sq: np.ndarray    # |A - (H/n) g|^2
     grad_log_sq: np.ndarray     # |grad log f|^2 on the round sphere
 
@@ -228,7 +227,6 @@ def geometry(surface: StarShapedHypersurface) -> GeometryBundle:
     kappa = np.stack([0.5 * c.H - disc, 0.5 * c.H + disc], axis=-1)
 
     sigma = np.stack([np.ones_like(c.H), c.H, c.K], axis=-1)
-    norm_A_sq = c.H * c.H - 2.0 * c.K
 
     bundle = GeometryBundle(
         spec=surface.spec,
@@ -236,8 +234,7 @@ def geometry(surface: StarShapedHypersurface) -> GeometryBundle:
         metric=metric, metric_inv=(gi00, gi01, gi11),
         area_density=f2 * c.sqv,
         H=c.H, kappa=kappa, sigma_k=sigma,
-        norm_A_sq=norm_A_sq, tracefree_sq=2.0 * disc_sq,
-        grad_log_sq=c.grad_sq,
+        tracefree_sq=2.0 * disc_sq, grad_log_sq=c.grad_sq,
     )
     for value in vars(bundle).values():
         for arr in value if isinstance(value, tuple) else (value,):

@@ -66,7 +66,9 @@ def _finite_or_null(obj):
     if isinstance(obj, dict):
         return {k: _finite_or_null(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_finite_or_null(v) for v in obj]
+        # plain floats, the bulk of a surface's "f" list, skip the call
+        return [(v if math.isfinite(v) else None) if type(v) is float
+                else _finite_or_null(v) for v in obj]
     return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 

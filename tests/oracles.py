@@ -5,9 +5,12 @@ paths: parametric (not radial-graph) surface formulas, classical
 plane-curve curvature, the dimension-generic radial-graph mean curvature,
 the general-n invariant tensor E(a) and its eigenvalues, the covariant
 Hessian on the round sphere, an adaptive reference
-integrator, the light-cone image of round spheres, and frozen constants
-produced by the quadrature routines in this file.
+integrator, the light-cone image of round spheres, the node-by-node
+Hsiung-Minkowski residual, the element-by-element JSON null walk, and
+frozen constants produced by the quadrature routines in this file.
 """
+
+import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -241,9 +244,34 @@ def willmore_rate_stacked(geom, grid, speed, n=2):
     dH = np.stack([grid.synth_dtheta(CH), grid.synth_dphi(CH)], -1)[..., None, :]
     ds = np.stack([grid.synth_dtheta(Cs), grid.synth_dphi(Cs)], -1)[..., :, None]
     pair = (dH @ np.linalg.inv(stack_sym2(*geom.metric)) @ ds)[..., 0, 0]
+    norm_A_sq = geom.H**2 - 2.0 * geom.sigma_k[..., 2]
     return geom.integrate(n * (n - 1) * geom.H ** (n - 2) * pair
                           - n * speed * geom.H ** (n - 1)
-                          * (geom.norm_A_sq - geom.H**2 / n))
+                          * (norm_A_sq - geom.H**2 / n))
+
+
+def hsiung_minkowski_residual_pointwise(geom, V, k, relative=False, n=2):
+    """int alpha_V sigma_k / C(n,k) - <V, nu> sigma_{k+1} / C(n,k+1) dmu,
+    evaluating the field and its conformal factor at every node."""
+    alpha = np.asarray(V.conformal_factor(geom.position))
+    vn = np.einsum("...c,...c->...", V.evaluate(geom.position), geom.normal)
+    lhs = alpha * geom.sigma_k[..., k] / math.comb(n, k)
+    rhs = vn * geom.sigma_k[..., k + 1] / math.comb(n, k + 1)
+    residual = geom.integrate(lhs - rhs)
+    if not relative:
+        return residual
+    scale = geom.integrate(np.abs(lhs)) + geom.integrate(np.abs(rhs))
+    return residual / max(scale, 1e-300)
+
+
+def finite_or_null_recursive(obj):
+    """The payload with every non-finite float replaced by None, one
+    recursive call per element."""
+    if isinstance(obj, dict):
+        return {k: finite_or_null_recursive(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [finite_or_null_recursive(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def elementary_symmetric(kappa):

@@ -136,11 +136,11 @@ def test_criterion_4_hsiung_minkowski_residuals(test_surfaces):
                                   rng.normal(0, 0.3), rng.normal(0, 0.2, 3))
         for k in (0, 1):
             worst = max(worst, abs(hsiung_minkowski_residual(
-                s, V, k, relative=True)))
+                s, [V], k, relative=True)[0]))
     assert worst < 1e-6
     M = np.array([[0.3, 0.4, 0.0], [0.4, -0.1, 0.2], [0.0, 0.2, 0.5]])
     control = abs(hsiung_minkowski_residual(
-        s, AffineField(np.zeros(3), M), 0, relative=True))
+        s, [AffineField(np.zeros(3), M)], 0, relative=True)[0])
     assert control > 1e-3
     elapsed = time.monotonic() - start
     assert elapsed < 30.0

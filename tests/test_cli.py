@@ -5,11 +5,17 @@ import numpy as np
 import pytest
 
 from icflab.cli import main
+from icflab.flow import FlowConfig, SpeedFunction, run
+from icflab.invariants import energy_report
 from icflab.serialize import (ckf_from_dict, ckf_to_dict, load_surface,
-                              save_surface, surface_from_dict, surface_to_dict)
+                              save_surface, surface_from_dict, surface_to_dict,
+                              write_json_atomic)
 from icflab.conformal import ConformalKillingField
 from icflab.sphere_grid import GridSpec, ScalarField
 from icflab.radial_graph import StarShapedHypersurface
+from icflab.surfaces import sphere_surface, spheroid_surface
+
+import oracles
 
 GRID = "16x32"
 
@@ -275,3 +281,24 @@ class TestSerialization:
         assert np.array_equal(W.s_lower, V.s_lower)
         assert W.mu == V.mu
         assert np.array_equal(W.b, V.b)
+
+    def test_json_bytes_match_recursive_null_walk(self, tmp_path):
+        # surface.json, diag.json and a flow_summary.json whose beta is null
+        # (fewer than 4 records) are written byte for byte as the
+        # element-by-element walk would write them
+        spec = GridSpec(16, 32)
+        spheroid = spheroid_surface(1.0, 0.6, spec)
+        summary = run(sphere_surface(1.0, spec),
+                      FlowConfig(SpeedFunction.parse("H"), t_end=0.01,
+                                 keep_snapshots=False)).summary()
+        assert summary["beta"] != summary["beta"]        # nan
+        payloads = {"surface.json": surface_to_dict(spheroid, {"name": "spheroid"}),
+                    "diag.json": energy_report(spheroid),
+                    "flow_summary.json": summary}
+        for name, payload in payloads.items():
+            path = tmp_path / name
+            write_json_atomic(str(path), payload)
+            expected = json.dumps(oracles.finite_or_null_recursive(payload),
+                                  indent=1, allow_nan=False) + "\n"
+            assert path.read_bytes() == expected.encode()
+        assert load_strict_json(tmp_path / "flow_summary.json")["beta"] is None

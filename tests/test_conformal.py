@@ -80,6 +80,31 @@ class TestDivergence:
             assert abs(second) < 1e-8
 
 
+class TestCoefficients:
+    @staticmethod
+    def from_coefficients(field, x):
+        v, M, b = field.coefficients
+        bx = x @ b
+        value = (v + x @ M.T + 2.0 * bx[:, None] * x
+                 - np.sum(x * x, axis=-1)[:, None] * b)
+        return value, np.trace(M) / 3.0 + 2.0 * bx
+
+    @pytest.mark.parametrize("kind", ["ckf", "affine"])
+    def test_reproduce_evaluate_and_conformal_factor(self, kind, rng):
+        # V(X) = v + M X + 2<b,X>X - |X|^2 b and alpha = tr(M)/3 + 2<b,X>
+        for _ in range(5):
+            if kind == "ckf":
+                field = random_ckf(rng)
+            else:
+                field = AffineField(rng.normal(size=3), rng.normal(size=(3, 3)))
+            x = rng.normal(0.0, 1.5, size=(64, 3))
+            value, alpha = self.from_coefficients(field, x)
+            expected = field.evaluate(x)
+            assert np.abs(value - expected).max() <= 1e-13 * np.abs(expected).max()
+            expected = field.conformal_factor(x)
+            assert np.abs(alpha - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
 class TestKillingResidual:
     def test_conformal_fields_satisfy_equation(self, rng):
         for _ in range(3):

@@ -94,8 +94,9 @@ class TestBundleInvariants:
         g = geometry(spheroid64)
         assert np.abs(g.kappa.sum(axis=-1) - g.H).max() < 1e-10
         assert np.abs(g.kappa.prod(axis=-1) - g.sigma_k[..., 2]).max() < 1e-10
-        assert np.abs(g.norm_A_sq - (g.kappa**2).sum(axis=-1)).max() < 1e-10
-        assert np.abs(g.tracefree_sq - (g.norm_A_sq - g.H**2 / 2)).max() < 1e-12
+        norm_A_sq = g.H**2 - 2.0 * g.sigma_k[..., 2]
+        assert np.abs(norm_A_sq - (g.kappa**2).sum(axis=-1)).max() < 1e-10
+        assert np.abs(g.tracefree_sq - (norm_A_sq - g.H**2 / 2)).max() < 1e-12
 
     def test_kernel_closed_forms_match_bundle_tensors(self, spheroid64,
                                                       harmonic64):
