@@ -7,8 +7,8 @@ from .sphere_grid import GridSpec, ScalarField, make_grid
 from .radial_graph import (StarShapedHypersurface, GeometryBundle, geometry,
                            area, sigma_integral, invert,
                            inversion_mean_curvature_check)
-from .conformal import (ConformalKillingField, AffineField, killing_residual,
-                        flow_map, pushforward_surface, component_quadratic_check)
+from .conformal import (ConformalKillingField, AffineField, flow_map,
+                        pushforward_surface)
 from .invariants import (e_tensor, willmore, willmore_rate,
                          guan_li_q, hsiung_minkowski_residual, qk_rate,
                          condition_v_residual, center_of_mass, qbar,
@@ -23,8 +23,7 @@ __all__ = [
     "GridSpec", "ScalarField", "make_grid",
     "StarShapedHypersurface", "GeometryBundle", "geometry", "area",
     "sigma_integral", "invert", "inversion_mean_curvature_check",
-    "ConformalKillingField", "AffineField", "killing_residual", "flow_map",
-    "pushforward_surface", "component_quadratic_check",
+    "ConformalKillingField", "AffineField", "flow_map", "pushforward_surface",
     "e_tensor", "willmore", "willmore_rate", "guan_li_q",
     "hsiung_minkowski_residual", "qk_rate", "condition_v_residual",
     "center_of_mass", "qbar", "energy_report",

@@ -31,10 +31,8 @@ from .sphere_grid import ScalarField
 __all__ = [
     "ConformalKillingField",
     "AffineField",
-    "killing_residual",
     "flow_map",
     "pushforward_surface",
-    "component_quadratic_check",
 ]
 
 _AMBIENT_DIM = 3
@@ -81,16 +79,6 @@ class ConformalKillingField:
         return (self.v + x @ self.skew_matrix.T + self.mu * x
                 + 2.0 * bx * x - xx * self.b)
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Closed-form derivative matrix DV at points (..., 3) -> (..., 3, 3)."""
-        x = np.asarray(x, dtype=float)
-        eye = np.eye(_AMBIENT_DIM)
-        bx = np.tensordot(x, self.b, axes=(-1, 0))[..., None, None]
-        J = (self.skew_matrix + self.mu * eye + 2.0 * bx * eye
-             + 2.0 * x[..., :, None] * self.b[None, :]
-             - 2.0 * self.b[:, None] * x[..., None, :])
-        return J
-
     def conformal_factor(self, x: np.ndarray) -> np.ndarray:
         """div(V)/(n+1) = mu + 2<b, x>; affine in x."""
         x = np.asarray(x, dtype=float)
@@ -121,25 +109,12 @@ class AffineField:
     def evaluate(self, x):
         return self.v + np.asarray(x, dtype=float) @ self.M.T
 
-    def jacobian(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(self.M, x.shape[:-1] + (3, 3)).copy()
-
     def conformal_factor(self, x):
         x = np.asarray(x, dtype=float)
         return np.full(x.shape[:-1], np.trace(self.M) / _AMBIENT_DIM)
 
     def divergence(self, x):
         return _AMBIENT_DIM * self.conformal_factor(x)
-
-
-def killing_residual(field, x) -> float:
-    """Operator norm of DV + DV^T - 2 alpha Id at a point; zero exactly
-    when the field satisfies the conformal Killing equation there."""
-    J = field.jacobian(x)
-    R = J + np.swapaxes(J, -1, -2) \
-        - 2.0 * np.asarray(field.conformal_factor(x))[..., None, None] * np.eye(3)
-    return float(np.max(np.abs(np.linalg.eigvalsh(R))))
 
 
 def _generator(V) -> np.ndarray:
@@ -358,54 +333,3 @@ def pushforward_surface(V, t: float, surface: StarShapedHypersurface
         raise ResolutionError("non-finite radii after reconstruction")
     return StarShapedHypersurface(ScalarField(spec, radii.reshape(spec.shape)))
 
-
-def component_quadratic_check(V, seed: int = 0, n_probes: int = 8) -> dict:
-    """Verify by finite differences that every component of V is a
-    quadratic polynomial whose second derivatives match
-    D_i D_j V^k = d_{jk} D_i a + d_{ik} D_j a - d_{ij} D_k a,
-    a = div(V)/(n+1).
-
-    Returns a report with the largest third difference and the largest
-    deviation of the finite-difference second derivative from the
-    displayed affine-factor formula.
-    """
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-1.5, 1.5, size=(n_probes, 3))
-    h = 0.5
-    eye = np.eye(3)
-    grad_alpha = 2.0 * V.b if isinstance(V, ConformalKillingField) else None
-
-    max_third = 0.0
-    max_second_dev = 0.0
-    signs = np.array([-1.0, 1.0])
-    for x in pts:
-        for i in range(3):
-            for j in range(3):
-                # central second difference; exact for quadratics at any h
-                fpp = V.evaluate(x + h * eye[i] + h * eye[j])
-                fpm = V.evaluate(x + h * eye[i] - h * eye[j])
-                fmp = V.evaluate(x - h * eye[i] + h * eye[j])
-                fmm = V.evaluate(x - h * eye[i] - h * eye[j])
-                second = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
-                if grad_alpha is not None:
-                    expected = (eye[j] * grad_alpha[i] + eye[i] * grad_alpha[j]
-                                - eye[i, j] * grad_alpha)
-                    max_second_dev = max(max_second_dev,
-                                         float(np.abs(second - expected).max()))
-                # triple central difference; vanishes identically for
-                # quadratic components
-                for k in range(3):
-                    third = np.zeros(3)
-                    for s1 in signs:
-                        for s2 in signs:
-                            for s3 in signs:
-                                y = x + h * (s1 * eye[i] + s2 * eye[j] + s3 * eye[k])
-                                third = third + s1 * s2 * s3 * V.evaluate(y)
-                    third /= 8.0 * h**3
-                    max_third = max(max_third, float(np.abs(third).max()))
-    return {
-        "max_third_difference": max_third,
-        "max_second_derivative_deviation": max_second_dev,
-        "quadratic": max_third < 1e-6,
-        "matches_affine_factor": (grad_alpha is None or max_second_dev < 1e-6),
-    }

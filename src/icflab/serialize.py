@@ -72,8 +72,30 @@ def _finite_or_null(obj):
     return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
+# stands in for a surface's "f" list while json.dumps formats the rest
+_F_MARKER = "\x00f"
+
+
+def _float_lines(values) -> str | None:
+    """The indent-1 JSON text of a top-level list of finite floats, one
+    repr per line as json.dumps writes it; None for any other value."""
+    if (type(values) is not list or set(map(type, values)) != {float}
+            or not all(map(math.isfinite, values))):
+        return None
+    return "[\n  " + ",\n  ".join(map(float.__repr__, values)) + "\n ]"
+
+
 def write_json_atomic(path: str, payload: dict):
+    """Write payload as strict JSON, indent 1.  A top-level "f" list of
+    finite floats (a surface's node values) is formatted by hand and put
+    in place of a marker: json's indenting encoder is pure Python, and
+    that list was most of its time.  The bytes are json.dumps's."""
+    f = _float_lines(payload.get("f"))
+    if f is not None:
+        payload = {**payload, "f": _F_MARKER}
     text = json.dumps(_finite_or_null(payload), indent=1, allow_nan=False)
+    if f is not None:
+        text = text.replace(json.dumps(_F_MARKER), f, 1)
     _atomic_write_text(path, text + "\n")
 
 

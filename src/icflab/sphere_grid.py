@@ -23,8 +23,9 @@ __all__ = [
     "make_grid",
 ]
 
-# points per block of scattered evaluation: bounds the (points, 2K(m_max+1))
-# products to a few MB at 128x256, where all points at once take hundreds
+# points per block of scattered evaluation: bounds each product's
+# (2K(m_max+1), points) profiles to a few MB at 128x256, where all points at
+# once take hundreds; 256 times about the same, 1024 and more slower
 _SCATTER_BLOCK = 512
 # orders per block of a Legendre product: block [m0, m0 + 16) skips degrees
 # l < m0, most of the zero triangle, in few enough products that the
@@ -349,11 +350,15 @@ class Grid:
         extended by f(-theta, phi + pi) is a bivariate trigonometric
         polynomial, so each order m has a theta profile that is a cosine
         series (m even) or a sine series (m odd) of degree l_max, with
-        coefficients from one batched product with `_dfs`.  Two real
-        matrix products against cos(q theta_p) and sin(q theta_p) give
-        the profiles and their theta partials at the points, and the
-        phases exp(i m phi_p) sum them; the phi partial multiplies by i m.
-        Points are taken in fixed-size blocks, which bounds the memory.
+        coefficients from one batched product with `_dfs`.  Everything is
+        laid out powers-major, points last: the coefficient rows, ordered
+        (set, real/imag part, order) per parity, multiply the (l_max+1, P)
+        tables cos(q theta_p) and sin(q theta_p) in two real matrix
+        products, which give the profiles and their theta partials as
+        (rows, P).  The phase rows (cos m phi_p, -sin m phi_p) then weight
+        and sum them over (part, order); the phi partial uses the rows
+        (-m sin m phi_p, -m cos m phi_p) on the same profiles.  Points are
+        taken in fixed-size blocks, which bounds the memory.
         """
         theta_s = np.atleast_1d(np.asarray(theta_s, dtype=float))
         phi_s = np.atleast_1d(np.asarray(phi_s, dtype=float))
@@ -366,28 +371,39 @@ class Grid:
         cols = np.moveaxis(C2_stack, 0, -1).reshape(M + 1, L + 1, 2 * K)
         w = np.where(self.m_values == 0, 1.0, 2.0)[:, None, None]
         D = (w * np.matmul(self._dfs, cols)).reshape(M + 1, L + 1, 2, K)
-        # per parity, columns ordered (real/imag part, order, set)
-        even = D[0::2].transpose(1, 2, 0, 3).reshape(L + 1, -1)  # cos(q theta)
-        odd = D[1::2].transpose(1, 2, 0, 3).reshape(L + 1, -1)   # sin(q theta)
-        n_even, n_odd = even.shape[1], odd.shape[1]
-        q = np.arange(L + 1.0)[:, None]
-        cos_c, sin_c = even, odd
+        # per parity, rows ordered (set, real/imag part, order) against q
+        even = D[0::2].transpose(3, 2, 0, 1).reshape(-1, L + 1)  # cos(q theta)
+        odd = D[1::2].transpose(3, 2, 0, 1).reshape(-1, L + 1)   # sin(q theta)
+        n_even, n_odd = len(even), len(odd)
+        cos_rows, sin_rows = even, odd
         if derivatives:
             # theta partials: (cos q t)' = -q sin q t, (sin q t)' = q cos q t
-            cos_c = np.hstack([even, q * odd])
-            sin_c = np.hstack([odd, -q * even])
+            q = np.arange(L + 1.0)
+            cos_rows = np.vstack([even, q * odd])
+            sin_rows = np.vstack([odd, -q * even])
+        m_even, m_odd = self.m_values[0::2, None], self.m_values[1::2, None]
 
-        def phases(z):
-            # Re[(g_re + i g_im) z] = g_re Re z - g_im Im z, in column order
-            ze, zo = z[:, 0::2], z[:, 1::2]
-            return np.hstack([ze.real, -ze.imag, zo.real, -zo.imag])[:, None, :]
+        def phase_rows(z):
+            # Re[(g_re + i g_im) z] = g_re Re z - g_im Im z: rows (Re z, -Im z)
+            ph = np.empty((2,) + z.shape)
+            ph[0] = z.real
+            np.negative(z.imag, out=ph[1])
+            return ph
 
-        n_ph = 2 * (M // 2 + 1)                 # phase columns of the even m
+        def dphi_rows(ph, m):
+            # d/dphi of the same: rows (-m Im z, -m Re z)
+            d = np.empty_like(ph)
+            np.multiply(m, ph[1], out=d[0])
+            np.multiply(-m, ph[0], out=d[1])
+            return d
 
-        def phase_sum(ph, g_even, g_odd):
-            # sum over orders: a (1, 2(M+1)) x (2(M+1), K) product per point
-            return (ph[..., :n_ph] @ g_even.reshape(len(ph), -1, K)
-                    + ph[..., n_ph:] @ g_odd.reshape(len(ph), -1, K))[:, 0].T
+        def phase_sum(g_even, ph_even, g_odd, ph_odd):
+            # sum over (part, order) of profiles times phase rows, per set
+            n = ph_even.shape[-1]
+            return (np.einsum("cjp,jp->cp", g_even.reshape(K, -1, n),
+                              ph_even.reshape(-1, n))
+                    + np.einsum("cjp,jp->cp", g_odd.reshape(K, -1, n),
+                                ph_odd.reshape(-1, n)))
 
         val = np.empty((K, Pn))
         dth = np.empty((K, Pn)) if derivatives else None
@@ -395,29 +411,37 @@ class Grid:
         for lo in range(0, Pn, _SCATTER_BLOCK):
             hi = min(lo + _SCATTER_BLOCK, Pn)
             eq = _exp_powers(theta_s[lo:hi], L + 1)
-            cg = eq.real @ cos_c        # even-m profiles, odd-m theta partials
-            sg = eq.imag @ sin_c        # odd-m profiles, even-m theta partials
+            # even-m profiles and odd-m theta partials, then the reverse
+            cg = cos_rows @ np.ascontiguousarray(eq.real)
+            sg = sin_rows @ np.ascontiguousarray(eq.imag)
             z = _exp_powers(phi_s[lo:hi], M + 1)
-            ph = phases(z)
-            val[:, lo:hi] = phase_sum(ph, cg[:, :n_even], sg[:, :n_odd])
+            ph_even, ph_odd = phase_rows(z[0::2]), phase_rows(z[1::2])
+            val[:, lo:hi] = phase_sum(cg[:n_even], ph_even, sg[:n_odd], ph_odd)
             if derivatives:
-                dth[:, lo:hi] = phase_sum(ph, sg[:, n_odd:], cg[:, n_even:])
-                dph[:, lo:hi] = phase_sum(phases(1j * self.m_values * z),
-                                          cg[:, :n_even], sg[:, :n_odd])
+                dth[:, lo:hi] = phase_sum(sg[n_odd:], ph_even, cg[n_even:], ph_odd)
+                dph[:, lo:hi] = phase_sum(cg[:n_even], dphi_rows(ph_even, m_even),
+                                          sg[:n_odd], dphi_rows(ph_odd, m_odd))
         if derivatives:
             return val, dth, dph
         return val
 
 
 def _exp_powers(angle, n):
-    """exp(i k angle) for k = 0..n-1, shape (angle.size, n), by repeated
-    multiplication, which is cheaper than cos and sin of k * angle; the
-    error grows at most linearly in k (within 7e-14 of exp(1j * k * angle)
-    for k < 128 and |angle| < 2 pi)."""
-    z = np.empty((angle.size, n), dtype=complex)
-    z[:, 0] = 1.0
-    z[:, 1:] = np.exp(1j * angle)[:, None]
-    return np.cumprod(z, axis=1)
+    """exp(i k angle) for k = 0..n-1, shape (n, angle.size), by doubling:
+    rows [k, 2k) are rows [0, k) times exp(i k angle), a factor squared
+    for the next doubling, so about log2(n) vectorized products replace
+    n cos and sin evaluations.  The error grows about linearly in k: within
+    7e-14 of exp(1j * k * angle) for k < 128 and |angle| <= 2 pi, most of
+    it that reference's own rounding of k * angle."""
+    z = np.empty((n, angle.size), dtype=complex)
+    z[0] = 1.0
+    f = np.exp(1j * angle)
+    k = 1
+    while k < n:
+        np.multiply(z[: min(k, n - k)], f, out=z[k: 2 * k])
+        f *= f
+        k *= 2
+    return z
 
 
 _GRID_CACHE: dict[tuple[int, int], Grid] = {}

@@ -6,8 +6,10 @@ plane-curve curvature, the dimension-generic radial-graph mean curvature,
 the general-n invariant tensor E(a) and its eigenvalues, the covariant
 Hessian on the round sphere, an adaptive reference
 integrator, the light-cone image of round spheres, the node-by-node
-Hsiung-Minkowski residual, the element-by-element JSON null walk, and
-frozen constants produced by the quadrature routines in this file.
+Hsiung-Minkowski residual, the element-by-element JSON null walk, the
+conformal Killing residual and finite-difference quadratic check of a
+field, and frozen constants produced by the quadrature routines in this
+file.
 """
 
 import math
@@ -330,3 +332,66 @@ def evaluate_scattered_recurrence(grid, C2_stack, theta_s, phi_s):
         dth += wgt * (acc_t * phase).real
         dph += wgt * (1j * m * acc * phase).real
     return val, dth, dph
+
+
+def killing_residual(field, x) -> float:
+    """Operator norm of DV + DV^T - 2 alpha Id at a point, with DV in
+    closed form from the field's (v, M, b): DV = M + 2<b,X> Id + 2 X b^T
+    - 2 b X^T.  Zero exactly when the field satisfies the conformal
+    Killing equation there."""
+    _, M, b = field.coefficients
+    x = np.asarray(x, dtype=float)
+    J = M + 2.0 * (x @ b) * np.eye(3) + 2.0 * np.outer(x, b) - 2.0 * np.outer(b, x)
+    R = J + J.T - 2.0 * float(field.conformal_factor(x)) * np.eye(3)
+    return float(np.max(np.abs(np.linalg.eigvalsh(R))))
+
+
+def component_quadratic_check(V, seed: int = 0, n_probes: int = 8) -> dict:
+    """Verify by finite differences that every component of V is a
+    quadratic polynomial whose second derivatives match
+    D_i D_j V^k = d_{jk} D_i a + d_{ik} D_j a - d_{ij} D_k a,
+    a = div(V)/(n+1), with D a = 2b from the field's (v, M, b).
+
+    Returns a report with the largest third difference and the largest
+    deviation of the finite-difference second derivative from the
+    displayed affine-factor formula.
+    """
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.5, 1.5, size=(n_probes, 3))
+    h = 0.5
+    eye = np.eye(3)
+    grad_alpha = 2.0 * V.coefficients[2]
+
+    max_third = 0.0
+    max_second_dev = 0.0
+    signs = np.array([-1.0, 1.0])
+    for x in pts:
+        for i in range(3):
+            for j in range(3):
+                # central second difference; exact for quadratics at any h
+                fpp = V.evaluate(x + h * eye[i] + h * eye[j])
+                fpm = V.evaluate(x + h * eye[i] - h * eye[j])
+                fmp = V.evaluate(x - h * eye[i] + h * eye[j])
+                fmm = V.evaluate(x - h * eye[i] - h * eye[j])
+                second = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
+                expected = (eye[j] * grad_alpha[i] + eye[i] * grad_alpha[j]
+                            - eye[i, j] * grad_alpha)
+                max_second_dev = max(max_second_dev,
+                                     float(np.abs(second - expected).max()))
+                # triple central difference; vanishes identically for
+                # quadratic components
+                for k in range(3):
+                    third = np.zeros(3)
+                    for s1 in signs:
+                        for s2 in signs:
+                            for s3 in signs:
+                                y = x + h * (s1 * eye[i] + s2 * eye[j] + s3 * eye[k])
+                                third = third + s1 * s2 * s3 * V.evaluate(y)
+                    third /= 8.0 * h**3
+                    max_third = max(max_third, float(np.abs(third).max()))
+    return {
+        "max_third_difference": max_third,
+        "max_second_derivative_deviation": max_second_dev,
+        "quadratic": max_third < 1e-6,
+        "matches_affine_factor": max_second_dev < 1e-6,
+    }

@@ -13,9 +13,10 @@ from icflab.serialize import (ckf_from_dict, ckf_to_dict, load_surface,
 from icflab.conformal import ConformalKillingField
 from icflab.sphere_grid import GridSpec, ScalarField
 from icflab.radial_graph import StarShapedHypersurface
-from icflab.surfaces import sphere_surface, spheroid_surface
+from icflab.surfaces import harmonic_surface, sphere_surface, spheroid_surface
 
 import oracles
+from conftest import HARMONIC_TERMS
 
 GRID = "16x32"
 
@@ -283,18 +284,28 @@ class TestSerialization:
         assert np.array_equal(W.b, V.b)
 
     def test_json_bytes_match_recursive_null_walk(self, tmp_path):
-        # surface.json, diag.json and a flow_summary.json whose beta is null
-        # (fewer than 4 records) are written byte for byte as the
-        # element-by-element walk would write them
+        # the surface.json of each gen kind at two grids, diag.json and a
+        # flow_summary.json whose beta is null (fewer than 4 records) are
+        # written byte for byte as the element-by-element walk would write
+        # them
         spec = GridSpec(16, 32)
         spheroid = spheroid_surface(1.0, 0.6, spec)
         summary = run(sphere_surface(1.0, spec),
                       FlowConfig(SpeedFunction.parse("H"), t_end=0.01,
                                  keep_snapshots=False)).summary()
         assert summary["beta"] != summary["beta"]        # nan
-        payloads = {"surface.json": surface_to_dict(spheroid, {"name": "spheroid"}),
-                    "diag.json": energy_report(spheroid),
-                    "flow_summary.json": summary}
+        payloads = {"diag.json": energy_report(spheroid),
+                    "flow_summary.json": summary,
+                    "nonfinite_f.json": {"f": [1.0, float("nan")], "meta": {}}}
+        kinds = {"sphere": (sphere_surface, {"R": 1.3}),
+                 "spheroid": (spheroid_surface, {"a": 1.0, "c": 0.6}),
+                 "harmonic": (harmonic_surface,
+                              {"base": 1.0, "terms": [list(t) for t in HARMONIC_TERMS]})}
+        for grid in (spec, GridSpec(64, 128)):
+            for name, (make, params) in kinds.items():
+                surface = make(*params.values(), grid)
+                payloads[f"{name}{grid.n_theta}.json"] = surface_to_dict(
+                    surface, {"name": name, "params": params})
         for name, payload in payloads.items():
             path = tmp_path / name
             write_json_atomic(str(path), payload)

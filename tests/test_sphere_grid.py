@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 
 from icflab.errors import GridMismatchError
 from icflab.invariants import willmore_rate
-from icflab.sphere_grid import Grid, GridSpec, ScalarField, make_grid
+from icflab.sphere_grid import (_SCATTER_BLOCK, Grid, GridSpec, ScalarField,
+                               _exp_powers, make_grid)
 from icflab.surfaces import sphere_surface
 
 import oracles
@@ -295,3 +296,41 @@ class TestOperatorProperties:
             assert rel(v[k], g.synthesis(C[k]).ravel()) < 1e-12
             assert rel(dp[k], g.synth_dphi(C[k]).ravel()) < 1e-12
             assert rel(dt[k], g.synth_dtheta(C[k]).ravel()) < 1e-11
+
+    def test_scattered_blocks_at_128x256_match_recurrence_oracle(self, rng):
+        # two full blocks and a ragged third; milliradian-from-pole points
+        # on both sides of the first block boundary and in the last block
+        spec = GridSpec(128, 256)
+        g = make_grid(spec)
+        C = np.stack([g.analysis(rng.standard_normal(spec.shape)) for _ in range(2)])
+        n = 2 * _SCATTER_BLOCK + 37
+        theta = rng.uniform(0.0, np.pi, n)
+        near_poles = [_SCATTER_BLOCK - 1, _SCATTER_BLOCK, n - 2, n - 1]
+        theta[near_poles] = [1e-3, np.pi - 1e-3, np.pi - 1e-3, 1e-3]
+        phi = rng.uniform(-np.pi, 2.0 * np.pi, n)
+
+        def rel(a, b):
+            return np.abs(a - b).max() / np.abs(b).max()
+
+        v, dt, dp = g.evaluate_scattered(C, theta, phi, derivatives=True)
+        rv, rt, rp = oracles.evaluate_scattered_recurrence(g, C, theta, phi)
+        assert rel(v, rv) < 1e-12
+        assert rel(dp, rp) < 1e-12
+        assert rel(dt, rt) < 1e-11     # the oracle divides by sin(theta)
+        for k in near_poles:
+            assert rel(v[:, k], rv[:, k]) < 1e-12
+        v_only = g.evaluate_scattered(C, theta, phi)
+        assert np.abs(v_only - v).max() <= 1e-15 * np.abs(v).max()
+
+    def test_exp_powers_match_exp(self, rng):
+        # angles on a 2^-40 lattice, |a| <= 2 pi, so that k * a is exact for
+        # k < 128 and the reference carries only exp's own rounding
+        a = np.concatenate([rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 4000),
+                            [-2.0 * np.pi, 2.0 * np.pi, 0.0]])
+        a = np.trunc(a * 2.0**40) / 2.0**40
+        k = np.arange(128.0)[:, None]
+        z = _exp_powers(a, 128)
+        assert z.shape == (128, a.size)
+        assert np.abs(z - np.exp(1j * k * a)).max() < 7e-14
+        for n in (1, 2, 3, 64, 65):         # lengths off and on a doubling
+            assert np.array_equal(_exp_powers(a, n), z[:n])
