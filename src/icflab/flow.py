@@ -295,12 +295,17 @@ class FlowTrace:
 
 def _decay_rate(t: list, values: list) -> float:
     """Least-squares exponential decay rate of the trailing half of a
-    series; nan with fewer than 4 records."""
+    series; nan with fewer than 4 records, or with no signal: when the
+    fitted log line falls across the half by no more than the largest
+    scatter about it (a round sphere's shape deviation at round-off)."""
     m = len(t)
     if m < 4:
         return float("nan")
-    tail = np.maximum(np.array(values[m // 2:]), 1e-300)
-    return float(-np.polyfit(np.array(t[m // 2:]), np.log(tail), 1)[0])
+    tt = np.array(t[m // 2:])
+    y = np.log(np.maximum(np.array(values[m // 2:]), 1e-300))
+    fit = np.polyfit(tt, y, 1)
+    falls = -fit[0] * (tt[-1] - tt[0]) > np.abs(y - np.polyval(fit, tt)).max()
+    return float(-fit[0]) if falls else float("nan")
 
 
 def run(surface: StarShapedHypersurface, config: FlowConfig) -> FlowTrace:

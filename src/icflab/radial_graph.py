@@ -208,13 +208,16 @@ def geometry(surface: StarShapedHypersurface) -> GeometryBundle:
     lp_up = lp / st**2
     nu = (p - lt[..., None] * e_t - lp_up[..., None] * e_p) / c.sqv[..., None]
 
-    # g = f^2 gbar, g^-1 = adj gbar / (f^2 s^2 v), h = (f / sqv) hbar
+    # g = f^2 gbar, g^-1 = adj gbar / (f^2 s^2 v), h = (f / sqv) hbar:
+    # g^-1 first, then g and h in place in the kernel's own gbar and hbar
     f2 = f * f
-    (g00, g01, g11), fac = c.gbar, f / c.sqv
-    metric = (f2 * g00, f2 * g01, f2 * g11)
+    (g00, g01, g11), (h00, h01, h11) = c.gbar, c.hbar
     inv_det = 1.0 / (f2 * st**2 * (1.0 + c.grad_sq))
     gi00, gi01, gi11 = g11 * inv_det, -g01 * inv_det, g00 * inv_det
-    h00, h01, h11 = (fac * h for h in c.hbar)
+    fac = f / c.sqv
+    for g_ij, h_ij in zip(c.gbar, c.hbar):
+        g_ij *= f2
+        h_ij *= fac
 
     # trace-free discriminant of S = g^-1 h, (kappa_2 - kappa_1)^2 / 4;
     # H^2/4 - K cancels at umbilics.  |A0|^2 = sum (kappa_i - H/2)^2 is
@@ -231,7 +234,7 @@ def geometry(surface: StarShapedHypersurface) -> GeometryBundle:
     bundle = GeometryBundle(
         spec=surface.spec,
         position=f[..., None] * p, normal=nu,
-        metric=metric, metric_inv=(gi00, gi01, gi11),
+        metric=c.gbar, metric_inv=(gi00, gi01, gi11),
         area_density=f2 * c.sqv,
         H=c.H, kappa=kappa, sigma_k=sigma,
         tracefree_sq=2.0 * disc_sq, grad_log_sq=c.grad_sq,

@@ -124,10 +124,17 @@ class Grid:
     real/imaginary parts.
 
     `legendre[m, i, l]` is the orthonormal associated Legendre function
-    P_l^m(cos theta_i) at the colatitude nodes (Condon-Shortley phase,
-    zero for l < m), shape (m_max+1, n_theta, l_max+1): the synthesis
-    table, shared with the surface generators, hence read-only, and a
-    non-contiguous view into the stacked table chart_derivatives reads.
+    P_l^m(cos theta_i) (Condon-Shortley phase, zero for l < m) at the
+    northern nodes i < (n_theta+1)//2, an odd grid's equator included,
+    shape (m_max+1, (n_theta+1)//2, l_max+1): the synthesis table, shared
+    with the surface generators, hence read-only, and a non-contiguous
+    view into the stacked table chart_derivatives reads.  The nodes and
+    weights are symmetric about the equator and P_l^m(-x) = (-1)^(l+m)
+    P_l^m(x), so every table keeps only these rows (Schaeffer, G-cubed 14,
+    2013): a product with the coefficients split by the parity of l + m
+    gives even and odd sums, whose sum is a northern row and whose
+    difference the mirrored southern one (`_fold`); an analysis folds the
+    row pairs first and picks each degree's sum by parity.
 
     Every Legendre table product (analysis, synthesis and the synth_*
     methods, chart_derivatives) goes through `_order_product`, which
@@ -179,13 +186,14 @@ class Grid:
 
     def _build_tables(self):
         nt, L, M = self.spec.n_theta, self.l_max, self.m_max
+        nh = (nt + 1) // 2              # northern rows, an odd grid's equator too
         # every order up to L: the derivative ladder reads orders to m_max + 2
-        P = _legendre(self.x, self.sin_theta, L, L)
+        P = _legendre(self.x[:nh], self.sin_theta[:nh], L, L)
 
         def slab(m):
             # \bar P_l^m table for signed m: \bar P_l^{-m} = (-1)^m \bar P_l^m
             if abs(m) > L:
-                return np.zeros((nt, L + 1))
+                return np.zeros((nh, L + 1))
             return P[m] if m >= 0 else (-1.0) ** (-m) * P[-m]
 
         lv = np.arange(L + 1, dtype=float)
@@ -201,7 +209,7 @@ class Grid:
         # at l < m.  All three go in place into one stacked table
         # (Td, Tdd, P); its views are taken after setflags, as a view made
         # before would stay writable.
-        T3 = np.empty((M + 1, 3, nt, L + 1))
+        T3 = np.empty((M + 1, 3, nh, L + 1))
         T3[:, 2] = P[: M + 1]
         for m in range(M + 1):
             T3[m, 0] = 0.5 * (ap(m) * slab(m + 1) - am(m) * slab(m - 1))
@@ -213,48 +221,66 @@ class Grid:
         T3.setflags(write=False)
         self._T3 = T3
         self._Td, self._Tdd = T3[:, 0], T3[:, 1]
-        self.legendre = T3[:, 2]                               # (M+1, nt, L+1)
-        scale = 2.0 * np.pi / self.spec.n_phi
-        self._TW = np.multiply(np.swapaxes(self.legendre, 1, 2), self.w_theta * scale,
-                               out=np.empty((M + 1, L + 1, nt)))
+        self.legendre = T3[:, 2]                               # (M+1, nh, L+1)
+        w = self.w_theta[:nh] * (2.0 * np.pi / self.spec.n_phi)
+        w[nt // 2:] *= 0.5          # an odd grid's equator row enters analysis twice
+        self._TW = np.multiply(np.swapaxes(self.legendre, 1, 2), w,
+                               out=np.empty((M + 1, L + 1, nh)))
         self._TW.setflags(write=False)
+        # where l + m is even: P_l^m(-x) = (-1)^(l+m) P_l^m(x)
+        self._even = (self.m_values[:, None] + self.ell) % 2 == 0
+        self._even.setflags(write=False)
 
     # ------------------------------------------------------------------
     # transforms on raw arrays
 
     def analysis(self, values: np.ndarray) -> np.ndarray:
         """Project grid values onto orthonormal spherical harmonics."""
-        M1, nt = self.m_max + 1, self.spec.n_theta
-        F = np.ascontiguousarray(np.fft.rfft(values, axis=1)[:, :M1].T)
-        C2 = np.zeros((M1, self.l_max + 1, 2))
-        _order_product(self._TW, F.view(float).reshape(M1, nt, 2), C2,
-                       degree_rows=True)
+        M1, nh = self.m_max + 1, self._TW.shape[-1]
+        F = np.fft.rfft(values, axis=1)[:, :M1].T
+        # per order, north + south and north - south of the mirrored rows;
+        # an odd grid's equator row is in both, at half weight in _TW
+        north, south = F[:, :nh], F[:, ::-1][:, :nh]
+        SD = np.empty((M1, nh, 2), dtype=complex)
+        np.add(north, south, out=SD[..., 0])
+        np.subtract(north, south, out=SD[..., 1])
+        R = np.zeros((M1, self.l_max + 1, 2), dtype=complex)
+        _order_product(self._TW, SD.view(float), R.view(float), degree_rows=True)
+        C2 = np.where(self._even, R[..., 0], R[..., 1]).view(float).reshape(R.shape[:2] + (2,))
         C2[0, :, 1] = 0.0
         return C2
 
-    def _orders_buffer(self, *lead):
-        """A zeroed irfft input of shape (*lead, n_theta, n_phi/2+1) and
-        the real view of its first m_max+1 orders with the order axis
-        first, (m_max+1, *lead, n_theta, 2): a product written into the
-        view lands in place, with no transposed copy."""
-        nt, nph = self.spec.shape
-        buf = np.zeros(lead + (nt, nph // 2 + 1), dtype=complex)
-        view = buf.view(float).reshape(buf.shape + (2,))
-        return buf, np.moveaxis(view, -2, 0)[: self.m_max + 1]
+    def _split(self, C2: np.ndarray) -> np.ndarray:
+        """Coefficients as columns even re/im, odd re/im by parity of l + m."""
+        C = np.ascontiguousarray(C2).view(complex)[..., 0]
+        X = np.empty(C.shape + (2,), dtype=complex)
+        np.multiply(C, self._even, out=X[..., 0])
+        np.multiply(C, ~self._even, out=X[..., 1])
+        return X.view(float)
 
-    def _to_grid(self, buf: np.ndarray) -> np.ndarray:
+    def _fold(self, Y: np.ndarray, out: np.ndarray, sign: float):
+        """Write a half-table product Y (m_max+1, northern rows, 4) of
+        `_split` columns into complex grid rows out (m_max+1, n_theta):
+        north even + odd, south `sign` (even - odd), -1 for d/dtheta, which
+        flips under theta -> pi - theta.  (even, odd) pairs read as complex."""
+        Z = Y.view(complex)
+        n = self.spec.n_theta // 2
+        np.add(Z[..., 0], Z[..., 1], out=out[:, : Z.shape[1]])
+        even, odd = Z[:, :n, 0], Z[:, :n, 1]
+        np.subtract(*((even, odd) if sign > 0 else (odd, even)), out=out[:, ::-1][:, :n])
+
+    def _synth_table(self, C2: np.ndarray, table: np.ndarray, sign: float = 1.0):
+        Y = np.empty(table.shape[:-1] + (4,))
+        _order_product(table, self._split(C2), Y)
+        buf = np.zeros((self.spec.n_theta, self.spec.n_phi // 2 + 1), dtype=complex)
+        self._fold(Y, buf[:, : self.m_max + 1].T, sign)
         return np.fft.irfft(buf, n=self.spec.n_phi, axis=-1, norm="forward")
-
-    def _synth_table(self, C2: np.ndarray, table: np.ndarray) -> np.ndarray:
-        buf, out = self._orders_buffer()
-        _order_product(table, C2, out)
-        return self._to_grid(buf)
 
     def synthesis(self, C2):
         return self._synth_table(C2, self.legendre)
 
     def synth_dtheta(self, C2):
-        return self._synth_table(C2, self._Td)
+        return self._synth_table(C2, self._Td, -1.0)
 
     def synth_d2theta(self, C2):
         return self._synth_table(C2, self._Tdd)
@@ -273,7 +299,7 @@ class Grid:
         return self._synth_table(-self.m_values[:, None, None] ** 2 * C2, self.legendre)
 
     def synth_dtheta_dphi(self, C2):
-        return self._synth_table(self._times_im(C2, self.m_values), self._Td)
+        return self._synth_table(self._times_im(C2, self.m_values), self._Td, -1.0)
 
     def synth_laplacian(self, C2):
         lam = -(self.ell * (self.ell + 1.0))
@@ -296,22 +322,25 @@ class Grid:
         is removed first (derivatives are unaffected), which keeps the
         outputs exactly covariant under constant shifts.
 
-        One analysis, one order-blocked product with the stacked
-        (Td, Tdd, P) table, written straight into the f_t, f_tt and f_pp
-        slots of the inverse-FFT buffer, and one inverse FFT of all five:
-        a phi-derivative multiplies order m by i m or -m^2, which commutes
-        with the Legendre product, so f_p, f_tp and f_pp reuse the P and
-        Td products.
+        One analysis, one order-blocked product of the parity-split
+        coefficients with the stacked half (Td, Tdd, P) table, folded into
+        the f_t, f_tt and f_pp slots of the inverse-FFT buffer, and one
+        inverse FFT of all five: a phi-derivative multiplies order m by
+        i m or -m^2, which commutes with the Legendre product, so f_p,
+        f_tp and f_pp reuse the P and Td products.
         """
         C2 = self.analysis(values - values.mean())
-        buf, out = self._orders_buffer(5)
-        _order_product(self._T3, C2[:, None], out[:, 0::2])
+        Y = np.empty(self._T3.shape[:-1] + (4,))
+        _order_product(self._T3, self._split(C2)[:, None], Y)
+        buf = np.zeros((5, self.spec.n_theta, self.spec.n_phi // 2 + 1), dtype=complex)
         G = buf[..., : self.m_max + 1]
+        for slot, sign in ((0, -1.0), (2, 1.0), (4, 1.0)):     # Td, Tdd, P
+            self._fold(Y[:, slot // 2], G[slot].T, sign)
         im = 1j * self.m_values
         np.multiply(im, G[4], out=G[1])                 # f_p = i m (P C)
         np.multiply(im, G[0], out=G[3])                 # f_tp = i m (Td C)
         G[4] *= -self.m_values * self.m_values          # f_pp = -m^2 (P C)
-        return self._to_grid(buf)
+        return np.fft.irfft(buf, n=self.spec.n_phi, axis=-1, norm="forward")
 
     # ------------------------------------------------------------------
     # scattered evaluation (used by the conformal pushforward)

@@ -4,7 +4,9 @@ Everything here is deliberately separate from the package's computation
 paths: parametric (not radial-graph) surface formulas, classical
 plane-curve curvature, the dimension-generic radial-graph mean curvature,
 the general-n invariant tensor E(a) and its eigenvalues, the covariant
-Hessian on the round sphere, an adaptive reference
+Hessian on the round sphere, full-height Legendre tables and their
+theta derivatives (degree recurrence and Legendre equation, not the
+grid's northern half tables and order ladder), an adaptive reference
 integrator, the light-cone image of round spheres, the node-by-node
 Hsiung-Minkowski residual, the element-by-element JSON null walk, the
 conformal Killing residual and finite-difference quadratic check of a
@@ -17,6 +19,8 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+
+from icflab.sphere_grid import _legendre
 
 # frozen outputs of spheroid_integrals(1.0, 0.6) at 400 nodes; the area
 # agrees with the closed form 2*pi*a^2 + pi*c^2/e*log((1+e)/(1-e)) to 2e-13
@@ -86,11 +90,33 @@ def graph_mean_curvature(f, grad_sq, lam_laplacian, lam_hess_quad, n):
     return (n - lam_laplacian + lam_hess_quad / v) / (f * np.sqrt(v))
 
 
+def full_height_tables(grid):
+    """(P, Td, Tdd): P_l^m(cos theta), its first and second theta
+    derivatives at every colatitude node, each (m_max+1, n_theta,
+    l_max+1).  P comes from `_legendre` at all nodes, not from the grid's
+    northern half tables; Td from the degree recurrence
+    sin(theta) dP_l^m/dtheta = l cos(theta) P_l^m - e_lm P_{l-1}^m, and
+    Tdd from the associated Legendre equation
+    P'' = -cot(theta) P' - (l(l+1) - m^2/sin^2(theta)) P, not from the
+    grid's order ladder."""
+    x, s = grid.cos_theta[:, None], grid.sin_theta[:, None]
+    P = _legendre(grid.cos_theta, grid.sin_theta, grid.l_max, grid.m_max)
+    ell = grid.ell.astype(float)
+    m = grid.m_values[:, None, None].astype(float)
+    e = np.sqrt(np.clip(ell * ell - m * m, 0.0, None) * (2.0 * ell + 1.0)
+                / np.maximum(2.0 * ell - 1.0, 1.0))
+    P_prev = np.zeros_like(P)
+    P_prev[..., 1:] = P[..., :-1]                        # P_{l-1}^m
+    Td = (ell * x * P - e * P_prev) / s
+    Tdd = -(x / s) * Td - (ell * (ell + 1.0) - m * m / (s * s)) * P
+    return P, Td, Tdd
+
+
 def whole_table_analysis(grid, values):
-    """`Grid.analysis` as one matmul of every order with the whole weighted
-    Legendre table, zero triangle l < m included."""
+    """`Grid.analysis` as one matmul of every order with the whole
+    full-height weighted Legendre table, zero triangle l < m included."""
     F = np.fft.rfft(values, axis=1)[:, : grid.m_max + 1].T
-    weighted = np.swapaxes(grid.legendre, 1, 2) * (
+    weighted = np.swapaxes(full_height_tables(grid)[0], 1, 2) * (
         grid.w_theta * 2.0 * np.pi / grid.spec.n_phi)
     C2 = np.matmul(weighted, np.stack([F.real, F.imag], axis=-1))
     C2[0, :, 1] = 0.0
@@ -109,11 +135,12 @@ def whole_table_synthesis(grid, table, C2):
 
 def whole_table_synth(grid, C2):
     """Every `Grid.synth_*` (and `synthesis`) of C2, by method name, from
-    whole-table products; a phi-derivative multiplies order m by i m."""
+    whole full-height table products; a phi-derivative multiplies order m
+    by i m."""
     m = grid.m_values[:, None, None]
     im_C2 = np.concatenate([-m * C2[..., 1:], m * C2[..., :1]], axis=-1)
     lap_C2 = -(grid.ell * (grid.ell + 1.0))[None, :, None] * C2
-    P, Td, Tdd = grid.legendre, grid._Td, grid._Tdd
+    P, Td, Tdd = full_height_tables(grid)
     return {name: whole_table_synthesis(grid, table, coeffs)
             for name, table, coeffs in (
                 ("synthesis", P, C2), ("synth_dtheta", Td, C2),

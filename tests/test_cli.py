@@ -113,6 +113,19 @@ class TestFlow:
                        "--out", str(short)) == 0
         assert load_strict_json(short / "flow_summary.json")["beta"] is None
 
+    def test_round_sphere_beta_is_null(self, tmp_path):
+        # shape_dev sits flat at round-off on a sphere: enough records to
+        # fit, but no decay to fit, so beta is null (it read -1.34)
+        gen = tmp_path / "g"
+        assert run_cli("gen", "sphere", "1.0", "--grid", "64x128",
+                       "--out", str(gen)) == 0
+        out = tmp_path / "f"
+        assert run_cli("flow", str(gen / "surface.json"), "--t-end", "0.1",
+                       "--out", str(out)) == 0
+        summary = load_strict_json(out / "flow_summary.json")
+        assert summary["records"] >= 4
+        assert summary["beta"] is None
+
     def test_non_finite_t_end_is_input_error(self, sphere_file, tmp_path, capsys):
         out = tmp_path / "nan"
         assert run_cli("flow", sphere_file, "--t-end", "nan",

@@ -66,8 +66,9 @@ class TestQuadrature:
         # 2 pi sum_i w_i P_l^m P_k^m = delta_lk is exact in the quadrature;
         # it holds to round-off only with accurate weights
         g = make_grid(GridSpec(128, 256))
+        P = oracles.full_height_tables(g)[0]
         for m in (0, 5, 20):
-            Pm = g.legendre[m][:, m:]
+            Pm = P[m][:, m:]
             gram = 2.0 * np.pi * (Pm.T * g.w_theta) @ Pm
             assert np.abs(gram - np.eye(len(gram))).max() < 1e-13, m
 
@@ -182,11 +183,24 @@ class TestOperatorProperties:
         assert np.abs(g.synthesis(g.analysis(f)) - f).max() < 1e-12
 
     def test_tables_are_read_only(self):
-        # a grid built here, not the cached one other tests share
-        g = Grid(GridSpec(10, 20))
+        # a grid built here, not the cached one other tests share; odd
+        # n_theta, so the northern rows include the equator
+        g = Grid(GridSpec(15, 32))
+        north = (g.m_max + 1, 8, g.l_max + 1)
+        for table in (g.legendre, g._Td, g._Tdd):
+            assert table.shape == north
+        assert g._T3.shape == (g.m_max + 1, 3, 8, g.l_max + 1)
+        assert g._TW.shape == (g.m_max + 1, g.l_max + 1, 8)
         for table in (g.legendre, g._Td, g._Tdd, g._T3, g._TW):
             with pytest.raises(ValueError):
                 table[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            g._even[0, 0] = False
+
+    def test_half_tables_halve_memory_at_128(self):
+        # full-height (T3, TW) took 67,108,864 bytes at 128x256
+        g = Grid(GridSpec(128, 256))
+        assert g._T3.nbytes + g._TW.nbytes <= 67_108_864 // 2
 
     @pytest.mark.parametrize("spec", [GridSpec(15, 32), GridSpec(16, 16), SPEC64],
                              ids=["15x32", "16x16", "64x128"])
@@ -204,8 +218,10 @@ class TestOperatorProperties:
         "spec", [GridSpec(15, 32), GridSpec(16, 16), GridSpec(40, 80), SPEC64],
         ids=["15x32", "16x16", "40x80", "64x128"])
     def test_blocked_products_match_whole_tables(self, spec, rng):
-        # odd n_theta; m_max = 7 < l_max = 15; 40 orders, not a multiple
-        # of the order block; and the production grid
+        # the half tables, order-blocked, against whole full-height oracle
+        # tables: odd n_theta (the equator row); m_max = 7 < l_max = 15;
+        # 40 orders, not a multiple of the order block; and the production
+        # grid
         g = make_grid(spec)
         values = rng.standard_normal(spec.shape)
 
