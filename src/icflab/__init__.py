@@ -11,8 +11,7 @@ from .conformal import (ConformalKillingField, AffineField, flow_map,
                         pushforward_surface)
 from .invariants import (e_tensor, willmore, willmore_rate,
                          guan_li_q, hsiung_minkowski_residual, qk_rate,
-                         condition_v_residual, center_of_mass, qbar,
-                         energy_report)
+                         condition_v_residual, qbar, energy_report)
 from .flow import (SpeedFunction, FlowConfig, FlowTrace, normal_speed, step,
                    run, asymptotics_check, class_c_audit, curvature_norm_speed)
 from .soliton import residual, best_fit_ckf, classify
@@ -26,7 +25,7 @@ __all__ = [
     "ConformalKillingField", "AffineField", "flow_map", "pushforward_surface",
     "e_tensor", "willmore", "willmore_rate", "guan_li_q",
     "hsiung_minkowski_residual", "qk_rate", "condition_v_residual",
-    "center_of_mass", "qbar", "energy_report",
+    "qbar", "energy_report",
     "SpeedFunction", "FlowConfig", "FlowTrace", "normal_speed", "step",
     "run", "asymptotics_check", "class_c_audit", "curvature_norm_speed",
     "residual", "best_fit_ckf", "classify",

@@ -7,13 +7,15 @@ Every conformal Killing field of flat R^3 has the form
 with v, b vectors, mu a dilation rate and S a skew matrix (the rotation
 generator; a non-skew linear part fails the conformal Killing equation,
 which is why the skew generator rather than a full orthogonal matrix is
-stored).  The conformal factor div(V)/(dim) is the affine function
-mu + 2<b, X>, each component of V is a quadratic polynomial, and the
-generated diffeomorphisms are Moebius maps wherever they exist.  The
-conformal group acts linearly on the light cone of R^{4,1}, so the flow
-has the closed form exp(tA) there (`flow_map`); the special-conformal
-part can carry points through infinity in finite time, which `flow_map`
-detects on the whole time interval.
+stored).  With M = S + mu I it is v + M X + 2<b, X> X - |X|^2 b, one
+form for conformal and affine fields alike (`_QuadraticField`).  The
+conformal factor div(V)/(dim) is tr(M)/3 + 2<b, X> = mu + 2<b, X>, each
+component of V is a quadratic polynomial, and the generated
+diffeomorphisms are Moebius maps wherever they exist.  The conformal
+group acts linearly on the light cone of R^{4,1}, so the flow has the
+closed form exp(tA) there (`flow_map`); the special-conformal part can
+carry points through infinity in finite time, which `flow_map` detects
+on the whole time interval.
 """
 
 from __future__ import annotations
@@ -40,8 +42,34 @@ _ESCAPE_RADIUS = 1e6
 _NEWTON_TOL = 1e-12
 
 
+class _QuadraticField:
+    """The methods of v + M X + 2<b, X> X - |X|^2 b, read from the
+    `coefficients` (v, M, b); an affine field is the case b = 0."""
+
+    def __post_init__(self):
+        if not all(np.all(np.isfinite(c)) for c in self.coefficients):
+            raise ValueError("non-finite field parameters")
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        """Field value at ambient points of shape (..., 3)."""
+        v, M, b = self.coefficients
+        x = np.asarray(x, dtype=float)
+        bx = np.tensordot(x, b, axes=(-1, 0))[..., None]
+        xx = np.sum(x * x, axis=-1)[..., None]
+        return v + x @ M.T + 2.0 * bx * x - xx * b
+
+    def conformal_factor(self, x: np.ndarray) -> np.ndarray:
+        """div(V)/(n+1) = tr(M)/3 + 2<b, x>; affine in x."""
+        _, M, b = self.coefficients
+        x = np.asarray(x, dtype=float)
+        return np.trace(M) / _AMBIENT_DIM + 2.0 * np.tensordot(x, b, axes=(-1, 0))
+
+    def divergence(self, x: np.ndarray) -> np.ndarray:
+        return _AMBIENT_DIM * self.conformal_factor(x)
+
+
 @dataclass
-class ConformalKillingField:
+class ConformalKillingField(_QuadraticField):
     """Parameters (v, S, mu, b); S is stored by its strictly-lower
     triangle (rows (1,0), (2,0), (2,1)) so skewness holds exactly."""
 
@@ -55,11 +83,7 @@ class ConformalKillingField:
         self.s_lower = np.asarray(self.s_lower, dtype=float).reshape(_AMBIENT_DIM)
         self.mu = float(self.mu)
         self.b = np.asarray(self.b, dtype=float).reshape(_AMBIENT_DIM)
-        for arr in (self.v, self.s_lower, self.b):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("non-finite field parameters")
-        if not np.isfinite(self.mu):
-            raise ValueError("non-finite field parameters")
+        super().__post_init__()
 
     @property
     def skew_matrix(self) -> np.ndarray:
@@ -68,28 +92,14 @@ class ConformalKillingField:
 
     @property
     def coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(v, M, b) of V(X) = v + M X + 2<b, X> X - |X|^2 b, M = S + mu I."""
-        return self.v, self.skew_matrix + self.mu * np.eye(_AMBIENT_DIM), self.b
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Field value at ambient points of shape (..., 3)."""
-        x = np.asarray(x, dtype=float)
-        bx = np.tensordot(x, self.b, axes=(-1, 0))[..., None]
-        xx = np.sum(x * x, axis=-1)[..., None]
-        return (self.v + x @ self.skew_matrix.T + self.mu * x
-                + 2.0 * bx * x - xx * self.b)
-
-    def conformal_factor(self, x: np.ndarray) -> np.ndarray:
-        """div(V)/(n+1) = mu + 2<b, x>; affine in x."""
-        x = np.asarray(x, dtype=float)
-        return self.mu + 2.0 * np.tensordot(x, self.b, axes=(-1, 0))
-
-    def divergence(self, x: np.ndarray) -> np.ndarray:
-        return _AMBIENT_DIM * self.conformal_factor(x)
+        """(v, M, b) with M = S + mu I."""
+        M = self.skew_matrix
+        np.fill_diagonal(M, self.mu)
+        return self.v, M, self.b
 
 
 @dataclass
-class AffineField:
+class AffineField(_QuadraticField):
     """General affine ambient field v + M x; conformal exactly when the
     symmetric trace-free part of M vanishes.  Used as the negative
     control in conformal-identity tests."""
@@ -100,21 +110,12 @@ class AffineField:
     def __post_init__(self):
         self.v = np.asarray(self.v, dtype=float).reshape(_AMBIENT_DIM)
         self.M = np.asarray(self.M, dtype=float).reshape(_AMBIENT_DIM, _AMBIENT_DIM)
+        super().__post_init__()
 
     @property
     def coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(v, M, b) of the conformal-field form, with b = 0."""
+        """(v, M, b) with b = 0."""
         return self.v, self.M, np.zeros(_AMBIENT_DIM)
-
-    def evaluate(self, x):
-        return self.v + np.asarray(x, dtype=float) @ self.M.T
-
-    def conformal_factor(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.full(x.shape[:-1], np.trace(self.M) / _AMBIENT_DIM)
-
-    def divergence(self, x):
-        return _AMBIENT_DIM * self.conformal_factor(x)
 
 
 def _generator(V) -> np.ndarray:

@@ -8,9 +8,9 @@ one-parameter family of pointwise conformal-invariant 2-tensors
 whose g-eigenvalues in general dimension are
 -(n/2)(kappa_i - H/n)^2 - ((2an+1)/2)|A0|^2, with |A0|^2 = |A|^2 - H^2/n,
 the scale-invariant curvature quotients Q_k with their rate under
-conformal transport, the Hsiung-Minkowski integral residuals, curvature
-centers of mass, and the inversion-symmetric quantity Qbar with its
-sharp two-sided bound.
+conformal transport, the Hsiung-Minkowski integral residuals with the
+moment rows they share with the soliton fit, and the inversion-symmetric
+quantity Qbar with its sharp two-sided bound.
 
 In n = 2 the tensor family has a closed form.  Cayley-Hamilton for the
 shape operator g^-1 h gives h g^-1 h = H h - K g, and |A|^2 = H^2 - 2K,
@@ -28,10 +28,10 @@ with conformal factor alpha_V = tr(M)/3 + 2<b, X> (`coefficients`), so
 
     <V, nu> = v . nu + sum_ij M_ij nu_i X_j + b . (2 (X . nu) X - |X|^2 nu)
 
-is one product of the 15 coefficients (v, M row-major, b) with 15
-per-surface moment rows: nu (3), nu_i X_j (9) and 2(X . nu)X - |X|^2 nu
-(3).  The moments and the weights dmu sigma_k / C(n,k) are built once per
-call, and each field costs two small matrix-vector products.
+is the product of the 15 coefficients (v, M row-major, b) of
+`coefficient_vector` with the 15 `moment_rows` of the surface: nu (3),
+nu_i X_j (9) and 2(X . nu)X - |X|^2 nu (3).  The residual and the
+soliton fit both read these rows.
 
 Sign conventions follow the outward-normal, H > 0 orientation fixed in
 `radial_graph`; every identity's sign is pinned by the round-sphere case.
@@ -55,10 +55,11 @@ __all__ = [
     "willmore",
     "willmore_rate",
     "guan_li_q",
+    "moment_rows",
+    "coefficient_vector",
     "hsiung_minkowski_residual",
     "qk_rate",
     "condition_v_residual",
-    "center_of_mass",
     "qbar",
     "energy_report",
 ]
@@ -145,6 +146,28 @@ def guan_li_q(surface: StarShapedHypersurface, k: int) -> float:
     return num ** (1.0 / (N - k)) / den ** (1.0 / (N - k + 1))
 
 
+def moment_rows(surface: StarShapedHypersurface) -> np.ndarray:
+    """The 15 moment rows at the surface nodes, shape (15, nodes): nu (3),
+    nu_i X_j row-major (9) and 2(X . nu)X - |X|^2 nu (3).  Their product
+    with `coefficient_vector(V)` is <V, nu> at every node."""
+    geom = geometry(surface)
+    X = np.ascontiguousarray(geom.position.reshape(-1, 3).T)
+    nu = np.ascontiguousarray(geom.normal.reshape(-1, 3).T)
+    rows = np.empty((15, X.shape[1]))
+    rows[:3] = nu
+    np.multiply(nu[:, None, :], X[None, :, :], out=rows[3:12].reshape(3, 3, -1))
+    x_nu, x_sq = np.einsum("cn,cn->n", X, nu), np.einsum("cn,cn->n", X, X)
+    rows[12:] = 2.0 * x_nu * X - x_sq * nu
+    return rows
+
+
+def coefficient_vector(V) -> np.ndarray:
+    """The 15 coefficients (v, M row-major, b) of V, in the order of
+    `moment_rows`."""
+    v, M, b = V.coefficients
+    return np.concatenate([v, M.reshape(-1), b])
+
+
 def hsiung_minkowski_residual(surface: StarShapedHypersurface, fields,
                               k: int, relative: bool = False) -> np.ndarray:
     """Residuals of the Minkowski-type integral identity for conformal
@@ -156,28 +179,21 @@ def hsiung_minkowski_residual(surface: StarShapedHypersurface, fields,
     which holds for every closed hypersurface when V is conformal Killing
     (outward-normal convention; the round sphere with V = X gives both
     sides equal to the area).  With ``relative=True`` each residual is
-    scaled by the L1 size of its two integrands.  The fields enter through
-    `coefficients` and the moment rows of the module docstring.
+    scaled by the L1 size of its two integrands.
     """
     if not 0 <= k <= N - 1:
         raise ValueError(f"k must lie in 0..{N - 1}")
     geom = geometry(surface)
     X = np.ascontiguousarray(geom.position.reshape(-1, 3).T)
-    nu = np.ascontiguousarray(geom.normal.reshape(-1, 3).T)
-    moments = np.empty((15, X.shape[1]))
-    moments[:3] = nu
-    np.multiply(nu[:, None, :], X[None, :, :],
-                out=moments[3:12].reshape(3, 3, -1))
-    x_nu, x_sq = np.einsum("cn,cn->n", X, nu), np.einsum("cn,cn->n", X, X)
-    moments[12:] = 2.0 * x_nu * X - x_sq * nu
+    rows = moment_rows(surface)
     dmu = (make_grid(surface.spec).weights * geom.area_density).reshape(-1)
     w_lhs = dmu * geom.sigma_k[..., k].reshape(-1) / comb(N, k)
     w_rhs = dmu * geom.sigma_k[..., k + 1].reshape(-1) / comb(N, k + 1)
 
     residuals = np.empty(len(fields))
     for i, V in enumerate(fields):
-        v, M, b = V.coefficients
-        rhs = np.concatenate([v, M.reshape(-1), b]) @ moments     # <V, nu>
+        _, M, b = V.coefficients
+        rhs = coefficient_vector(V) @ rows                       # <V, nu>
         rhs *= w_rhs
         lhs = 2.0 * (b @ X) + np.trace(M) / (N + 1)              # alpha_V
         lhs *= w_lhs
@@ -217,14 +233,6 @@ def qk_rate(surface: StarShapedHypersurface, V, k: int) -> float:
     """
     q = guan_li_q(surface, k)
     return -q / (N + 1) * condition_v_residual(surface, V, k)
-
-
-def center_of_mass(surface: StarShapedHypersurface, k: int) -> np.ndarray:
-    """sigma_k-weighted barycenter int sigma_k x dmu / int sigma_k dmu."""
-    total = sigma_integral(surface, k)
-    geom = geometry(surface)
-    w = geom.sigma_k[..., k]
-    return np.array([geom.integrate(w * geom.position[..., c]) for c in range(3)]) / total
 
 
 def qbar(surface: StarShapedHypersurface) -> tuple[float, float, float]:

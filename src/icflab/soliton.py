@@ -9,9 +9,12 @@ vanishes (outward convention; checking the instantaneous condition is the
 finitely verifiable form of the transport property, since both evolutions
 are determined by their normal speed).  Because <V, nu> is linear in the
 ten field parameters (v, S, mu, b), minimizing the area-weighted squared
-residual is a linear least-squares problem; symmetric surfaces leave some
-parameter directions unobservable and the minimum-norm solution is
-returned for those.
+residual is a linear least-squares problem.  Its design matrix is the
+surface's Hsiung-Minkowski `moment_rows` (transposed) times the 15x10
+matrix of the basis fields' `coefficient_vector`s, so <V, nu> is built
+in one place for both.  Symmetric surfaces leave some parameter
+directions unobservable and the minimum-norm solution is returned for
+those.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import numpy as np
 
 from .conformal import ConformalKillingField
 from .flow import SpeedFunction, normal_speed
-from .radial_graph import GeometryBundle, StarShapedHypersurface, geometry
+from .invariants import coefficient_vector, moment_rows
+from .radial_graph import StarShapedHypersurface, geometry
 from .serialize import ckf_to_dict
 from .sphere_grid import ScalarField, make_grid
 
@@ -63,21 +67,6 @@ def residual(surface: StarShapedHypersurface, V,
     return ScalarField(surface.spec, vn - target)
 
 
-def _design_matrix(geom: GeometryBundle) -> np.ndarray:
-    pos = geom.position.reshape(-1, 3)
-    nu = geom.normal.reshape(-1, 3)
-    cols = np.empty((pos.shape[0], N_PARAMS))
-    cols[:, 0:3] = nu
-    for a, V in enumerate(basis_fields()[3:6], start=3):
-        cols[:, a] = np.einsum("pc,pc->p", pos @ V.skew_matrix.T, nu)
-    cols[:, 6] = np.einsum("pc,pc->p", pos, nu)
-    xn = np.einsum("pc,pc->p", pos, nu)
-    xx = np.einsum("pc,pc->p", pos, pos)
-    for i in range(3):
-        cols[:, 7 + i] = 2.0 * pos[:, i] * xn - xx * nu[:, i]
-    return cols
-
-
 def best_fit_ckf(surface: StarShapedHypersurface, speed: SpeedFunction,
                  tol: float = DEFAULT_TOL) -> tuple[ConformalKillingField, dict]:
     """Least-squares conformal field minimizing the area-weighted squared
@@ -97,10 +86,12 @@ def best_fit_ckf(surface: StarShapedHypersurface, speed: SpeedFunction,
     w = (grid.weights * geom.area_density).reshape(-1)
     sqw = np.sqrt(w)
 
+    # column a of the design is <V_a, nu> of the a-th basis field
+    C = np.column_stack([coefficient_vector(V) for V in basis_fields()])
+    M = moment_rows(surface).T @ C
     # singular directions below 1e-9 of the top one are treated as
     # unobservable (exact symmetries arrive contaminated by reconstruction
     # noise at ~1e-12); minimum-norm tie-breaking applies across them
-    M = _design_matrix(geom)
     p, _, rank, svals = np.linalg.lstsq(sqw[:, None] * M, sqw * target,
                                         rcond=1e-9)
     kept = svals[: max(rank, 1)]

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from icflab.soliton import basis_fields
 from icflab.sphere_grid import _legendre
 
 # frozen outputs of spheroid_integrals(1.0, 0.6) at 400 nodes; the area
@@ -359,6 +360,38 @@ def evaluate_scattered_recurrence(grid, C2_stack, theta_s, phi_s):
         dth += wgt * (acc_t * phase).real
         dph += wgt * (1j * m * acc * phase).real
     return val, dth, dph
+
+
+def ckf_parameter_form(field, x):
+    """v + S x + mu x + 2<b,x>x - |x|^2 b and mu + 2<b,x> of a conformal
+    Killing field at points (..., 3), from its parameters (v, S, mu, b)."""
+    bx = x @ field.b
+    value = (field.v + x @ field.skew_matrix.T + field.mu * x
+             + 2.0 * bx[..., None] * x - np.sum(x * x, axis=-1)[..., None] * field.b)
+    return value, field.mu + 2.0 * bx
+
+
+def affine_parameter_form(field, x):
+    """v + x M^T and tr(M)/3 of an affine field at points (..., 3)."""
+    return field.v + x @ field.M.T, np.full(x.shape[:-1], np.trace(field.M) / 3.0)
+
+
+def design_matrix_columns(geom):
+    """<V_a, nu> of the ten soliton basis fields (translations, rotations,
+    dilation, special conformal), built column by column from the
+    parameter form: nu, (S_a X) . nu, X . nu and 2(X . nu)X - |X|^2 nu."""
+    pos = geom.position.reshape(-1, 3)
+    nu = geom.normal.reshape(-1, 3)
+    cols = np.empty((pos.shape[0], 10))
+    cols[:, 0:3] = nu
+    for a, V in enumerate(basis_fields()[3:6], start=3):
+        cols[:, a] = np.einsum("pc,pc->p", pos @ V.skew_matrix.T, nu)
+    xn = np.einsum("pc,pc->p", pos, nu)
+    xx = np.einsum("pc,pc->p", pos, pos)
+    cols[:, 6] = xn
+    for i in range(3):
+        cols[:, 7 + i] = 2.0 * pos[:, i] * xn - xx * nu[:, i]
+    return cols
 
 
 def killing_residual(field, x) -> float:

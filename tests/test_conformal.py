@@ -80,28 +80,35 @@ class TestDivergence:
 
 
 class TestCoefficients:
-    @staticmethod
-    def from_coefficients(field, x):
-        v, M, b = field.coefficients
-        bx = x @ b
-        value = (v + x @ M.T + 2.0 * bx[:, None] * x
-                 - np.sum(x * x, axis=-1)[:, None] * b)
-        return value, np.trace(M) / 3.0 + 2.0 * bx
-
     @pytest.mark.parametrize("kind", ["ckf", "affine"])
     def test_reproduce_evaluate_and_conformal_factor(self, kind, rng):
-        # V(X) = v + M X + 2<b,X>X - |X|^2 b and alpha = tr(M)/3 + 2<b,X>
+        # the quadratic form read from (v, M, b) against each class's own
+        # parameters: v + Sx + mu x + 2<b,x>x - |x|^2 b and mu + 2<b,x>,
+        # or v + x M^T and tr(M)/3
         for _ in range(5):
             if kind == "ckf":
                 field = random_ckf(rng)
+                form = oracles.ckf_parameter_form
             else:
                 field = AffineField(rng.normal(size=3), rng.normal(size=(3, 3)))
+                form = oracles.affine_parameter_form
             x = rng.normal(0.0, 1.5, size=(64, 3))
-            value, alpha = self.from_coefficients(field, x)
+            value, alpha = form(field, x)
             expected = field.evaluate(x)
             assert np.abs(value - expected).max() <= 1e-13 * np.abs(expected).max()
             expected = field.conformal_factor(x)
             assert np.abs(alpha - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("make", [
+        lambda bad: ConformalKillingField(bad, [0, 0, 0], 0.0, [0, 0, 0]),
+        lambda bad: ConformalKillingField([0, 0, 0], [0, 0, 0], bad[0], [0, 0, 0]),
+        lambda bad: AffineField(bad, np.eye(3)),
+        lambda bad: AffineField([0, 0, 0], np.diag(bad)),
+    ], ids=["ckf-v", "ckf-mu", "affine-v", "affine-M"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameters_raise(self, make, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            make([value, 0.0, 0.0])
 
 
 class TestKillingResidual:

@@ -7,8 +7,7 @@ from numpy.testing import assert_allclose
 from icflab.conformal import AffineField, ConformalKillingField, pushforward_surface
 from icflab.errors import MeanConvexityError
 from icflab.flow import SpeedFunction, normal_speed, step
-from icflab.invariants import (center_of_mass, condition_v_residual,
-                               DEFAULT_A_VALUES, e_tensor,
+from icflab.invariants import (condition_v_residual, DEFAULT_A_VALUES, e_tensor,
                                energy_report, guan_li_q,
                                hsiung_minkowski_residual, qbar, qk_rate,
                                willmore, willmore_rate)
@@ -289,22 +288,6 @@ class TestQkRate:
         lhs = qk_rate(asym48, V, 1)
         rhs = -guan_li_q(asym48, 1) / 3.0 * condition_v_residual(asym48, V, 1)
         assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-class TestCenterOfMass:
-    def test_origin_sphere(self, sphere64):
-        for k in (0, 1, 2):
-            assert np.abs(center_of_mass(sphere64, k)).max() < 1e-12
-
-    def test_translated_sphere_recovers_center(self):
-        c = np.array([0.0, 0.0, 0.3])
-        st = StarShapedHypersurface(ScalarField(
-            SPEC48, oracles.translated_sphere_graph(1.0, c, make_grid(SPEC48))))
-        for k in (0, 1):
-            assert np.abs(center_of_mass(st, k) - c).max() < 1e-9
-
-    def test_symmetric_spheroid(self, spheroid64):
-        assert np.abs(center_of_mass(spheroid64, 1)).max() < 1e-12
 
 
 class TestQbar:

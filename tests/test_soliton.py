@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from icflab.conformal import ConformalKillingField, pushforward_surface
 from icflab.flow import FlowConfig, SpeedFunction, normal_speed, run
+from icflab.invariants import coefficient_vector, moment_rows
 from icflab.radial_graph import StarShapedHypersurface, geometry
 from icflab.soliton import (basis_fields, best_fit_ckf, classify,
                             field_from_params, residual)
@@ -16,6 +17,13 @@ import oracles
 from conftest import SPEC32, SPEC48, SPEC64, nodes, scaled
 
 IMCF = SpeedFunction("H")
+
+
+def design_matrix(surface):
+    """The fit's design matrix: the moment rows times the basis fields'
+    coefficient vectors."""
+    C = np.column_stack([coefficient_vector(V) for V in basis_fields()])
+    return moment_rows(surface).T @ C
 
 
 def rotate_about_z(surface, angle):
@@ -179,12 +187,11 @@ class TestObjectiveStructure:
     def test_quadratic_form_consistency(self, rng):
         # J(p) evaluated by direct integration equals the Gram quadratic
         # form; the second-order part scales exactly quadratically
-        from icflab.soliton import _design_matrix
         s = spheroid_surface(1.0, 0.6, SPEC32)
         geom = geometry(s)
         grid = make_grid(SPEC32)
         w = (grid.weights * geom.area_density).reshape(-1)
-        M = _design_matrix(geom)
+        M = design_matrix(s)
         y = normal_speed(s, IMCF).values.reshape(-1)
         G = M.T @ (w[:, None] * M)
         cvec = M.T @ (w * y)
@@ -200,6 +207,18 @@ class TestObjectiveStructure:
             assert J_direct(p) == pytest.approx(J_gram, rel=1e-12)
             quad = J_direct(2 * p) - 2 * J_direct(p) + const
             assert quad == pytest.approx(2.0 * p @ G @ p, rel=1e-10)
+
+    @pytest.mark.parametrize("name", ["spheroid64", "harmonic64"])
+    def test_design_matrix_matches_columns(self, name, request):
+        s = request.getfixturevalue(name)
+        M = design_matrix(s)
+        reference = oracles.design_matrix_columns(geometry(s))
+        assert np.abs(M - reference).max() <= 1e-14
+        # the fit's residual is that of its parameters on the reference
+        V, rep = best_fit_ckf(s, IMCF)
+        p = np.concatenate([V.v, V.s_lower, [V.mu], V.b])
+        r = reference @ p - normal_speed(s, IMCF).values.reshape(-1)
+        assert abs(np.abs(r).max() - rep["residual_sup"]) <= 1e-12
 
     def test_parameter_round_trip(self, rng):
         p = rng.normal(size=10)
