@@ -174,11 +174,15 @@ def cmd_inequality(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _positive(cast):
+    """An argparse type: `cast(text)`, which must be finite and positive."""
+    def parse(text: str):
+        value = cast(text)
+        if not 0 < value < float("inf"):
+            raise argparse.ArgumentTypeError(f"must be finite and positive, got {value}")
+        return value
+    parse.__name__ = cast.__name__
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -221,14 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariance", parents=[surface],
                        help="randomized conformal-invariance audit")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=_positive_int, default=20)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--trials", type=_positive(int), default=20)
+    p.add_argument("--tol", type=_positive(float), default=1e-6)
     p.set_defaults(func=cmd_invariance)
 
     p = sub.add_parser("soliton", help="best-fit conformal field and verdict",
                        parents=[surface])
     p.add_argument("--speed", default="H")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_positive(float), default=1e-6)
     p.set_defaults(func=cmd_soliton)
 
     sub.add_parser("inequality", help="two-sided bound on Qbar",

@@ -231,14 +231,15 @@ class FlowConfig:
 
 @dataclass
 class FlowTrace:
-    """Time series of monitored quantities, one entry per record."""
+    """Time series of monitored quantities, one entry per record;
+    `tracefree_sq_sup` is max |A0|^2, and sup |E(a)| = |2a+1| times it."""
 
     speed_label: str
     mu: float
     t: list = field(default_factory=list)
     W: list = field(default_factory=list)
     Q1: list = field(default_factory=list)
-    E_sup: dict = field(default_factory=dict)
+    tracefree_sq_sup: list = field(default_factory=list)
     osc: list = field(default_factory=list)
     ubar_mean: list = field(default_factory=list)
     shape_dev: list = field(default_factory=list)
@@ -248,11 +249,11 @@ class FlowTrace:
     def _record(self, t, surface, keep):
         if self.t and t <= self.t[-1]:
             raise IcfLabError("record times must increase strictly")
+        geom = geometry(surface)
         self.t.append(t)
         self.W.append(inv.willmore(surface))
         self.Q1.append(inv.guan_li_q(surface, 1))
-        for a in inv.DEFAULT_A_VALUES:
-            self.E_sup.setdefault(a, []).append(inv.e_tensor(surface, a)[1])
+        self.tracefree_sq_sup.append(float(geom.tracefree_sq.max()))
         f = surface.values
         self.osc.append(float(f.max() / f.min()))
         # rescaled graph exp(-t/mu) f: round-sphere mean (its oscillation is osc)
@@ -261,22 +262,16 @@ class FlowTrace:
         self.ubar_mean.append(scale * grid.integrate_values(f) / (4.0 * np.pi))
         # sup |f kappa_i - 1|: spectral norm of f h_i^j - delta_i^j,
         # invariant under the rescaling
-        dev = np.abs(f[..., None] * geometry(surface).kappa - 1.0).max()
+        dev = np.abs(f[..., None] * geom.kappa - 1.0).max()
         self.shape_dev.append(float(dev))
         if keep:
             self.snapshots.append(ScalarField(surface.spec, f.copy()))
 
     def csv_header(self) -> list[str]:
-        return (["t", "W", "Q1"]
-                + [f"E_sup_a{a:g}" for a in inv.DEFAULT_A_VALUES]
-                + ["osc", "ubar_mean", "shape_dev"])
+        return ["t", "W", "Q1", "tracefree_sq_sup", "osc", "ubar_mean", "shape_dev"]
 
     def csv_rows(self):
-        for i in range(len(self.t)):
-            row = [self.t[i], self.W[i], self.Q1[i]]
-            row += [self.E_sup[a][i] for a in inv.DEFAULT_A_VALUES]
-            row += [self.osc[i], self.ubar_mean[i], self.shape_dev[i]]
-            yield row
+        return zip(*(getattr(self, c) for c in self.csv_header()))
 
     def summary(self) -> dict:
         return {
@@ -289,7 +284,7 @@ class FlowTrace:
             "osc_final": self.osc[-1],
             "shape_dev_final": self.shape_dev[-1],
             "beta": self.beta,
-            "E_sup_final": {repr(a): self.E_sup[a][-1] for a in inv.DEFAULT_A_VALUES},
+            "tracefree_sq_sup_final": self.tracefree_sq_sup[-1],
         }
 
 
@@ -339,7 +334,7 @@ def run(surface: StarShapedHypersurface, config: FlowConfig) -> FlowTrace:
 def asymptotics_check(trace: FlowTrace) -> dict:
     """Audit the monotone quantities and fitted decay rates of a trace;
     returns the flags, the record from which `osc` stays monotone, the
-    `E_sup` decay rate and their conjunction `flags_ok`.
+    decay rate of max |A0|^2 and their conjunction `flags_ok`.
 
     Monotonicity tolerates per-step wiggles of 1e-8 relative (explicit
     stepping leaves residuals at discretization scale); violations are
@@ -351,22 +346,23 @@ def asymptotics_check(trace: FlowTrace) -> dict:
     Q = np.array(trace.Q1)
     w_ok = bool(np.all(np.diff(W) <= 1e-8 * W[:-1]))
     q_ok = bool(np.all(np.diff(Q) <= 1e-8 * Q[:-1]))
-    e_dec = {a: bool(v[-1] < v[0] or v[0] < 1e-12)
-             for a, v in trace.E_sup.items()}
+    m = trace.tracefree_sq_sup
+    # fell, or starts at round-off: the floor binds sup |E(1)| = 3 max |A0|^2
+    m_dec = bool(m[-1] < m[0] or 3.0 * m[0] < 1e-12)
 
     osc = np.array(trace.osc)
     rising = np.where(np.diff(osc) > 1e-10 * osc[:-1])[0]
     osc_from = int(rising[-1] + 1) if rising.size else 0
     tail_ok = osc_from <= max(1, len(osc) // 2)
 
-    # decay rate of E_sup at the first a; nan once it is at round-off
-    E = trace.E_sup[inv.DEFAULT_A_VALUES[0]]
-    rate = (_decay_rate(trace.t, E) if max(E[len(E) // 2:]) > 1e-14
+    # nan once the trailing half is at round-off, sup |E(-1/4)| <= 1e-14
+    rate = (_decay_rate(trace.t, m) if max(m[len(m) // 2:]) > 2e-14
             else float("nan"))
-    ok = w_ok and q_ok and all(e_dec.values()) and tail_ok
+    ok = w_ok and q_ok and m_dec and tail_ok
     return {"willmore_nonincreasing": w_ok, "q1_nonincreasing": q_ok,
-            "e_sup_decreased": e_dec, "osc_monotone_from": osc_from,
-            "osc_monotone_tail": tail_ok, "e_decay_rate": rate, "flags_ok": ok}
+            "tracefree_sq_decreased": m_dec, "osc_monotone_from": osc_from,
+            "osc_monotone_tail": tail_ok, "tracefree_sq_decay_rate": rate,
+            "flags_ok": ok}
 
 
 # ----------------------------------------------------------------------

@@ -20,18 +20,19 @@ so the H h terms cancel and
 
 |A0|^2 = H^2/2 - 2K: both g-eigenvalues equal -(2a+1)|A0|^2.  E(a)
 therefore vanishes exactly at umbilic points for every a != -1/2, and
-identically at a = -1/2.
+identically at a = -1/2.  One number, max |A0|^2, gives every sup |E(a)|;
+`energy_report` and the flow monitors print it as `tracefree_sq_sup`.
 
 The Hsiung-Minkowski residual is linear in the field.  Both field
 classes of `conformal` share the form V(X) = v + M X + 2<b, X> X - |X|^2 b
-with conformal factor alpha_V = tr(M)/3 + 2<b, X> (`coefficients`), so
+with conformal factor alpha_V = tr(M)/3 + 2<b, X> (`conformal_factor`), so
 
     <V, nu> = v . nu + sum_ij M_ij nu_i X_j + b . (2 (X . nu) X - |X|^2 nu)
 
 is the product of the 15 coefficients (v, M row-major, b) of
 `coefficient_vector` with the 15 `moment_rows` of the surface: nu (3),
-nu_i X_j (9) and 2(X . nu)X - |X|^2 nu (3).  The residual and the
-soliton fit both read these rows.
+nu_i X_j (9) and 2(X . nu)X - |X|^2 nu (3).  The Hsiung-Minkowski
+residual, the soliton residual and the soliton fit all read these rows.
 
 Sign conventions follow the outward-normal, H > 0 orientation fixed in
 `radial_graph`; every identity's sign is pinned by the round-sphere case.
@@ -65,7 +66,7 @@ __all__ = [
 ]
 
 
-# default sweep for the invariant-tensor parameter, (-0.25, 0.0, 1.0);
+# the invariance audit's sweep of the tensor parameter, (-0.25, 0.0, 1.0);
 # -1/(2n) is where the general-n coefficient 2an+1 vanishes, but in n = 2
 # E(-1/4) = -|A0|^2 g / 2 still vanishes exactly at umbilic points
 DEFAULT_A_VALUES = (-1.0 / (2 * N), 0.0, 1.0)
@@ -184,7 +185,6 @@ def hsiung_minkowski_residual(surface: StarShapedHypersurface, fields,
     if not 0 <= k <= N - 1:
         raise ValueError(f"k must lie in 0..{N - 1}")
     geom = geometry(surface)
-    X = np.ascontiguousarray(geom.position.reshape(-1, 3).T)
     rows = moment_rows(surface)
     dmu = (make_grid(surface.spec).weights * geom.area_density).reshape(-1)
     w_lhs = dmu * geom.sigma_k[..., k].reshape(-1) / comb(N, k)
@@ -192,10 +192,9 @@ def hsiung_minkowski_residual(surface: StarShapedHypersurface, fields,
 
     residuals = np.empty(len(fields))
     for i, V in enumerate(fields):
-        _, M, b = V.coefficients
         rhs = coefficient_vector(V) @ rows                       # <V, nu>
         rhs *= w_rhs
-        lhs = 2.0 * (b @ X) + np.trace(M) / (N + 1)              # alpha_V
+        lhs = V.conformal_factor(geom.position).reshape(-1)      # alpha_V
         lhs *= w_lhs
         residuals[i] = np.sum(lhs - rhs)
         if relative:
@@ -267,12 +266,12 @@ def qbar(surface: StarShapedHypersurface) -> tuple[float, float, float]:
 
 def energy_report(surface: StarShapedHypersurface) -> dict:
     """Every scalar diagnostic of one surface, as the dict `icflab diag`
-    writes."""
+    writes: max |A0|^2 stands for every sup |E(a)| = |2a+1| max |A0|^2,
+    and the area is sigma_integrals[0]."""
     return {
         "W": willmore(surface),
         "Q": {str(k): guan_li_q(surface, k) for k in range(1, N)},
         "Qbar": qbar(surface)[0],
-        "E_sup": {repr(a): e_tensor(surface, a)[1] for a in DEFAULT_A_VALUES},
-        "area": area(surface),
+        "tracefree_sq_sup": float(geometry(surface).tracefree_sq.max()),
         "sigma_integrals": [sigma_integral(surface, k) for k in range(N + 1)],
     }

@@ -11,10 +11,10 @@ are determined by their normal speed).  Because <V, nu> is linear in the
 ten field parameters (v, S, mu, b), minimizing the area-weighted squared
 residual is a linear least-squares problem.  Its design matrix is the
 surface's Hsiung-Minkowski `moment_rows` (transposed) times the 15x10
-matrix of the basis fields' `coefficient_vector`s, so <V, nu> is built
-in one place for both.  Symmetric surfaces leave some parameter
-directions unobservable and the minimum-norm solution is returned for
-those.
+matrix of the basis fields' `coefficient_vector`s, and `residual` takes
+<V, nu> as the same product, so <V, nu> is built in one place for both.
+Symmetric surfaces leave some parameter directions unobservable and the
+minimum-norm solution is returned for those.
 """
 
 from __future__ import annotations
@@ -61,10 +61,9 @@ def field_from_params(p: np.ndarray) -> ConformalKillingField:
 def residual(surface: StarShapedHypersurface, V,
              speed: SpeedFunction) -> ScalarField:
     """Pointwise normal-speed mismatch <V, nu> - 1/rho(kappa)."""
-    geom = geometry(surface)
     target = normal_speed(surface, speed).values
-    vn = np.einsum("...c,...c->...", V.evaluate(geom.position), geom.normal)
-    return ScalarField(surface.spec, vn - target)
+    vn = coefficient_vector(V) @ moment_rows(surface)
+    return ScalarField(surface.spec, vn.reshape(target.shape) - target)
 
 
 def best_fit_ckf(surface: StarShapedHypersurface, speed: SpeedFunction,

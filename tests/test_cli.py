@@ -6,13 +6,13 @@ import pytest
 
 from icflab.cli import main
 from icflab.flow import FlowConfig, SpeedFunction, run
-from icflab.invariants import energy_report
+from icflab.invariants import e_tensor, energy_report
 from icflab.serialize import (ckf_from_dict, ckf_to_dict, load_surface,
                               save_surface, surface_from_dict, surface_to_dict,
                               write_json_atomic)
 from icflab.conformal import ConformalKillingField
 from icflab.sphere_grid import GridSpec, ScalarField
-from icflab.radial_graph import StarShapedHypersurface
+from icflab.radial_graph import StarShapedHypersurface, area, geometry
 from icflab.surfaces import harmonic_surface, sphere_surface, spheroid_surface
 
 import oracles
@@ -81,7 +81,18 @@ class TestDiag:
             rep = json.load(fh)
         assert abs(rep["W"] - 16 * np.pi) < 1e-10
         assert abs(rep["Q"]["1"] - 4 * np.sqrt(np.pi)) < 1e-9
-        assert max(rep["E_sup"].values()) < 1e-10
+        assert rep["tracefree_sq_sup"] < 1e-10 / 3
+
+    def test_single_values_are_bit_exact(self, spheroid_file, tmp_path):
+        # max |A0|^2 is written once, as the E(0) sup; the area once, as
+        # the first sigma integral
+        assert run_cli("diag", spheroid_file, "--out", str(tmp_path)) == 0
+        rep = load_strict_json(tmp_path / "diag.json")
+        s = load_surface(spheroid_file)
+        m = float(geometry(s).tracefree_sq.max())
+        assert m > 0.1
+        assert rep["tracefree_sq_sup"] == m == e_tensor(s, 0.0)[1]
+        assert rep["sigma_integrals"][0] == area(s)
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         assert run_cli("diag", str(tmp_path / "nope.json"),
@@ -101,12 +112,20 @@ class TestFlow:
         with open(out / "trace.csv") as fh:
             lines = fh.read().strip().split("\n")
         header = lines[0].split(",")
-        assert header[:3] == ["t", "W", "Q1"]
-        assert header[-3:] == ["osc", "ubar_mean", "shape_dev"]
+        assert header == ["t", "W", "Q1", "tracefree_sq_sup", "osc",
+                          "ubar_mean", "shape_dev"]
         W = np.array([float(l.split(",")[1]) for l in lines[1:]])
         assert np.all(np.diff(W) <= 1e-8 * W[:-1])
         summary = load_strict_json(out / "flow_summary.json")
         assert summary["records"] == len(lines) - 1
+        # the max |A0|^2 column is the in-process trace's, bit for bit,
+        # the first entry that of the initial surface, the last the summary's
+        surface = load_surface(str(out_g / "surface.json"))
+        trace = run(surface, FlowConfig(SpeedFunction("H"), t_end=0.5))
+        column = [float(l.split(",")[3]) for l in lines[1:]]
+        assert column == trace.tracefree_sq_sup
+        assert column[0] == float(geometry(surface).tracefree_sq.max())
+        assert summary["tracefree_sq_sup_final"] == column[-1]
         # too few records to fit beta: written as null, not as bare NaN
         short = tmp_path / "short"
         assert run_cli("flow", str(out_g / "surface.json"), "--t-end", "0.01",
@@ -187,6 +206,17 @@ class TestInvariance:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+@pytest.mark.parametrize("cmd", ["invariance", "soliton"])
+def test_tol_not_finite_positive_is_input_error(cmd, tol, sphere_file,
+                                                tmp_path, capsys):
+    out = tmp_path / "t"
+    assert run_cli(cmd, sphere_file, "--tol", tol, "--out", str(out)) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "--tol" in err["message"]
+    assert not out.exists()
+
+
 class TestSolitonCommand:
     def test_sphere_is_soliton(self, sphere_file, tmp_path):
         out = tmp_path / "s"
@@ -241,7 +271,7 @@ class TestOutputContract:
         assert run_cli("diag", spheroid_file, "--out", str(tmp_path)) == 0
         assert run_cli("soliton", spheroid_file, "--out", str(tmp_path)) == 0
         assert list(load_strict_json(tmp_path / "diag.json")) == [
-            "W", "Q", "Qbar", "E_sup", "area", "sigma_integrals"]
+            "W", "Q", "Qbar", "tracefree_sq_sup", "sigma_integrals"]
         assert list(load_strict_json(tmp_path / "soliton.json")) == [
             "residual_sup", "residual_l2", "verdict", "tolerance",
             "relative_residual", "gram_condition", "fitted"]

@@ -5,6 +5,7 @@ from icflab.errors import CurvatureConeError
 from icflab.flow import (FlowConfig, SpeedFunction, asymptotics_check,
                          class_c_audit, curvature_norm_speed, normal_speed,
                          run, stable_dt, step)
+from icflab.invariants import e_tensor
 from icflab.radial_graph import StarShapedHypersurface, curvature, geometry
 from icflab.sphere_grid import GridSpec, ScalarField, make_grid
 from icflab.surfaces import sphere_surface, spheroid_surface
@@ -198,8 +199,7 @@ class TestRunOnSpheres:
         assert np.abs(np.array(trace.W) - 16 * np.pi).max() < 1e-8
         assert np.abs(np.array(trace.Q1) - 4 * np.sqrt(np.pi)).max() < 1e-9
         assert np.abs(np.array(trace.osc) - 1.0).max() < 1e-9
-        for vals in trace.E_sup.values():
-            assert max(vals) < 1e-10
+        assert max(trace.tracefree_sq_sup) < 1e-10 / 3
 
     def test_step_halving_shows_fourth_order(self):
         # coarse grid so the time truncation stays above round-off
@@ -234,8 +234,20 @@ class TestRunPerturbed:
         assert trace.beta > 0.5
         rep = asymptotics_check(trace)
         assert rep["flags_ok"]
-        assert rep["e_decay_rate"] > 0.5
-        assert all(rep["e_sup_decreased"].values())
+        assert rep["tracefree_sq_decay_rate"] > 0.5
+        assert rep["tracefree_sq_decreased"]
+
+    def test_tracefree_sq_record_is_bit_exact(self, trace):
+        # each record is max |A0|^2 of its snapshot, the E(0) sup
+        for m, snap in zip(trace.tracefree_sq_sup, trace.snapshots):
+            s = StarShapedHypersurface(snap)
+            assert m == float(geometry(s).tracefree_sq.max())
+            assert m == e_tensor(s, 0.0)[1]
+        rows = list(trace.csv_rows())
+        assert [r[3] for r in rows] == trace.tracefree_sq_sup
+        assert rows[-1] == (trace.t[-1], trace.W[-1], trace.Q1[-1],
+                            trace.tracefree_sq_sup[-1], trace.osc[-1],
+                            trace.ubar_mean[-1], trace.shape_dev[-1])
 
     def test_adversarial_noise_raises_flags(self, trace):
         import copy
@@ -256,8 +268,7 @@ class TestOtherSpeeds:
         assert trace.osc[-1] < trace.osc[0]
         assert trace.shape_dev[-1] < 0.2 * trace.shape_dev[0]
         assert trace.beta > 0.0
-        for vals in trace.E_sup.values():
-            assert vals[-1] < vals[0]
+        assert trace.tracefree_sq_sup[-1] < trace.tracefree_sq_sup[0]
 
     def test_runs_are_deterministic(self):
         s = perturbed_sphere(SPEC32, amp=0.05)

@@ -338,7 +338,7 @@ class TestEnergyReport:
         rep = energy_report(sphere64)
         assert abs(rep["W"] - 16 * np.pi) < 1e-10
         assert abs(rep["Q"]["1"] - 4 * np.sqrt(np.pi)) < 1e-9
-        assert abs(rep["area"] - 4 * np.pi) < 1e-10
-        assert max(rep["E_sup"].values()) < 1e-10
-        assert list(rep) == ["W", "Q", "Qbar", "E_sup", "area",
+        assert abs(rep["sigma_integrals"][0] - 4 * np.pi) < 1e-10
+        assert rep["tracefree_sq_sup"] < 1e-10 / 3
+        assert list(rep) == ["W", "Q", "Qbar", "tracefree_sq_sup",
                              "sigma_integrals"]
