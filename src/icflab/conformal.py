@@ -15,7 +15,9 @@ diffeomorphisms are Moebius maps wherever they exist.  The conformal
 group acts linearly on the light cone of R^{4,1}, so the flow has the
 closed form exp(tA) there (`flow_map`); the special-conformal part can
 carry points through infinity in finite time, which `flow_map` detects
-on the whole time interval.
+on the whole time interval.  `pushforward_surface` reconstructs the
+image of a radial graph from the inverse map: one scalar equation per
+grid ray on the input surface.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.spatial import cKDTree
 
-from .errors import FlowBlowUpError, NotStarShapedError, ResolutionError
-from .radial_graph import POSITIVITY_FLOOR, StarShapedHypersurface
+from .errors import FlowBlowUpError, NotStarShapedError
+from .radial_graph import POSITIVITY_FLOOR, StarShapedHypersurface, geometry
 from .sphere_grid import ScalarField
 
 __all__ = [
@@ -213,124 +214,102 @@ def flow_map(V, t: float, x: np.ndarray) -> np.ndarray:
     return (xi1[:, :3] / _scale(xi1)[:, None]).reshape(shape)
 
 
-def _nearest_cloud_start(directions, targets):
-    """Index of the mapped direction closest to each target direction; on
-    unit vectors the nearest point is the one of largest dot product."""
-    return cKDTree(directions).query(targets)[1]
-
-
-def _newton_ray_solve(grid, comp_coeffs, u, frame):
-    """Solve Yhat(u) parallel to the target directions, for unit vectors u.
-
-    The residual is measured against a fixed tangent basis `frame` at the
-    targets.  Newton steps are taken in the tangent plane of the iterate
-    along (e_theta, e_phi), with a step cap, and theta is never clipped.
-    The frame and angles are read off u itself (sin theta as the length
-    of u's xy part), so they stay accurate up to the poles; only an
-    iterate exactly on the axis, where the phi partial vanishes, gives a
-    singular Jacobian, reported as degenerate.
-
-    Partials are requested only while the residual is at least
-    sqrt(_NEWTON_TOL); when a values-only call does not converge they are
-    fetched at the same iterate, so the iterates are those of full Newton.
-    """
-    e1, e2 = frame
-    with_partials = True
-    for _ in range(60):
-        rho = np.hypot(u[:, 0], u[:, 1])
-        th, ph = np.arctan2(rho, u[:, 2]), np.arctan2(u[:, 1], u[:, 0])
-        if with_partials:
-            vals, dth, dph = grid.evaluate_scattered(comp_coeffs, th, ph,
-                                                     derivatives=True)
-        else:
-            vals = grid.evaluate_scattered(comp_coeffs, th, ph)
-        Y = vals.T
-        E1 = np.einsum("pc,pc->p", Y, e1)
-        E2 = np.einsum("pc,pc->p", Y, e2)
-        scale = np.linalg.norm(Y, axis=1)
-        err = np.hypot(E1, E2) / np.maximum(scale, 1e-300)
-        if err.max() < _NEWTON_TOL:
-            return Y
-        if not with_partials:
-            _, dth, dph = grid.evaluate_scattered(comp_coeffs, th, ph, derivatives=True)
-        with_partials = bool(err.max() >= np.sqrt(_NEWTON_TOL))
-        s_it = np.maximum(rho, 1e-300)
-        J11 = np.einsum("cp,pc->p", dth, e1)
-        J12 = np.einsum("cp,pc->p", dph, e1) / s_it
-        J21 = np.einsum("cp,pc->p", dth, e2)
-        J22 = np.einsum("cp,pc->p", dph, e2) / s_it
-        det = J11 * J22 - J12 * J21
-        if np.any(np.abs(det) < 1e-300):
-            raise NotStarShapedError("degenerate ray equations during reconstruction")
-        s1 = (E1 * J22 - E2 * J12) / det
-        s2 = (E2 * J11 - E1 * J21) / det
-        step = np.hypot(s1, s2)
-        damp = np.minimum(1.0, 0.5 / np.maximum(step, 1e-300))
-        s1, s2 = damp * s1, damp * s2
-        cp_it, sp_it = np.cos(ph), np.sin(ph)
-        e_th = np.stack([u[:, 2] * cp_it, u[:, 2] * sp_it, -rho], axis=-1)
-        e_ph = np.stack([-sp_it, cp_it, np.zeros_like(sp_it)], axis=-1)
-        u = u - s1[:, None] * e_th - s2[:, None] * e_ph
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-    if err.max() < 1e-10:
-        return Y
-    raise NotStarShapedError(
-        "ray reconstruction did not converge; mapped surface is not a "
-        "single-valued radial graph")
+def _push(E: np.ndarray, x: np.ndarray, dx: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Image of points x (P, 3) under the light-cone matrix E, and its
+    differential along dx (P, 3): the lift (x, -<x, dx>, <x, dx>) of dx
+    is multiplied by E too, and the quotient rule projects both back."""
+    xi = _lift(x) @ E.T
+    x_dx = np.einsum("pc,pc->p", x, dx)
+    dxi = np.column_stack([dx, -x_dx, x_dx]) @ E.T
+    s = _scale(xi)[:, None]
+    y = xi[:, :3] / s
+    return y, (dxi[:, :3] - y * (dxi[:, 3] + dxi[:, 4])[:, None]) / s
 
 
 def pushforward_surface(V, t: float, surface: StarShapedHypersurface
                         ) -> StarShapedHypersurface:
-    """Transport a star-shaped surface by the time-t flow of V and
+    """Transport a star-shaped surface by the time-t flow Phi_t of V and
     reconstruct it as a radial graph on the same grid.
 
-    The surface points are mapped at once by the closed-form `flow_map`,
-    and the mapped coordinates are interpolated spectrally.  Each grid
-    ray p is then solved for the source direction u whose image is
-    parallel to p, by Newton iteration (`_newton_ray_solve`).  The warm
-    start takes the radius r0 of the mapped node nearest in direction to
-    p and starts at the direction of Phi_{-t}(r0 p), so the first Newton
-    step usually meets the tolerance's square root and the second call
-    needs no partials.  The reconstruction certifies star-shapedness: the
-    direction map must be orientation-preserving at every node and every
-    ray solve must converge to a single radius.
+    The nodes are mapped by `flow_map`, which checks for escape.  A
+    conformal map takes normals to normals, so the image normal at the
+    image Y of a node is n' = DPhi_t nu, with nu the input's outward
+    normal (the input's geometry bundle is built for it, so a surface the
+    curvature kernel rejects raises ResolutionError before it is mapped).
+    The image is certified star-shaped by <n', Y> > 0 at every node; this
+    is the orientation of the image's direction map up to a positive
+    factor.
+
+    Each grid ray p then solves one scalar equation on the input surface:
+    r is the root of g(r) = |y| - f(y / |y|) with y = Phi_{-t}(r p), f
+    the input's own spectral expansion (one analysis), so the radial
+    graph is the exact image of the band-limited input, not an
+    interpolant of the image's coordinates, which are not band-limited.
+    Newton steps in r, capped at |dr| <= r/2, take dg/dr in closed form
+    from `_push` and the two partials of f.  Partials are requested only
+    while the relative residual is at least sqrt(_NEWTON_TOL); when a
+    values-only call does not converge they are fetched at the same
+    iterate, so the iterates are those of full Newton.  The warm start
+    meets the ray with the image's tangent plane at its own node's image,
+    r0 = <n', Y> / <n', p> where <n', p> > 0, else |Y|.  A step with
+    dg/dr <= 0, where the ray does not cross the image transversally, or
+    a solve that does not reach _NEWTON_TOL raises NotStarShapedError.
     """
     grid = surface.grid()
-    spec = surface.spec
-    p, e_t, e_p = grid.node_frame()
-    X = surface.values[..., None] * p
+    p = grid.node_frame()[0].reshape(-1, 3)
+    X = surface.values.reshape(-1, 1) * p
+    nu = geometry(surface).normal.reshape(-1, 3)
+    A = _generator(V)
 
-    Y = flow_map(V, t, X.reshape(-1, 3)).reshape(X.shape)
-
-    comp_coeffs = np.stack([grid.analysis(Y[..., c]) for c in range(3)])
-
-    # orientation certificate of the mapped direction map
-    Ct = np.stack([grid.synth_dtheta(comp_coeffs[c]) for c in range(3)], axis=-1)
-    Cp = np.stack([grid.synth_dphi(comp_coeffs[c]) for c in range(3)], axis=-1)
-    orient = np.einsum("ijc,ijc->ij", np.cross(Ct, Cp), Y)
+    Y = flow_map(V, t, X)
+    n_img = _push(expm(float(t) * A), X, nu)[1]
+    orient = np.einsum("pc,pc->p", n_img, Y)
     if orient.min() <= 0.0:
         raise NotStarShapedError(
             "mapped surface is not star-shaped about the origin "
             f"(orientation {orient.min():.3g})")
-
-    pk = p.reshape(-1, 3)
-
-    # warm start: the preimage direction of each ray at the radius of the
-    # mapped node nearest to it in direction
-    cloud = Y.reshape(-1, 3)
-    radii_cloud = np.linalg.norm(cloud, axis=1)
-    if radii_cloud.min() <= POSITIVITY_FLOOR:
+    radii_Y = np.linalg.norm(Y, axis=1)
+    if radii_Y.min() <= POSITIVITY_FLOOR:
         raise NotStarShapedError("mapped surface touches the origin")
-    seeds = _nearest_cloud_start(cloud / radii_cloud[:, None], pk)
-    back = _lift(radii_cloud[seeds, None] * pk) @ expm(-float(t) * _generator(V)).T
-    u0 = back[:, :3] / np.linalg.norm(back[:, :3], axis=1, keepdims=True)
 
-    Ysol = _newton_ray_solve(grid, comp_coeffs, u0,
-                             (e_t.reshape(-1, 3), e_p.reshape(-1, 3)))
-    radii = np.einsum("pc,pc->p", Ysol, pk)
-    if radii.min() <= POSITIVITY_FLOOR:
-        raise NotStarShapedError("mapped surface does not enclose the origin")
-    if not np.all(np.isfinite(radii)):
-        raise ResolutionError("non-finite radii after reconstruction")
-    return StarShapedHypersurface(ScalarField(spec, radii.reshape(spec.shape)))
+    n_p = np.einsum("pc,pc->p", n_img, p)
+    r = np.divide(orient, n_p, out=radii_Y, where=n_p > 0.0)
 
+    coeffs = grid.analysis(surface.values)[None]
+    back = expm(-float(t) * A)
+    with_partials = True
+    for _ in range(60):
+        y, dy = _push(back, r[:, None] * p, p)
+        norm = np.linalg.norm(y, axis=1)
+        rho = np.hypot(y[:, 0], y[:, 1])
+        th, ph = np.arctan2(rho, y[:, 2]), np.arctan2(y[:, 1], y[:, 0])
+        if with_partials:
+            (f,), (f_th,), (f_ph,) = grid.evaluate_scattered(coeffs, th, ph,
+                                                             derivatives=True)
+        else:
+            (f,) = grid.evaluate_scattered(coeffs, th, ph)
+        g = norm - f
+        err = np.abs(g) / norm
+        if err.max() < _NEWTON_TOL:
+            return StarShapedHypersurface(
+                ScalarField(surface.spec, r.reshape(surface.spec.shape)))
+        if not with_partials:
+            _, (f_th,), (f_ph,) = grid.evaluate_scattered(coeffs, th, ph,
+                                                          derivatives=True)
+        with_partials = bool(err.max() >= np.sqrt(_NEWTON_TOL))
+        # dg/dr = <y, dy>/|y| - (f_theta <e_theta, dy> + f_phi <e_phi, dy>
+        # / sin theta) / |y|, in the frame of the iterate's direction
+        cp, sp = np.cos(ph), np.sin(ph)
+        dy_th = (y[:, 2] * (cp * dy[:, 0] + sp * dy[:, 1]) - rho * dy[:, 2]) / norm
+        dy_ph = cp * dy[:, 1] - sp * dy[:, 0]
+        dg = (np.einsum("pc,pc->p", y, dy) - f_th * dy_th
+              - f_ph * dy_ph * norm / np.maximum(rho, 1e-300)) / norm
+        if not np.all(dg > 0.0):
+            raise NotStarShapedError(
+                "a ray meets the mapped surface tangentially or twice; it is "
+                "not a single-valued radial graph")
+        r = r - np.clip(g / dg, -0.5 * r, 0.5 * r)
+    raise NotStarShapedError(
+        "ray reconstruction did not converge; mapped surface is not a "
+        "single-valued radial graph")

@@ -111,5 +111,12 @@ def save_surface(path: str, surface: StarShapedHypersurface, meta: dict | None =
 
 
 def load_surface(path: str) -> StarShapedHypersurface:
+    """Read a surface file; a file whose JSON has the wrong structure (not
+    an object, a null or list where a number or object belongs) raises
+    ValueError naming the file."""
     with open(path) as fh:
-        return surface_from_dict(json.load(fh))
+        data = json.load(fh)
+    try:
+        return surface_from_dict(data)
+    except TypeError as exc:
+        raise ValueError(f"{path}: malformed surface file ({exc})") from exc

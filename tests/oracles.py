@@ -7,7 +7,8 @@ the general-n invariant tensor E(a) and its eigenvalues, the covariant
 Hessian on the round sphere, full-height Legendre tables and their
 theta derivatives (degree recurrence and Legendre equation, not the
 grid's northern half tables and order ladder), an adaptive reference
-integrator, the light-cone image of round spheres, the node-by-node
+integrator, the light-cone image of round spheres, the spectral
+orientation of a mapped surface's direction map, the node-by-node
 Hsiung-Minkowski residual, the element-by-element JSON null walk, the
 conformal Killing residual and finite-difference quadratic check of a
 field, and frozen constants produced by the quadrature routines in this
@@ -177,6 +178,17 @@ def translated_sphere_graph(radius, center, grid):
     p = np.stack([st * cph, st * sph, ct * np.ones_like(cph)], axis=-1)
     cp = np.tensordot(p, np.asarray(center, dtype=float), axes=(-1, 0))
     return cp + np.sqrt(cp**2 + radius**2 - np.dot(center, center))
+
+
+def spectral_orientation(grid, Y):
+    """(C_theta x C_phi) . Y at the nodes, with C the spectral interpolant
+    of the mapped node coordinates Y (nt, nph, 3): positive exactly where
+    the direction map of the mapped surface preserves orientation, so
+    its sign is the star-shapedness certificate of the image."""
+    coeffs = [grid.analysis(Y[..., c]) for c in range(3)]
+    Ct = np.stack([grid.synth_dtheta(C) for C in coeffs], axis=-1)
+    Cp = np.stack([grid.synth_dphi(C) for C in coeffs], axis=-1)
+    return np.einsum("ijc,ijc->ij", np.cross(Ct, Cp), Y)
 
 
 def dop853_flow(field, t_end, x0, rtol=3e-14):

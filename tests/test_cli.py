@@ -100,6 +100,18 @@ class TestDiag:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "FileNotFoundError"
 
+    @pytest.mark.parametrize("payload", [
+        [],
+        {"grid": None, "f": [1.0], "meta": {}},
+        {"grid": {"n_theta": [16], "n_phi": 32}, "f": [1.0], "meta": {}},
+    ], ids=["top-level-list", "null-grid", "list-n_theta"])
+    def test_malformed_file_is_input_error(self, payload, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert run_cli("diag", str(path), "--out", str(tmp_path)) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and str(path) in err["message"]
+
 
 class TestFlow:
     def test_trace_columns_and_monotone_W(self, tmp_path):

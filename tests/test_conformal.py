@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 
-from icflab.conformal import (AffineField, ConformalKillingField,
-                              _nearest_cloud_start, flow_map, pushforward_surface)
+from icflab import conformal
+from icflab.conformal import (AffineField, ConformalKillingField, flow_map,
+                              pushforward_surface)
 from icflab.errors import FlowBlowUpError, NotStarShapedError
-from icflab.radial_graph import StarShapedHypersurface, invert
+from icflab.radial_graph import StarShapedHypersurface, geometry, invert
 from icflab.sphere_grid import Grid, ScalarField, make_grid
 from icflab.surfaces import harmonic_surface, sphere_surface, spheroid_surface
 
@@ -17,6 +19,19 @@ from conftest import HARMONIC_TERMS, SPEC32, SPEC48, SPEC64, nodes
 # of a pole
 POLE_FIELD = ConformalKillingField([0.1, -0.2, 0.05], [0.2, 0.1, -0.3], 0.15,
                                   [0.1, 0.05, -0.12])
+
+
+def transport_ckf(rng):
+    """A field at the scale of the transport64 benchmark workload."""
+    return ConformalKillingField(rng.normal(0, 0.2, 3), rng.normal(0, 0.2, 3),
+                                 rng.normal(0, 0.2), rng.normal(0, 0.15, 3))
+
+
+def transport_surface(spec):
+    """1 + l = 1, 2, 3 modes, the transport64 benchmark surface unrotated."""
+    x, y, z = np.moveaxis(make_grid(spec).node_frame()[0], -1, 0)
+    f = 1.0 + 0.12 * (x * x - y * y) + 0.07 * x * (5.0 * z * z - 1.0) + 0.1 * z
+    return StarShapedHypersurface(ScalarField(spec, f))
 
 
 def random_ckf(rng, b_scale=0.3):
@@ -285,30 +300,77 @@ class TestPushforward:
         assert np.abs(back.values - s.values).max() < 1e-10
 
     def test_partials_only_where_newton_uses_them(self, rng, monkeypatch):
-        # a small step: the warm start is within the tolerance's square
-        # root after one Newton step, so the second call is values only
-        flags = []
+        # a transport64-scale step: the warm start is within the
+        # tolerance's square root after one Newton step, so the second call
+        # of the one-set expansion is values only
+        calls = []
         evaluate = Grid.evaluate_scattered
 
-        def recording(self, *args, derivatives=False):
-            flags.append(derivatives)
-            return evaluate(self, *args, derivatives=derivatives)
+        def recording(self, C2_stack, *args, derivatives=False):
+            calls.append((C2_stack.shape[0], derivatives))
+            return evaluate(self, C2_stack, *args, derivatives=derivatives)
 
         monkeypatch.setattr(Grid, "evaluate_scattered", recording)
-        s = harmonic_surface(1.0, HARMONIC_TERMS, SPEC32)
-        pushforward_surface(random_ckf(rng, b_scale=0.2), 1e-3, s)
-        assert flags == [True, False]
+        s = harmonic_surface(1.0, HARMONIC_TERMS, SPEC64)
+        pushforward_surface(transport_ckf(rng), 1e-3, s)
+        assert calls == [(1, True), (1, False)]
 
-    def test_warm_start_is_largest_dot_product(self, rng):
-        cloud = rng.standard_normal((3000, 3))
-        cloud /= np.linalg.norm(cloud, axis=1, keepdims=True)
-        targets = rng.standard_normal((800, 3))
-        targets /= np.linalg.norm(targets, axis=1, keepdims=True)
-        dots = targets @ cloud.T
-        top2 = np.sort(dots, axis=1)[:, -2:]
-        assert np.all(top2[:, 1] - top2[:, 0] > 1e-12)    # no ties
-        assert np.array_equal(_nearest_cloud_start(cloud, targets),
-                              np.argmax(dots, axis=1))
+    @pytest.mark.parametrize("case, t", [("transport", 1e-3), ("transport", -1e-3),
+                                         ("harmonic", 0.5), ("harmonic", -0.5)])
+    def test_radii_solve_ray_equation(self, case, t, rng):
+        # each ray r p lands on the input: |y| = f(y/|y|) for y = Phi_{-t}(r p),
+        # rebuilt from the escape-checked flow map and the (m, l)
+        # recurrence, not the double Fourier sphere of the solver
+        if case == "transport":
+            s, fields = transport_surface(SPEC64), [transport_ckf(rng) for _ in range(3)]
+        else:
+            s, fields = harmonic_surface(1.0, HARMONIC_TERMS, SPEC64), [POLE_FIELD]
+        grid = make_grid(SPEC64)
+        p = grid.node_frame()[0].reshape(-1, 3)
+        coeffs = grid.analysis(s.values)[None]
+        for V in fields:
+            r = pushforward_surface(V, t, s).values.reshape(-1, 1)
+            y = flow_map(V, -t, r * p)
+            norm = np.linalg.norm(y, axis=1)
+            th = np.arccos(y[:, 2] / norm)
+            ph = np.arctan2(y[:, 1], y[:, 0])
+            f = oracles.evaluate_scattered_recurrence(grid, coeffs, th, ph)[0][0]
+            assert (np.abs(norm - f) / norm).max() < 1e-12
+
+    @staticmethod
+    def certificates(V, t, s):
+        """<DPhi_t nu, Y> and the spectral (C_theta x C_phi) . Y of the
+        interpolated image, at the nodes."""
+        grid = make_grid(s.spec)
+        X = s.values[..., None] * grid.node_frame()[0]
+        Y = flow_map(V, t, X)
+        E = expm(t * conformal._generator(V))
+        n_img = conformal._push(E, X.reshape(-1, 3), geometry(s).normal.reshape(-1, 3))[1]
+        new = np.einsum("pc,pc->p", n_img, Y.reshape(-1, 3)).reshape(s.spec.shape)
+        return new, oracles.spectral_orientation(grid, Y)
+
+    @pytest.mark.parametrize("shift", [0.9, 0.99, 1.01, 1.05, 1.3])
+    def test_translation_past_origin_certificate(self, shift):
+        # translating a spheroid past the origin flips the sign at nodes,
+        # the same nodes for both certificates, and the push is refused
+        s = spheroid_surface(1.0, 0.6, SPEC48)
+        V = ConformalKillingField([shift, 0, 0], [0, 0, 0], 0.0, [0, 0, 0])
+        new, old = self.certificates(V, 1.0, s)
+        assert np.array_equal(new > 0.0, old > 0.0)
+        assert (new <= 0.0).any() == (shift > 1.0)
+        if shift > 1.0:
+            with pytest.raises(NotStarShapedError):
+                pushforward_surface(V, 1.0, s)
+        else:
+            assert pushforward_surface(V, 1.0, s).values.min() > 0.0
+
+    def test_certificate_sign_on_random_fields(self, rng):
+        s = harmonic_surface(1.0, HARMONIC_TERMS, SPEC48)
+        for _ in range(4):
+            V = random_ckf(rng, b_scale=0.2)
+            for t in (0.3, -0.3):
+                new, old = self.certificates(V, t, s)
+                assert np.array_equal(new > 0.0, old > 0.0)
 
     def test_not_star_shaped_detected(self):
         s = sphere_surface(1.0, SPEC32)
