@@ -243,9 +243,10 @@ def pushforward_surface(V, t: float, surface: StarShapedHypersurface
 
     Each grid ray p then solves one scalar equation on the input surface:
     r is the root of g(r) = |y| - f(y / |y|) with y = Phi_{-t}(r p), f
-    the input's own spectral expansion (one analysis), so the radial
-    graph is the exact image of the band-limited input, not an
-    interpolant of the image's coordinates, which are not band-limited.
+    the input's own spectral expansion (one analysis, evaluated as one
+    coefficient set by `Grid.evaluate_scattered`), so the radial graph is
+    the exact image of the band-limited input, not an interpolant of the
+    image's coordinates, which are not band-limited.
     Newton steps in r, capped at |dr| <= r/2, take dg/dr in closed form
     from `_push` and the two partials of f.  Partials are requested only
     while the relative residual is at least sqrt(_NEWTON_TOL); when a
@@ -276,7 +277,7 @@ def pushforward_surface(V, t: float, surface: StarShapedHypersurface
     n_p = np.einsum("pc,pc->p", n_img, p)
     r = np.divide(orient, n_p, out=radii_Y, where=n_p > 0.0)
 
-    coeffs = grid.analysis(surface.values)[None]
+    coeffs = grid.analysis(surface.values)
     back = expm(-float(t) * A)
     with_partials = True
     for _ in range(60):
@@ -285,18 +286,18 @@ def pushforward_surface(V, t: float, surface: StarShapedHypersurface
         rho = np.hypot(y[:, 0], y[:, 1])
         th, ph = np.arctan2(rho, y[:, 2]), np.arctan2(y[:, 1], y[:, 0])
         if with_partials:
-            (f,), (f_th,), (f_ph,) = grid.evaluate_scattered(coeffs, th, ph,
-                                                             derivatives=True)
+            f, f_th, f_ph = grid.evaluate_scattered(coeffs, th, ph,
+                                                    derivatives=True)
         else:
-            (f,) = grid.evaluate_scattered(coeffs, th, ph)
+            f = grid.evaluate_scattered(coeffs, th, ph)
         g = norm - f
         err = np.abs(g) / norm
         if err.max() < _NEWTON_TOL:
             return StarShapedHypersurface(
                 ScalarField(surface.spec, r.reshape(surface.spec.shape)))
         if not with_partials:
-            _, (f_th,), (f_ph,) = grid.evaluate_scattered(coeffs, th, ph,
-                                                          derivatives=True)
+            _, f_th, f_ph = grid.evaluate_scattered(coeffs, th, ph,
+                                                    derivatives=True)
         with_partials = bool(err.max() >= np.sqrt(_NEWTON_TOL))
         # dg/dr = <y, dy>/|y| - (f_theta <e_theta, dy> + f_phi <e_phi, dy>
         # / sin theta) / |y|, in the frame of the iterate's direction

@@ -120,10 +120,8 @@ def willmore_rate(surface: StarShapedHypersurface,
         raise MeanConvexityError(f"H reaches {geom.H.min():g}; not mean-convex")
     grid = make_grid(surface.spec)
 
-    CH = grid.analysis(geom.H - geom.H.mean())
-    Cs = grid.analysis(speed.values - speed.values.mean())
-    dHt, dHp = grid.synth_dtheta(CH), grid.synth_dphi(CH)
-    dst, dsp = grid.synth_dtheta(Cs), grid.synth_dphi(Cs)
+    dHt, dHp = grid.chart_derivatives(geom.H)[:2]
+    dst, dsp = grid.chart_derivatives(speed.values)[:2]
     gi00, gi01, gi11 = geom.metric_inv
     grad_pair = gi00 * dHt * dst + gi01 * (dHt * dsp + dHp * dst) + gi11 * dHp * dsp
 

@@ -60,10 +60,12 @@ _COND_LIMIT = 1e8
 
 @dataclass(frozen=True)
 class StarShapedHypersurface:
-    """Radial graph f over S^2, a closed star-shaped surface in R^3; f
-    strictly positive.  The surface keeps a private read-only copy of the
-    values it is given, so the geometry bundle and the inverse it caches
-    always describe it.  The dimension is fixed at n = N = 2."""
+    """Radial graph f over S^2, a closed star-shaped surface in R^3, with
+    POSITIVITY_FLOOR < f < 1 / POSITIVITY_FLOOR at every node (f[i] the
+    node in row-major order, as a surface file lists them).  The surface
+    keeps a private read-only copy of the values it is given, so the
+    geometry bundle and the inverse it caches always describe it.  The
+    dimension is fixed at n = N = 2."""
 
     f: ScalarField
 
@@ -76,10 +78,12 @@ class StarShapedHypersurface:
 
     def __post_init__(self):
         values = np.array(self.f.values)
-        if values.min() <= POSITIVITY_FLOOR:
-            raise DegenerateSurfaceError(
-                f"graph function reaches {values.min():g} "
-                f"(floor {POSITIVITY_FLOOR:g})")
+        # f and 1 / f both above the floor, so that the inverse is a surface
+        for i in (values.argmin(), values.argmax()):
+            if not POSITIVITY_FLOOR < values.flat[i] < 1.0 / POSITIVITY_FLOOR:
+                raise DegenerateSurfaceError(
+                    f"graph function reaches {values.flat[i]:g} at f[{i}] "
+                    f"(bounds {POSITIVITY_FLOOR:g} and {1.0 / POSITIVITY_FLOOR:g})")
         values.setflags(write=False)
         object.__setattr__(self, "f", ScalarField(self.f.spec, values))
 

@@ -8,13 +8,16 @@ binary values bit for bit.  JSON output is strict: a non-finite float
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
+import sys
 
 import numpy as np
 
 from .conformal import ConformalKillingField
+from .errors import DegenerateSurfaceError
 from .radial_graph import StarShapedHypersurface
 from .sphere_grid import GridSpec, ScalarField
 
@@ -39,9 +42,20 @@ def surface_to_dict(surface: StarShapedHypersurface, meta: dict | None = None) -
 
 
 def surface_from_dict(data: dict) -> StarShapedHypersurface:
+    """The surface of a dict from `surface_to_dict`: "f" must be a flat
+    list of n_theta*n_phi finite JSON numbers (booleans are not numbers)."""
     spec = GridSpec(int(data["grid"]["n_theta"]), int(data["grid"]["n_phi"]))
-    values = np.array(data["f"], dtype=float).reshape(spec.shape)
-    return StarShapedHypersurface(ScalarField(spec, values))
+    f, n = data["f"], spec.n_theta * spec.n_phi
+    if type(f) is not list or len(f) != n:
+        raise ValueError(f"f must be a flat list of {n} numbers")
+    values = None
+    with contextlib.suppress(OverflowError):            # an int past 1.8e308
+        values = np.array(f, dtype=float) if set(map(type, f)) <= {float, int} else None
+    if values is None or not np.isfinite(values).all():
+        i, v = next((i, v) for i, v in enumerate(f) if type(v) not in (float, int)
+                    or not abs(v) <= sys.float_info.max)
+        raise ValueError(f"f[{i}] = {v!r:.40} is not a finite number")
+    return StarShapedHypersurface(ScalarField(spec, values.reshape(spec.shape)))
 
 
 def ckf_to_dict(V: ConformalKillingField) -> dict:
@@ -111,12 +125,14 @@ def save_surface(path: str, surface: StarShapedHypersurface, meta: dict | None =
 
 
 def load_surface(path: str) -> StarShapedHypersurface:
-    """Read a surface file; a file whose JSON has the wrong structure (not
-    an object, a null or list where a number or object belongs) raises
-    ValueError naming the file."""
+    """Read a surface file; a file of the wrong structure or with an entry
+    of "f" that is not a finite number raises ValueError, and one whose "f"
+    leaves the admissible range DegenerateSurfaceError, each naming it."""
     with open(path) as fh:
         data = json.load(fh)
     try:
         return surface_from_dict(data)
-    except TypeError as exc:
+    except DegenerateSurfaceError as exc:
+        raise DegenerateSurfaceError(f"{path}: {exc}") from exc
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed surface file ({exc})") from exc

@@ -128,18 +128,19 @@ class Grid:
     northern nodes i < (n_theta+1)//2, an odd grid's equator included,
     shape (m_max+1, (n_theta+1)//2, l_max+1): the synthesis table, shared
     with the surface generators, hence read-only, and a non-contiguous
-    view into the stacked table chart_derivatives reads.  The nodes and
-    weights are symmetric about the equator and P_l^m(-x) = (-1)^(l+m)
-    P_l^m(x), so every table keeps only these rows (Schaeffer, G-cubed 14,
-    2013): a product with the coefficients split by the parity of l + m
-    gives even and odd sums, whose sum is a northern row and whose
-    difference the mirrored southern one (`_fold`); an analysis folds the
-    row pairs first and picks each degree's sum by parity.
+    view into the stacked (Td, Tdd, P) table `_T3`, whose one product in
+    `_partials` gives chart_derivatives and the synth_* partials.  The
+    nodes and weights are symmetric about the equator and P_l^m(-x) =
+    (-1)^(l+m) P_l^m(x), so every table keeps only these rows (Schaeffer,
+    G-cubed 14, 2013): a product with the coefficients split by the
+    parity of l + m gives even and odd sums, whose sum is a northern row
+    and whose difference the mirrored southern one (`_fold`); an analysis
+    folds the row pairs first and picks each degree's sum by parity.
 
-    Every Legendre table product (analysis, synthesis and the synth_*
-    methods, chart_derivatives) goes through `_order_product`, which
-    takes the orders in blocks of _ORDER_BLOCK and skips the degrees
-    l < m0 below each block's first order, where every table vanishes.
+    Every Legendre table product (analysis, synthesis, `_partials`) goes
+    through `_order_product`, which takes the orders in blocks of
+    _ORDER_BLOCK and skips the degrees l < m0 below each block's first
+    order, where every table vanishes.
     """
 
     def __init__(self, spec: GridSpec):
@@ -155,12 +156,11 @@ class Grid:
             p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
         w = 2.0 * (1.0 - x * x) / (nt * (x * p1 - p0)) ** 2
         order = np.argsort(-x)                    # theta increasing from north
-        self.x = x[order]
+        self.cos_theta = x[order]
         self.w_theta = w[order]
-        self.theta = np.arccos(self.x)
+        self.theta = np.arccos(self.cos_theta)
         self.phi = 2.0 * np.pi * np.arange(nph) / nph
         self.sin_theta = np.sin(self.theta)
-        self.cos_theta = self.x
         self.weights = np.outer(self.w_theta, np.full(nph, 2.0 * np.pi / nph))
 
         self.l_max = nt - 1
@@ -188,7 +188,7 @@ class Grid:
         nt, L, M = self.spec.n_theta, self.l_max, self.m_max
         nh = (nt + 1) // 2              # northern rows, an odd grid's equator too
         # every order up to L: the derivative ladder reads orders to m_max + 2
-        P = _legendre(self.x[:nh], self.sin_theta[:nh], L, L)
+        P = _legendre(self.cos_theta[:nh], self.sin_theta[:nh], L, L)
 
         def slab(m):
             # \bar P_l^m table for signed m: \bar P_l^{-m} = (-1)^m \bar P_l^m
@@ -220,7 +220,6 @@ class Grid:
         del P  # before _TW is allocated, so that it can reuse this memory
         T3.setflags(write=False)
         self._T3 = T3
-        self._Td, self._Tdd = T3[:, 0], T3[:, 1]
         self.legendre = T3[:, 2]                               # (M+1, nh, L+1)
         w = self.w_theta[:nh] * (2.0 * np.pi / self.spec.n_phi)
         w[nt // 2:] *= 0.5          # an odd grid's equator row enters analysis twice
@@ -269,41 +268,31 @@ class Grid:
         even, odd = Z[:, :n, 0], Z[:, :n, 1]
         np.subtract(*((even, odd) if sign > 0 else (odd, even)), out=out[:, ::-1][:, :n])
 
-    def _synth_table(self, C2: np.ndarray, table: np.ndarray, sign: float = 1.0):
-        Y = np.empty(table.shape[:-1] + (4,))
-        _order_product(table, self._split(C2), Y)
+    def synthesis(self, C2):
+        Y = np.empty(self.legendre.shape[:-1] + (4,))
+        _order_product(self.legendre, self._split(C2), Y)
         buf = np.zeros((self.spec.n_theta, self.spec.n_phi // 2 + 1), dtype=complex)
-        self._fold(Y, buf[:, : self.m_max + 1].T, sign)
+        self._fold(Y, buf[:, : self.m_max + 1].T, 1.0)
         return np.fft.irfft(buf, n=self.spec.n_phi, axis=-1, norm="forward")
 
-    def synthesis(self, C2):
-        return self._synth_table(C2, self.legendre)
-
+    # one partial each, sliced from the one stacked product of `_partials`
     def synth_dtheta(self, C2):
-        return self._synth_table(C2, self._Td, -1.0)
-
-    def synth_d2theta(self, C2):
-        return self._synth_table(C2, self._Tdd)
-
-    @staticmethod
-    def _times_im(C2, m):
-        out = np.empty_like(C2)
-        out[..., 0] = -m[:, None] * C2[..., 1]
-        out[..., 1] = m[:, None] * C2[..., 0]
-        return out
+        return self._partials(C2)[0]
 
     def synth_dphi(self, C2):
-        return self._synth_table(self._times_im(C2, self.m_values), self.legendre)
+        return self._partials(C2)[1]
 
-    def synth_d2phi(self, C2):
-        return self._synth_table(-self.m_values[:, None, None] ** 2 * C2, self.legendre)
+    def synth_d2theta(self, C2):
+        return self._partials(C2)[2]
 
     def synth_dtheta_dphi(self, C2):
-        return self._synth_table(self._times_im(C2, self.m_values), self._Td, -1.0)
+        return self._partials(C2)[3]
+
+    def synth_d2phi(self, C2):
+        return self._partials(C2)[4]
 
     def synth_laplacian(self, C2):
-        lam = -(self.ell * (self.ell + 1.0))
-        return self._synth_table(lam[None, :, None] * C2, self.legendre)
+        return self.synthesis(-(self.ell * (self.ell + 1.0))[:, None] * C2)
 
     def project(self, values, ell_filter):
         """Round-trip through coefficient space (band-limit projection),
@@ -322,14 +311,17 @@ class Grid:
         is removed first (derivatives are unaffected), which keeps the
         outputs exactly covariant under constant shifts.
 
-        One analysis, one order-blocked product of the parity-split
-        coefficients with the stacked half (Td, Tdd, P) table, folded into
-        the f_t, f_tt and f_pp slots of the inverse-FFT buffer, and one
-        inverse FFT of all five: a phi-derivative multiplies order m by
-        i m or -m^2, which commutes with the Legendre product, so f_p,
+        One analysis, then `_partials`: one order-blocked product of the
+        parity-split coefficients with the stacked half (Td, Tdd, P) table,
+        folded into the f_t, f_tt and f_pp slots of the inverse-FFT buffer,
+        and one inverse FFT of all five: a phi-derivative multiplies order
+        m by i m or -m^2, which commutes with the Legendre product, so f_p,
         f_tp and f_pp reuse the P and Td products.
         """
-        C2 = self.analysis(values - values.mean())
+        return self._partials(self.analysis(values - values.mean()))
+
+    def _partials(self, C2: np.ndarray) -> np.ndarray:
+        """`chart_derivatives` of coefficients C2, shape (5, n_theta, n_phi)."""
         Y = np.empty(self._T3.shape[:-1] + (4,))
         _order_product(self._T3, self._split(C2)[:, None], Y)
         buf = np.zeros((5, self.spec.n_theta, self.spec.n_phi // 2 + 1), dtype=complex)
@@ -366,13 +358,14 @@ class Grid:
         table.setflags(write=False)
         return table
 
-    def evaluate_scattered(self, C2_stack: np.ndarray, theta_s, phi_s,
+    def evaluate_scattered(self, C2: np.ndarray, theta_s, phi_s,
                            derivatives: bool = False):
-        """Evaluate K coefficient sets at arbitrary points off the grid.
+        """Evaluate coefficients C2 (m_max+1, l_max+1, 2) at arbitrary
+        points off the grid.
 
-        C2_stack has shape (K, m_max+1, l_max+1, 2).  Returns values of
-        shape (K, P), and with ``derivatives=True`` also the theta and phi
-        partials.  Valid at any theta, the poles included.
+        Returns the values, shape (P,), and with ``derivatives=True`` also
+        the theta and phi partials.  Valid at any theta, the poles
+        included.
 
         Method: the double Fourier sphere (Townsend, Wilber & Wright,
         SIAM J. Sci. Comput. 38(4), 2016).  A band-limited expansion
@@ -381,7 +374,7 @@ class Grid:
         series (m even) or a sine series (m odd) of degree l_max, with
         coefficients from one batched product with `_dfs`.  Everything is
         laid out powers-major, points last: the coefficient rows, ordered
-        (set, real/imag part, order) per parity, multiply the (l_max+1, P)
+        (real/imag part, order) per parity, multiply the (l_max+1, P)
         tables cos(q theta_p) and sin(q theta_p) in two real matrix
         products, which give the profiles and their theta partials as
         (rows, P).  The phase rows (cos m phi_p, -sin m phi_p) then weight
@@ -391,18 +384,16 @@ class Grid:
         """
         theta_s = np.atleast_1d(np.asarray(theta_s, dtype=float))
         phi_s = np.atleast_1d(np.asarray(phi_s, dtype=float))
-        K = C2_stack.shape[0]
         Pn = theta_s.size
         L, M = self.l_max, self.m_max
 
         # coefficients of every order, weighted 1 (m = 0) or 2 (m > 0) for
-        # the conjugate order -m, as columns (real/imag part, set)
-        cols = np.moveaxis(C2_stack, 0, -1).reshape(M + 1, L + 1, 2 * K)
+        # the conjugate order -m
         w = np.where(self.m_values == 0, 1.0, 2.0)[:, None, None]
-        D = (w * np.matmul(self._dfs, cols)).reshape(M + 1, L + 1, 2, K)
-        # per parity, rows ordered (set, real/imag part, order) against q
-        even = D[0::2].transpose(3, 2, 0, 1).reshape(-1, L + 1)  # cos(q theta)
-        odd = D[1::2].transpose(3, 2, 0, 1).reshape(-1, L + 1)   # sin(q theta)
+        D = w * np.matmul(self._dfs, C2)
+        # per parity, rows ordered (real/imag part, order) against q
+        even = D[0::2].transpose(2, 0, 1).reshape(-1, L + 1)  # cos(q theta)
+        odd = D[1::2].transpose(2, 0, 1).reshape(-1, L + 1)   # sin(q theta)
         n_even, n_odd = len(even), len(odd)
         cos_rows, sin_rows = even, odd
         if derivatives:
@@ -427,16 +418,12 @@ class Grid:
             return d
 
         def phase_sum(g_even, ph_even, g_odd, ph_odd):
-            # sum over (part, order) of profiles times phase rows, per set
+            # sum over (part, order) of profiles times phase rows
             n = ph_even.shape[-1]
-            return (np.einsum("cjp,jp->cp", g_even.reshape(K, -1, n),
-                              ph_even.reshape(-1, n))
-                    + np.einsum("cjp,jp->cp", g_odd.reshape(K, -1, n),
-                                ph_odd.reshape(-1, n)))
+            return (np.einsum("jp,jp->p", g_even, ph_even.reshape(-1, n))
+                    + np.einsum("jp,jp->p", g_odd, ph_odd.reshape(-1, n)))
 
-        val = np.empty((K, Pn))
-        dth = np.empty((K, Pn)) if derivatives else None
-        dph = np.empty((K, Pn)) if derivatives else None
+        val, dth, dph = np.empty((3, Pn))
         for lo in range(0, Pn, _SCATTER_BLOCK):
             hi = min(lo + _SCATTER_BLOCK, Pn)
             eq = _exp_powers(theta_s[lo:hi], L + 1)
@@ -445,14 +432,12 @@ class Grid:
             sg = sin_rows @ np.ascontiguousarray(eq.imag)
             z = _exp_powers(phi_s[lo:hi], M + 1)
             ph_even, ph_odd = phase_rows(z[0::2]), phase_rows(z[1::2])
-            val[:, lo:hi] = phase_sum(cg[:n_even], ph_even, sg[:n_odd], ph_odd)
+            val[lo:hi] = phase_sum(cg[:n_even], ph_even, sg[:n_odd], ph_odd)
             if derivatives:
-                dth[:, lo:hi] = phase_sum(sg[n_odd:], ph_even, cg[n_even:], ph_odd)
-                dph[:, lo:hi] = phase_sum(cg[:n_even], dphi_rows(ph_even, m_even),
-                                          sg[:n_odd], dphi_rows(ph_odd, m_odd))
-        if derivatives:
-            return val, dth, dph
-        return val
+                dth[lo:hi] = phase_sum(sg[n_odd:], ph_even, cg[n_even:], ph_odd)
+                dph[lo:hi] = phase_sum(cg[:n_even], dphi_rows(ph_even, m_even),
+                                       sg[:n_odd], dphi_rows(ph_odd, m_odd))
+        return (val, dth, dph) if derivatives else val
 
 
 def _exp_powers(angle, n):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GenerationError
-from .radial_graph import POSITIVITY_FLOOR, StarShapedHypersurface
+from .radial_graph import StarShapedHypersurface
 from .sphere_grid import GridSpec, ScalarField, make_grid
 
 __all__ = [
@@ -18,8 +18,6 @@ __all__ = [
 
 def sphere_surface(radius: float, spec: GridSpec) -> StarShapedHypersurface:
     """Round sphere of the given radius centered at the origin."""
-    if radius <= POSITIVITY_FLOOR:
-        raise GenerationError("sphere radius must be positive")
     return StarShapedHypersurface(ScalarField(spec, np.full(spec.shape, float(radius))))
 
 
@@ -60,7 +58,4 @@ def harmonic_surface(base: float, terms, spec: GridSpec) -> StarShapedHypersurfa
     values = np.full(spec.shape, float(base))
     for ell, m, amp in terms:
         values = values + amp * real_harmonic(int(ell), int(m), spec)
-    if values.min() <= POSITIVITY_FLOOR:
-        raise GenerationError(
-            f"generated graph function reaches {values.min():g}; not positive")
     return StarShapedHypersurface(ScalarField(spec, values))

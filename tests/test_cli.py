@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icflab.cli import main
 from icflab.flow import FlowConfig, SpeedFunction, run
@@ -66,6 +71,14 @@ class TestGen:
         assert run_cli("gen", "harmonic", "0.01", "2,2,1.0", "--grid", GRID,
                        "--out", str(tmp_path)) == 3
 
+    def test_radius_past_bound_rejected(self, tmp_path, capsys):
+        # gen, load and the inverse share POSITIVITY_FLOOR < f < 1 / floor
+        assert run_cli("gen", "sphere", "1e300", "--grid", GRID,
+                       "--out", str(tmp_path)) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DegenerateSurfaceError" and "1e+300" in err["message"]
+        assert not (tmp_path / "surface.json").exists()
+
     def test_manifest_written(self, sphere_file):
         with open(sphere_file + ".manifest.json") as fh:
             manifest = json.load(fh)
@@ -104,13 +117,80 @@ class TestDiag:
         [],
         {"grid": None, "f": [1.0], "meta": {}},
         {"grid": {"n_theta": [16], "n_phi": 32}, "f": [1.0], "meta": {}},
-    ], ids=["top-level-list", "null-grid", "list-n_theta"])
+        {"grid": {"n_theta": 8, "n_phi": 16}, "f": [[1.0]] * 128, "meta": {}},
+        {"grid": {"n_theta": 8, "n_phi": 16}, "f": [True] * 128, "meta": {}},
+    ], ids=["top-level-list", "null-grid", "list-n_theta", "nested-f", "boolean-f"])
     def test_malformed_file_is_input_error(self, payload, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         assert run_cli("diag", str(path), "--out", str(tmp_path)) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and str(path) in err["message"]
+
+    @pytest.mark.parametrize("entry, error", [
+        ([1.0], "ValueError"), (True, "ValueError"), ("1.0", "ValueError"),
+        (10 ** 400, "ValueError"), (1e300, "DegenerateSurfaceError"),
+        (1e-300, "DegenerateSurfaceError"),
+    ], ids=["one-element-list", "boolean", "string", "int-past-double", "huge", "tiny"])
+    def test_bad_entry_of_f_is_named(self, entry, error, tmp_path, capsys):
+        # one bad entry in an 8x16 unit sphere; f past 1 / POSITIVITY_FLOOR
+        # is rejected on load, not as its inverse inside diag
+        f = [1.0] * 128
+        f[37] = entry
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"grid": {"n_theta": 8, "n_phi": 16}, "f": f}))
+        assert run_cli("diag", str(path), "--out", str(tmp_path)) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == error
+        assert str(path) in err["message"] and "f[37]" in err["message"]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4),
+                                                                inner, max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def surface_documents(draw):
+    """Any JSON value, or an 8x16 sphere, its radius inside or past either
+    bound, whose grid, "f" or one entry of "f" may be replaced by any JSON
+    value."""
+    if draw(st.booleans()):
+        return draw(JSON_VALUES)
+    doc = {"grid": {"n_theta": 8, "n_phi": 16},
+           "f": [draw(st.sampled_from([1.0, 1e-300, 1e-9, 0.5, 1e7, 1e9, 1e300]))] * 128}
+    where = draw(st.sampled_from(["none", "grid", "n_theta", "f", "entry"]))
+    if where == "grid":
+        doc["grid"] = draw(JSON_VALUES)
+    elif where == "n_theta":
+        doc["grid"]["n_theta"] = draw(JSON_VALUES)
+    elif where == "f":
+        doc["f"] = draw(JSON_VALUES)
+    elif where == "entry":
+        doc["f"][draw(st.integers(0, 127))] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(doc=surface_documents())
+def test_any_json_surface_exits_0_or_3(doc):
+    # never a traceback (exit 1) or a numpy warning (an error under the
+    # test settings); an input error prints one JSON object on stderr
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "surface.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_cli("diag", path, "--out", tmp)
+    assert code in (0, 3)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}
 
 
 class TestFlow:

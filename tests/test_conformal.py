@@ -7,6 +7,7 @@ from icflab import conformal
 from icflab.conformal import (AffineField, ConformalKillingField, flow_map,
                               pushforward_surface)
 from icflab.errors import FlowBlowUpError, NotStarShapedError
+from icflab.invariants import guan_li_q, willmore
 from icflab.radial_graph import StarShapedHypersurface, geometry, invert
 from icflab.sphere_grid import Grid, ScalarField, make_grid
 from icflab.surfaces import harmonic_surface, sphere_surface, spheroid_surface
@@ -302,18 +303,20 @@ class TestPushforward:
     def test_partials_only_where_newton_uses_them(self, rng, monkeypatch):
         # a transport64-scale step: the warm start is within the
         # tolerance's square root after one Newton step, so the second call
-        # of the one-set expansion is values only
+        # of the input's one coefficient set is values only
         calls = []
         evaluate = Grid.evaluate_scattered
 
-        def recording(self, C2_stack, *args, derivatives=False):
-            calls.append((C2_stack.shape[0], derivatives))
-            return evaluate(self, C2_stack, *args, derivatives=derivatives)
+        def recording(self, C2, *args, derivatives=False):
+            calls.append((C2.shape, derivatives))
+            return evaluate(self, C2, *args, derivatives=derivatives)
 
         monkeypatch.setattr(Grid, "evaluate_scattered", recording)
         s = harmonic_surface(1.0, HARMONIC_TERMS, SPEC64)
         pushforward_surface(transport_ckf(rng), 1e-3, s)
-        assert calls == [(1, True), (1, False)]
+        grid = make_grid(SPEC64)
+        one_set = (grid.m_max + 1, grid.l_max + 1, 2)
+        assert calls == [(one_set, True), (one_set, False)]
 
     @pytest.mark.parametrize("case, t", [("transport", 1e-3), ("transport", -1e-3),
                                          ("harmonic", 0.5), ("harmonic", -0.5)])
@@ -377,6 +380,70 @@ class TestPushforward:
         V = ConformalKillingField([2.5, 0, 0], [0, 0, 0], 0.0, [0, 0, 0])
         with pytest.raises(NotStarShapedError):
             pushforward_surface(V, 1.0, s)
+
+
+# one field per generator class of the conformal group, as coefficients
+# (v, S_lower, mu, b)
+GENERATOR_CLASSES = {
+    "translation": ([0.3, -0.2, 0.1], [0, 0, 0], 0.0, [0, 0, 0]),
+    "rotation": ([0, 0, 0], [0.4, -0.3, 0.2], 0.0, [0, 0, 0]),
+    "dilation": ([0, 0, 0], [0, 0, 0], 0.4, [0, 0, 0]),
+    "special_conformal": ([0, 0, 0], [0, 0, 0], 0.0, [0.15, -0.1, 0.2]),
+}
+
+
+def moebius_field(name):
+    """A field of one generator class, or `random<seed>`: a field at the
+    scale of `icflab invariance`'s random trials."""
+    if name in GENERATOR_CLASSES:
+        return ConformalKillingField(*GENERATOR_CLASSES[name])
+    rng = np.random.default_rng(int(name.removeprefix("random")))
+    return ConformalKillingField(rng.normal(0, 0.3, 3), rng.normal(0, 0.3, 3),
+                                 rng.normal(0, 0.3), rng.normal(0, 0.2, 3))
+
+
+# the image of random3 (radius ratio 5.3) leaves a spectral tail of 1.4e-8
+# at 32x64, where W then moves by 1.3e-11 and the round trip by 1.3e-7; at
+# 64x128 its tail is 3e-14
+MOEBIUS_CASES = ([(name, SPEC32) for name in GENERATOR_CLASSES]
+                 + [(f"random{k}", SPEC32) for k in range(3)] + [("random3", SPEC64)])
+MOEBIUS_IDS = [name for name, _ in MOEBIUS_CASES]
+
+
+class TestMoebiusInvariance:
+    """For a closed surface in R^3, W = 2 int |A0|^2 dmu + 4 int K dmu with
+    both terms invariant under conformal maps that keep it bounded (int K
+    dmu = 4 pi by Gauss-Bonnet), so every pushforward must keep W and
+    int K dmu; the pushforward builds the image through the one-set
+    scattered evaluator.  Q1, invariant under similarities but not under
+    the other conformal maps, shows that those moved the surface's shape."""
+
+    T = 0.5
+
+    @pytest.mark.parametrize("name, spec", MOEBIUS_CASES, ids=MOEBIUS_IDS)
+    def test_willmore_and_total_curvature_are_invariant(self, name, spec):
+        s = harmonic_surface(1.0, HARMONIC_TERMS, spec)
+        image = pushforward_surface(moebius_field(name), self.T, s)
+        # the grid resolves the image: its top four degrees are round-off
+        C = image.grid().analysis(image.values)
+        assert np.abs(C[:, -4:]).max() < 1e-12 * np.abs(C).max()
+        assert np.abs(image.values - s.values).max() > 0.01
+
+        def total_k(surface):
+            geom = geometry(surface)
+            return geom.integrate(geom.sigma_k[..., 2])
+
+        assert willmore(image) == pytest.approx(willmore(s), rel=1e-12, abs=0.0)
+        assert total_k(image) == pytest.approx(total_k(s), rel=1e-12, abs=0.0)
+        if name == "special_conformal" or name.startswith("random"):
+            assert abs(guan_li_q(image, 1) / guan_li_q(s, 1) - 1.0) > 1e-6
+
+    @pytest.mark.parametrize("name, spec", MOEBIUS_CASES, ids=MOEBIUS_IDS)
+    def test_push_and_back_returns_graph(self, name, spec):
+        s = harmonic_surface(1.0, HARMONIC_TERMS, spec)
+        V = moebius_field(name)
+        back = pushforward_surface(V, -self.T, pushforward_surface(V, self.T, s))
+        assert np.abs(back.values - s.values).max() < 1e-11
 
 
 class TestQuadraticStructure:

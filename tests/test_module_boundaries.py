@@ -145,8 +145,8 @@ def unreached_definitions(sources: dict[str, str], exported) -> list[str]:
 
 # methods that no module reads but that bench/spans.py looks up by name;
 # they go together with its SYNTH_METHODS list (ROADMAP item 1)
-BENCH_LOOKUPS = ["synth_d2theta", "synth_d2phi", "synth_dtheta_dphi",
-                 "synth_laplacian"]
+BENCH_LOOKUPS = ["synth_dtheta", "synth_dphi", "synth_d2theta",
+                 "synth_dtheta_dphi", "synth_d2phi", "synth_laplacian"]
 
 
 def test_every_public_definition_is_read_or_exported():

@@ -28,6 +28,13 @@ def hessian(spec, values):
     return oracles.covariant_hessian(make_grid(spec), values)
 
 
+def scattered_sets(g, C, theta, phi, derivatives=False):
+    """`Grid.evaluate_scattered` of each coefficient set C[k], stacked as
+    (K, P) arrays (one each for the values and both partials)."""
+    return np.stack([g.evaluate_scattered(Ck, theta, phi, derivatives=derivatives)
+                     for Ck in C], axis=-2)
+
+
 class TestGridSpec:
     def test_rejects_small_grids(self):
         with pytest.raises(ValueError):
@@ -187,11 +194,12 @@ class TestOperatorProperties:
         # n_theta, so the northern rows include the equator
         g = Grid(GridSpec(15, 32))
         north = (g.m_max + 1, 8, g.l_max + 1)
-        for table in (g.legendre, g._Td, g._Tdd):
+        slabs = (g._T3[:, 0], g._T3[:, 1], g.legendre)
+        for table in slabs:
             assert table.shape == north
         assert g._T3.shape == (g.m_max + 1, 3, 8, g.l_max + 1)
         assert g._TW.shape == (g.m_max + 1, g.l_max + 1, 8)
-        for table in (g.legendre, g._Td, g._Tdd, g._T3, g._TW):
+        for table in slabs + (g._T3, g._TW):
             with pytest.raises(ValueError):
                 table[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
@@ -201,18 +209,6 @@ class TestOperatorProperties:
         # full-height (T3, TW) took 67,108,864 bytes at 128x256
         g = Grid(GridSpec(128, 256))
         assert g._T3.nbytes + g._TW.nbytes <= 67_108_864 // 2
-
-    @pytest.mark.parametrize("spec", [GridSpec(15, 32), GridSpec(16, 16), SPEC64],
-                             ids=["15x32", "16x16", "64x128"])
-    def test_chart_derivatives_match_per_table_synthesis(self, spec, rng):
-        # odd n_theta, and m_max = 7 < l_max = 15 on 16x16
-        g = make_grid(spec)
-        values = rng.standard_normal(spec.shape)
-        C2 = g.analysis(values - values.mean())
-        per_table = (g.synth_dtheta(C2), g.synth_dphi(C2), g.synth_d2theta(C2),
-                     g.synth_dtheta_dphi(C2), g.synth_d2phi(C2))
-        for fused, ref in zip(g.chart_derivatives(values), per_table, strict=True):
-            assert np.abs(fused - ref).max() < 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize(
         "spec", [GridSpec(15, 32), GridSpec(16, 16), GridSpec(40, 80), SPEC64],
@@ -274,11 +270,10 @@ class TestOperatorProperties:
         f = g.synthesis(g.analysis(rng.standard_normal(SPEC32.shape)))
         C = g.analysis(f)
         ii, jj = [3, 17, 30], [5, 40, 61]
-        v, dt, dp = g.evaluate_scattered(
-            C[None], g.theta[ii], g.phi[jj], derivatives=True)
-        assert np.abs(v[0] - f[ii, jj]).max() < 1e-11
-        assert np.abs(dt[0] - g.synth_dtheta(C)[ii, jj]).max() < 1e-10
-        assert np.abs(dp[0] - g.synth_dphi(C)[ii, jj]).max() < 1e-10
+        v, dt, dp = g.evaluate_scattered(C, g.theta[ii], g.phi[jj], derivatives=True)
+        assert np.abs(v - f[ii, jj]).max() < 1e-11
+        assert np.abs(dt - g.synth_dtheta(C)[ii, jj]).max() < 1e-10
+        assert np.abs(dp - g.synth_dphi(C)[ii, jj]).max() < 1e-10
 
     def test_scattered_evaluation_matches_recurrence_oracle(self, rng):
         g = make_grid(SPEC64)
@@ -290,24 +285,24 @@ class TestOperatorProperties:
         # random points, two of them a milliradian from the poles
         theta = np.concatenate([[1e-3, np.pi - 1e-3], rng.uniform(0.0, np.pi, 300)])
         phi = rng.uniform(-np.pi, 2.0 * np.pi, theta.size)
-        v, dt, dp = g.evaluate_scattered(C, theta, phi, derivatives=True)
+        v, dt, dp = scattered_sets(g, C, theta, phi, derivatives=True)
         rv, rt, rp = oracles.evaluate_scattered_recurrence(g, C, theta, phi)
         assert rel(v, rv) < 1e-12
         assert rel(dp, rp) < 1e-12
         assert rel(dt, rt) < 1e-11     # the oracle divides by sin(theta)
-        v_only = g.evaluate_scattered(C, theta, phi)
+        v_only = scattered_sets(g, C, theta, phi)
         assert np.abs(v_only - v).max() <= 1e-15 * np.abs(v).max()
 
         # on the poles only m = 0 survives: P_l^0(+-1) = (+-1)^l sqrt((2l+1)/4pi)
         at_pole = np.sqrt((2.0 * g.ell + 1.0) / (4.0 * np.pi))
-        poles = g.evaluate_scattered(C, [0.0, np.pi], [0.7, 0.7])
+        poles = scattered_sets(g, C, [0.0, np.pi], [0.7, 0.7])
         for sign, got in ((1.0, poles[:, 0]), (-1.0, poles[:, 1])):
             want = C[:, 0, :, 0] @ (sign ** g.ell * at_pole)
             assert np.abs(got - want).max() < 1e-12 * np.abs(v).max()
 
         # every grid node against the synthesis on the grid
         T, Ph = nodes(SPEC64)
-        v, dt, dp = g.evaluate_scattered(C, T.ravel(), Ph.ravel(), derivatives=True)
+        v, dt, dp = scattered_sets(g, C, T.ravel(), Ph.ravel(), derivatives=True)
         for k in range(3):
             assert rel(v[k], g.synthesis(C[k]).ravel()) < 1e-12
             assert rel(dp[k], g.synth_dphi(C[k]).ravel()) < 1e-12
@@ -328,14 +323,14 @@ class TestOperatorProperties:
         def rel(a, b):
             return np.abs(a - b).max() / np.abs(b).max()
 
-        v, dt, dp = g.evaluate_scattered(C, theta, phi, derivatives=True)
+        v, dt, dp = scattered_sets(g, C, theta, phi, derivatives=True)
         rv, rt, rp = oracles.evaluate_scattered_recurrence(g, C, theta, phi)
         assert rel(v, rv) < 1e-12
         assert rel(dp, rp) < 1e-12
         assert rel(dt, rt) < 1e-11     # the oracle divides by sin(theta)
         for k in near_poles:
             assert rel(v[:, k], rv[:, k]) < 1e-12
-        v_only = g.evaluate_scattered(C, theta, phi)
+        v_only = scattered_sets(g, C, theta, phi)
         assert np.abs(v_only - v).max() <= 1e-15 * np.abs(v).max()
 
     def test_exp_powers_match_exp(self, rng):
