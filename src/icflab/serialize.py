@@ -42,9 +42,12 @@ def surface_to_dict(surface: StarShapedHypersurface, meta: dict | None = None) -
 
 
 def surface_from_dict(data: dict) -> StarShapedHypersurface:
-    """The surface of a dict from `surface_to_dict`: "f" must be a flat
-    list of n_theta*n_phi finite JSON numbers (booleans are not numbers)."""
-    spec = GridSpec(int(data["grid"]["n_theta"]), int(data["grid"]["n_phi"]))
+    """The surface of a dict from `surface_to_dict`: JSON integer grid sizes
+    and a flat "f" list of n_theta*n_phi finite JSON numbers (not booleans)."""
+    sizes = {key: data["grid"][key] for key in ("n_theta", "n_phi")}
+    if bad := [key for key, n in sizes.items() if type(n) is not int]:
+        raise ValueError(f"grid {bad[0]} = {sizes[bad[0]]!r:.40} is not an integer")
+    spec = GridSpec(**sizes)
     f, n = data["f"], spec.n_theta * spec.n_phi
     if type(f) is not list or len(f) != n:
         raise ValueError(f"f must be a flat list of {n} numbers")
@@ -114,9 +117,7 @@ def write_json_atomic(path: str, payload: dict):
 
 
 def write_csv_atomic(path: str, header: list[str], rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(x)) for x in row))
+    lines = [",".join(header)] + [",".join(repr(float(x)) for x in row) for row in rows]
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -125,14 +126,13 @@ def save_surface(path: str, surface: StarShapedHypersurface, meta: dict | None =
 
 
 def load_surface(path: str) -> StarShapedHypersurface:
-    """Read a surface file; a file of the wrong structure or with an entry
-    of "f" that is not a finite number raises ValueError, and one whose "f"
-    leaves the admissible range DegenerateSurfaceError, each naming it."""
-    with open(path) as fh:
-        data = json.load(fh)
+    """Read a surface file.  Text that is not JSON or nests too deeply, a wrong
+    structure or a non-finite "f" entry raise ValueError; an "f" out of range
+    raises DegenerateSurfaceError.  Each names the file."""
     try:
-        return surface_from_dict(data)
+        with open(path) as fh:
+            return surface_from_dict(json.load(fh))
     except DegenerateSurfaceError as exc:
         raise DegenerateSurfaceError(f"{path}: {exc}") from exc
-    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed surface file ({exc})") from exc

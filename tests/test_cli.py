@@ -127,6 +127,31 @@ class TestDiag:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and str(path) in err["message"]
 
+    @pytest.mark.parametrize("key, size", [
+        ("n_theta", 16.7), ("n_phi", "32"), ("n_theta", 16.0), ("n_theta", True),
+    ], ids=["fraction", "string", "integral-float", "boolean"])
+    def test_grid_size_must_be_json_integer(self, key, size, tmp_path, capsys):
+        # 512 valid entries of f, so only the grid size is at fault
+        grid = {"n_theta": 16, "n_phi": 32, key: size}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"grid": grid, "f": [1.0] * 512}))
+        assert run_cli("diag", str(path), "--out", str(tmp_path)) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert str(path) in err["message"] and f"grid {key}" in err["message"]
+
+    def test_deep_nesting_is_input_error(self, tmp_path, capsys):
+        # deeper than json's recursion limit: an input error, not a traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert run_cli("diag", str(path), "--out", str(tmp_path)) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError" and str(path) in err["message"]
+
     @pytest.mark.parametrize("entry, error", [
         ([1.0], "ValueError"), (True, "ValueError"), ("1.0", "ValueError"),
         (10 ** 400, "ValueError"), (1e300, "DegenerateSurfaceError"),
@@ -408,6 +433,17 @@ class TestSerialization:
         save_surface(path, s, {"name": "random"})
         back = load_surface(path)
         assert np.array_equal(back.values, s.values)  # bit-exact
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(f=st.lists(st.floats(1e-8, 1e8, exclude_min=True, exclude_max=True),
+                      min_size=128, max_size=128))
+    def test_any_admissible_surface_round_trips_bit_exactly(self, f):
+        s = StarShapedHypersurface(ScalarField(GridSpec(8, 16),
+                                               np.reshape(f, (8, 16))))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "surface.json")
+            save_surface(path, s)
+            assert np.array_equal(load_surface(path).values, s.values)
 
     def test_ckf_round_trip(self, rng):
         V = ConformalKillingField(rng.normal(size=3), rng.normal(size=3),

@@ -139,6 +139,37 @@ class TestKillingResidual:
         assert oracles.killing_residual(bad, rng.normal(size=3)) > 0.5
 
 
+class TestExpm:
+    """`conformal._expm` against `scipy.linalg.expm` on the so(4,1)
+    generators of conformal Killing fields."""
+
+    ETA = np.diag([1.0, 1.0, 1.0, 1.0, -1.0])
+
+    def test_random_generators(self, rng):
+        # field scales 0.05-3 and |t| <= 3: 1-norms up to about 60, so up
+        # to 7 squarings; the image preserves the Lorentz form eta
+        for _ in range(500):
+            scale = rng.uniform(0.05, 3.0)
+            v, s_lower, b = rng.normal(0, scale, (3, 3))
+            V = ConformalKillingField(v, s_lower, rng.normal(0, scale), b)
+            A = rng.uniform(-3.0, 3.0) * conformal._generator(V)
+            E, ref = conformal._expm(A), expm(A)
+            assert np.abs(E - ref).max() <= 1e-11 * np.abs(ref).max()
+            lorentz = np.abs(E.T @ self.ETA @ E - self.ETA).max()
+            assert lorentz <= 1e-12 * np.abs(E).max() ** 2
+
+    def test_translation(self):
+        # a nilpotent generator: exp(A) = I + A + A^2 / 2
+        A = 0.7 * conformal._generator(
+            ConformalKillingField([1.0, 2.0, 0.5], [0, 0, 0], 0.0, [0, 0, 0]))
+        E = conformal._expm(A)
+        assert np.abs(E - expm(A)).max() <= 1e-14 * np.abs(E).max()
+        assert np.abs(E - (np.eye(5) + A + A @ A / 2)).max() <= 1e-14 * np.abs(E).max()
+
+    def test_zero_is_identity(self):
+        assert np.array_equal(conformal._expm(np.zeros((5, 5))), np.eye(5))
+
+
 class TestFlowMap:
     def test_dilation_closed_form(self):
         # Phi_t(X) = exp(mu t) X

@@ -8,10 +8,10 @@ from icflab.flow import (FlowConfig, SpeedFunction, asymptotics_check,
 from icflab.invariants import e_tensor
 from icflab.radial_graph import StarShapedHypersurface, curvature, geometry
 from icflab.sphere_grid import GridSpec, ScalarField, make_grid
-from icflab.surfaces import sphere_surface, spheroid_surface
+from icflab.surfaces import harmonic_surface, sphere_surface, spheroid_surface
 
 import oracles
-from conftest import SPEC32, SPEC48, nodes
+from conftest import HARMONIC_TERMS, SPEC32, SPEC48, nodes, scaled
 
 
 def perturbed_sphere(spec, amp=0.1):
@@ -181,6 +181,38 @@ class TestSpellingsAreAliases:
             assert trace.Q1 == first.Q1
             assert np.array_equal(trace.snapshots[-1].values,
                                   first.snapshots[-1].values)
+
+
+@pytest.fixture(scope="module", params=["H", "quotient:2", "power:2"])
+def covariance_runs(request):
+    """Runs of one speed to t = 0.2 at 32x64 from the seeded harmonic
+    surface S, from 2S and from S rolled by 5 nodes in phi."""
+    s = harmonic_surface(1.0, HARMONIC_TERMS, SPEC32)
+    rolled = StarShapedHypersurface(ScalarField(SPEC32, np.roll(s.values, 5, axis=1)))
+    config = FlowConfig(SpeedFunction.parse(request.param), t_end=0.2,
+                        keep_snapshots=False)
+    return {name: run(surface, config) for name, surface in
+            [("S", s), ("2S", scaled(s, 2.0)), ("rolled", rolled)]}
+
+
+class TestCovariance:
+    """A speed 1/rho with rho of degree 1 in kappa makes the flow commute
+    with dilations (the flow of 2S is 2 times the flow of S at the same
+    times) and with rotations; a roll by whole nodes in phi is a rotation
+    the grid keeps.  W and Q1 are invariant under both."""
+
+    @staticmethod
+    def assert_same_traces(trace, ref):
+        for name in ("t", "W", "Q1"):
+            a, b = np.array(getattr(trace, name)), np.array(getattr(ref, name))
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+    def test_dilation(self, covariance_runs):
+        self.assert_same_traces(covariance_runs["2S"], covariance_runs["S"])
+
+    def test_rotation(self, covariance_runs):
+        self.assert_same_traces(covariance_runs["rolled"], covariance_runs["S"])
 
 
 class TestRunOnSpheres:

@@ -3,10 +3,13 @@
 No module imports a name it neither uses nor exports.  And every public
 module-level function and class, and every public method of a public
 class, is read somewhere in icflab or exported from the package, so none
-is left that only tests reach."""
+is left that only tests reach.  And the command line imports no scipy."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -203,3 +206,15 @@ def test_checker_flags_private_access(source):
 ])
 def test_checker_allows_public_and_own_access(source):
     assert private_uses(source) == []
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test oracle only; pytest has imported it already through
+    # the oracles, so the check runs in a fresh interpreter
+    code = ("import sys, icflab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

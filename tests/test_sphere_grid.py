@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from icflab.errors import GridMismatchError
@@ -187,6 +189,17 @@ class TestOperatorProperties:
         C = g.analysis(rng.standard_normal(SPEC32.shape))
         f = g.synthesis(C)
         assert np.abs(g.analysis(f) - C).max() < 1e-12
+        assert np.abs(g.synthesis(g.analysis(f)) - f).max() < 1e-12
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(shape=st.sampled_from([(8, 16), (15, 32), (16, 32), (32, 64)]),
+           seed=st.integers(0, 2**32 - 1), cap=st.floats(0.0, 1.0))
+    def test_round_trip_of_band_limited_coefficients(self, shape, seed, cap):
+        # coefficients of random node values, cut off above a random degree
+        g = make_grid(GridSpec(*shape))
+        C = g.analysis(np.random.default_rng(seed).standard_normal(shape))
+        C[:, int(cap * g.l_max) + 1:] = 0.0
+        f = g.synthesis(C)
         assert np.abs(g.synthesis(g.analysis(f)) - f).max() < 1e-12
 
     def test_tables_are_read_only(self):
