@@ -219,7 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speed", default="H",
                    help="H | quotient:k | power:k | ratio:i,j")
     p.add_argument("--t-end", type=float, default=1.0)
-    p.add_argument("--dt-safety", type=float, default=0.2)
+    p.add_argument("--dt-safety", type=float, default=0.2,
+                   help="in (0, 0.5]: scales the step bound where the "
+                        "linearized diffusivity varies over the surface; "
+                        "steps never exceed 0.02")
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("invariance", parents=[surface],
@@ -251,8 +254,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return EXIT_AUDIT
-    except (IcfLabError, ValueError, OSError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (IcfLabError, ValueError, OSError, KeyError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return EXIT_INPUT

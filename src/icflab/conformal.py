@@ -217,15 +217,24 @@ def flow_map(V, t: float, x: np.ndarray) -> np.ndarray:
     shape = x.shape
     if shape[-1] != _AMBIENT_DIM:
         raise ValueError("points must have a trailing axis of length 3")
+    if t == 0.0 and np.all(np.isfinite(x)):
+        return x.copy()
+    xi1 = _light_cone_image(V, t, x.reshape(-1, _AMBIENT_DIM))[1]
+    return (xi1[:, :3] / _scale(xi1)[:, None]).reshape(shape)
+
+
+def _light_cone_image(V, t: float, x: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The light-cone matrix exp(tA) of V's time-t map and the image of
+    the lifts of points x (P, 3), after `_check_no_escape`."""
     if not (np.isfinite(t) and np.all(np.isfinite(x))):
         raise ValueError("non-finite time or points")
-    if t == 0.0:
-        return x.copy()
     A = _generator(V)
-    xi0 = _lift(x.reshape(-1, _AMBIENT_DIM))
-    xi1 = xi0 @ _expm(float(t) * A).T
+    E = _expm(float(t) * A)
+    xi0 = _lift(x)
+    xi1 = xi0 @ E.T
     _check_no_escape(V, A, t, xi0, xi1)
-    return (xi1[:, :3] / _scale(xi1)[:, None]).reshape(shape)
+    return E, xi1
 
 
 def _push(E: np.ndarray, x: np.ndarray, dx: np.ndarray
@@ -246,11 +255,12 @@ def pushforward_surface(V, t: float, surface: StarShapedHypersurface
     """Transport a star-shaped surface by the time-t flow Phi_t of V and
     reconstruct it as a radial graph on the same grid.
 
-    The nodes are mapped by `flow_map`, which checks for escape.  A
-    conformal map takes normals to normals, so the image normal at the
-    image Y of a node is n' = DPhi_t nu, with nu the input's outward
-    normal (the input's geometry bundle is built for it, so a surface the
-    curvature kernel rejects raises ResolutionError before it is mapped).
+    The nodes and their normals are mapped by one exp(tA), after the
+    escape check of `flow_map`.  A conformal map takes normals to
+    normals, so the image normal at the image Y of a node is
+    n' = DPhi_t nu, with nu the input's outward normal (the input's
+    geometry bundle is built for it, so a surface the curvature kernel
+    rejects raises ResolutionError before it is mapped).
     The image is certified star-shaped by <n', Y> > 0 at every node; this
     is the orientation of the image's direction map up to a positive
     factor.
@@ -275,10 +285,8 @@ def pushforward_surface(V, t: float, surface: StarShapedHypersurface
     p = grid.node_frame()[0].reshape(-1, 3)
     X = surface.values.reshape(-1, 1) * p
     nu = geometry(surface).normal.reshape(-1, 3)
-    A = _generator(V)
-
-    Y = flow_map(V, t, X)
-    n_img = _push(_expm(float(t) * A), X, nu)[1]
+    E = _light_cone_image(V, t, X)[0]
+    Y, n_img = _push(E, X, nu)
     orient = np.einsum("pc,pc->p", n_img, Y)
     if orient.min() <= 0.0:
         raise NotStarShapedError(
@@ -292,7 +300,7 @@ def pushforward_surface(V, t: float, surface: StarShapedHypersurface
     r = np.divide(orient, n_p, out=radii_Y, where=n_p > 0.0)
 
     coeffs = grid.analysis(surface.values)
-    back = _expm(-float(t) * A)
+    back = _expm(-float(t) * _generator(V))
     with_partials = True
     for _ in range(60):
         y, dy = _push(back, r[:, None] * p, p)

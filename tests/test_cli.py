@@ -235,6 +235,8 @@ class TestFlow:
         assert np.all(np.diff(W) <= 1e-8 * W[:-1])
         summary = load_strict_json(out / "flow_summary.json")
         assert summary["records"] == len(lines) - 1
+        assert type(summary["steps"]) is int
+        assert summary["steps"] >= summary["records"] - 1 >= 1
         # the max |A0|^2 column is the in-process trace's, bit for bit,
         # the first entry that of the initial surface, the last the summary's
         surface = load_surface(str(out_g / "surface.json"))

@@ -5,13 +5,13 @@ from icflab.errors import CurvatureConeError
 from icflab.flow import (FlowConfig, SpeedFunction, asymptotics_check,
                          class_c_audit, curvature_norm_speed, normal_speed,
                          run, stable_dt, step)
-from icflab.invariants import e_tensor
+from icflab.invariants import e_tensor, guan_li_q, willmore
 from icflab.radial_graph import StarShapedHypersurface, curvature, geometry
-from icflab.sphere_grid import GridSpec, ScalarField, make_grid
+from icflab.sphere_grid import GridSpec, ScalarField
 from icflab.surfaces import harmonic_surface, sphere_surface, spheroid_surface
 
 import oracles
-from conftest import HARMONIC_TERMS, SPEC32, SPEC48, nodes, scaled
+from conftest import HARMONIC_TERMS, SPEC32, SPEC48, SPEC64, nodes, scaled
 
 
 def perturbed_sphere(spec, amp=0.1):
@@ -149,23 +149,15 @@ class TestStep:
         assert np.abs(s.values - s.values[:, :1]).max() < 1e-10
 
     def test_filter_choice_leaves_spheres_unchanged(self):
-        # the filtered projection after the step changes a sphere only by
-        # round-off: compare with the same RK4 combination left unprojected
-        s = sphere_surface(1.0, SPEC32)
-        speed, dt, grid = SpeedFunction("H"), 0.01, make_grid(SPEC32)
-
-        def rhs(f):
-            c = curvature(grid, f)
-            return c.sqv / speed.rho(c.H, c.K)
-
-        f0 = s.values
-        k1 = rhs(f0)
-        k2 = rhs(f0 + 0.5 * dt * k1)
-        k3 = rhs(f0 + 0.5 * dt * k2)
-        k4 = rhs(f0 + dt * k3)
-        unprojected = f0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        a = step(s, speed, dt)
-        assert np.abs(a.values - unprojected).max() < 1e-12
+        # the damping rate acts above 0.9 l_max and D0 l(l+1) at l > 0,
+        # while a sphere is one degree-0 coefficient: even a long step is
+        # exact to round-off, for every radius and speed
+        for speed in (SpeedFunction("H"), SpeedFunction("quotient:2"),
+                      SpeedFunction("power:2")):
+            for r in (0.5, 1.0, 3.0):
+                out = step(sphere_surface(r, SPEC32), speed, 0.5)
+                exact = r * np.exp(0.5 / speed.mu)
+                assert np.abs(out.values - exact).max() < 4e-15 * exact
 
 
 class TestSpellingsAreAliases:
@@ -234,15 +226,117 @@ class TestRunOnSpheres:
         assert max(trace.tracefree_sq_sup) < 1e-10 / 3
 
     def test_step_halving_shows_fourth_order(self):
-        # coarse grid so the time truncation stays above round-off
+        # the order of the explicit reference integrator in the oracles,
+        # on a coarse grid so that its time truncation stays above
+        # round-off (`step` is exact on spheres; TestConvergence reads
+        # its order)
         s = sphere_surface(1.0, GridSpec(8, 16))
-        errs = []
-        for safety in (0.4, 0.2):
-            trace = run(s, FlowConfig(SpeedFunction("H"), t_end=0.9,
-                                      dt_safety=safety))
-            final = trace.snapshots[-1].values
-            errs.append(np.abs(final - np.exp(trace.t[-1] / 2.0)).max())
+        errs = [np.abs(oracles.rk4_flow(s, SpeedFunction("H"), 0.9, safety).values
+                       - np.exp(0.9 / 2.0)).max() for safety in (0.4, 0.2)]
         assert errs[0] / max(errs[1], 1e-300) > 2.0 ** 3.5
+
+    def test_trace_counts_steps_and_spaces_records(self):
+        s = perturbed_sphere(SPEC32, amp=0.1)
+        trace = run(s, FlowConfig(SpeedFunction("H"), t_end=0.3))
+        summary = trace.summary()
+        assert type(summary["steps"]) is int and summary["steps"] == trace.steps
+        # records at most 0.02 apart, and no more of them than steps
+        assert np.diff(trace.t).max() <= 0.02 + 1e-14
+        assert trace.steps + 1 >= len(trace.t) >= 0.3 / 0.02 + 1
+        assert trace.t[-1] == pytest.approx(0.3, abs=1e-14)
+        # a sphere takes the longest step, 0.02, every time
+        sphere = run(sphere_surface(1.0, SPEC32),
+                     FlowConfig(SpeedFunction("H"), t_end=0.3))
+        assert sphere.steps == 15 and len(sphere.t) == 16
+
+
+def steps_to(surface, speed, t_end, n):
+    """The surface after n steps of length t_end / n."""
+    for _ in range(n):
+        surface = step(surface, speed, t_end / n)
+    return surface
+
+
+def assert_fourth_order(values):
+    """Differences of successive values under halvings of the step shrink
+    by at least 2^3.5 wherever the finer one is above 1e-12 relative, and
+    at least one is."""
+    x = np.array(values)
+    d = np.abs(np.diff(x)) / np.abs(x[-1])
+    read = [(coarse, fine) for coarse, fine in zip(d[:-1], d[1:]) if fine > 1e-12]
+    assert read, d
+    for coarse, fine in read:
+        assert coarse / fine >= 2.0 ** 3.5, d
+
+
+# fixed steps of 0.5 / n to t = 0.5: h from 1/24 to 1/96
+HALVINGS = (12, 24, 48)
+
+
+@pytest.fixture(scope="module")
+def halvings():
+    """IMCF from the acceptance surface to t = 0.5 at 32x64, 48x96 and
+    64x128, each under HALVINGS: the surfaces by (n_theta, n)."""
+    imcf = SpeedFunction("H")
+    return {(spec.n_theta, n): steps_to(perturbed_sphere(spec), imcf, 0.5, n)
+            for spec in (SPEC32, SPEC48, SPEC64) for n in HALVINGS}
+
+
+class TestConvergence:
+    """Order in time and decay in space of `step`, and its agreement with
+    the explicit reference integrator of the oracles."""
+
+    @pytest.mark.parametrize("n_theta", [32, 48, 64])
+    @pytest.mark.parametrize("monitor", [willmore, lambda s: guan_li_q(s, 1)],
+                             ids=["W", "Q1"])
+    def test_temporal_order(self, halvings, n_theta, monitor):
+        assert_fourth_order([monitor(halvings[n_theta, n]) for n in HALVINGS])
+
+    def test_spatial_decay(self, halvings):
+        # the harmonic coefficients of log f fall to round-off within the
+        # band of every grid, so W and Q1 agree across the grids
+        finest = {n_theta: halvings[n_theta, HALVINGS[-1]]
+                  for n_theta in (32, 48, 64)}
+        for s in finest.values():
+            grid = s.grid()
+            amp = np.abs(grid.analysis(np.log(s.values))).max(axis=(0, 2))
+            assert amp[1:12].max() > 1e-3 * amp[0]
+            assert amp[24:].max() < 1e-14 * amp[0]
+        for monitor in (willmore, lambda s: guan_li_q(s, 1)):
+            ref = monitor(finest[64])
+            for n_theta in (32, 48):
+                assert abs(monitor(finest[n_theta]) - ref) < 1e-12 * ref
+
+    @pytest.mark.parametrize("label", ["H", "quotient:2", "power:2"])
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "harmonic"])
+    def test_matches_reference_integrator(self, kind, label):
+        s = {"sphere": lambda: sphere_surface(1.0, SPEC32),
+             "spheroid": lambda: spheroid_surface(1.0, 0.6, SPEC32),
+             "harmonic": lambda: harmonic_surface(1.0, HARMONIC_TERMS, SPEC32)}[kind]()
+        speed = SpeedFunction.parse(label)
+        trace = run(s, FlowConfig(speed, t_end=0.5, keep_snapshots=False))
+        ref = oracles.rk4_flow(s, speed, 0.5)
+        for got, expected in ((trace.W[-1], willmore(ref)),
+                              (trace.Q1[-1], guan_li_q(ref, 1))):
+            assert abs(got - expected) <= 1e-8 * expected
+
+    def test_damped_band_converges(self):
+        # a mean-convex surface with degree-9 content, whose right-hand
+        # side fills the damped top tenth of the band at 32x64: the
+        # damping is a rate inside the exactly integrated part, so osc
+        # converges at fourth order under halvings of the step, from the
+        # step bound
+        s = harmonic_surface(1.0, [(2, 2, 0.1), (9, 4, 0.01)], SPEC32)
+        imcf = SpeedFunction("H")
+        grid = s.grid()
+        c = curvature(grid, s.values)
+        assert c.H.min() > 0.0
+        rhs = np.abs(grid.analysis(c.sqv / (s.values * c.H))).max(axis=(0, 2))
+        assert rhs[grid.l_max - 2:].min() > 1e-5
+        n = int(np.ceil(0.2 / stable_dt(s, imcf, 0.2)))
+        osc = [out.values.max() / out.values.min()
+               for out in (steps_to(s, imcf, 0.2, k) for k in (n, 2 * n, 4 * n))]
+        assert_fourth_order(osc)
 
 
 @pytest.fixture(scope="module")
@@ -340,9 +434,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FlowConfig(SpeedFunction("H"), t_end=t_end)
 
-    def test_stable_dt_scales_with_grid(self):
-        s32 = sphere_surface(1.0, SPEC32)
-        s48 = sphere_surface(1.0, SPEC48)
+    def test_stable_dt_bounds_the_explicit_remainder(self):
+        # 0.02 where D = diffusivity / (rho^2 f^2) is constant, as on
+        # spheres, on every grid; else dt_safety 0.05 / (D_max - D_min)
         imcf = SpeedFunction("H")
-        r = stable_dt(s32, imcf, 0.2) / stable_dt(s48, imcf, 0.2)
-        assert r == pytest.approx((48 / 32) ** 2, rel=1e-12)
+        for spec in (SPEC32, SPEC48):
+            assert stable_dt(sphere_surface(1.0, spec), imcf, 0.2) == 0.02
+        s = perturbed_sphere(SPEC32, amp=0.1)
+        H = geometry(s).H
+        D = 2.0 / (H * s.values) ** 2
+        for safety in (0.1, 0.2):
+            expected = safety * 0.05 / (D.max() - D.min())
+            assert expected < 0.02
+            assert stable_dt(s, imcf, safety) == pytest.approx(expected, rel=1e-12)

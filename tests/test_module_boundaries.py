@@ -146,10 +146,12 @@ def unreached_definitions(sources: dict[str, str], exported) -> list[str]:
             if name not in read and name not in exported]
 
 
-# methods that no module reads but that bench/spans.py looks up by name;
-# they go together with its SYNTH_METHODS list (ROADMAP item 1)
+# methods that no module reads but that bench/spans.py looks up by name:
+# its SYNTH_METHODS list and its TARGETS entry for `project` (ROADMAP
+# item 1)
 BENCH_LOOKUPS = ["synth_dtheta", "synth_dphi", "synth_d2theta",
-                 "synth_dtheta_dphi", "synth_d2phi", "synth_laplacian"]
+                 "synth_dtheta_dphi", "synth_d2phi", "synth_laplacian",
+                 "project"]
 
 
 def test_every_public_definition_is_read_or_exported():
