@@ -223,15 +223,16 @@ def step(surface: StarShapedHypersurface, speed: SpeedFunction,
     ll = grid.ell * (grid.ell + 1.0)
 
     def graph_rhs(f):
-        """analysis(sqrt(1 + |grad lam|^2) / (f rho)) and D / (rho^2 f^2)"""
+        """analysis(sqrt(1 + |grad lam|^2) / (f rho)), curvature(grid, f), rho"""
         c = curvature(grid, f)
         rho = _cone_rho(speed, c.H, c.K)
-        return grid.analysis(c.sqv / (f * rho)), _diffusivity(speed, c, f, rho)
+        return grid.analysis(c.sqv / (f * rho)), c, rho
 
     f0 = surface.values
     lam0 = grid.analysis(np.log(f0))
-    F0, D = graph_rhs(f0)
-    D0 = 0.5 * float(D.max())
+    F0, c0, rho0 = graph_rhs(f0)
+    D0 = 0.5 * float(_diffusivity(speed, c0, f0, rho0).max())    # at the start only
+    del c0, rho0                # freed before the later stages run the kernel
     # dlam/dt = F - nu lam = L lam + N, F = graph_rhs(f)[0]: N = F + D0 l(l+1) lam
     explicit = (D0 * ll)[:, None]
 

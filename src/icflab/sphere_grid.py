@@ -27,9 +27,9 @@ __all__ = [
 # (2K(m_max+1), points) profiles to a few MB at 128x256, where all points at
 # once take hundreds; 256 times about the same, 1024 and more slower
 _SCATTER_BLOCK = 512
-# orders per block of a Legendre product: block [m0, m0 + 16) skips degrees
-# l < m0, most of the zero triangle, in few enough products that the
-# per-product overhead stays small
+# orders per block of a Legendre product or of the build's order ladder:
+# block [m0, m0 + 16) skips most of the zero triangle below degree m0, in
+# few enough operations that the per-operation overhead stays small
 _ORDER_BLOCK = 16
 
 
@@ -69,29 +69,34 @@ class ScalarField:
         object.__setattr__(self, "values", v)
 
 
-def _legendre(x, s, L, M):
-    """Orthonormal associated Legendre functions P_l^m(x), with
-    Condon-Shortley phase, for m = 0..M and l = 0..L (zero for l < m), by
-    the standard stable recurrences; shape (M+1, x.size, L+1).
-
-    s is sin(theta) at x = cos(theta).  It may be negative: with the
-    signed sine the table is the 2pi-periodic continuation of
-    P_l^m(cos theta) to theta in (pi, 2pi).
+def _legendre(x, s, P):
+    """Fill P, zeros of shape (M+1, L+1, x.size), with the orthonormal
+    associated Legendre functions P[m, l] = P_l^m(x), Condon-Shortley
+    phase (zero for l < m), and return it.  The three-term recurrence steps
+    one degree l at a time for every order m <= l - 2 together: about L
+    array operations, not L^2 / 2, each element through the same floating-
+    point operations as a scalar loop over (m, l).  s is sin(theta) at x =
+    cos(theta).  It may be negative: with the signed sine the table is the
+    2pi-periodic continuation of P_l^m(cos theta) to theta in (pi, 2pi).
     """
-    P = np.zeros((M + 1, x.size, L + 1))
-    diag = np.full(x.size, np.sqrt(1.0 / (4.0 * np.pi)))
-    P[0, :, 0] = diag
-    for m in range(1, M + 1):
-        diag = -np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * diag
-        P[m, :, m] = diag
-    for m in range(M + 1):
-        if m + 1 <= L:
-            P[m, :, m + 1] = np.sqrt(2.0 * m + 3.0) * x * P[m, :, m]
-        for l in range(m + 2, L + 1):
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = np.sqrt((2.0 * l + 1.0) * (l + m - 1.0) * (l - m - 1.0)
-                        / ((2.0 * l - 3.0) * (l * l - m * m)))
-            P[m, :, l] = a * x * P[m, :, l - 1] - b * P[m, :, l - 2]
+    M, L = P.shape[0] - 1, P.shape[1] - 1
+    m = np.arange(M + 1)
+    diag = np.empty((M + 1, x.size))
+    diag[0] = np.sqrt(1.0 / (4.0 * np.pi))
+    diag[1:] = -np.sqrt((2.0 * m[1:] + 1.0) / (2.0 * m[1:]))[:, None] * s
+    np.multiply.accumulate(diag, axis=0, out=diag)
+    P[m, m] = diag
+    m1 = m[m < L]                               # orders with a degree m + 1
+    P[m1, m1 + 1] = np.sqrt(2.0 * m1 + 3.0)[:, None] * x * diag[m1]
+    # the three-term coefficients of every (m, l), read where m <= l - 2
+    l, k = np.arange(L + 1), m[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - k * k))[..., None]
+        b = np.sqrt((2.0 * l + 1.0) * (l + k - 1.0) * (l - k - 1.0)
+                    / ((2.0 * l - 3.0) * (l * l - k * k)))[..., None]
+    for l in range(2, L + 1):
+        n = min(l - 1, M + 1)                   # orders m <= l - 2
+        P[:n, l] = a[:n, l] * x * P[:n, l - 1] - b[:n, l] * P[:n, l - 2]
     return P
 
 
@@ -140,7 +145,10 @@ class Grid:
     Every Legendre table product (analysis, synthesis, `_partials`) goes
     through `_order_product`, which takes the orders in blocks of
     _ORDER_BLOCK and skips the degrees l < m0 below each block's first
-    order, where every table vanishes.
+    order, where every table vanishes.  The build vectorizes over orders too:
+    its recurrence steps one degree at a time for all orders to min(l_max,
+    m_max + 2) together, in an (order, degree, row) layout, and its
+    derivative ladder takes blocks of orders.
     """
 
     def __init__(self, spec: GridSpec):
@@ -185,39 +193,42 @@ class Grid:
     # table construction
 
     def _build_tables(self):
+        """`_T3`, `legendre`, `_TW`, `_even`.  P holds at index m + 2 the signed
+        orders -2 .. min(L, M + 2) + 2 that the Td / Tdd ladder reads."""
         nt, L, M = self.spec.n_theta, self.l_max, self.m_max
         nh = (nt + 1) // 2              # northern rows, an odd grid's equator too
-        # every order up to L: the derivative ladder reads orders to m_max + 2
-        P = _legendre(self.cos_theta[:nh], self.sin_theta[:nh], L, L)
+        P = np.zeros((min(L, M + 2) + 5, L + 1, nh))
+        _legendre(self.cos_theta[:nh], self.sin_theta[:nh], P[2:-2])
+        P[:2] = P[4], -P[3]                     # \bar P_l^{-m} = (-1)^m \bar P_l^m
 
-        def slab(m):
-            # \bar P_l^m table for signed m: \bar P_l^{-m} = (-1)^m \bar P_l^m
-            if abs(m) > L:
-                return np.zeros((nh, L + 1))
-            return P[m] if m >= 0 else (-1.0) ** (-m) * P[-m]
+        def ap(l, m):  # sqrt((l-m)(l+m+1)), clipped at the degree boundary
+            return np.sqrt(np.clip((l - m) * (l + m + 1.0), 0.0, None))
 
-        lv = np.arange(L + 1, dtype=float)
-
-        def ap(m):  # sqrt((l-m)(l+m+1)), clipped at the degree boundary
-            return np.sqrt(np.clip((lv - m) * (lv + m + 1.0), 0.0, None))
-
-        def am(m):
-            return np.sqrt(np.clip((lv + m) * (lv - m + 1.0), 0.0, None))
-
-        # d/dtheta and d^2/dtheta^2 of \bar P_l^m(cos theta) from the
-        # order-ladder identities; exact for every degree, and like P zero
-        # at l < m.  All three go in place into one stacked table
-        # (Td, Tdd, P); its views are taken after setflags, as a view made
-        # before would stay writable.
-        T3 = np.empty((M + 1, 3, nh, L + 1))
-        T3[:, 2] = P[: M + 1]
-        for m in range(M + 1):
-            T3[m, 0] = 0.5 * (ap(m) * slab(m + 1) - am(m) * slab(m - 1))
-            A = ap(m) * ap(m + 1)
-            B = (lv - m) * (lv + m + 1.0) + (lv + m) * (lv - m + 1.0)
-            C = am(m) * am(m - 1)
-            T3[m, 1] = 0.25 * (A * slab(m + 2) - B * slab(m) + C * slab(m - 2))
-        del P  # before _TW is allocated, so that it can reuse this memory
+        # d/dtheta and d^2/dtheta^2 of \bar P_l^m(cos theta) from the order
+        # ladder, sqrt((l+m)(l-m+1)) = ap(l, -m); exact, zero at l < m.  A block
+        # computes degrees l >= m0 - 2 in P's layout in its free Tdd and P
+        # slots, then writes Td, Tdd transposed into the stacked (Td, Tdd, P)
+        # table, whose views follow setflags: one made before stays writable.
+        T3 = np.zeros((M + 1, 3, nh, L + 1))
+        for m0 in range(0, M + 1, _ORDER_BLOCK):
+            m = np.arange(m0, min(m0 + _ORDER_BLOCK, M + 1))[:, None, None]
+            lo, blk = max(m0 - 2, 0), T3[m0: m0 + len(m)]
+            l = np.arange(lo, L + 1.0)[:, None]    # degrees, along P's axis 1
+            R, Q = (blk[:, k].reshape(len(m), L + 1, nh)[:, lo:] for k in (2, 1))
+            S = [P[m0 + k: m0 + k + len(m), lo:] for k in range(5)]  # orders m-2..m+2
+            np.multiply(ap(l, m), S[3], out=R)
+            np.subtract(R, np.multiply(ap(l, -m), S[1], out=Q), out=R)
+            np.multiply(0.5, R.swapaxes(1, 2), out=blk[:, 0, :, lo:])
+            A = ap(l, m) * ap(l, m + 1)
+            B = (l - m) * (l + m + 1.0) + (l + m) * (l - m + 1.0)
+            C = ap(l, -m) * ap(l, 1 - m)
+            np.multiply(A, S[4], out=R)
+            np.subtract(R, np.multiply(B, S[2], out=Q), out=R)
+            np.add(R, np.multiply(C, S[0], out=Q), out=R)
+            np.multiply(0.25, R.swapaxes(1, 2), out=blk[:, 1, :, lo:])
+            blk[:, 1, :, :lo] = 0.0                 # where Q left scratch
+        T3[:, 2] = P[2: M + 3].swapaxes(1, 2)
+        del P, S  # before _TW is allocated, so that it can reuse this memory
         T3.setflags(write=False)
         self._T3 = T3
         self.legendre = T3[:, 2]                               # (M+1, nh, L+1)
@@ -344,17 +355,19 @@ class Grid:
         Row q of `_dfs[m]` holds the coefficients of cos(q theta) (m even)
         or sin(q theta) (m odd), q = 0..l_max, of P_l^m(cos theta) for
         each degree l: the signed-sine table at 2*l_max + 2 equispaced
-        theta on [0, 2pi), transformed by an FFT over theta.  Shape
-        (m_max+1, l_max+1, l_max+1); read-only.
+        theta on [0, 2pi), in `_legendre`'s (order, degree, theta) layout,
+        transformed by an FFT over its last axis.  Shape (m_max+1, l_max+1,
+        l_max+1); read-only.
         """
         L = self.l_max
         n = 2 * L + 2
         th = 2.0 * np.pi * np.arange(n) / n
-        F = np.fft.rfft(_legendre(np.cos(th), np.sin(th), L, self.m_max),
-                        axis=1)[:, : L + 1] * (2.0 / n)
+        F = np.fft.rfft(_legendre(np.cos(th), np.sin(th),
+                                  np.zeros((self.m_max + 1, L + 1, n))), axis=-1)
+        F = F[..., : L + 1].swapaxes(1, 2) * (2.0 / n)         # (order, q, degree)
         F[:, 0] *= 0.5
         odd = (self.m_values % 2 == 1)[:, None, None]
-        table = np.where(odd, -F.imag, F.real)
+        table = np.ascontiguousarray(np.where(odd, -F.imag, F.real))
         table.setflags(write=False)
         return table
 

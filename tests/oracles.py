@@ -4,9 +4,11 @@ Everything here is deliberately separate from the package's computation
 paths: parametric (not radial-graph) surface formulas, classical
 plane-curve curvature, the dimension-generic radial-graph mean curvature,
 the general-n invariant tensor E(a) and its eigenvalues, the covariant
-Hessian on the round sphere, full-height Legendre tables and their
-theta derivatives (degree recurrence and Legendre equation, not the
-grid's northern half tables and order ladder), an adaptive reference
+Hessian on the round sphere, the grid's tables from scalar
+order-by-order loops (the bit-identical reference for its all-orders
+recurrence), full-height Legendre tables and their theta derivatives
+(degree recurrence and Legendre equation, not the grid's northern half
+tables and order ladder), an adaptive reference
 integrator, the light-cone image of round spheres, the spectral
 orientation of a mapped surface's direction map, the node-by-node
 Hsiung-Minkowski residual, the element-by-element JSON null walk, the
@@ -23,7 +25,7 @@ from scipy.linalg import expm
 
 from icflab.radial_graph import StarShapedHypersurface, curvature
 from icflab.soliton import basis_fields
-from icflab.sphere_grid import ScalarField, _legendre
+from icflab.sphere_grid import ScalarField
 
 # frozen outputs of spheroid_integrals(1.0, 0.6) at 400 nodes; the area
 # agrees with the closed form 2*pi*a^2 + pi*c^2/e*log((1+e)/(1-e)) to 2e-13
@@ -93,17 +95,82 @@ def graph_mean_curvature(f, grad_sq, lam_laplacian, lam_hess_quad, n):
     return (n - lam_laplacian + lam_hess_quad / v) / (f * np.sqrt(v))
 
 
+def loop_legendre(x, s, L, M):
+    """Orthonormal P_l^m(x), Condon-Shortley phase, shape (M+1, x.size,
+    L+1) (zero for l < m): the standard stable recurrences as a scalar
+    loop over (m, l), one order at a time.  s is the signed sin(theta)."""
+    P = np.zeros((M + 1, x.size, L + 1))
+    diag = np.full(x.size, np.sqrt(1.0 / (4.0 * np.pi)))
+    P[0, :, 0] = diag
+    for m in range(1, M + 1):
+        diag = -np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * diag
+        P[m, :, m] = diag
+    for m in range(M + 1):
+        if m + 1 <= L:
+            P[m, :, m + 1] = np.sqrt(2.0 * m + 3.0) * x * P[m, :, m]
+        for l in range(m + 2, L + 1):
+            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = np.sqrt((2.0 * l + 1.0) * (l + m - 1.0) * (l - m - 1.0)
+                        / ((2.0 * l - 3.0) * (l * l - m * m)))
+            P[m, :, l] = a * x * P[m, :, l - 1] - b * P[m, :, l - 2]
+    return P
+
+
+def loop_tables(grid):
+    """(legendre, _T3, _TW, _dfs) of `grid` from order-by-order loops:
+    `loop_legendre` of every order up to l_max at the northern rows, the
+    Td / Tdd order ladder one order at a time, and the double-Fourier
+    table from `loop_legendre` at 2 l_max + 2 angles, transformed over
+    theta on its middle axis.  The grid must match these bit for bit."""
+    nt, L, M = grid.spec.n_theta, grid.l_max, grid.m_max
+    nh = (nt + 1) // 2
+    P = loop_legendre(grid.cos_theta[:nh], grid.sin_theta[:nh], L, L)
+
+    def slab(m):
+        if abs(m) > L:
+            return np.zeros((nh, L + 1))
+        return P[m] if m >= 0 else (-1.0) ** (-m) * P[-m]
+
+    lv = np.arange(L + 1, dtype=float)
+
+    def ap(m):
+        return np.sqrt(np.clip((lv - m) * (lv + m + 1.0), 0.0, None))
+
+    def am(m):
+        return np.sqrt(np.clip((lv + m) * (lv - m + 1.0), 0.0, None))
+
+    T3 = np.empty((M + 1, 3, nh, L + 1))
+    T3[:, 2] = P[: M + 1]
+    for m in range(M + 1):
+        T3[m, 0] = 0.5 * (ap(m) * slab(m + 1) - am(m) * slab(m - 1))
+        A = ap(m) * ap(m + 1)
+        B = (lv - m) * (lv + m + 1.0) + (lv + m) * (lv - m + 1.0)
+        C = am(m) * am(m - 1)
+        T3[m, 1] = 0.25 * (A * slab(m + 2) - B * slab(m) + C * slab(m - 2))
+    w = grid.w_theta[:nh] * (2.0 * np.pi / grid.spec.n_phi)
+    w[nt // 2:] *= 0.5
+    TW = np.swapaxes(T3[:, 2], 1, 2) * w
+
+    n = 2 * L + 2
+    th = 2.0 * np.pi * np.arange(n) / n
+    F = np.fft.rfft(loop_legendre(np.cos(th), np.sin(th), L, M),
+                    axis=1)[:, : L + 1] * (2.0 / n)
+    F[:, 0] *= 0.5
+    odd = (grid.m_values % 2 == 1)[:, None, None]
+    return T3[:, 2], T3, TW, np.where(odd, -F.imag, F.real)
+
+
 def full_height_tables(grid):
     """(P, Td, Tdd): P_l^m(cos theta), its first and second theta
     derivatives at every colatitude node, each (m_max+1, n_theta,
-    l_max+1).  P comes from `_legendre` at all nodes, not from the grid's
+    l_max+1).  P comes from `loop_legendre` at all nodes, not from the grid's
     northern half tables; Td from the degree recurrence
     sin(theta) dP_l^m/dtheta = l cos(theta) P_l^m - e_lm P_{l-1}^m, and
     Tdd from the associated Legendre equation
     P'' = -cot(theta) P' - (l(l+1) - m^2/sin^2(theta)) P, not from the
     grid's order ladder."""
     x, s = grid.cos_theta[:, None], grid.sin_theta[:, None]
-    P = _legendre(grid.cos_theta, grid.sin_theta, grid.l_max, grid.m_max)
+    P = loop_legendre(grid.cos_theta, grid.sin_theta, grid.l_max, grid.m_max)
     ell = grid.ell.astype(float)
     m = grid.m_values[:, None, None].astype(float)
     e = np.sqrt(np.clip(ell * ell - m * m, 0.0, None) * (2.0 * ell + 1.0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -222,6 +224,37 @@ class TestOperatorProperties:
         # full-height (T3, TW) took 67,108,864 bytes at 128x256
         g = Grid(GridSpec(128, 256))
         assert g._T3.nbytes + g._TW.nbytes <= 67_108_864 // 2
+
+    @pytest.mark.parametrize("shape", [(8, 16), (15, 32), (16, 16), (25, 32),
+                                       (40, 80), (64, 128), (128, 256)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_tables_match_loop_oracle_bit_for_bit(self, shape):
+        # the all-orders recurrence and blocked ladder against scalar
+        # order-by-order loops: odd n_theta (the equator row); m_max = 7 <
+        # l_max; odd with m_max + 2 < l_max, where the build stops its
+        # recurrence at order m_max + 2; 40 orders, not a multiple of the
+        # order block; and the two production grids
+        g = make_grid(GridSpec(*shape))
+        ref = oracles.loop_tables(g)
+        for name, table in zip(("legendre", "_T3", "_TW", "_dfs"), ref, strict=True):
+            assert np.array_equal(getattr(g, name), table), name
+
+    def test_build_memory_at_128(self):
+        # tracemalloc peaks of the grid build and of the lazily built
+        # double-Fourier table on top of it; a first build imports numpy's
+        # lazily loaded modules, which would count otherwise
+        Grid(GridSpec(8, 16))._dfs
+        tracemalloc.start()
+        try:
+            g = Grid(GridSpec(128, 256))
+            built, build_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            g._dfs
+            dfs_peak = tracemalloc.get_traced_memory()[1] - built
+        finally:
+            tracemalloc.stop()
+        assert build_peak <= 33 * 2**20
+        assert dfs_peak <= 65 * 2**20
 
     @pytest.mark.parametrize(
         "spec", [GridSpec(15, 32), GridSpec(16, 16), GridSpec(40, 80), SPEC64],
