@@ -173,10 +173,10 @@ def normal_speed(surface: StarShapedHypersurface,
                        1.0 / _cone_rho(speed, geom.H, geom.sigma_k[..., 2]))
 
 
-def _diffusivity(speed, c, f, rho) -> np.ndarray:
+def _diffusivity(speed, H, K, f, rho) -> np.ndarray:
     """D / (rho^2 f^2): the coefficient of the round Laplacian of log f in
     the linearized graph equation."""
-    return speed.diffusivity(c.H, c.K) / (rho * f) ** 2
+    return speed.diffusivity(H, K) / (rho * f) ** 2
 
 
 def _damping(grid) -> np.ndarray:
@@ -211,33 +211,39 @@ def step(surface: StarShapedHypersurface, speed: SpeedFunction,
 
     The linear part L lam, with L = -(D0 l(l+1) + nu_l) per degree, is
     integrated exactly: D0 is half the largest D / (rho^2 f^2) at the
-    start, nu the damping rate `_damping`.  Each of the four stages calls
-    the curvature kernel on f = exp(lam) and takes the rest of the
-    equation, N = analysis(sqrt(1 + |grad lam|^2) / (f rho)) + D0 l(l+1)
-    lam, from it.  On a round sphere N is a constant of degree 0, where L
-    vanishes, so the step is exact there: r exp(dt/mu).
+    start, nu the damping rate `_damping`.  Each of the four stages passes
+    its coefficients lam and f = exp(synthesis(lam)) to the curvature
+    kernel, one evaluation per stage, and takes the rest of the equation,
+    N = analysis(sqrt(1 + |grad lam|^2) / (f rho)) + D0 l(l+1) lam, from
+    it.  On a round sphere N is a constant of degree 0, where L vanishes,
+    so the step is exact there: r exp(dt/mu).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     grid = surface.grid()
     ll = grid.ell * (grid.ell + 1.0)
 
-    def graph_rhs(f):
-        """analysis(sqrt(1 + |grad lam|^2) / (f rho)), curvature(grid, f), rho"""
-        c = curvature(grid, f)
+    def graph_rhs(lam, f):
+        """analysis(sqrt(1 + |grad lam|^2) / (f rho)), curvature(grid, lam, f), rho"""
+        c = curvature(grid, lam, f)
         rho = _cone_rho(speed, c.H, c.K)
         return grid.analysis(c.sqv / (f * rho)), c, rho
 
+    # the node mean goes in at degree 0 only: analysed, it leaves eps |mean|
+    # at every degree, which l(l+1) amplifies (8.5e-12 of H at 64x128)
     f0 = surface.values
-    lam0 = grid.analysis(np.log(f0))
-    F0, c0, rho0 = graph_rhs(f0)
-    D0 = 0.5 * float(_diffusivity(speed, c0, f0, rho0).max())    # at the start only
+    log_f = np.log(f0)
+    mean = log_f.mean()
+    lam0 = grid.analysis(log_f - mean)
+    lam0[0, 0, 0] += math.sqrt(4.0 * math.pi) * mean
+    F0, c0, rho0 = graph_rhs(lam0, f0)
+    D0 = 0.5 * float(_diffusivity(speed, c0.H, c0.K, f0, rho0).max())  # at the start only
     del c0, rho0                # freed before the later stages run the kernel
-    # dlam/dt = F - nu lam = L lam + N, F = graph_rhs(f)[0]: N = F + D0 l(l+1) lam
+    # dlam/dt = F - nu lam = L lam + N, F = graph_rhs(lam, f)[0]: N = F + D0 l(l+1) lam
     explicit = (D0 * ll)[:, None]
 
     def nonlinear(lam):
-        return graph_rhs(np.exp(grid.synthesis(lam)))[0] + explicit * lam
+        return graph_rhs(lam, np.exp(grid.synthesis(lam)))[0] + explicit * lam
 
     N0 = F0 + explicit * lam0
     z = -dt * (D0 * ll + _damping(grid))
@@ -258,10 +264,13 @@ def stable_dt(surface: StarShapedHypersurface, speed: SpeedFunction,
               dt_safety: float) -> float:
     """The step bound of `step`: _MAX_STEP, or dt_safety * 0.05 / (D_max
     - D_min) if shorter, D = diffusivity / (rho^2 f^2).  D - D0 is the
-    part of the Laplacian term that `step` treats explicitly."""
-    f = surface.values
-    c = curvature(surface.grid(), f)
-    D = _diffusivity(speed, c, f, _cone_rho(speed, c.H, c.K))
+    part of the Laplacian term that `step` treats explicitly.  H and K
+    come from the surface's geometry bundle, which this call builds and
+    a record of the same state then reads; raises CurvatureConeError if
+    the surface leaves the speed's cone."""
+    geom = geometry(surface)
+    H, K = geom.H, geom.sigma_k[..., 2]
+    D = _diffusivity(speed, H, K, surface.values, _cone_rho(speed, H, K))
     spread = float(D.max() - D.min())
     return min(_MAX_STEP, dt_safety * 0.05 / spread) if spread > 0.0 else _MAX_STEP
 
@@ -364,17 +373,21 @@ def _decay_rate(t: list, values: list) -> float:
 
 
 def run(surface: StarShapedHypersurface, config: FlowConfig) -> FlowTrace:
-    """Evolve a surface to t_end, recording diagnostics along the way."""
+    """Evolve a surface to t_end, recording diagnostics along the way.
+
+    `stable_dt` builds each state's geometry bundle, which a record of the
+    state reads; only the final record builds its own.  So a run evaluates
+    the curvature kernel 5 times per step (4 stages, 1 step bound) and
+    once more."""
     speed = config.speed
     trace = FlowTrace(speed_label=speed.label, mu=speed.mu)
 
     t = t_rec = 0.0
     current = surface
-    trace._record(t, current, config.keep_snapshots)
     while t < config.t_end - 1e-14:
         dt = min(stable_dt(current, speed, config.dt_safety), config.t_end - t)
-        # keep records at most _MAX_STEP apart
-        if t + dt > t_rec + _MAX_STEP + 1e-14:
+        # record the start, then keep records at most _MAX_STEP apart
+        if not trace.t or t + dt > t_rec + _MAX_STEP + 1e-14:
             trace._record(t, current, config.keep_snapshots)
             t_rec = t
         current = step(current, speed, dt)

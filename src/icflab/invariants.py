@@ -120,8 +120,8 @@ def willmore_rate(surface: StarShapedHypersurface,
         raise MeanConvexityError(f"H reaches {geom.H.min():g}; not mean-convex")
     grid = make_grid(surface.spec)
 
-    dHt, dHp = grid.chart_derivatives(geom.H)[:2]
-    dst, dsp = grid.chart_derivatives(speed.values)[:2]
+    (dHt, dHp), (dst, dsp) = (grid.chart_derivatives(grid.analysis(x - x.mean()))[:2]
+                              for x in (geom.H, speed.values))
     gi00, gi01, gi11 = geom.metric_inv
     grad_pair = gi00 * dHt * dst + gi01 * (dHt * dsp + dHp * dst) + gi11 * dHp * dsp
 

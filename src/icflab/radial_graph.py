@@ -11,8 +11,10 @@ round metric sigma, the induced geometry is, in chart components,
 
 with nu the outward unit normal, so round spheres have H = n/R > 0 and
 principal curvatures 1/R.  `curvature` is the one kernel that evaluates
-them on a grid.  It returns H = g^ij h_ij and K = det h / det g in
-closed form from the f-free factors gbar = sigma + dlam dlam and
+them on a grid, from the harmonic coefficients of lam and the values of
+f: `geometry` analyses lam minus its node mean, and the flow passes the
+coefficients it steps.  It returns H = g^ij h_ij and K = det h / det g
+in closed form from the f-free factors gbar = sigma + dlam dlam and
 hbar = gbar - hess lam, so it never forms g, g^-1 or h; the flow reads
 only H and K.  `geometry` keeps g and g^-1, forms h only for the
 principal curvatures, and adds the normal.  Inverting the
@@ -148,10 +150,14 @@ class Curvature(NamedTuple):
     K: np.ndarray               # det h / det g
 
 
-def curvature(grid: Grid, f: np.ndarray) -> Curvature:
+def curvature(grid: Grid, lam: np.ndarray, f: np.ndarray) -> Curvature:
     """The curvature kernel: H and K of the radial graph of f on an n = 2
     grid, with the f-free chart factors they are built from; it forms
     neither g, g^-1 and h (`geometry` does) nor principal curvatures.
+    lam holds the harmonic coefficients of log f, shape (m_max+1,
+    l_max+1, 2), and f its values at the nodes: `geometry` analyses
+    log f minus its node mean, the flow passes the coefficients it
+    steps.  The degree-0 coefficient changes no output value.
 
     With s = sin(theta) and det gbar = s^2 v, in closed form
 
@@ -163,7 +169,7 @@ def curvature(grid: Grid, f: np.ndarray) -> Curvature:
     number c of g exceeds C = _COND_LIMIT, read at call time.  f cancels
     from that ratio, so it is read from gbar.
     """
-    d = grid.chart_derivatives(np.log(f))
+    d = grid.chart_derivatives(lam)
     if not np.all(np.isfinite(d)):
         raise ResolutionError("non-finite derivatives of log f")
     lt, lp, ltt, ltp, lpp = d
@@ -202,7 +208,8 @@ def geometry(surface: StarShapedHypersurface) -> GeometryBundle:
         return surface._geometry
     grid = surface.grid()
     f = surface.values
-    c = curvature(grid, f)
+    lam = np.log(f)
+    c = curvature(grid, grid.analysis(lam - lam.mean()), f)
 
     p, e_t, e_p = grid.node_frame()
     st = grid.sin_theta[:, None]

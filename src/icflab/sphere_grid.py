@@ -134,7 +134,7 @@ class Grid:
     shape (m_max+1, (n_theta+1)//2, l_max+1): the synthesis table, shared
     with the surface generators, hence read-only, and a non-contiguous
     view into the stacked (Td, Tdd, P) table `_T3`, whose one product in
-    `_partials` gives chart_derivatives and the synth_* partials.  The
+    `chart_derivatives` gives all five partials.  The
     nodes and weights are symmetric about the equator and P_l^m(-x) =
     (-1)^(l+m) P_l^m(x), so every table keeps only these rows (Schaeffer,
     G-cubed 14, 2013): a product with the coefficients split by the
@@ -142,7 +142,7 @@ class Grid:
     and whose difference the mirrored southern one (`_fold`); an analysis
     folds the row pairs first and picks each degree's sum by parity.
 
-    Every Legendre table product (analysis, synthesis, `_partials`) goes
+    Every Legendre table product (analysis, synthesis, chart_derivatives) goes
     through `_order_product`, which takes the orders in blocks of
     _ORDER_BLOCK and skips the degrees l < m0 below each block's first
     order, where every table vanishes.  The build vectorizes over orders too:
@@ -286,21 +286,21 @@ class Grid:
         self._fold(Y, buf[:, : self.m_max + 1].T, 1.0)
         return np.fft.irfft(buf, n=self.spec.n_phi, axis=-1, norm="forward")
 
-    # one partial each, sliced from the one stacked product of `_partials`
+    # one partial each, sliced from the one stacked product of chart_derivatives
     def synth_dtheta(self, C2):
-        return self._partials(C2)[0]
+        return self.chart_derivatives(C2)[0]
 
     def synth_dphi(self, C2):
-        return self._partials(C2)[1]
+        return self.chart_derivatives(C2)[1]
 
     def synth_d2theta(self, C2):
-        return self._partials(C2)[2]
+        return self.chart_derivatives(C2)[2]
 
     def synth_dtheta_dphi(self, C2):
-        return self._partials(C2)[3]
+        return self.chart_derivatives(C2)[3]
 
     def synth_d2phi(self, C2):
-        return self._partials(C2)[4]
+        return self.chart_derivatives(C2)[4]
 
     def synth_laplacian(self, C2):
         return self.synthesis(-(self.ell * (self.ell + 1.0))[:, None] * C2)
@@ -313,26 +313,25 @@ class Grid:
     def integrate_values(self, values: np.ndarray) -> float:
         return float(np.sum(self.weights * values))
 
-    def chart_derivatives(self, values: np.ndarray):
-        """All first and second chart partials of a scalar field.
+    def chart_derivatives(self, C2: np.ndarray):
+        """All first and second chart partials of the field with
+        coefficients C2, shape (m_max+1, l_max+1, 2).
 
         Returns one (5, n_theta, n_phi) array, which unpacks into
         (f_t, f_p, f_tt, f_tp, f_pp): partial derivatives with respect to
-        theta and phi of the band-limited representative.  The node mean
-        is removed first (derivatives are unaffected), which keeps the
-        outputs exactly covariant under constant shifts.
+        theta and phi of the band-limited field.  The theta tables vanish
+        at degree 0 and the phi partials multiply order 0 by zero, so the
+        degree-0 coefficient adds exact zeros to every partial: a constant
+        shift of the field changes no output value (at most the sign of a
+        zero).  Callers holding grid values analyse them first.
 
-        One analysis, then `_partials`: one order-blocked product of the
-        parity-split coefficients with the stacked half (Td, Tdd, P) table,
-        folded into the f_t, f_tt and f_pp slots of the inverse-FFT buffer,
-        and one inverse FFT of all five: a phi-derivative multiplies order
-        m by i m or -m^2, which commutes with the Legendre product, so f_p,
-        f_tp and f_pp reuse the P and Td products.
+        One order-blocked product of the parity-split coefficients with the
+        stacked half (Td, Tdd, P) table, folded into the f_t, f_tt and f_pp
+        slots of the inverse-FFT buffer, and one inverse FFT of all five: a
+        phi-derivative multiplies order m by i m or -m^2, which commutes
+        with the Legendre product, so f_p, f_tp and f_pp reuse the P and Td
+        products.
         """
-        return self._partials(self.analysis(values - values.mean()))
-
-    def _partials(self, C2: np.ndarray) -> np.ndarray:
-        """`chart_derivatives` of coefficients C2, shape (5, n_theta, n_phi)."""
         Y = np.empty(self._T3.shape[:-1] + (4,))
         _order_product(self._T3, self._split(C2)[:, None], Y)
         buf = np.zeros((5, self.spec.n_theta, self.spec.n_phi // 2 + 1), dtype=complex)

@@ -8,8 +8,10 @@ Hessian on the round sphere, the grid's tables from scalar
 order-by-order loops (the bit-identical reference for its all-orders
 recurrence), full-height Legendre tables and their theta derivatives
 (degree recurrence and Legendre equation, not the grid's northern half
-tables and order ladder), an adaptive reference
-integrator, the light-cone image of round spheres, the spectral
+tables and order ladder), the chart derivatives and curvature of grid
+values through a mean-free analysis (the reference for the kernel on
+coefficients), an adaptive reference integrator, the light-cone image
+of round spheres and the conformal factor of a flow map, the spectral
 orientation of a mapped surface's direction map, the node-by-node
 Hsiung-Minkowski residual, the element-by-element JSON null walk, the
 conformal Killing residual and finite-difference quadratic check of a
@@ -220,12 +222,28 @@ def whole_table_synth(grid, C2):
                 ("synth_laplacian", P, lap_C2))}
 
 
-def whole_table_chart_derivatives(grid, values):
-    """(f_t, f_p, f_tt, f_tp, f_pp) of `Grid.chart_derivatives` from the
-    whole-table analysis and synthesis."""
-    s = whole_table_synth(grid, whole_table_analysis(grid, values - values.mean()))
+def whole_table_chart_derivatives(grid, C2):
+    """(f_t, f_p, f_tt, f_tp, f_pp) of `Grid.chart_derivatives` of C2 from
+    whole full-height table syntheses."""
+    s = whole_table_synth(grid, C2)
     return tuple(s[name] for name in ("synth_dtheta", "synth_dphi", "synth_d2theta",
                                       "synth_dtheta_dphi", "synth_d2phi"))
+
+
+def value_chart_derivatives(grid, values):
+    """(f_t, f_p, f_tt, f_tp, f_pp) of grid values by the route the grid
+    took before its chart derivatives took coefficients: remove the node
+    mean, analyse, then the one stacked partials product.  The reference
+    for the coefficient route of the flow's stages."""
+    return grid.chart_derivatives(grid.analysis(values - values.mean()))
+
+
+def value_curvature(grid, f):
+    """`curvature` of the radial graph of grid values f, with log f taken
+    at the nodes and its chart derivatives by `value_chart_derivatives`
+    (the route `geometry` keeps)."""
+    lam = np.log(f)
+    return curvature(grid, grid.analysis(lam - lam.mean()), f)
 
 
 def covariant_hessian(grid, values):
@@ -233,7 +251,7 @@ def covariant_hessian(grid, values):
     as (..., 2, 2) matrices in the (theta, phi) chart, from the grid's
     chart partials and the Christoffel symbols Gamma^theta_{phi phi} =
     -sin cos and Gamma^phi_{theta phi} = cot(theta)."""
-    ft, fp, ftt, ftp, fpp = grid.chart_derivatives(values)
+    ft, fp, ftt, ftp, fpp = value_chart_derivatives(grid, values)
     st, ct = grid.sin_theta[:, None], grid.cos_theta[:, None]
     return stack_sym2(ftt, ftp - (ct / st) * fp, fpp + st * ct * ft)
 
@@ -271,6 +289,18 @@ def dop853_flow(field, t_end, x0, rtol=3e-14):
     return sol.y[:, -1].reshape(x0.shape)
 
 
+def light_cone_map(field, t):
+    """exp(tA) in R^{4,1} for the time-t flow of a conformal Killing field
+    (v, S, mu, b), by scipy's matrix exponential."""
+    v, b, S = field.v, field.b, field.skew_matrix
+    A = np.zeros((5, 5))
+    A[:3, :3] = S
+    A[:3, 3], A[:3, 4] = v + b, v - b
+    A[3, :3], A[4, :3] = -(v + b), v - b
+    A[3, 4] = A[4, 3] = -field.mu
+    return expm(t * A)
+
+
 def mobius_sphere_image(field, t, center, radius):
     """Center and radius of the image of the sphere |X - center| = radius
     under the time-t flow of a conformal Killing field (v, S, mu, b).
@@ -280,19 +310,25 @@ def mobius_sphere_image(field, t, center, radius):
     the set orthogonal to the spacelike sigma = (c, (1+R^2-|c|^2)/2,
     (1-R^2+|c|^2)/2).  The flow acts by exp(tA), which preserves <,>, so
     the image is the sphere orthogonal to exp(tA) sigma."""
-    v, b, S = field.v, field.b, field.skew_matrix
-    A = np.zeros((5, 5))
-    A[:3, :3] = S
-    A[:3, 3], A[:3, 4] = v + b, v - b
-    A[3, :3], A[4, :3] = -(v + b), v - b
-    A[3, 4] = A[4, 3] = -field.mu
     c = np.asarray(center, dtype=float)
     cc = c @ c
-    sigma = expm(t * A) @ np.concatenate(
+    sigma = light_cone_map(field, t) @ np.concatenate(
         [c, [0.5 * (1.0 + radius**2 - cc), 0.5 * (1.0 - radius**2 + cc)]])
     k = sigma[3] + sigma[4]
     c_img = sigma[:3] / k
     return c_img, float(np.sqrt(c_img @ c_img + (sigma[3] - sigma[4]) / k))
+
+
+def conformal_factor(field, t, x):
+    """e^u at points x (P, 3) of the time-t map Phi of a conformal Killing
+    field, |d Phi(x) w| = e^u |w|: the lift (x, (1-|x|^2)/2, (1+|x|^2)/2)
+    of x has xi_3 + xi_4 = 1, and its image under exp(tA) projects to
+    Phi(x) after division by its own xi_3 + xi_4 =: s, so lengths at
+    Phi(x) are those at x divided by s, e^u = 1/s."""
+    xx = np.sum(x * x, axis=1)
+    xi = np.column_stack([x, 0.5 * (1.0 - xx), 0.5 * (1.0 + xx)])
+    xi = xi @ light_cone_map(field, t).T
+    return 1.0 / (xi[:, 3] + xi[:, 4])
 
 
 def min_norm_translated_sphere_fit(radius, c3):
@@ -552,7 +588,7 @@ def rk4_flow(surface, speed, t_end, dt_safety=0.2):
     h_min = min(np.pi / surface.spec.n_theta, 2.0 * np.pi / surface.spec.n_phi)
 
     def rhs(f):
-        c = curvature(grid, f)
+        c = value_curvature(grid, f)
         return c, c.sqv / speed.rho(c.H, c.K)
 
     f, t = surface.values, 0.0

@@ -264,6 +264,20 @@ class TestFlow:
         assert summary["records"] >= 4
         assert summary["beta"] is None
 
+    def test_input_outside_the_cone_is_input_error(self, tmp_path, capsys):
+        # a saddle node: the step bound reads the start's curvatures before
+        # anything is recorded, and names the node and its curvatures
+        gen = tmp_path / "g"
+        assert run_cli("gen", "harmonic", "1.0", "4,0,0.4", "--grid", GRID,
+                       "--out", str(gen)) == 0
+        capsys.readouterr()
+        out = tmp_path / "f"
+        assert run_cli("flow", str(gen / "surface.json"), "--out", str(out)) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CurvatureConeError"
+        assert "outside the cone of H" in err["message"]
+        assert not (out / "trace.csv").exists()
+
     def test_non_finite_t_end_is_input_error(self, sphere_file, tmp_path, capsys):
         out = tmp_path / "nan"
         assert run_cli("flow", sphere_file, "--t-end", "nan",
@@ -374,9 +388,9 @@ class TestGeometryCache:
         calls = []
         kernel = rg.curvature
 
-        def counted(grid, f):
+        def counted(grid, lam, f):
             calls.append(f)
-            return kernel(grid, f)
+            return kernel(grid, lam, f)
 
         monkeypatch.setattr(rg, "curvature", counted)
         assert run_cli(argv[0], spheroid_file, *argv[1:],

@@ -477,6 +477,41 @@ class TestMoebiusInvariance:
         assert np.abs(back.values - s.values).max() < 1e-11
 
 
+class TestPointwiseMoebius:
+    """The trace-free second form scales like lengths under a conformal
+    map Phi with |d Phi w| = e^u |w|, so |A0|^2 of the image at Phi(x) is
+    e^{-2u(x)} times |A0|^2 at x (and |A0|^2 dmu is invariant): checked at
+    every node of the input, for each generator class at 32x64."""
+
+    T = 0.5
+
+    @pytest.mark.parametrize("name", list(GENERATOR_CLASSES))
+    def test_tracefree_norm_scales_by_conformal_factor(self, name):
+        V = moebius_field(name)
+        s = harmonic_surface(1.0, HARMONIC_TERMS, SPEC32)
+        image = pushforward_surface(V, self.T, s)
+        grid = s.grid()
+        X = (s.values[..., None] * grid.node_frame()[0]).reshape(-1, 3)
+        e_u = oracles.conformal_factor(V, self.T, X)
+        # the light-cone factor against central differences of flow_map:
+        # the cube root of |det d Phi|, to the differences' O(h^2)
+        h = 1e-4
+        J = np.stack([flow_map(V, self.T, X + h * e) - flow_map(V, self.T, X - h * e)
+                      for e in np.eye(3)], axis=-1) / (2.0 * h)
+        assert np.abs(np.cbrt(np.linalg.det(J)) / e_u - 1.0).max() < 1e-9
+        # |A0|^2 of the image, read at each node's image Y through the
+        # scattered evaluator of its coefficients
+        Y = flow_map(V, self.T, X)
+        theta = np.arctan2(np.hypot(Y[:, 0], Y[:, 1]), Y[:, 2])
+        phi = np.arctan2(Y[:, 1], Y[:, 0])
+        at_image = grid.evaluate_scattered(
+            grid.analysis(geometry(image).tracefree_sq), theta, phi)
+        expected = geometry(s).tracefree_sq.ravel() / e_u**2
+        # the image's |A0|^2 is not band-limited: its spectral interpolant
+        # at 32x64 sets the floor, 8.4e-9 for the translation's image
+        assert np.abs(at_image - expected).max() < 2e-8 * expected.max()
+
+
 class TestQuadraticStructure:
     def test_random_fields_pass(self, rng):
         for _ in range(3):

@@ -6,12 +6,12 @@ from icflab.flow import (FlowConfig, SpeedFunction, asymptotics_check,
                          class_c_audit, curvature_norm_speed, normal_speed,
                          run, stable_dt, step)
 from icflab.invariants import e_tensor, guan_li_q, willmore
-from icflab.radial_graph import StarShapedHypersurface, curvature, geometry
-from icflab.sphere_grid import GridSpec, ScalarField
+from icflab.radial_graph import StarShapedHypersurface, geometry
+from icflab.sphere_grid import Grid, GridSpec, ScalarField
 from icflab.surfaces import harmonic_surface, sphere_surface, spheroid_surface
 
 import oracles
-from conftest import HARMONIC_TERMS, SPEC32, SPEC48, SPEC64, nodes, scaled
+from conftest import HARMONIC_TERMS, SPEC16, SPEC32, SPEC48, SPEC64, nodes, scaled
 
 
 def perturbed_sphere(spec, amp=0.1):
@@ -250,6 +250,25 @@ class TestRunOnSpheres:
         assert sphere.steps == 15 and len(sphere.t) == 16
 
 
+class TestKernelEvaluations:
+    def test_one_kernel_evaluation_per_recorded_state(self, monkeypatch):
+        # stable_dt builds each state's bundle and a record of that state
+        # reads it, so a run evaluates the kernel in 4 stages and the step
+        # bound per step, and once more for the final record; it analyses
+        # log f once per step besides, and no stage analyses log f again
+        counts = {"chart_derivatives": 0, "analysis": 0}
+        for name in counts:
+            def counted(grid, *args, _method=getattr(Grid, name), _name=name):
+                counts[_name] += 1
+                return _method(grid, *args)
+            monkeypatch.setattr(Grid, name, counted)
+        trace = run(harmonic_surface(1.0, HARMONIC_TERMS, SPEC16),
+                    FlowConfig(SpeedFunction("H"), t_end=0.25))
+        assert (trace.steps, len(trace.t)) == (13, 14)
+        assert counts == {"chart_derivatives": 5 * 13 + 1,
+                          "analysis": 6 * 13 + 1}
+
+
 def steps_to(surface, speed, t_end, n):
     """The surface after n steps of length t_end / n."""
     for _ in range(n):
@@ -329,7 +348,7 @@ class TestConvergence:
         s = harmonic_surface(1.0, [(2, 2, 0.1), (9, 4, 0.01)], SPEC32)
         imcf = SpeedFunction("H")
         grid = s.grid()
-        c = curvature(grid, s.values)
+        c = oracles.value_curvature(grid, s.values)
         assert c.H.min() > 0.0
         rhs = np.abs(grid.analysis(c.sqv / (s.values * c.H))).max(axis=(0, 2))
         assert rhs[grid.l_max - 2:].min() > 1e-5

@@ -11,8 +11,7 @@ from icflab.invariants import (condition_v_residual, DEFAULT_A_VALUES, e_tensor,
                                energy_report, guan_li_q,
                                hsiung_minkowski_residual, qbar, qk_rate,
                                willmore, willmore_rate)
-from icflab.radial_graph import (StarShapedHypersurface, curvature, geometry,
-                                 invert)
+from icflab.radial_graph import StarShapedHypersurface, geometry, invert
 from icflab.sphere_grid import GridSpec, ScalarField, make_grid
 from icflab.surfaces import harmonic_surface, sphere_surface, spheroid_surface
 
@@ -74,7 +73,8 @@ class TestETensor:
     def test_components_match_stacked_matrix_oracle(self, spheroid64, harmonic64):
         for s in (spheroid64, harmonic64):
             g = geometry(s)
-            h = oracles.second_form(curvature(s.grid(), s.values), s.values)
+            h = oracles.second_form(oracles.value_curvature(s.grid(), s.values),
+                                    s.values)
             for a in DEFAULT_A_VALUES:
                 E = oracles.stack_sym2(*e_tensor(s, a)[0])
                 expected = oracles.e_tensor_stacked(g.metric, h, a)

@@ -107,7 +107,7 @@ class TestBundleInvariants:
             return np.abs(a - b).max() / np.abs(b).max()
 
         for s in (spheroid64, harmonic64):
-            c = curvature(s.grid(), s.values)
+            c = oracles.value_curvature(s.grid(), s.values)
             g = geometry(s)
             metric = oracles.stack_sym2(*g.metric)
             second_form = oracles.stack_sym2(*oracles.second_form(c, s.values))
@@ -144,7 +144,8 @@ class TestBundleInvariants:
             g = geometry(s)
             metric = oracles.stack_sym2(*g.metric)
             second_form = oracles.stack_sym2(
-                *oracles.second_form(curvature(s.grid(), s.values), s.values))
+                *oracles.second_form(oracles.value_curvature(s.grid(), s.values),
+                                     s.values))
             eig = np.linalg.eigvals(np.linalg.inv(metric) @ second_form)
             assert np.abs(eig.imag).max() < 1e-12 * np.abs(g.kappa).max()
             eig = np.sort(eig.real, axis=-1)
@@ -164,7 +165,7 @@ class TestBundleInvariants:
         g = geometry(spheroid64)
         grid = make_grid(SPEC64)
         lam = np.log(spheroid64.values)
-        lt, lp, ltt, ltp, lpp = grid.chart_derivatives(lam)
+        lt, lp, ltt, ltp, lpp = oracles.value_chart_derivatives(grid, lam)
         st, ct = grid.sin_theta[:, None], grid.cos_theta[:, None]
         Ltt = ltt
         Ltp = ltp - (ct / st) * lp
@@ -176,6 +177,69 @@ class TestBundleInvariants:
         H_formula = oracles.graph_mean_curvature(spheroid64.values, grad_sq,
                                                  lap, quad, 2)
         assert np.abs(H_formula - g.H).max() < 1e-9
+
+
+def coefficient_cases(name, grid):
+    """(lam, f): harmonic coefficients of log f, as the flow passes them
+    to `curvature`, and the graph values f.  The named surfaces take the
+    coefficients of a step's start: log f analysed without its node mean,
+    the mean put back at degree 0.  `random` is a band-limited set with
+    content at every degree, f = exp(synthesis(lam)), as a later stage's
+    coefficients; the value route then synthesizes, exponentiates, takes
+    the log and analyses again, which the coefficient route skips."""
+    if name == "random":
+        rng = np.random.default_rng(grid.l_max)
+        ell, m = grid.ell[None, :, None], grid.m_values[:, None, None]
+        lam = rng.standard_normal((grid.m_max + 1, grid.l_max + 1, 2))
+        lam *= (ell >= m) * 0.05 / (1.0 + ell) ** 2
+        lam[0, :, 1] = 0.0
+        lam[0, 0, 0] = 0.3 * np.sqrt(4.0 * np.pi)
+        return lam, np.exp(grid.synthesis(lam))
+    s = {"sphere": sphere_surface(1.3, grid.spec),
+         "spheroid": spheroid_surface(1.0, 0.6, grid.spec),
+         "harmonic": harmonic_surface(1.0, HARMONIC_TERMS, grid.spec)}[name]
+    log_f = np.log(s.values)
+    lam = grid.analysis(log_f - log_f.mean())
+    lam[0, 0, 0] += np.sqrt(4.0 * np.pi) * log_f.mean()
+    return lam, s.values
+
+
+class TestCoefficientRoute:
+    """`curvature` on the coefficients of log f against the route the
+    kernel took on grid values (`oracles.value_curvature`), in H, K and
+    the five chart partials, relative to each one's sup norm: 15x32 has
+    an equator row, 25x32 has m_max < l_max."""
+
+    @pytest.mark.parametrize("shape", [(15, 32), (25, 32), (64, 128)],
+                             ids=["15x32", "25x32", "64x128"])
+    @pytest.mark.parametrize("name", ["sphere", "spheroid", "harmonic", "random"])
+    def test_matches_value_route(self, name, shape):
+        grid = make_grid(GridSpec(*shape))
+        lam, f = coefficient_cases(name, grid)
+        got, ref = curvature(grid, lam, f), oracles.value_curvature(grid, f)
+        pairs = [(got.H, ref.H), (got.K, ref.K)]
+        pairs += zip(grid.chart_derivatives(lam),
+                     oracles.value_chart_derivatives(grid, np.log(f)))
+        # the value route's own round-off on the random set at 64x128, its
+        # node values' eps |log f| spread over every degree and amplified
+        # by l(l+1) in the second partials, reaches 2.8e-13
+        tol = 1e-12 if name == "random" and shape == (64, 128) else 1e-13
+        for a, b in pairs:
+            assert np.abs(a - b).max() <= tol * (np.abs(b).max() or 1.0)
+
+    @pytest.mark.parametrize("shape", [(15, 32), (25, 32), (64, 128)],
+                             ids=["15x32", "25x32", "64x128"])
+    def test_degree_zero_changes_no_output_bit(self, shape):
+        # every table of `chart_derivatives` vanishes at degree 0 or is multiplied
+        # by m = 0 there, so the step needs no mean removal between stages
+        grid = make_grid(GridSpec(*shape))
+        lam, f = coefficient_cases("random", grid)
+        shifted = lam.copy()
+        shifted[0, 0, 0] -= 2.5
+        a, b = curvature(grid, lam, f), curvature(grid, shifted, f)
+        assert a.H.tobytes() == b.H.tobytes() and a.K.tobytes() == b.K.tobytes()
+        assert (grid.chart_derivatives(lam).tobytes()
+                == grid.chart_derivatives(shifted).tobytes())
 
 
 class TestInversion:
@@ -306,9 +370,9 @@ class TestErrors:
         grid, f = harmonic64.grid(), harmonic64.values
         if raises:
             with pytest.raises(ResolutionError):
-                rg.curvature(grid, f)
+                oracles.value_curvature(grid, f)
         else:
-            rg.curvature(grid, f)
+            oracles.value_curvature(grid, f)
 
     def test_non_finite_derivatives_raise_resolution_error(self, monkeypatch,
                                                            spheroid64):
@@ -316,14 +380,14 @@ class TestErrors:
         # not as the cone violation the NaN curvatures would look like
         chart_derivatives = Grid.chart_derivatives
 
-        def with_nan(grid, values):
-            d = chart_derivatives(grid, values)
+        def with_nan(grid, C2):
+            d = chart_derivatives(grid, C2)
             d[2, 5, 7] = np.nan
             return d
 
         monkeypatch.setattr(Grid, "chart_derivatives", with_nan)
         with pytest.raises(ResolutionError, match="non-finite"):
-            curvature(spheroid64.grid(), spheroid64.values)
+            oracles.value_curvature(spheroid64.grid(), spheroid64.values)
         with pytest.raises(ResolutionError, match="non-finite"):
             step(spheroid64, SpeedFunction("H"), 1e-4)
 
