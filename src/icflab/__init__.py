@@ -12,8 +12,8 @@ from .conformal import (ConformalKillingField, AffineField, flow_map,
 from .invariants import (e_tensor, willmore, willmore_rate,
                          guan_li_q, hsiung_minkowski_residual, qk_rate,
                          condition_v_residual, qbar, energy_report)
-from .flow import (SpeedFunction, FlowConfig, FlowTrace, normal_speed, step,
-                   run, asymptotics_check, class_c_audit, curvature_norm_speed)
+from .flow import (SpeedFunction, FlowTrace, normal_speed, step, run,
+                   asymptotics_check, class_c_audit, curvature_norm_speed)
 from .soliton import residual, best_fit_ckf, classify
 from .surfaces import sphere_surface, spheroid_surface, harmonic_surface
 from .serialize import ckf_from_dict, load_surface, save_surface
@@ -26,8 +26,8 @@ __all__ = [
     "e_tensor", "willmore", "willmore_rate", "guan_li_q",
     "hsiung_minkowski_residual", "qk_rate", "condition_v_residual",
     "qbar", "energy_report",
-    "SpeedFunction", "FlowConfig", "FlowTrace", "normal_speed", "step",
-    "run", "asymptotics_check", "class_c_audit", "curvature_norm_speed",
+    "SpeedFunction", "FlowTrace", "normal_speed", "step", "run",
+    "asymptotics_check", "class_c_audit", "curvature_norm_speed",
     "residual", "best_fit_ckf", "classify",
     "sphere_surface", "spheroid_surface", "harmonic_surface",
     "ckf_from_dict", "load_surface", "save_surface",

@@ -23,7 +23,7 @@ from . import __version__
 from . import invariants as inv
 from .conformal import ConformalKillingField
 from .errors import AuditError, IcfLabError
-from .flow import FlowConfig, SpeedFunction, run
+from .flow import SpeedFunction, run
 from .radial_graph import invert
 from .serialize import (load_surface, surface_to_dict, write_csv_atomic,
                         write_json_atomic)
@@ -111,11 +111,9 @@ def cmd_diag(args) -> int:
 
 def cmd_flow(args) -> int:
     surface = load_surface(args.surface)
-    config = FlowConfig(SpeedFunction.parse(args.speed), t_end=args.t_end,
-                        dt_safety=args.dt_safety, keep_snapshots=False)
-    trace = run(surface, config)
-    _write(args, surface, {"speed": args.speed, "t_end": args.t_end,
-                           "dt_safety": args.dt_safety},
+    trace = run(surface, SpeedFunction.parse(args.speed), args.t_end,
+                keep_snapshots=False)
+    _write(args, surface, {"speed": args.speed, "t_end": args.t_end},
            {"trace.csv": (trace.csv_header(), trace.csv_rows()),
             "flow_summary.json": trace.summary()})
     return EXIT_OK
@@ -218,11 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
                        parents=[surface])
     p.add_argument("--speed", default="H",
                    help="H | quotient:k | power:k | ratio:i,j")
-    p.add_argument("--t-end", type=float, default=1.0)
-    p.add_argument("--dt-safety", type=float, default=0.2,
-                   help="in (0, 0.5]: scales the step bound where the "
-                        "linearized diffusivity varies over the surface; "
-                        "steps never exceed 0.02")
+    p.add_argument("--t-end", type=float, default=1.0,
+                   help="end time, finite and positive; steps never exceed "
+                        "0.02 and shorten where the linearized diffusivity "
+                        "varies over the surface")
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("invariance", parents=[surface],

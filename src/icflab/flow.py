@@ -27,7 +27,8 @@ contour means (Kassam & Trefethen, SISC 26, 2005).  So accuracy, not
 stability, bounds the step: at most 0.02, shorter where D varies
 (`stable_dt`).  A round sphere is a constant lam, whose one coefficient
 (degree 0) neither D0 nor the damping touches, and every step is exact
-there.
+there.  A run takes only its speed and end time:
+`run(surface, speed, t_end)`.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "SpeedFunction",
     "CustomSpeed",
     "curvature_norm_speed",
-    "FlowConfig",
     "FlowTrace",
     "normal_speed",
     "step",
@@ -146,6 +146,9 @@ def curvature_norm_speed() -> CustomSpeed:
 
 # the longest step, the record spacing of a run
 _MAX_STEP = 0.02
+# the step bound where D varies, times D_max - D_min: the product is
+# 0.010000000000000002, not 0.01, and it fixes every step length
+_DT_SPREAD = 0.2 * 0.05
 # the upper half of the unit circle: the contour means of `_etd_weights`
 # over it are real parts, for real z
 _CONTOUR = np.exp(1j * np.pi * (np.arange(32) + 0.5) / 32)
@@ -156,7 +159,7 @@ def _cone_rho(speed, H: np.ndarray, K: np.ndarray) -> np.ndarray:
     outside the speed's cone, with the principal curvatures there."""
     ok = speed.in_cone(H, K)
     if not np.all(ok):
-        idx = np.unravel_index(int(np.argmin(ok)), ok.shape)
+        idx = tuple(map(int, np.unravel_index(int(np.argmin(ok)), ok.shape)))
         d = math.sqrt(max(0.25 * H[idx] ** 2 - K[idx], 0.0))
         kappa = np.array([0.5 * H[idx] - d, 0.5 * H[idx] + d])
         raise CurvatureConeError(
@@ -260,39 +263,19 @@ def step(surface: StarShapedHypersurface, speed: SpeedFunction,
         ScalarField(surface.spec, np.exp(grid.synthesis(lam1))))
 
 
-def stable_dt(surface: StarShapedHypersurface, speed: SpeedFunction,
-              dt_safety: float) -> float:
-    """The step bound of `step`: _MAX_STEP, or dt_safety * 0.05 / (D_max
-    - D_min) if shorter, D = diffusivity / (rho^2 f^2).  D - D0 is the
-    part of the Laplacian term that `step` treats explicitly.  H and K
-    come from the surface's geometry bundle, which this call builds and
-    a record of the same state then reads; raises CurvatureConeError if
-    the surface leaves the speed's cone."""
+def stable_dt(surface: StarShapedHypersurface, speed: SpeedFunction) -> float:
+    """The step bound of `step`: _MAX_STEP, or _DT_SPREAD / (D_max - D_min)
+    if shorter, D = diffusivity / (rho^2 f^2).  D - D0 is the part of the
+    Laplacian term that `step` treats explicitly, so the bound keeps the
+    step accurate, not stable.  H and K come from the surface's geometry
+    bundle, which this call builds and a record of the same state then
+    reads; raises CurvatureConeError if the surface leaves the speed's
+    cone."""
     geom = geometry(surface)
     H, K = geom.H, geom.sigma_k[..., 2]
     D = _diffusivity(speed, H, K, surface.values, _cone_rho(speed, H, K))
     spread = float(D.max() - D.min())
-    return min(_MAX_STEP, dt_safety * 0.05 / spread) if spread > 0.0 else _MAX_STEP
-
-
-@dataclass
-class FlowConfig:
-    """Run parameters.  Each step is as long as `stable_dt` allows, with
-    dt_safety scaling its bound where D varies; a run records the start,
-    t_end and enough states between that records are at most 0.02 time
-    units apart, fine enough that finite differences of the records
-    resolve the energy rates to three digits."""
-
-    speed: SpeedFunction
-    t_end: float
-    dt_safety: float = 0.2
-    keep_snapshots: bool = True
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t_end) and self.t_end > 0.0):
-            raise ValueError("t_end must be positive and finite")
-        if not 0.0 < self.dt_safety <= 0.5:
-            raise ValueError("dt_safety must lie in (0, 0.5]")
+    return min(_MAX_STEP, _DT_SPREAD / spread) if spread > 0.0 else _MAX_STEP
 
 
 @dataclass
@@ -372,28 +355,35 @@ def _decay_rate(t: list, values: list) -> float:
     return float(-fit[0]) if falls else float("nan")
 
 
-def run(surface: StarShapedHypersurface, config: FlowConfig) -> FlowTrace:
-    """Evolve a surface to t_end, recording diagnostics along the way.
+def run(surface: StarShapedHypersurface, speed: SpeedFunction, t_end: float,
+        keep_snapshots: bool = True) -> FlowTrace:
+    """Evolve a surface to t_end, recording diagnostics along the way;
+    raises ValueError before any step unless t_end is finite and positive.
 
-    `stable_dt` builds each state's geometry bundle, which a record of the
-    state reads; only the final record builds its own.  So a run evaluates
-    the curvature kernel 5 times per step (4 stages, 1 step bound) and
-    once more."""
-    speed = config.speed
+    Each step is as long as `stable_dt` allows.  A run records the start,
+    t_end and enough states between that records are at most 0.02 time
+    units apart, fine enough that finite differences of the records
+    resolve the energy rates to three digits; `keep_snapshots` keeps each
+    recorded surface in the trace.  `stable_dt` builds each state's
+    geometry bundle, which a record of the state reads; only the final
+    record builds its own.  So a run evaluates the curvature kernel 5
+    times per step (4 stages, 1 step bound) and once more."""
+    if not (math.isfinite(t_end) and t_end > 0.0):
+        raise ValueError("t_end must be positive and finite")
     trace = FlowTrace(speed_label=speed.label, mu=speed.mu)
 
     t = t_rec = 0.0
     current = surface
-    while t < config.t_end - 1e-14:
-        dt = min(stable_dt(current, speed, config.dt_safety), config.t_end - t)
+    while t < t_end - 1e-14:
+        dt = min(stable_dt(current, speed), t_end - t)
         # record the start, then keep records at most _MAX_STEP apart
         if not trace.t or t + dt > t_rec + _MAX_STEP + 1e-14:
-            trace._record(t, current, config.keep_snapshots)
+            trace._record(t, current, keep_snapshots)
             t_rec = t
         current = step(current, speed, dt)
         t += dt
         trace.steps += 1
-    trace._record(t, current, config.keep_snapshots)
+    trace._record(t, current, keep_snapshots)
     # exponential rate of the shape-operator deviation
     trace.beta = _decay_rate(trace.t, trace.shape_dev)
     return trace

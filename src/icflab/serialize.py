@@ -36,7 +36,7 @@ __all__ = [
 def surface_to_dict(surface: StarShapedHypersurface, meta: dict | None = None) -> dict:
     return {
         "grid": {"n_theta": surface.spec.n_theta, "n_phi": surface.spec.n_phi},
-        "f": [float(x) for x in surface.values.reshape(-1)],
+        "f": surface.values.reshape(-1).tolist(),
         "meta": meta or {},
     }
 
@@ -62,10 +62,8 @@ def surface_from_dict(data: dict) -> StarShapedHypersurface:
 
 
 def ckf_to_dict(V: ConformalKillingField) -> dict:
-    return {"v": [float(x) for x in V.v],
-            "S_lower": [float(x) for x in V.s_lower],
-            "mu": float(V.mu),
-            "b": [float(x) for x in V.b]}
+    return {"v": V.v.tolist(), "S_lower": V.s_lower.tolist(),
+            "mu": float(V.mu), "b": V.b.tolist()}
 
 
 def ckf_from_dict(data: dict) -> ConformalKillingField:

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from icflab.conformal import AffineField, ConformalKillingField, pushforward_surface
-from icflab.flow import (FlowConfig, SpeedFunction, asymptotics_check,
-                         class_c_audit, curvature_norm_speed, normal_speed, run)
+from icflab.flow import (SpeedFunction, asymptotics_check, class_c_audit,
+                         curvature_norm_speed, normal_speed, run)
 from icflab.invariants import (e_tensor, guan_li_q,
                                hsiung_minkowski_residual, qbar, qk_rate,
                                willmore, willmore_rate)
@@ -58,7 +58,7 @@ def test_surfaces():
 
 @pytest.fixture(scope="module")
 def imcf_trace():
-    return run(perturbed_sphere_surface(SPEC), FlowConfig(IMCF, t_end=3.0))
+    return run(perturbed_sphere_surface(SPEC), IMCF, 3.0)
 
 
 def test_criterion_1_round_sphere_geometry():
@@ -208,7 +208,7 @@ def test_criterion_7_rescaled_asymptotics(imcf_trace):
     assert rep["osc_monotone_tail"]
     assert imcf_trace.osc[-1] - 1.0 < 1e-2
 
-    sphere_trace = run(sphere_surface(1.0, SPEC), FlowConfig(IMCF, t_end=1.0))
+    sphere_trace = run(sphere_surface(1.0, SPEC), IMCF, 1.0)
     drift = float(np.abs(np.array(sphere_trace.ubar_mean) - 1.0).max())
     assert drift < 1e-9
     print(f"\nACCEPTANCE 7 PASS: fitted beta={imcf_trace.beta:.3f}, osc "

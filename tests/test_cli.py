@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icflab.cli import main
-from icflab.flow import FlowConfig, SpeedFunction, run
+from icflab.flow import SpeedFunction, run
 from icflab.invariants import e_tensor, energy_report
 from icflab.serialize import (ckf_from_dict, ckf_to_dict, load_surface,
                               save_surface, surface_from_dict, surface_to_dict,
@@ -240,7 +240,7 @@ class TestFlow:
         # the max |A0|^2 column is the in-process trace's, bit for bit,
         # the first entry that of the initial surface, the last the summary's
         surface = load_surface(str(out_g / "surface.json"))
-        trace = run(surface, FlowConfig(SpeedFunction("H"), t_end=0.5))
+        trace = run(surface, SpeedFunction("H"), 0.5)
         column = [float(l.split(",")[3]) for l in lines[1:]]
         assert column == trace.tracefree_sq_sup
         assert column[0] == float(geometry(surface).tracefree_sq.max())
@@ -275,7 +275,17 @@ class TestFlow:
         assert run_cli("flow", str(gen / "surface.json"), "--out", str(out)) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "CurvatureConeError"
-        assert "outside the cone of H" in err["message"]
+        assert "at node (4, 0) outside the cone of H" in err["message"]
+        assert not (out / "trace.csv").exists()
+
+    def test_dt_safety_is_an_unknown_option(self, sphere_file, tmp_path, capsys):
+        # steps are sized by one fixed rule, with no option to scale it
+        out = tmp_path / "dts"
+        assert run_cli("flow", sphere_file, "--dt-safety", "0.2",
+                       "--out", str(out)) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "--dt-safety" in err["message"]
         assert not (out / "trace.csv").exists()
 
     def test_non_finite_t_end_is_input_error(self, sphere_file, tmp_path, capsys):
@@ -421,6 +431,7 @@ class TestOutputContract:
                                       "outputs"]
             assert manifest["outputs"] == outputs
             assert manifest["inputs"] == [sphere_file]
+            assert manifest["config"] == {"speed": "H", "t_end": 0.01}
 
     def test_usage_errors_are_input_errors(self, sphere_file, tmp_path, capsys):
         # an unknown option and a missing argument: exit 3, a JSON error
@@ -477,9 +488,8 @@ class TestSerialization:
         # them
         spec = GridSpec(16, 32)
         spheroid = spheroid_surface(1.0, 0.6, spec)
-        summary = run(sphere_surface(1.0, spec),
-                      FlowConfig(SpeedFunction.parse("H"), t_end=0.01,
-                                 keep_snapshots=False)).summary()
+        summary = run(sphere_surface(1.0, spec), SpeedFunction.parse("H"), 0.01,
+                      keep_snapshots=False).summary()
         assert summary["beta"] != summary["beta"]        # nan
         payloads = {"diag.json": energy_report(spheroid),
                     "flow_summary.json": summary,

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from icflab import flow
 from icflab.errors import CurvatureConeError
-from icflab.flow import (FlowConfig, SpeedFunction, asymptotics_check,
+from icflab.flow import (_DT_SPREAD, SpeedFunction, asymptotics_check,
                          class_c_audit, curvature_norm_speed, normal_speed,
                          run, stable_dt, step)
 from icflab.invariants import e_tensor, guan_li_q, willmore
@@ -135,6 +136,16 @@ class TestNormalSpeed:
         assert np.abs(err.value.kappa - kappa).max() < 1e-12 * np.abs(kappa).max()
         assert g.sigma_k[err.value.node][2] < 0.0
 
+    def test_cone_violation_node_is_plain_ints(self):
+        # a saddle at 16x32: the node is stored and printed as (4, 0),
+        # plain ints, not numpy scalars
+        s = harmonic_surface(1.0, [(4, 0, 0.4)], SPEC16)
+        with pytest.raises(CurvatureConeError) as err:
+            run(s, SpeedFunction("H"), 1.0)
+        assert err.value.node == (4, 0)
+        assert all(type(i) is int for i in err.value.node)
+        assert "at node (4, 0) outside the cone of H" in str(err.value)
+
 
 class TestStep:
     def test_sphere_single_step_matches_exponential(self):
@@ -165,7 +176,7 @@ class TestSpellingsAreAliases:
     def test_runs_are_identical(self, group):
         # one speed, one code path: every spelling gives the same run
         s = perturbed_sphere(SPEC32, amp=0.05)
-        first, *others = [run(s, FlowConfig(SpeedFunction.parse(text), t_end=0.05))
+        first, *others = [run(s, SpeedFunction.parse(text), 0.05)
                           for text in group]
         for trace in others:
             assert trace.t == first.t
@@ -181,10 +192,9 @@ def covariance_runs(request):
     surface S, from 2S and from S rolled by 5 nodes in phi."""
     s = harmonic_surface(1.0, HARMONIC_TERMS, SPEC32)
     rolled = StarShapedHypersurface(ScalarField(SPEC32, np.roll(s.values, 5, axis=1)))
-    config = FlowConfig(SpeedFunction.parse(request.param), t_end=0.2,
-                        keep_snapshots=False)
-    return {name: run(surface, config) for name, surface in
-            [("S", s), ("2S", scaled(s, 2.0)), ("rolled", rolled)]}
+    speed = SpeedFunction.parse(request.param)
+    return {name: run(surface, speed, 0.2, keep_snapshots=False)
+            for name, surface in [("S", s), ("2S", scaled(s, 2.0)), ("rolled", rolled)]}
 
 
 class TestCovariance:
@@ -212,14 +222,14 @@ class TestRunOnSpheres:
                                        SpeedFunction("power:2")])
     def test_exponential_growth_and_fixed_point(self, speed):
         s = sphere_surface(1.0, SPEC32)
-        trace = run(s, FlowConfig(speed, t_end=1.0))
+        trace = run(s, speed, 1.0)
         for t, snap in zip(trace.t, trace.snapshots):
             assert np.abs(snap.values - np.exp(t / speed.mu)).max() < 1e-8
         assert np.abs(np.array(trace.ubar_mean) - 1.0).max() < 1e-9
 
     def test_trace_constants(self):
         s = sphere_surface(1.0, SPEC32)
-        trace = run(s, FlowConfig(SpeedFunction("H"), t_end=0.5))
+        trace = run(s, SpeedFunction("H"), 0.5)
         assert np.abs(np.array(trace.W) - 16 * np.pi).max() < 1e-8
         assert np.abs(np.array(trace.Q1) - 4 * np.sqrt(np.pi)).max() < 1e-9
         assert np.abs(np.array(trace.osc) - 1.0).max() < 1e-9
@@ -237,7 +247,7 @@ class TestRunOnSpheres:
 
     def test_trace_counts_steps_and_spaces_records(self):
         s = perturbed_sphere(SPEC32, amp=0.1)
-        trace = run(s, FlowConfig(SpeedFunction("H"), t_end=0.3))
+        trace = run(s, SpeedFunction("H"), 0.3)
         summary = trace.summary()
         assert type(summary["steps"]) is int and summary["steps"] == trace.steps
         # records at most 0.02 apart, and no more of them than steps
@@ -245,8 +255,7 @@ class TestRunOnSpheres:
         assert trace.steps + 1 >= len(trace.t) >= 0.3 / 0.02 + 1
         assert trace.t[-1] == pytest.approx(0.3, abs=1e-14)
         # a sphere takes the longest step, 0.02, every time
-        sphere = run(sphere_surface(1.0, SPEC32),
-                     FlowConfig(SpeedFunction("H"), t_end=0.3))
+        sphere = run(sphere_surface(1.0, SPEC32), SpeedFunction("H"), 0.3)
         assert sphere.steps == 15 and len(sphere.t) == 16
 
 
@@ -263,7 +272,7 @@ class TestKernelEvaluations:
                 return _method(grid, *args)
             monkeypatch.setattr(Grid, name, counted)
         trace = run(harmonic_surface(1.0, HARMONIC_TERMS, SPEC16),
-                    FlowConfig(SpeedFunction("H"), t_end=0.25))
+                    SpeedFunction("H"), 0.25)
         assert (trace.steps, len(trace.t)) == (13, 14)
         assert counts == {"chart_derivatives": 5 * 13 + 1,
                           "analysis": 6 * 13 + 1}
@@ -333,7 +342,7 @@ class TestConvergence:
              "spheroid": lambda: spheroid_surface(1.0, 0.6, SPEC32),
              "harmonic": lambda: harmonic_surface(1.0, HARMONIC_TERMS, SPEC32)}[kind]()
         speed = SpeedFunction.parse(label)
-        trace = run(s, FlowConfig(speed, t_end=0.5, keep_snapshots=False))
+        trace = run(s, speed, 0.5, keep_snapshots=False)
         ref = oracles.rk4_flow(s, speed, 0.5)
         for got, expected in ((trace.W[-1], willmore(ref)),
                               (trace.Q1[-1], guan_li_q(ref, 1))):
@@ -352,7 +361,7 @@ class TestConvergence:
         assert c.H.min() > 0.0
         rhs = np.abs(grid.analysis(c.sqv / (s.values * c.H))).max(axis=(0, 2))
         assert rhs[grid.l_max - 2:].min() > 1e-5
-        n = int(np.ceil(0.2 / stable_dt(s, imcf, 0.2)))
+        n = int(np.ceil(0.2 / stable_dt(s, imcf)))
         osc = [out.values.max() / out.values.min()
                for out in (steps_to(s, imcf, 0.2, k) for k in (n, 2 * n, 4 * n))]
         assert_fourth_order(osc)
@@ -360,8 +369,7 @@ class TestConvergence:
 
 @pytest.fixture(scope="module")
 def trace():
-    return run(perturbed_sphere(SPEC48),
-               FlowConfig(SpeedFunction("H"), t_end=1.5))
+    return run(perturbed_sphere(SPEC48), SpeedFunction("H"), 1.5)
 
 
 class TestRunPerturbed:
@@ -409,7 +417,7 @@ class TestOtherSpeeds:
         # admissible class; a convex perturbed sphere rounds out under
         # the sigma_2^(1/2) flow as well
         s = perturbed_sphere(SPEC32, amp=0.05)
-        trace = run(s, FlowConfig(SpeedFunction("power:2"), t_end=1.0))
+        trace = run(s, SpeedFunction("power:2"), 1.0)
         assert trace.osc[-1] < trace.osc[0]
         assert trace.shape_dev[-1] < 0.2 * trace.shape_dev[0]
         assert trace.beta > 0.0
@@ -417,9 +425,8 @@ class TestOtherSpeeds:
 
     def test_runs_are_deterministic(self):
         s = perturbed_sphere(SPEC32, amp=0.05)
-        cfg = FlowConfig(SpeedFunction("H"), t_end=0.2)
-        t1 = run(s, cfg)
-        t2 = run(s, cfg)
+        t1 = run(s, SpeedFunction("H"), 0.2)
+        t2 = run(s, SpeedFunction("H"), 0.2)
         assert t1.t == t2.t
         assert t1.W == t2.W
         assert np.array_equal(t1.snapshots[-1].values, t2.snapshots[-1].values)
@@ -442,27 +449,33 @@ class TestClassCAudit:
 
 
 class TestConfigValidation:
-    def test_bad_values_rejected(self):
-        with pytest.raises(ValueError):
-            FlowConfig(SpeedFunction("H"), t_end=0.0)
-        with pytest.raises(ValueError):
-            FlowConfig(SpeedFunction("H"), t_end=1.0, dt_safety=0.7)
+    @staticmethod
+    def assert_rejected_before_any_step(t_end, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("stepped")
+        monkeypatch.setattr(flow, "stable_dt", no_step)
+        monkeypatch.setattr(flow, "step", no_step)
+        with pytest.raises(ValueError, match="t_end"):
+            run(sphere_surface(1.0, SPEC16), SpeedFunction("H"), t_end)
+
+    def test_bad_values_rejected(self, monkeypatch):
+        for t_end in (0.0, -1.0):
+            self.assert_rejected_before_any_step(t_end, monkeypatch)
 
     @pytest.mark.parametrize("t_end", [float("nan"), float("inf")])
-    def test_non_finite_t_end_rejected(self, t_end):
-        with pytest.raises(ValueError):
-            FlowConfig(SpeedFunction("H"), t_end=t_end)
+    def test_non_finite_t_end_rejected(self, t_end, monkeypatch):
+        self.assert_rejected_before_any_step(t_end, monkeypatch)
 
     def test_stable_dt_bounds_the_explicit_remainder(self):
         # 0.02 where D = diffusivity / (rho^2 f^2) is constant, as on
-        # spheres, on every grid; else dt_safety 0.05 / (D_max - D_min)
+        # spheres, on every grid; else _DT_SPREAD / (D_max - D_min)
+        assert _DT_SPREAD == 0.2 * 0.05
         imcf = SpeedFunction("H")
         for spec in (SPEC32, SPEC48):
-            assert stable_dt(sphere_surface(1.0, spec), imcf, 0.2) == 0.02
+            assert stable_dt(sphere_surface(1.0, spec), imcf) == 0.02
         s = perturbed_sphere(SPEC32, amp=0.1)
         H = geometry(s).H
         D = 2.0 / (H * s.values) ** 2
-        for safety in (0.1, 0.2):
-            expected = safety * 0.05 / (D.max() - D.min())
-            assert expected < 0.02
-            assert stable_dt(s, imcf, safety) == pytest.approx(expected, rel=1e-12)
+        expected = _DT_SPREAD / (D.max() - D.min())
+        assert expected < 0.02
+        assert stable_dt(s, imcf) == pytest.approx(expected, rel=1e-12)

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from icflab.conformal import ConformalKillingField, pushforward_surface
-from icflab.flow import FlowConfig, SpeedFunction, normal_speed, run
+from icflab.flow import SpeedFunction, normal_speed, run
 from icflab.invariants import coefficient_vector, moment_rows
 from icflab.radial_graph import StarShapedHypersurface, geometry
 from icflab.soliton import (basis_fields, best_fit_ckf, classify,
@@ -112,7 +112,7 @@ class TestSelfConformalOracle:
         st = StarShapedHypersurface(ScalarField(
             SPEC32, oracles.translated_sphere_graph(1.0, [0, 0, c3],
                                                     make_grid(SPEC32))))
-        trace = run(st, FlowConfig(IMCF, t_end=0.3))
+        trace = run(st, IMCF, 0.3)
         t_end, evolved = trace.t[-1], StarShapedHypersurface(trace.snapshots[-1])
         dilation = ConformalKillingField([0, 0, -c3 / 2], [0, 0, 0], 0.5, [0, 0, 0])
         fitted, _ = best_fit_ckf(st, IMCF)
