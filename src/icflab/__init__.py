@@ -14,7 +14,7 @@ from .invariants import (e_tensor, willmore, willmore_rate,
                          condition_v_residual, qbar, energy_report)
 from .flow import (SpeedFunction, FlowTrace, normal_speed, step, run,
                    asymptotics_check, class_c_audit, curvature_norm_speed)
-from .soliton import residual, best_fit_ckf, classify
+from .soliton import residual, best_fit_ckf
 from .surfaces import sphere_surface, spheroid_surface, harmonic_surface
 from .serialize import ckf_from_dict, load_surface, save_surface
 
@@ -28,7 +28,7 @@ __all__ = [
     "qbar", "energy_report",
     "SpeedFunction", "FlowTrace", "normal_speed", "step", "run",
     "asymptotics_check", "class_c_audit", "curvature_norm_speed",
-    "residual", "best_fit_ckf", "classify",
+    "residual", "best_fit_ckf",
     "sphere_surface", "spheroid_surface", "harmonic_surface",
     "ckf_from_dict", "load_surface", "save_surface",
 ]

@@ -27,7 +27,7 @@ from .flow import SpeedFunction, run
 from .radial_graph import invert
 from .serialize import (load_surface, surface_to_dict, write_csv_atomic,
                         write_json_atomic)
-from .soliton import classify
+from .soliton import best_fit_ckf
 from .sphere_grid import GridSpec
 from .surfaces import harmonic_surface, sphere_surface, spheroid_surface
 
@@ -126,7 +126,7 @@ def cmd_invariance(args) -> int:
 
     fields = [_random_ckf(rng) for _ in range(args.trials)]
     hm_max = max(float(np.abs(inv.hsiung_minkowski_residual(
-        surface, fields, k, relative=True)).max()) for k in (0, 1))
+        surface, fields, k)).max()) for k in (0, 1))
 
     e_diffs = {}
     for a in inv.DEFAULT_A_VALUES:
@@ -154,7 +154,7 @@ def cmd_invariance(args) -> int:
 
 def cmd_soliton(args) -> int:
     surface = load_surface(args.surface)
-    report = classify(surface, SpeedFunction.parse(args.speed), tol=args.tol)
+    _, report = best_fit_ckf(surface, SpeedFunction.parse(args.speed), tol=args.tol)
     _write(args, surface, {"speed": args.speed, "tol": args.tol},
            {"soliton.json": report})
     return EXIT_OK

@@ -10,10 +10,12 @@ because the radial component of the outward normal is
 r(t) = r0 exp(t/mu) with mu = rho(1, 1).  Admissible speeds are
 positive, symmetric, degree-1 homogeneous, strictly monotone and concave
 on an open curvature cone; `class_c_audit` samples all five conditions.
-`_SPEEDS` maps each accepted spelling to the speed it names: one of the
-closed forms H, K/H and sqrt K in H = kappa_1 + kappa_2 and
-K = kappa_1 kappa_2, so all spellings of a speed share one code path and
-the flow never forms the kappa_i.
+A `SpeedFunction` carries its label and closed forms in
+H = kappa_1 + kappa_2 and K = kappa_1 kappa_2 for rho, its cone and its
+diffusivity; `SpeedFunction.parse` fills them from `_SPEEDS`, which maps
+each accepted spelling to one of the forms H, K/H and sqrt K.  So all
+spellings of a speed share one code path, no call dispatches on the
+label, and the flow never forms the kappa_i.
 
 Time stepping is exponential time differencing, ETDRK4 (Cox & Matthews,
 JCP 176, 2002), on the harmonic coefficients of lam = log f, for which
@@ -46,7 +48,6 @@ from . import invariants as inv
 
 __all__ = [
     "SpeedFunction",
-    "CustomSpeed",
     "curvature_norm_speed",
     "FlowTrace",
     "normal_speed",
@@ -57,22 +58,36 @@ __all__ = [
 ]
 
 
-# every accepted spelling of a speed, and the speed it names
-_SPEEDS = {"H": "H", "quotient:1": "H", "power:1": "H", "ratio:1,0": "H",
-          "quotient:2": "K/H", "ratio:2,1": "K/H",
-          "power:2": "sqrt K", "ratio:2,0": "sqrt K"}
+def _positive(H, K):
+    return (H > 0.0) & (K > 0.0)
 
 
-@dataclass(frozen=True)
-class SpeedFunction:
-    """Degree-1 homogeneous symmetric curvature function on its cone.
+# the closed forms (rho, in_cone, diffusivity) of the three speeds, with
+# D = sum_i d rho / d kappa_i from dH/dkappa_i = 1 and dK/dkappa_i =
+# H - kappa_i, which sums to H
+_MEAN = (lambda H, K: H, lambda H, K: H > 0.0,
+         lambda H, K: np.full(np.shape(H), 2.0))
+_QUOTIENT = (lambda H, K: K / H, _positive,
+             lambda H, K: (H * H - 2.0 * K) / (H * H))
+_ROOT = (lambda H, K: K ** 0.5, _positive,
+         lambda H, K: H / (2.0 * np.sqrt(K)))
 
-    `label` is one of the spellings of `_SPEEDS`: mean curvature H;
-    quotient sigma_k/sigma_{k-1}; root power sigma_k^(1/k); ratio root
+# every accepted spelling of a speed, and the closed forms it names
+_SPEEDS = {"H": _MEAN, "quotient:1": _MEAN, "power:1": _MEAN, "ratio:1,0": _MEAN,
+           "quotient:2": _QUOTIENT, "ratio:2,1": _QUOTIENT,
+           "power:2": _ROOT, "ratio:2,0": _ROOT}
+
+
+class SpeedFunction(NamedTuple):
+    """Degree-1 homogeneous symmetric curvature function on its cone: its
+    label and three closed forms in (H, K), rho, the cone test and the
+    diffusivity D = sum_i d rho / d kappa_i.
+
+    `parse` reads the spellings of `_SPEEDS`: mean curvature H; quotient
+    sigma_k/sigma_{k-1}; root power sigma_k^(1/k); ratio root
     (sigma_i/sigma_j)^(1/(i-j)).  For the two principal curvatures of a
-    surface (sigma_1 = H, sigma_2 = K) they name three speeds, each with
-    one closed form in (H, K) for rho, its cone and its diffusivity
-    D = sum_i d rho / d kappa_i:
+    surface (sigma_1 = H, sigma_2 = K) they name three speeds, and every
+    spelling of a speed shares its closed forms:
 
         rho     spellings                          cone          D
         H       H, quotient:1, power:1, ratio:1,0  H > 0         2
@@ -81,39 +96,18 @@ class SpeedFunction:
     """
 
     label: str
-
-    def __post_init__(self):
-        if self.label not in _SPEEDS:
-            raise ValueError(f"unknown speed {self.label!r}; expected one of "
-                             + ", ".join(_SPEEDS))
+    rho: Callable
+    in_cone: Callable
+    diffusivity: Callable
 
     @classmethod
     def parse(cls, text: str) -> "SpeedFunction":
         """The speed spelled by `text`, blanks ignored."""
-        return cls("".join(text.split()))
-
-    def in_cone(self, H, K):
-        if _SPEEDS[self.label] == "H":
-            return H > 0.0
-        return (H > 0.0) & (K > 0.0)
-
-    def rho(self, H, K):
-        form = _SPEEDS[self.label]
-        if form == "H":
-            return H
-        if form == "K/H":
-            return K / H
-        return K ** 0.5
-
-    def diffusivity(self, H, K):
-        """sum_i d rho / d kappa_i, from dH/dkappa_i = 1 and
-        dK/dkappa_i = H - kappa_i, which sums to H."""
-        form = _SPEEDS[self.label]
-        if form == "H":
-            return np.full(np.shape(H), 2.0)
-        if form == "K/H":
-            return (H * H - 2.0 * K) / (H * H)
-        return H / (2.0 * np.sqrt(K))
+        label = "".join(text.split())
+        if label not in _SPEEDS:
+            raise ValueError(f"unknown speed {label!r}; expected one of "
+                             + ", ".join(_SPEEDS))
+        return cls(label, *_SPEEDS[label])
 
     @property
     def mu(self) -> float:
@@ -121,24 +115,17 @@ class SpeedFunction:
         return float(self.rho(2.0, 1.0))
 
 
-class CustomSpeed(NamedTuple):
-    """Ad-hoc speed of (H, K) for audits (e.g. negative controls)."""
-
-    label: str
-    rho: Callable
-    in_cone: Callable
-
-
-def curvature_norm_speed() -> CustomSpeed:
+def curvature_norm_speed() -> SpeedFunction:
     """The Euclidean norm of the shape operator, sqrt(sum kappa_i^2) =
-    sqrt(H^2 - 2K), on the positive cone H > 0, K > 0.
+    sqrt(H^2 - 2K), on the positive cone H > 0, K > 0, with diffusivity
+    sum_i kappa_i / |A| = H / sqrt(H^2 - 2K).
 
     Degree-1 homogeneous, symmetric, positive and monotone on the
     positive cone, but convex rather than concave; serves as the negative
     control for the concavity audit.
     """
-    return CustomSpeed("|A|", lambda H, K: np.sqrt(H * H - 2.0 * K),
-                       lambda H, K: (H > 0.0) & (K > 0.0))
+    return SpeedFunction("|A|", lambda H, K: np.sqrt(H * H - 2.0 * K), _positive,
+                         lambda H, K: H / np.sqrt(H * H - 2.0 * K))
 
 
 # ----------------------------------------------------------------------
@@ -214,12 +201,13 @@ def step(surface: StarShapedHypersurface, speed: SpeedFunction,
 
     The linear part L lam, with L = -(D0 l(l+1) + nu_l) per degree, is
     integrated exactly: D0 is half the largest D / (rho^2 f^2) at the
-    start, nu the damping rate `_damping`.  Each of the four stages passes
-    its coefficients lam and f = exp(synthesis(lam)) to the curvature
-    kernel, one evaluation per stage, and takes the rest of the equation,
-    N = analysis(sqrt(1 + |grad lam|^2) / (f rho)) + D0 l(l+1) lam, from
-    it.  On a round sphere N is a constant of degree 0, where L vanishes,
-    so the step is exact there: r exp(dt/mu).
+    start, nu the damping rate `_damping`.  The start is the geometry
+    bundle's `lam`, which `stable_dt` builds in a run.  Each of the four
+    stages passes its coefficients lam and f = exp(synthesis(lam)) to the
+    curvature kernel, one evaluation per stage, and takes the rest of the
+    equation, N = analysis(sqrt(1 + |grad lam|^2) / (f rho)) +
+    D0 l(l+1) lam, from it.  On a round sphere N is a constant of degree
+    0, where L vanishes, so the step is exact there: r exp(dt/mu).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -232,13 +220,7 @@ def step(surface: StarShapedHypersurface, speed: SpeedFunction,
         rho = _cone_rho(speed, c.H, c.K)
         return grid.analysis(c.sqv / (f * rho)), c, rho
 
-    # the node mean goes in at degree 0 only: analysed, it leaves eps |mean|
-    # at every degree, which l(l+1) amplifies (8.5e-12 of H at 64x128)
-    f0 = surface.values
-    log_f = np.log(f0)
-    mean = log_f.mean()
-    lam0 = grid.analysis(log_f - mean)
-    lam0[0, 0, 0] += math.sqrt(4.0 * math.pi) * mean
+    f0, lam0 = surface.values, geometry(surface).lam
     F0, c0, rho0 = graph_rhs(lam0, f0)
     D0 = 0.5 * float(_diffusivity(speed, c0.H, c0.K, f0, rho0).max())  # at the start only
     del c0, rho0                # freed before the later stages run the kernel

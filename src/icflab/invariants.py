@@ -168,17 +168,17 @@ def coefficient_vector(V) -> np.ndarray:
 
 
 def hsiung_minkowski_residual(surface: StarShapedHypersurface, fields,
-                              k: int, relative: bool = False) -> np.ndarray:
-    """Residuals of the Minkowski-type integral identity for conformal
-    ambient fields, one per field in ``fields``,
+                              k: int) -> np.ndarray:
+    """Relative residuals of the Minkowski-type integral identity for
+    conformal ambient fields, one per field in ``fields``,
 
         int alpha_V sigma_k / C(n,k) dmu
             = int <V, nu> sigma_{k+1} / C(n,k+1) dmu,
 
     which holds for every closed hypersurface when V is conformal Killing
     (outward-normal convention; the round sphere with V = X gives both
-    sides equal to the area).  With ``relative=True`` each residual is
-    scaled by the L1 size of its two integrands.
+    sides equal to the area).  Each residual is scaled by the L1 size of
+    its two integrands.
     """
     if not 0 <= k <= N - 1:
         raise ValueError(f"k must lie in 0..{N - 1}")
@@ -194,9 +194,8 @@ def hsiung_minkowski_residual(surface: StarShapedHypersurface, fields,
         rhs *= w_rhs
         lhs = V.conformal_factor(geom.position).reshape(-1)      # alpha_V
         lhs *= w_lhs
-        residuals[i] = np.sum(lhs - rhs)
-        if relative:
-            residuals[i] /= max(np.abs(lhs).sum() + np.abs(rhs).sum(), 1e-300)
+        residuals[i] = (np.sum(lhs - rhs)
+                        / max(np.abs(lhs).sum() + np.abs(rhs).sum(), 1e-300))
     return residuals
 
 

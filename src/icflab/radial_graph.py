@@ -12,9 +12,10 @@ round metric sigma, the induced geometry is, in chart components,
 with nu the outward unit normal, so round spheres have H = n/R > 0 and
 principal curvatures 1/R.  `curvature` is the one kernel that evaluates
 them on a grid, from the harmonic coefficients of lam and the values of
-f: `geometry` analyses lam minus its node mean, and the flow passes the
-coefficients it steps.  It returns H = g^ij h_ij and K = det h / det g
-in closed form from the f-free factors gbar = sigma + dlam dlam and
+f: `geometry` analyses lam and keeps the coefficients in its bundle,
+where a flow step starts, and the flow passes those of its stages.  It
+returns H = g^ij h_ij and K = det h / det g in closed form from the
+f-free factors gbar = sigma + dlam dlam and
 hbar = gbar - hess lam, so it never forms g, g^-1 or h; the flow reads
 only H and K.  `geometry` keeps g and g^-1, forms h only for the
 principal curvatures, and adds the normal.  Inverting the
@@ -31,6 +32,7 @@ the module constant N = 2.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -115,7 +117,10 @@ class GeometryBundle:
     `sigma_k[..., k]` holds the plain elementary symmetric polynomial of
     the principal curvatures (sigma_k(1,...,1) = C(n,k)); `tracefree_sq`
     comes from the trace-free discriminant, so it is >= 0 and keeps its
-    digits at umbilic points, where |A|^2 - H^2/n cancels.
+    digits at umbilic points, where |A|^2 - H^2/n cancels.  `lam` holds
+    the harmonic coefficients of log f that `curvature` read, shape
+    (m_max+1, l_max+1, 2), with the node mean at degree 0 only; a flow
+    step starts from them.
     """
 
     spec: GridSpec
@@ -129,6 +134,7 @@ class GeometryBundle:
     sigma_k: np.ndarray         # (nt, nph, n+1)
     tracefree_sq: np.ndarray    # |A - (H/n) g|^2
     grad_log_sq: np.ndarray     # |grad log f|^2 on the round sphere
+    lam: np.ndarray             # harmonic coefficients of log f
 
     def integrate(self, values: np.ndarray) -> float:
         """Surface integral of a per-node quantity against dmu."""
@@ -156,8 +162,8 @@ def curvature(grid: Grid, lam: np.ndarray, f: np.ndarray) -> Curvature:
     neither g, g^-1 and h (`geometry` does) nor principal curvatures.
     lam holds the harmonic coefficients of log f, shape (m_max+1,
     l_max+1, 2), and f its values at the nodes: `geometry` analyses
-    log f minus its node mean, the flow passes the coefficients it
-    steps.  The degree-0 coefficient changes no output value.
+    log f, the flow passes the coefficients it steps.  The degree-0
+    coefficient changes no output value.
 
     With s = sin(theta) and det gbar = s^2 v, in closed form
 
@@ -208,8 +214,13 @@ def geometry(surface: StarShapedHypersurface) -> GeometryBundle:
         return surface._geometry
     grid = surface.grid()
     f = surface.values
-    lam = np.log(f)
-    c = curvature(grid, grid.analysis(lam - lam.mean()), f)
+    # the node mean goes in at degree 0 only: analysed, it leaves eps |mean|
+    # at every degree, which l(l+1) amplifies (8.5e-12 of H at 64x128)
+    log_f = np.log(f)
+    mean = log_f.mean()
+    lam = grid.analysis(log_f - mean)
+    lam[0, 0, 0] += math.sqrt(4.0 * math.pi) * mean
+    c = curvature(grid, lam, f)
 
     p, e_t, e_p = grid.node_frame()
     st = grid.sin_theta[:, None]
@@ -248,7 +259,7 @@ def geometry(surface: StarShapedHypersurface) -> GeometryBundle:
         metric=c.gbar, metric_inv=(gi00, gi01, gi11),
         area_density=f2 * c.sqv,
         H=c.H, kappa=kappa, sigma_k=sigma,
-        tracefree_sq=2.0 * disc_sq, grad_log_sq=c.grad_sq,
+        tracefree_sq=2.0 * disc_sq, grad_log_sq=c.grad_sq, lam=lam,
     )
     for value in vars(bundle).values():
         for arr in value if isinstance(value, tuple) else (value,):
@@ -291,17 +302,14 @@ def invert(surface: StarShapedHypersurface) -> StarShapedHypersurface:
     return inverse
 
 
-def inversion_mean_curvature_check(
-        surface: StarShapedHypersurface) -> tuple[ScalarField, float]:
-    """Residual of the mean-curvature relation between a surface and its
-    inversion, computed through two independent geometry evaluations.
-
-    Returns the pointwise residual field and its sup norm; a small sup
-    norm certifies the identity at the grid's resolution.
+def inversion_mean_curvature_check(surface: StarShapedHypersurface) -> float:
+    """Sup norm of the residual of the mean-curvature relation between a
+    surface and its inversion, computed through two independent geometry
+    evaluations; a small sup norm certifies the identity at the grid's
+    resolution.
     """
     geom = geometry(surface)
     geom_inv = geometry(invert(surface))
     f = surface.values
     predicted = -f**2 * geom.H + 2.0 * N * f / np.sqrt(1.0 + geom.grad_log_sq)
-    residual = geom_inv.H - predicted
-    return ScalarField(surface.spec, residual), float(np.abs(residual).max())
+    return float(np.abs(geom_inv.H - predicted).max())

@@ -34,7 +34,6 @@ __all__ = [
     "residual",
     "basis_fields",
     "best_fit_ckf",
-    "classify",
 ]
 
 N_PARAMS = 10
@@ -71,7 +70,9 @@ def best_fit_ckf(surface: StarShapedHypersurface, speed: SpeedFunction,
     """Least-squares conformal field minimizing the area-weighted squared
     normal-speed mismatch, and the report dict `icflab soliton` writes:
     residual norms, verdict at the relative tolerance `tol`, Gram
-    condition number and the fitted field.
+    condition number and the fitted field.  The verdict is soliton if the
+    relative residual is below tol, not_soliton above 100*tol and
+    inconclusive between (refine the grid or adjust tol to resolve).
 
     The objective is exactly quadratic in the ten parameters; it is
     solved by an orthogonal factorization of the weighted design matrix,
@@ -120,12 +121,3 @@ def _verdict(rel: float, tol: float) -> str:
     if rel > 100.0 * tol:
         return "not_soliton"
     return "inconclusive"
-
-
-def classify(surface: StarShapedHypersurface, speed: SpeedFunction,
-             tol: float = DEFAULT_TOL) -> dict:
-    """Fit the best conformal field and classify the surface: soliton if
-    the relative residual is below tol, not a soliton above 100*tol,
-    inconclusive between (refine the grid or adjust tol to resolve)."""
-    _, report = best_fit_ckf(surface, speed, tol)
-    return report

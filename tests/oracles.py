@@ -396,16 +396,15 @@ def willmore_rate_stacked(geom, grid, speed, n=2):
                           * (norm_A_sq - geom.H**2 / n))
 
 
-def hsiung_minkowski_residual_pointwise(geom, V, k, relative=False, n=2):
-    """int alpha_V sigma_k / C(n,k) - <V, nu> sigma_{k+1} / C(n,k+1) dmu,
-    evaluating the field and its conformal factor at every node."""
+def hsiung_minkowski_residual_pointwise(geom, V, k, n=2):
+    """int alpha_V sigma_k / C(n,k) - <V, nu> sigma_{k+1} / C(n,k+1) dmu
+    over the L1 size of its two integrands, evaluating the field and its
+    conformal factor at every node."""
     alpha = np.asarray(V.conformal_factor(geom.position))
     vn = np.einsum("...c,...c->...", V.evaluate(geom.position), geom.normal)
     lhs = alpha * geom.sigma_k[..., k] / math.comb(n, k)
     rhs = vn * geom.sigma_k[..., k + 1] / math.comb(n, k + 1)
     residual = geom.integrate(lhs - rhs)
-    if not relative:
-        return residual
     scale = geom.integrate(np.abs(lhs)) + geom.integrate(np.abs(rhs))
     return residual / max(scale, 1e-300)
 

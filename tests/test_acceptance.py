@@ -21,7 +21,7 @@ from icflab.invariants import (e_tensor, guan_li_q,
                                willmore, willmore_rate)
 from icflab.radial_graph import (StarShapedHypersurface, area, geometry,
                                  invert, inversion_mean_curvature_check)
-from icflab.soliton import best_fit_ckf, classify, residual
+from icflab.soliton import best_fit_ckf, residual
 from icflab.sphere_grid import GridSpec, ScalarField, make_grid
 from icflab.surfaces import harmonic_surface, sphere_surface, spheroid_surface
 
@@ -30,7 +30,7 @@ from conftest import HARMONIC_TERMS
 
 SPEC = GridSpec(64, 128)
 SPEC_FINE = GridSpec(128, 256)
-IMCF = SpeedFunction("H")
+IMCF = SpeedFunction.parse("H")
 A_SWEEP = (-0.25, 0.0, 1.0)
 
 
@@ -114,13 +114,13 @@ def test_criterion_2_conformal_invariance_of_E(test_surfaces):
 def test_criterion_3_inversion_mean_curvature_identity(test_surfaces):
     sups = {}
     for name, s in test_surfaces.items():
-        _, sups[name] = inversion_mean_curvature_check(s)
+        sups[name] = inversion_mean_curvature_check(s)
         assert sups[name] < 1e-6
     sups_fine = {}
     for name, maker in (("spheroid", lambda: spheroid_surface(1.0, 0.6, SPEC_FINE)),
                         ("harmonic", lambda: harmonic_surface(1.0, HARMONIC_TERMS,
                                                               SPEC_FINE))):
-        _, sups_fine[name] = inversion_mean_curvature_check(maker())
+        sups_fine[name] = inversion_mean_curvature_check(maker())
         assert sups_fine[name] < 1e-6
     print(f"\nACCEPTANCE 3 PASS: inversion identity sup residual {sups} at "
           f"64x128, {sups_fine} at 128x256")
@@ -136,11 +136,11 @@ def test_criterion_4_hsiung_minkowski_residuals(test_surfaces):
                                   rng.normal(0, 0.3), rng.normal(0, 0.2, 3))
         for k in (0, 1):
             worst = max(worst, abs(hsiung_minkowski_residual(
-                s, [V], k, relative=True)[0]))
+                s, [V], k)[0]))
     assert worst < 1e-6
     M = np.array([[0.3, 0.4, 0.0], [0.4, -0.1, 0.2], [0.0, 0.2, 0.5]])
     control = abs(hsiung_minkowski_residual(
-        s, [AffineField(np.zeros(3), M)], 0, relative=True)[0])
+        s, [AffineField(np.zeros(3), M)], 0)[0])
     assert control > 1e-3
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
@@ -254,7 +254,7 @@ def test_criterion_9_soliton_fitting(test_surfaces):
 
     res = {}
     for spec in (SPEC, GridSpec(96, 192)):
-        rep_sp = classify(spheroid_surface(1.0, 0.6, spec), IMCF)
+        _, rep_sp = best_fit_ckf(spheroid_surface(1.0, 0.6, spec), IMCF)
         res[spec.n_theta] = rep_sp["residual_l2"]
         assert rep_sp["verdict"] == "not_soliton"
         assert rep_sp["residual_l2"] > 0.2
@@ -267,7 +267,7 @@ def test_criterion_9_soliton_fitting(test_surfaces):
 
 def test_criterion_10_class_c_audit():
     reports = {}
-    for sp in (IMCF, SpeedFunction("power:2"), SpeedFunction("quotient:2")):
+    for sp in (IMCF, SpeedFunction.parse("power:2"), SpeedFunction.parse("quotient:2")):
         rep = class_c_audit(sp, n_samples=10000, seed=11)
         reports[sp.label] = rep["passed"]
         assert rep["passed"], rep

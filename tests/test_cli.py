@@ -240,7 +240,7 @@ class TestFlow:
         # the max |A0|^2 column is the in-process trace's, bit for bit,
         # the first entry that of the initial surface, the last the summary's
         surface = load_surface(str(out_g / "surface.json"))
-        trace = run(surface, SpeedFunction("H"), 0.5)
+        trace = run(surface, SpeedFunction.parse("H"), 0.5)
         column = [float(l.split(",")[3]) for l in lines[1:]]
         assert column == trace.tracefree_sq_sup
         assert column[0] == float(geometry(surface).tracefree_sq.max())
@@ -296,13 +296,15 @@ class TestFlow:
         assert not (out / "trace.csv").exists()
 
     def test_unknown_speed_is_input_error(self, sphere_file, tmp_path, capsys):
-        out = tmp_path / "p3"
-        assert run_cli("flow", sphere_file, "--speed", "power:3",
-                       "--out", str(out)) == 3
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ValueError"
-        assert "quotient:2" in err["message"]
-        assert not (out / "trace.csv").exists()
+        # |A| has closed forms, but only as curvature_norm_speed's control
+        for speed in ("power:3", "|A|"):
+            out = tmp_path / "unknown"
+            assert run_cli("flow", sphere_file, "--speed", speed,
+                           "--out", str(out)) == 3
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ValueError"
+            assert "quotient:2" in err["message"]
+            assert not (out / "trace.csv").exists()
 
 
 class TestInvariance:

@@ -36,23 +36,32 @@ def hk(kap):
 
 class TestSpeedFunctions:
     def test_round_point_values(self):
-        assert SpeedFunction("H").mu == 2.0
-        assert SpeedFunction("power:2").mu == 1.0
-        assert SpeedFunction("quotient:2").mu == 0.5
-        assert SpeedFunction("ratio:2,0").mu == 1.0
+        assert SpeedFunction.parse("H").mu == 2.0
+        assert SpeedFunction.parse("power:2").mu == 1.0
+        assert SpeedFunction.parse("quotient:2").mu == 0.5
+        assert SpeedFunction.parse("ratio:2,0").mu == 1.0
 
     def test_parse_round_trip(self):
         for text in ("H", "quotient:2", "power:2", "ratio:2,1"):
             assert SpeedFunction.parse(text).label == text
-        # any other spelling is rejected with the list of accepted ones
+        # any other spelling is rejected with the list of accepted ones,
+        # |A| too: curvature_norm_speed builds that control, no text does
         for text in ("bogus:3", "power:3", "quotient:3", "ratio:3,1", "bogus",
-                     "quotient:0", "ratio:1,2", "power:02", "quotient:+2"):
+                     "quotient:0", "ratio:1,2", "power:02", "quotient:+2", "|A|"):
             with pytest.raises(ValueError, match="quotient:2"):
                 SpeedFunction.parse(text)
 
     def test_parse_ignores_blanks(self):
         assert SpeedFunction.parse(" ratio:2, 0 ").label == "ratio:2,0"
         assert SpeedFunction.parse("power : 2").label == "power:2"
+
+    @pytest.mark.parametrize("group", ALIASES, ids=lambda g: g[0])
+    def test_aliases_share_one_closed_form(self, group):
+        first, *others = [SpeedFunction.parse(text) for text in group]
+        for sp in others:
+            assert sp.rho is first.rho
+            assert sp.in_cone is first.in_cone
+            assert sp.diffusivity is first.diffusivity
 
     def test_elementary_symmetric_normalization(self, sphere64):
         # sigma_k(1, 1) = C(2, k), on the unit sphere and in the oracle
@@ -100,7 +109,7 @@ class TestSpeedFunctions:
         # the closed-form diffusivity against sum_i d rho / d kappa_i
         kap = rng.uniform(0.3, 2.0, size=(50, 2))
         h = 1e-6
-        for sp in SPELLINGS:
+        for sp in SPELLINGS + [curvature_norm_speed()]:
             fd = sum((sp.rho(*hk(kap + h * e)) - sp.rho(*hk(kap - h * e))) / (2 * h)
                      for e in np.eye(2))
             assert np.abs(sp.diffusivity(*hk(kap)) - fd).max() < 1e-8
@@ -109,19 +118,19 @@ class TestSpeedFunctions:
 class TestNormalSpeed:
     def test_sphere_imcf(self):
         s = sphere_surface(2.0, SPEC32)
-        ns = normal_speed(s, SpeedFunction("H"))
+        ns = normal_speed(s, SpeedFunction.parse("H"))
         assert np.abs(ns.values - 1.0).max() < 1e-12  # R/n = 1
 
     def test_sphere_gauss_root(self):
         # rho = sigma_2^(1/2) = 1/R at a round point; speed = R
         s = sphere_surface(1.5, SPEC32)
-        ns = normal_speed(s, SpeedFunction("power:2"))
+        ns = normal_speed(s, SpeedFunction.parse("power:2"))
         assert np.abs(ns.values - 1.5).max() < 1e-12
 
     @pytest.mark.parametrize("entry", ["normal_speed", "normal_speed_geom", "step"])
     def test_cone_violation_reports_node(self, entry):
         s = perturbed_sphere(SPEC32, amp=0.3)  # saddle regions: sigma_2 < 0
-        speed = SpeedFunction("power:2")
+        speed = SpeedFunction.parse("power:2")
         if entry == "normal_speed_geom":
             geometry(s)  # normal_speed then reads the cached bundle
         call = {"normal_speed": lambda: normal_speed(s, speed),
@@ -141,7 +150,7 @@ class TestNormalSpeed:
         # plain ints, not numpy scalars
         s = harmonic_surface(1.0, [(4, 0, 0.4)], SPEC16)
         with pytest.raises(CurvatureConeError) as err:
-            run(s, SpeedFunction("H"), 1.0)
+            run(s, SpeedFunction.parse("H"), 1.0)
         assert err.value.node == (4, 0)
         assert all(type(i) is int for i in err.value.node)
         assert "at node (4, 0) outside the cone of H" in str(err.value)
@@ -150,21 +159,21 @@ class TestNormalSpeed:
 class TestStep:
     def test_sphere_single_step_matches_exponential(self):
         s = sphere_surface(1.0, SPEC32)
-        out = step(s, SpeedFunction("H"), 0.01)
+        out = step(s, SpeedFunction.parse("H"), 0.01)
         assert np.abs(out.values - np.exp(0.005)).max() < 1e-10
 
     def test_axisymmetry_preserved(self):
         s = spheroid_surface(1.0, 0.7, SPEC32)
         for _ in range(5):
-            s = step(s, SpeedFunction("H"), 5e-4)
+            s = step(s, SpeedFunction.parse("H"), 5e-4)
         assert np.abs(s.values - s.values[:, :1]).max() < 1e-10
 
     def test_filter_choice_leaves_spheres_unchanged(self):
         # the damping rate acts above 0.9 l_max and D0 l(l+1) at l > 0,
         # while a sphere is one degree-0 coefficient: even a long step is
         # exact to round-off, for every radius and speed
-        for speed in (SpeedFunction("H"), SpeedFunction("quotient:2"),
-                      SpeedFunction("power:2")):
+        for speed in (SpeedFunction.parse("H"), SpeedFunction.parse("quotient:2"),
+                      SpeedFunction.parse("power:2")):
             for r in (0.5, 1.0, 3.0):
                 out = step(sphere_surface(r, SPEC32), speed, 0.5)
                 exact = r * np.exp(0.5 / speed.mu)
@@ -218,8 +227,8 @@ class TestCovariance:
 
 
 class TestRunOnSpheres:
-    @pytest.mark.parametrize("speed", [SpeedFunction("H"),
-                                       SpeedFunction("power:2")])
+    @pytest.mark.parametrize("speed", [SpeedFunction.parse("H"),
+                                       SpeedFunction.parse("power:2")])
     def test_exponential_growth_and_fixed_point(self, speed):
         s = sphere_surface(1.0, SPEC32)
         trace = run(s, speed, 1.0)
@@ -229,7 +238,7 @@ class TestRunOnSpheres:
 
     def test_trace_constants(self):
         s = sphere_surface(1.0, SPEC32)
-        trace = run(s, SpeedFunction("H"), 0.5)
+        trace = run(s, SpeedFunction.parse("H"), 0.5)
         assert np.abs(np.array(trace.W) - 16 * np.pi).max() < 1e-8
         assert np.abs(np.array(trace.Q1) - 4 * np.sqrt(np.pi)).max() < 1e-9
         assert np.abs(np.array(trace.osc) - 1.0).max() < 1e-9
@@ -241,13 +250,13 @@ class TestRunOnSpheres:
         # round-off (`step` is exact on spheres; TestConvergence reads
         # its order)
         s = sphere_surface(1.0, GridSpec(8, 16))
-        errs = [np.abs(oracles.rk4_flow(s, SpeedFunction("H"), 0.9, safety).values
+        errs = [np.abs(oracles.rk4_flow(s, SpeedFunction.parse("H"), 0.9, safety).values
                        - np.exp(0.9 / 2.0)).max() for safety in (0.4, 0.2)]
         assert errs[0] / max(errs[1], 1e-300) > 2.0 ** 3.5
 
     def test_trace_counts_steps_and_spaces_records(self):
         s = perturbed_sphere(SPEC32, amp=0.1)
-        trace = run(s, SpeedFunction("H"), 0.3)
+        trace = run(s, SpeedFunction.parse("H"), 0.3)
         summary = trace.summary()
         assert type(summary["steps"]) is int and summary["steps"] == trace.steps
         # records at most 0.02 apart, and no more of them than steps
@@ -255,16 +264,17 @@ class TestRunOnSpheres:
         assert trace.steps + 1 >= len(trace.t) >= 0.3 / 0.02 + 1
         assert trace.t[-1] == pytest.approx(0.3, abs=1e-14)
         # a sphere takes the longest step, 0.02, every time
-        sphere = run(sphere_surface(1.0, SPEC32), SpeedFunction("H"), 0.3)
+        sphere = run(sphere_surface(1.0, SPEC32), SpeedFunction.parse("H"), 0.3)
         assert sphere.steps == 15 and len(sphere.t) == 16
 
 
 class TestKernelEvaluations:
     def test_one_kernel_evaluation_per_recorded_state(self, monkeypatch):
-        # stable_dt builds each state's bundle and a record of that state
-        # reads it, so a run evaluates the kernel in 4 stages and the step
-        # bound per step, and once more for the final record; it analyses
-        # log f once per step besides, and no stage analyses log f again
+        # stable_dt builds each state's bundle, which analyses log f once,
+        # and the step and a record of that state read it, so a run
+        # evaluates the kernel in 4 stages and the step bound per step, and
+        # once more for the final record; the analyses are the bundle's
+        # and the 4 stages'
         counts = {"chart_derivatives": 0, "analysis": 0}
         for name in counts:
             def counted(grid, *args, _method=getattr(Grid, name), _name=name):
@@ -272,10 +282,10 @@ class TestKernelEvaluations:
                 return _method(grid, *args)
             monkeypatch.setattr(Grid, name, counted)
         trace = run(harmonic_surface(1.0, HARMONIC_TERMS, SPEC16),
-                    SpeedFunction("H"), 0.25)
+                    SpeedFunction.parse("H"), 0.25)
         assert (trace.steps, len(trace.t)) == (13, 14)
         assert counts == {"chart_derivatives": 5 * 13 + 1,
-                          "analysis": 6 * 13 + 1}
+                          "analysis": 5 * 13 + 1}
 
 
 def steps_to(surface, speed, t_end, n):
@@ -305,7 +315,7 @@ HALVINGS = (12, 24, 48)
 def halvings():
     """IMCF from the acceptance surface to t = 0.5 at 32x64, 48x96 and
     64x128, each under HALVINGS: the surfaces by (n_theta, n)."""
-    imcf = SpeedFunction("H")
+    imcf = SpeedFunction.parse("H")
     return {(spec.n_theta, n): steps_to(perturbed_sphere(spec), imcf, 0.5, n)
             for spec in (SPEC32, SPEC48, SPEC64) for n in HALVINGS}
 
@@ -355,7 +365,7 @@ class TestConvergence:
         # converges at fourth order under halvings of the step, from the
         # step bound
         s = harmonic_surface(1.0, [(2, 2, 0.1), (9, 4, 0.01)], SPEC32)
-        imcf = SpeedFunction("H")
+        imcf = SpeedFunction.parse("H")
         grid = s.grid()
         c = oracles.value_curvature(grid, s.values)
         assert c.H.min() > 0.0
@@ -369,7 +379,7 @@ class TestConvergence:
 
 @pytest.fixture(scope="module")
 def trace():
-    return run(perturbed_sphere(SPEC48), SpeedFunction("H"), 1.5)
+    return run(perturbed_sphere(SPEC48), SpeedFunction.parse("H"), 1.5)
 
 
 class TestRunPerturbed:
@@ -417,7 +427,7 @@ class TestOtherSpeeds:
         # admissible class; a convex perturbed sphere rounds out under
         # the sigma_2^(1/2) flow as well
         s = perturbed_sphere(SPEC32, amp=0.05)
-        trace = run(s, SpeedFunction("power:2"), 1.0)
+        trace = run(s, SpeedFunction.parse("power:2"), 1.0)
         assert trace.osc[-1] < trace.osc[0]
         assert trace.shape_dev[-1] < 0.2 * trace.shape_dev[0]
         assert trace.beta > 0.0
@@ -425,17 +435,17 @@ class TestOtherSpeeds:
 
     def test_runs_are_deterministic(self):
         s = perturbed_sphere(SPEC32, amp=0.05)
-        t1 = run(s, SpeedFunction("H"), 0.2)
-        t2 = run(s, SpeedFunction("H"), 0.2)
+        t1 = run(s, SpeedFunction.parse("H"), 0.2)
+        t2 = run(s, SpeedFunction.parse("H"), 0.2)
         assert t1.t == t2.t
         assert t1.W == t2.W
         assert np.array_equal(t1.snapshots[-1].values, t2.snapshots[-1].values)
 
 
 class TestClassCAudit:
-    @pytest.mark.parametrize("speed", [SpeedFunction("H"),
-                                       SpeedFunction("power:2"),
-                                       SpeedFunction("quotient:2")])
+    @pytest.mark.parametrize("speed", [SpeedFunction.parse("H"),
+                                       SpeedFunction.parse("power:2"),
+                                       SpeedFunction.parse("quotient:2")])
     def test_admissible_speeds_pass(self, speed):
         rep = class_c_audit(speed, n_samples=10000, seed=7)
         assert rep["passed"], rep
@@ -456,7 +466,7 @@ class TestConfigValidation:
         monkeypatch.setattr(flow, "stable_dt", no_step)
         monkeypatch.setattr(flow, "step", no_step)
         with pytest.raises(ValueError, match="t_end"):
-            run(sphere_surface(1.0, SPEC16), SpeedFunction("H"), t_end)
+            run(sphere_surface(1.0, SPEC16), SpeedFunction.parse("H"), t_end)
 
     def test_bad_values_rejected(self, monkeypatch):
         for t_end in (0.0, -1.0):
@@ -470,7 +480,7 @@ class TestConfigValidation:
         # 0.02 where D = diffusivity / (rho^2 f^2) is constant, as on
         # spheres, on every grid; else _DT_SPREAD / (D_max - D_min)
         assert _DT_SPREAD == 0.2 * 0.05
-        imcf = SpeedFunction("H")
+        imcf = SpeedFunction.parse("H")
         for spec in (SPEC32, SPEC48):
             assert stable_dt(sphere_surface(1.0, spec), imcf) == 0.02
         s = perturbed_sphere(SPEC32, amp=0.1)

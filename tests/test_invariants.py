@@ -127,7 +127,7 @@ class TestWillmore:
 
 class TestWillmoreRate:
     def test_sphere_rate_vanishes(self, sphere64):
-        speed = normal_speed(sphere64, SpeedFunction("H"))
+        speed = normal_speed(sphere64, SpeedFunction.parse("H"))
         assert abs(willmore_rate(sphere64, speed)) < 1e-8
 
     def test_zero_speed(self, spheroid64):
@@ -138,12 +138,12 @@ class TestWillmoreRate:
         grid = make_grid(SPEC64)
         for s in (spheroid64, harmonic64):
             g = geometry(s)
-            speed = normal_speed(s, SpeedFunction("H"))
+            speed = normal_speed(s, SpeedFunction.parse("H"))
             expected = oracles.willmore_rate_stacked(g, grid, speed.values)
             assert willmore_rate(s, speed) == pytest.approx(expected, rel=1e-12)
 
     def test_perturbed_sphere_negative_and_matches_flow_differences(self):
-        imcf = SpeedFunction("H")
+        imcf = SpeedFunction.parse("H")
         T, P = nodes(SPEC48)
         s0 = StarShapedHypersurface(
             ScalarField(SPEC48, 1.0 + 0.05 * np.sin(T) ** 2 * np.cos(2 * P)))
@@ -188,13 +188,13 @@ class TestHsiungMinkowski:
         rhs = g.integrate(vn * g.sigma_k[..., 1] / 2.0)
         assert abs(lhs - 4 * np.pi) < 1e-10
         assert abs(rhs - 4 * np.pi) < 1e-10
-        assert abs(hsiung_minkowski_residual(sphere64, [V], 0)[0]) < 1e-10
+        # the residual is relative to the L1 size lhs + rhs of its integrands
+        assert abs(hsiung_minkowski_residual(sphere64, [V], 0)[0]) < 1e-10 / (lhs + rhs)
 
     def test_rotation_fields_trivial(self, spheroid64):
         V = ConformalKillingField([0, 0, 0], [0.7, -0.2, 0.4], 0.0, [0, 0, 0])
         for k in (0, 1):
-            assert abs(hsiung_minkowski_residual(spheroid64, [V], k,
-                                                 relative=True)[0]) < 1e-8
+            assert abs(hsiung_minkowski_residual(spheroid64, [V], k)[0]) < 1e-8
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_generic_fields_on_test_surfaces(self, k, spheroid64, harmonic64, rng):
@@ -204,7 +204,7 @@ class TestHsiungMinkowski:
                                           rng.normal(0, 0.3, 3),
                                           rng.normal(0, 0.3),
                                           rng.normal(0, 0.2, 3))
-                rel = hsiung_minkowski_residual(s, [V], k, relative=True)[0]
+                rel = hsiung_minkowski_residual(s, [V], k)[0]
                 assert abs(rel) < 1e-6
 
     def test_non_conformal_negative_control(self, spheroid64):
@@ -213,7 +213,7 @@ class TestHsiungMinkowski:
         M = np.array([[0.3, 0.4, 0.0], [0.4, -0.1, 0.2], [0.0, 0.2, 0.5]])
         bad = AffineField(np.zeros(3), M)
         for k in (0, 1):
-            rel = hsiung_minkowski_residual(spheroid64, [bad], k, relative=True)[0]
+            rel = hsiung_minkowski_residual(spheroid64, [bad], k)[0]
             assert abs(rel) > 1e-3
 
     def test_residual_decreases_under_refinement(self):
@@ -223,18 +223,14 @@ class TestHsiungMinkowski:
         rels = []
         for spec in (GridSpec(12, 24), GridSpec(24, 48)):
             s = harmonic_surface(1.0, terms, spec)
-            rels.append(abs(hsiung_minkowski_residual(s, [V], 0, relative=True)[0]))
+            rels.append(abs(hsiung_minkowski_residual(s, [V], 0)[0]))
         assert rels[1] < rels[0] / 4.0 or rels[1] < 1e-12
 
-    @pytest.mark.parametrize("relative, tol", [(True, 1e-15), (False, 1e-14)])
     @pytest.mark.parametrize("k", [0, 1])
-    def test_matches_pointwise_oracle(self, k, relative, tol, spheroid64,
-                                      harmonic64):
+    def test_matches_pointwise_oracle(self, k, spheroid64, harmonic64):
         # 20 conformal fields, the non-conformal control and a general
         # affine field (a skew part and a translation, so the relative
-        # scale sees M's orientation), all in one call; the plain residuals
-        # integrate terms whose L1 size is about 10, so their round-off
-        # sits near 1e-15 rather than below it
+        # scale sees M's orientation), all in one call
         rng = np.random.default_rng(7)
         fields = [ConformalKillingField(rng.normal(0, 0.3, 3),
                                         rng.normal(0, 0.3, 3),
@@ -246,11 +242,11 @@ class TestHsiungMinkowski:
         fields += [AffineField(np.zeros(3), control),
                    AffineField([0.1, -0.2, 0.05], control + skew)]
         for s in (spheroid64, harmonic64):
-            got = hsiung_minkowski_residual(s, fields, k, relative=relative)
-            want = [oracles.hsiung_minkowski_residual_pointwise(
-                geometry(s), V, k, relative=relative) for V in fields]
+            got = hsiung_minkowski_residual(s, fields, k)
+            want = [oracles.hsiung_minkowski_residual_pointwise(geometry(s), V, k)
+                    for V in fields]
             assert got.shape == (len(fields),)
-            assert np.abs(got - want).max() < tol
+            assert np.abs(got - want).max() < 1e-15
 
 
 class TestQkRate:

@@ -33,14 +33,14 @@ class TestRoundSphere:
     def test_principal_curvatures_keep_digits_at_umbilics(self, sphere64):
         # one IMCF step leaves a sphere round to about 1e-12: f kappa_i must
         # be as close to 1 as f H is to 2, not only to its square root
-        s = step(sphere64, SpeedFunction("H"), 0.01)
+        s = step(sphere64, SpeedFunction.parse("H"), 0.01)
         kappa = geometry(s).kappa
         assert np.abs(s.values[..., None] * kappa - 1.0).max() < 5e-9
 
     def test_tracefree_norm_is_nonnegative_round_off_at_umbilics(self, sphere64):
         # |A0|^2 from the trace-free discriminant: H^2/2 - 2K has either
         # sign at 1e-15 on this stepped sphere, the discriminant is >= 0
-        s = step(sphere64, SpeedFunction("H"), 0.01)
+        s = step(sphere64, SpeedFunction.parse("H"), 0.01)
         tracefree_sq = geometry(s).tracefree_sq
         assert tracefree_sq.min() >= 0.0
         assert tracefree_sq.max() <= 1e-18
@@ -255,22 +255,22 @@ class TestInversion:
 
     def test_mean_curvature_identity_sphere(self):
         s = sphere_surface(1.5, SPEC32)
-        _, sup = inversion_mean_curvature_check(s)
+        sup = inversion_mean_curvature_check(s)
         assert sup < 1e-9
 
     def test_mean_curvature_identity_spheroid(self, spheroid64):
-        _, sup = inversion_mean_curvature_check(spheroid64)
+        sup = inversion_mean_curvature_check(spheroid64)
         assert sup < 1e-6
 
     def test_mean_curvature_identity_harmonic(self, harmonic64):
-        _, sup = inversion_mean_curvature_check(harmonic64)
+        sup = inversion_mean_curvature_check(harmonic64)
         assert sup < 1e-6
 
     def test_identity_stays_small_under_refinement(self):
         sups = []
         for spec in (SPEC16, SPEC32, SPEC64):
             s = harmonic_surface(1.0, HARMONIC_TERMS, spec)
-            sups.append(inversion_mean_curvature_check(s)[1])
+            sups.append(inversion_mean_curvature_check(s))
         assert max(sups) < 1e-10  # round-off at every admissible grid
 
 
@@ -389,7 +389,7 @@ class TestErrors:
         with pytest.raises(ResolutionError, match="non-finite"):
             oracles.value_curvature(spheroid64.grid(), spheroid64.values)
         with pytest.raises(ResolutionError, match="non-finite"):
-            step(spheroid64, SpeedFunction("H"), 1e-4)
+            step(spheroid64, SpeedFunction.parse("H"), 1e-4)
 
     def test_smooth_surfaces_stay_well_conditioned(self, spheroid64):
         geometry(spheroid64)  # must not raise at the production limit

@@ -8,7 +8,7 @@ from icflab.conformal import ConformalKillingField, pushforward_surface
 from icflab.flow import SpeedFunction, normal_speed, run
 from icflab.invariants import coefficient_vector, moment_rows
 from icflab.radial_graph import StarShapedHypersurface, geometry
-from icflab.soliton import (basis_fields, best_fit_ckf, classify,
+from icflab.soliton import (basis_fields, best_fit_ckf,
                             field_from_params, residual)
 from icflab.sphere_grid import GridSpec, ScalarField, make_grid
 from icflab.surfaces import harmonic_surface, sphere_surface, spheroid_surface
@@ -16,7 +16,7 @@ from icflab.surfaces import harmonic_surface, sphere_surface, spheroid_surface
 import oracles
 from conftest import SPEC32, SPEC48, SPEC64, nodes, scaled
 
-IMCF = SpeedFunction("H")
+IMCF = SpeedFunction.parse("H")
 
 
 def design_matrix(surface):
@@ -98,7 +98,7 @@ class TestBestFit:
 
     def test_spheroid_residual_bounded_below(self):
         for spec in (SPEC48, SPEC64):
-            rep = classify(spheroid_surface(1.0, 0.6, spec), IMCF)
+            _, rep = best_fit_ckf(spheroid_surface(1.0, 0.6, spec), IMCF)
             assert rep["verdict"] == "not_soliton"
             assert rep["residual_l2"] > 0.2  # measured 0.251, grid-stable
 
@@ -138,7 +138,7 @@ class TestClassify:
         # must fire
         s = harmonic_surface(1.0, [(2, 2, 1e-7)], SPEC48)
         with pytest.warns(UserWarning, match="condition number"):
-            rep = classify(s, IMCF)
+            _, rep = best_fit_ckf(s, IMCF)
         assert rep["relative_residual"] < 1e-6
         assert rep["verdict"] == "soliton"
         assert rep["gram_condition"] > 1e10
@@ -146,11 +146,11 @@ class TestClassify:
     def test_intermediate_residual_is_inconclusive(self):
         s = harmonic_surface(1.0, [(2, 2, 2e-5)], SPEC48)
         with pytest.warns(UserWarning, match="condition number"):
-            rep = classify(s, IMCF)
+            _, rep = best_fit_ckf(s, IMCF)
         assert rep["verdict"] == "inconclusive"
 
     def test_report_serializes(self, sphere64):
-        rep = classify(sphere64, IMCF)
+        _, rep = best_fit_ckf(sphere64, IMCF)
         d = json.loads(json.dumps(rep))
         assert d["verdict"] == "soliton"
         assert "fitted" in d
@@ -175,8 +175,8 @@ class TestEquivariance:
     def test_scaling_preserves_relative_residual(self):
         s = spheroid_surface(1.0, 0.6, SPEC48)
         c = 2.5
-        rep0 = classify(s, IMCF)
-        rep1 = classify(scaled(s, c), IMCF)
+        _, rep0 = best_fit_ckf(s, IMCF)
+        _, rep1 = best_fit_ckf(scaled(s, c), IMCF)
         assert abs(rep1["relative_residual"] - rep0["relative_residual"]) < 1e-9
         V0, _ = best_fit_ckf(s, IMCF)
         V1, _ = best_fit_ckf(scaled(s, c), IMCF)
