@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .sphere_grid import GridSpec, ScalarField, make_grid
 from .radial_graph import (StarShapedHypersurface, GeometryBundle, geometry,
-                           area, sigma_integral, invert,
+                           sigma_integral, invert,
                            inversion_mean_curvature_check)
 from .conformal import (ConformalKillingField, AffineField, flow_map,
                         pushforward_surface)
@@ -20,7 +20,7 @@ from .serialize import ckf_from_dict, load_surface, save_surface
 
 __all__ = [
     "GridSpec", "ScalarField", "make_grid",
-    "StarShapedHypersurface", "GeometryBundle", "geometry", "area",
+    "StarShapedHypersurface", "GeometryBundle", "geometry",
     "sigma_integral", "invert", "inversion_mean_curvature_check",
     "ConformalKillingField", "AffineField", "flow_map", "pushforward_surface",
     "e_tensor", "willmore", "willmore_rate", "guan_li_q",

@@ -41,13 +41,11 @@ Sign conventions follow the outward-normal, H > 0 orientation fixed in
 from __future__ import annotations
 
 import warnings
-from math import comb
 
 import numpy as np
 
 from .errors import AuditError, ConvexityClassError, GridMismatchError, MeanConvexityError
-from .radial_graph import (N, StarShapedHypersurface, area, geometry, invert,
-                           sigma_integral)
+from .radial_graph import StarShapedHypersurface, geometry, invert, sigma_integral
 from .sphere_grid import ScalarField, make_grid
 
 __all__ = [
@@ -69,7 +67,7 @@ __all__ = [
 # the invariance audit's sweep of the tensor parameter, (-0.25, 0.0, 1.0);
 # -1/(2n) is where the general-n coefficient 2an+1 vanishes, but in n = 2
 # E(-1/4) = -|A0|^2 g / 2 still vanishes exactly at umbilic points
-DEFAULT_A_VALUES = (-1.0 / (2 * N), 0.0, 1.0)
+DEFAULT_A_VALUES = (-0.25, 0.0, 1.0)
 
 
 def e_tensor(surface: StarShapedHypersurface,
@@ -93,11 +91,11 @@ def e_tensor(surface: StarShapedHypersurface,
 
 
 def willmore(surface: StarShapedHypersurface) -> float:
-    """Willmore energy: integral of H^n; requires mean convexity."""
+    """Willmore energy: integral of H^2; requires mean convexity."""
     geom = geometry(surface)
     if geom.H.min() <= 0.0:
         raise MeanConvexityError(f"H reaches {geom.H.min():g}; not mean-convex")
-    return geom.integrate(geom.H ** N)
+    return geom.integrate(geom.H ** 2)
 
 
 def willmore_rate(surface: StarShapedHypersurface,
@@ -111,7 +109,8 @@ def willmore_rate(surface: StarShapedHypersurface,
 
     For the inverse-mean-curvature speed 1/H this reduces to
     -int n(n-1) H^{n-4} |grad H|^2 + n H^{n-2} (|A|^2 - H^2/n) dmu <= 0,
-    vanishing exactly on round spheres.
+    vanishing exactly on round spheres.  In n = 2 the integrand is
+    2 <grad H, grad speed> - 2 speed H |A0|^2.
     """
     if speed.spec != surface.spec:
         raise GridMismatchError("speed field lives on a different grid")
@@ -125,24 +124,21 @@ def willmore_rate(surface: StarShapedHypersurface,
     gi00, gi01, gi11 = geom.metric_inv
     grad_pair = gi00 * dHt * dst + gi01 * (dHt * dsp + dHp * dst) + gi11 * dHp * dsp
 
-    integrand = (N * (N - 1) * geom.H ** (N - 2) * grad_pair
-                 - N * speed.values * geom.H ** (N - 1)
-                 * geom.tracefree_sq)
-    return geom.integrate(integrand)
+    return geom.integrate(2 * grad_pair - 2 * speed.values * geom.H * geom.tracefree_sq)
 
 
 def guan_li_q(surface: StarShapedHypersurface, k: int) -> float:
     """Scale-invariant quotient (int sigma_k)^{1/(n-k)} /
     (int sigma_{k-1})^{1/(n-k+1)}; k = n is excluded (the outer exponent
-    degenerates)."""
-    if not 1 <= k <= N - 1:
-        raise ValueError(f"k must lie in 1..{N - 1}")
+    degenerates), so in n = 2 only k = 1 remains: int H dmu / |S|^{1/2}."""
+    if k != 1:
+        raise ValueError("k must be 1")
     num = sigma_integral(surface, k)
     den = sigma_integral(surface, k - 1)
     if num <= 0.0 or den <= 0.0:
         raise ConvexityClassError(
             f"curvature integrals not positive (k={k}): {num:g}, {den:g}")
-    return num ** (1.0 / (N - k)) / den ** (1.0 / (N - k + 1))
+    return num / den ** 0.5
 
 
 def moment_rows(surface: StarShapedHypersurface) -> np.ndarray:
@@ -180,13 +176,14 @@ def hsiung_minkowski_residual(surface: StarShapedHypersurface, fields,
     sides equal to the area).  Each residual is scaled by the L1 size of
     its two integrands.
     """
-    if not 0 <= k <= N - 1:
-        raise ValueError(f"k must lie in 0..{N - 1}")
+    if k not in (0, 1):
+        raise ValueError("k must be 0 or 1")
     geom = geometry(surface)
     rows = moment_rows(surface)
     dmu = (make_grid(surface.spec).weights * geom.area_density).reshape(-1)
-    w_lhs = dmu * geom.sigma_k[..., k].reshape(-1) / comb(N, k)
-    w_rhs = dmu * geom.sigma_k[..., k + 1].reshape(-1) / comb(N, k + 1)
+    sigma, binom = (np.ones_like(geom.H), geom.H, geom.K), (1, 2, 1)
+    w_lhs = dmu * sigma[k].reshape(-1) / binom[k]
+    w_rhs = dmu * sigma[k + 1].reshape(-1) / binom[k + 1]
 
     residuals = np.empty(len(fields))
     for i, V in enumerate(fields):
@@ -206,14 +203,12 @@ def condition_v_residual(surface: StarShapedHypersurface, V, k: int) -> float:
     Ordered so that the transport rate of Q_k satisfies
     qk_rate = -Q_k/(n+1) * condition_v_residual identically.
     """
-    if not 1 <= k <= N - 1:
-        raise ValueError(f"k must lie in 1..{N - 1}")
+    if k != 1:
+        raise ValueError("k must be 1")
     geom = geometry(surface)
     div = np.asarray(V.divergence(geom.position))
-    avg_k = (geom.integrate(geom.sigma_k[..., k] * div)
-             / sigma_integral(surface, k))
-    avg_km1 = (geom.integrate(geom.sigma_k[..., k - 1] * div)
-               / sigma_integral(surface, k - 1))
+    avg_k = geom.integrate(geom.H * div) / sigma_integral(surface, 1)
+    avg_km1 = geom.integrate(div) / sigma_integral(surface, 0)
     return avg_km1 - avg_k
 
 
@@ -228,7 +223,7 @@ def qk_rate(surface: StarShapedHypersurface, V, k: int) -> float:
     constant, and zero on every round sphere.
     """
     q = guan_li_q(surface, k)
-    return -q / (N + 1) * condition_v_residual(surface, V, k)
+    return -q / 3 * condition_v_residual(surface, V, k)
 
 
 def qbar(surface: StarShapedHypersurface) -> tuple[float, float, float]:
@@ -243,17 +238,17 @@ def qbar(surface: StarShapedHypersurface) -> tuple[float, float, float]:
     exactly for round spheres; the bounds are verified before returning.
     """
     inverse = invert(surface)
-    area_s, area_inv = area(surface), area(inverse)
-    value = (sigma_integral(surface, 1) / area_s ** ((N - 1) / N)
-             + sigma_integral(inverse, 1) / area_inv ** ((N - 1) / N))
+    area_s, area_inv = sigma_integral(surface, 0), sigma_integral(inverse, 0)
+    value = (sigma_integral(surface, 1) / area_s ** 0.5
+             + sigma_integral(inverse, 1) / area_inv ** 0.5)
 
     r = surface.values.min()
     R = surface.values.max()
     sphere_area = make_grid(surface.spec).integrate_values(
         np.ones(surface.spec.shape))
-    base = 2.0 * N * sphere_area / (area_s * area_inv) ** ((N - 1) / (2 * N))
-    lower = (r / R) ** (1.5 * (N - 1)) * base
-    upper = (R / r) ** (1.5 * (N - 1)) * base
+    base = 4.0 * sphere_area / (area_s * area_inv) ** 0.25
+    lower = (r / R) ** 1.5 * base
+    upper = (R / r) ** 1.5 * base
     tol = 1e-9 * (1.0 + abs(value))
     if not (lower - tol <= value <= upper + tol):
         raise AuditError(
@@ -267,8 +262,8 @@ def energy_report(surface: StarShapedHypersurface) -> dict:
     and the area is sigma_integrals[0]."""
     return {
         "W": willmore(surface),
-        "Q": {str(k): guan_li_q(surface, k) for k in range(1, N)},
+        "Q": {"1": guan_li_q(surface, 1)},
         "Qbar": qbar(surface)[0],
         "tracefree_sq_sup": float(geometry(surface).tracefree_sq.max()),
-        "sigma_integrals": [sigma_integral(surface, k) for k in range(N + 1)],
+        "sigma_integrals": [sigma_integral(surface, k) for k in range(3)],
     }

@@ -26,8 +26,8 @@ surface about the unit sphere (f -> 1/f) relates mean curvatures through
 which `inversion_mean_curvature_check` certifies numerically against an
 independent second geometry computation.  A surface owns its geometry:
 `geometry` builds the bundle on the first call and returns the same
-object after that.  The formulas keep n symbolic; the code fixes it at
-the module constant N = 2.
+object after that.  The formulas hold for general n; every surface
+here is a radial graph over S^2, so the code writes them at n = 2.
 """
 
 from __future__ import annotations
@@ -43,21 +43,17 @@ from .errors import DegenerateSurfaceError, ResolutionError
 from .sphere_grid import Grid, GridSpec, ScalarField, make_grid
 
 __all__ = [
-    "N",
     "POSITIVITY_FLOOR",
     "StarShapedHypersurface",
     "GeometryBundle",
     "Curvature",
     "curvature",
     "geometry",
-    "area",
     "sigma_integral",
     "invert",
     "inversion_mean_curvature_check",
 ]
 
-# the dimension n in the formulas: every surface is a hypersurface of R^3
-N = 2
 POSITIVITY_FLOOR = 1e-8
 _COND_LIMIT = 1e8
 
@@ -68,8 +64,7 @@ class StarShapedHypersurface:
     POSITIVITY_FLOOR < f < 1 / POSITIVITY_FLOOR at every node (f[i] the
     node in row-major order, as a surface file lists them).  The surface
     keeps a private read-only copy of the values it is given, so the
-    geometry bundle and the inverse it caches always describe it.  The
-    dimension is fixed at n = N = 2."""
+    geometry bundle and the inverse it caches always describe it."""
 
     f: ScalarField
 
@@ -113,11 +108,12 @@ class GeometryBundle:
     `metric_inv` are (00, 01, 11) tuples of (nt, nph) component arrays in
     (theta, phi) order, formed by `geometry` from the f-free factors
     `curvature` returns; the second form h is not kept, since every
-    reader needs only its invariants.  `kappa` is sorted ascending;
-    `sigma_k[..., k]` holds the plain elementary symmetric polynomial of
-    the principal curvatures (sigma_k(1,...,1) = C(n,k)); `tracefree_sq`
-    comes from the trace-free discriminant, so it is >= 0 and keeps its
-    digits at umbilic points, where |A|^2 - H^2/n cancels.  `lam` holds
+    reader needs only its invariants.  `H` and `K` are the kernel's
+    kappa_1 + kappa_2 and kappa_1 kappa_2, the elementary symmetric
+    polynomials sigma_1 and sigma_2 of the principal curvatures (sigma_0
+    is 1); `kappa` is sorted ascending; `tracefree_sq` comes from the
+    trace-free discriminant, so it is >= 0 and keeps its digits at
+    umbilic points, where |A|^2 - H^2/2 cancels.  `lam` holds
     the harmonic coefficients of log f that `curvature` read, shape
     (m_max+1, l_max+1, 2), with the node mean at degree 0 only; a flow
     step starts from them.
@@ -130,9 +126,9 @@ class GeometryBundle:
     metric_inv: tuple           # g^ij
     area_density: np.ndarray    # dmu / dmu_round
     H: np.ndarray               # mean curvature = sum kappa_i
+    K: np.ndarray               # Gauss curvature = kappa_1 kappa_2
     kappa: np.ndarray           # (nt, nph, 2) principal curvatures
-    sigma_k: np.ndarray         # (nt, nph, n+1)
-    tracefree_sq: np.ndarray    # |A - (H/n) g|^2
+    tracefree_sq: np.ndarray    # |A - (H/2) g|^2
     grad_log_sq: np.ndarray     # |grad log f|^2 on the round sphere
     lam: np.ndarray             # harmonic coefficients of log f
 
@@ -251,14 +247,12 @@ def geometry(surface: StarShapedHypersurface) -> GeometryBundle:
     disc = np.sqrt(disc_sq)
     kappa = np.stack([0.5 * c.H - disc, 0.5 * c.H + disc], axis=-1)
 
-    sigma = np.stack([np.ones_like(c.H), c.H, c.K], axis=-1)
-
     bundle = GeometryBundle(
         spec=surface.spec,
         position=f[..., None] * p, normal=nu,
         metric=c.gbar, metric_inv=(gi00, gi01, gi11),
         area_density=f2 * c.sqv,
-        H=c.H, kappa=kappa, sigma_k=sigma,
+        H=c.H, K=c.K, kappa=kappa,
         tracefree_sq=2.0 * disc_sq, grad_log_sq=c.grad_sq, lam=lam,
     )
     for value in vars(bundle).values():
@@ -269,17 +263,14 @@ def geometry(surface: StarShapedHypersurface) -> GeometryBundle:
     return bundle
 
 
-def area(surface: StarShapedHypersurface) -> float:
-    geom = geometry(surface)
-    return geom.integrate(np.ones_like(geom.H))
-
-
 def sigma_integral(surface: StarShapedHypersurface, k: int) -> float:
-    """Integral of the k-th elementary symmetric curvature polynomial."""
-    if not 0 <= k <= N:
-        raise ValueError(f"k must lie in 0..{N}")
+    """Integral of the k-th elementary symmetric curvature polynomial,
+    1, H or K for k = 0, 1, 2: the area, the total mean curvature and
+    the total Gauss curvature."""
+    if k not in (0, 1, 2):
+        raise ValueError("k must be 0, 1 or 2")
     geom = geometry(surface)
-    return geom.integrate(geom.sigma_k[..., k])
+    return geom.integrate((np.ones_like(geom.H), geom.H, geom.K)[k])
 
 
 def invert(surface: StarShapedHypersurface) -> StarShapedHypersurface:
@@ -311,5 +302,5 @@ def inversion_mean_curvature_check(surface: StarShapedHypersurface) -> float:
     geom = geometry(surface)
     geom_inv = geometry(invert(surface))
     f = surface.values
-    predicted = -f**2 * geom.H + 2.0 * N * f / np.sqrt(1.0 + geom.grad_log_sq)
+    predicted = -f**2 * geom.H + 4.0 * f / np.sqrt(1.0 + geom.grad_log_sq)
     return float(np.abs(geom_inv.H - predicted).max())

@@ -42,14 +42,8 @@ DEFAULT_TOL = 1e-6
 
 def basis_fields() -> list[ConformalKillingField]:
     """The ten generators: translations, rotations, dilation, special
-    conformal; parameter vectors are assembled in this order."""
-    eye = np.eye(3)
-    z = np.zeros(3)
-    fields = [ConformalKillingField(eye[i], z, 0.0, z) for i in range(3)]
-    fields += [ConformalKillingField(z, eye[i], 0.0, z) for i in range(3)]
-    fields += [ConformalKillingField(z, z, 1.0, z)]
-    fields += [ConformalKillingField(z, z, 0.0, eye[i]) for i in range(3)]
-    return fields
+    conformal, in the parameter order of `field_from_params`."""
+    return [field_from_params(e) for e in np.eye(N_PARAMS)]
 
 
 def field_from_params(p: np.ndarray) -> ConformalKillingField:

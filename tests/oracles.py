@@ -390,7 +390,7 @@ def willmore_rate_stacked(geom, grid, speed, n=2):
     dH = np.stack([grid.synth_dtheta(CH), grid.synth_dphi(CH)], -1)[..., None, :]
     ds = np.stack([grid.synth_dtheta(Cs), grid.synth_dphi(Cs)], -1)[..., :, None]
     pair = (dH @ np.linalg.inv(stack_sym2(*geom.metric)) @ ds)[..., 0, 0]
-    norm_A_sq = geom.H**2 - 2.0 * geom.sigma_k[..., 2]
+    norm_A_sq = geom.H**2 - 2.0 * geom.K
     return geom.integrate(n * (n - 1) * geom.H ** (n - 2) * pair
                           - n * speed * geom.H ** (n - 1)
                           * (norm_A_sq - geom.H**2 / n))
@@ -402,8 +402,9 @@ def hsiung_minkowski_residual_pointwise(geom, V, k, n=2):
     conformal factor at every node."""
     alpha = np.asarray(V.conformal_factor(geom.position))
     vn = np.einsum("...c,...c->...", V.evaluate(geom.position), geom.normal)
-    lhs = alpha * geom.sigma_k[..., k] / math.comb(n, k)
-    rhs = vn * geom.sigma_k[..., k + 1] / math.comb(n, k + 1)
+    sigma = (np.ones_like(geom.H), geom.H, geom.K)
+    lhs = alpha * sigma[k] / math.comb(n, k)
+    rhs = vn * sigma[k + 1] / math.comb(n, k + 1)
     residual = geom.integrate(lhs - rhs)
     scale = geom.integrate(np.abs(lhs)) + geom.integrate(np.abs(rhs))
     return residual / max(scale, 1e-300)

@@ -19,8 +19,8 @@ from icflab.flow import (SpeedFunction, asymptotics_check, class_c_audit,
 from icflab.invariants import (e_tensor, guan_li_q,
                                hsiung_minkowski_residual, qbar, qk_rate,
                                willmore, willmore_rate)
-from icflab.radial_graph import (StarShapedHypersurface, area, geometry,
-                                 invert, inversion_mean_curvature_check)
+from icflab.radial_graph import (StarShapedHypersurface, geometry, invert,
+                                 inversion_mean_curvature_check, sigma_integral)
 from icflab.soliton import best_fit_ckf, residual
 from icflab.sphere_grid import GridSpec, ScalarField, make_grid
 from icflab.surfaces import harmonic_surface, sphere_surface, spheroid_surface
@@ -66,7 +66,7 @@ def test_criterion_1_round_sphere_geometry():
     s = sphere_surface(1.0, SPEC)
     g = geometry(s)
     h_dev = float(np.abs(g.H - 2.0).max())
-    area_rel = abs(area(s) / (4.0 * np.pi) - 1.0)
+    area_rel = abs(sigma_integral(s, 0) / (4.0 * np.pi) - 1.0)
     w_dev = abs(willmore(s) - 16.0 * np.pi)
     q_dev = abs(guan_li_q(s, 1) - 4.0 * np.sqrt(np.pi))
     e_sups = [e_tensor(s, a)[1] for a in A_SWEEP]

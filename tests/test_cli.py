@@ -17,7 +17,7 @@ from icflab.serialize import (ckf_from_dict, ckf_to_dict, load_surface,
                               write_json_atomic)
 from icflab.conformal import ConformalKillingField
 from icflab.sphere_grid import GridSpec, ScalarField
-from icflab.radial_graph import StarShapedHypersurface, area, geometry
+from icflab.radial_graph import StarShapedHypersurface, geometry, sigma_integral
 from icflab.surfaces import harmonic_surface, sphere_surface, spheroid_surface
 
 import oracles
@@ -105,7 +105,7 @@ class TestDiag:
         m = float(geometry(s).tracefree_sq.max())
         assert m > 0.1
         assert rep["tracefree_sq_sup"] == m == e_tensor(s, 0.0)[1]
-        assert rep["sigma_integrals"][0] == area(s)
+        assert rep["sigma_integrals"][0] == sigma_integral(s, 0)
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         assert run_cli("diag", str(tmp_path / "nope.json"),

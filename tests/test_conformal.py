@@ -462,7 +462,7 @@ class TestMoebiusInvariance:
 
         def total_k(surface):
             geom = geometry(surface)
-            return geom.integrate(geom.sigma_k[..., 2])
+            return geom.integrate(geom.K)
 
         assert willmore(image) == pytest.approx(willmore(s), rel=1e-12, abs=0.0)
         assert total_k(image) == pytest.approx(total_k(s), rel=1e-12, abs=0.0)

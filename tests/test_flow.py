@@ -67,8 +67,8 @@ class TestSpeedFunctions:
         # sigma_k(1, 1) = C(2, k), on the unit sphere and in the oracle
         assert np.array_equal(oracles.elementary_symmetric(np.ones(2)),
                               [1.0, 2.0, 1.0])
-        sig = geometry(sphere64).sigma_k
-        assert np.abs(sig - [1.0, 2.0, 1.0]).max() < 1e-12
+        g = geometry(sphere64)
+        assert np.abs(g.H - 2.0).max() < 1e-12 and np.abs(g.K - 1.0).max() < 1e-12
 
     def test_closed_form_matches_generic_recurrence(self, rng):
         # each spelling's closed form against its generic sigma formula,
@@ -143,7 +143,7 @@ class TestNormalSpeed:
         g = geometry(s)
         kappa = g.kappa[err.value.node]
         assert np.abs(err.value.kappa - kappa).max() < 1e-12 * np.abs(kappa).max()
-        assert g.sigma_k[err.value.node][2] < 0.0
+        assert g.K[err.value.node] < 0.0
 
     def test_cone_violation_node_is_plain_ints(self):
         # a saddle at 16x32: the node is stored and printed as (4, 0),

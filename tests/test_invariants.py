@@ -11,7 +11,7 @@ from icflab.invariants import (condition_v_residual, DEFAULT_A_VALUES, e_tensor,
                                energy_report, guan_li_q,
                                hsiung_minkowski_residual, qbar, qk_rate,
                                willmore, willmore_rate)
-from icflab.radial_graph import StarShapedHypersurface, geometry, invert
+from icflab.radial_graph import StarShapedHypersurface, geometry, invert, sigma_integral
 from icflab.sphere_grid import GridSpec, ScalarField, make_grid
 from icflab.surfaces import harmonic_surface, sphere_surface, spheroid_surface
 
@@ -172,10 +172,6 @@ class TestGuanLiQuotient:
         assert abs(q - oracles.SPHEROID_Q1) < 1e-10
         assert q > 4.0 * np.sqrt(np.pi)
 
-    def test_k_equal_n_excluded(self, sphere64):
-        with pytest.raises(ValueError):
-            guan_li_q(sphere64, 2)
-
 
 class TestHsiungMinkowski:
     def test_sphere_position_field_hand_values(self, sphere64):
@@ -184,8 +180,8 @@ class TestHsiungMinkowski:
         V = dilation_field(1.0)
         alpha = V.conformal_factor(g.position)
         vn = np.einsum("...c,...c->...", V.evaluate(g.position), g.normal)
-        lhs = g.integrate(alpha * g.sigma_k[..., 0])
-        rhs = g.integrate(vn * g.sigma_k[..., 1] / 2.0)
+        lhs = g.integrate(alpha)
+        rhs = g.integrate(vn * g.H / 2.0)
         assert abs(lhs - 4 * np.pi) < 1e-10
         assert abs(rhs - 4 * np.pi) < 1e-10
         # the residual is relative to the L1 size lhs + rhs of its integrands
@@ -338,3 +334,22 @@ class TestEnergyReport:
         assert rep["tracefree_sq_sup"] < 1e-10 / 3
         assert list(rep) == ["W", "Q", "Qbar", "tracefree_sq_sup",
                              "sigma_integrals"]
+
+
+# every k outside the n = 2 range of each curvature-integral function,
+# with the arguments that come between the surface and k
+OUT_OF_RANGE_K = [
+    (sigma_integral, (), -1), (sigma_integral, (), 3),
+    (guan_li_q, (), 0), (guan_li_q, (), 2),
+    (condition_v_residual, (dilation_field(),), 2),
+    (qk_rate, (dilation_field(),), 2),
+    (hsiung_minkowski_residual, ([dilation_field()],), -1),
+    (hsiung_minkowski_residual, ([dilation_field()],), 2),
+]
+
+
+@pytest.mark.parametrize("fn, args, k", OUT_OF_RANGE_K,
+                         ids=[f"{fn.__name__}-{k}" for fn, _, k in OUT_OF_RANGE_K])
+def test_k_outside_the_n2_range_is_rejected(fn, args, k, sphere64):
+    with pytest.raises(ValueError, match="k must"):
+        fn(sphere64, *args, k)

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from icflab.errors import DegenerateSurfaceError, ResolutionError
 from icflab.flow import SpeedFunction, step
-from icflab.radial_graph import (StarShapedHypersurface, area, curvature,
+from icflab.radial_graph import (StarShapedHypersurface, curvature,
                                  geometry, invert,
                                  inversion_mean_curvature_check,
                                  sigma_integral)
@@ -24,9 +24,9 @@ class TestRoundSphere:
         g = geometry(sphere64)
         assert np.abs(g.H - 2.0).max() < 1e-12
         assert np.abs(g.kappa - 1.0).max() < 1e-12
-        assert np.abs(g.sigma_k[..., 2] - 1.0).max() < 1e-12
+        assert np.abs(g.K - 1.0).max() < 1e-12
         assert np.abs(g.tracefree_sq).max() < 1e-12
-        assert abs(area(sphere64) - 4.0 * np.pi) < 1e-12
+        assert abs(sigma_integral(sphere64, 0) - 4.0 * np.pi) < 1e-12
         assert abs(sigma_integral(sphere64, 1) - 8.0 * np.pi) < 1e-10
         assert abs(sigma_integral(sphere64, 2) - 4.0 * np.pi) < 1e-10
 
@@ -50,7 +50,7 @@ class TestRoundSphere:
         s = sphere_surface(R, SPEC32)
         g = geometry(s)
         assert np.abs(g.H - 2.0 / R).max() < 1e-12
-        assert abs(area(s) - 4.0 * np.pi * R**2) < 1e-10
+        assert abs(sigma_integral(s, 0) - 4.0 * np.pi * R**2) < 1e-10
 
     def test_normal_is_radial_and_unit(self, sphere64):
         g = geometry(sphere64)
@@ -69,7 +69,7 @@ class TestSpheroidAgainstParametricOracle:
         assert np.abs(g.H - H_oracle[:, None]).max() < 1e-6
 
     def test_integrals(self, spheroid64):
-        assert abs(area(spheroid64) - oracles.SPHEROID_AREA) < 1e-10
+        assert abs(sigma_integral(spheroid64, 0) - oracles.SPHEROID_AREA) < 1e-10
         assert abs(sigma_integral(spheroid64, 1) - oracles.SPHEROID_INT_H) < 1e-10
         # oracle self-consistency against the closed-form area
         assert abs(oracles.SPHEROID_AREA - oracles.spheroid_closed_area(1.0, 0.6)) < 1e-11
@@ -93,8 +93,8 @@ class TestBundleInvariants:
     def test_kappa_sums_and_products(self, spheroid64):
         g = geometry(spheroid64)
         assert np.abs(g.kappa.sum(axis=-1) - g.H).max() < 1e-10
-        assert np.abs(g.kappa.prod(axis=-1) - g.sigma_k[..., 2]).max() < 1e-10
-        norm_A_sq = g.H**2 - 2.0 * g.sigma_k[..., 2]
+        assert np.abs(g.kappa.prod(axis=-1) - g.K).max() < 1e-10
+        norm_A_sq = g.H**2 - 2.0 * g.K
         assert np.abs(norm_A_sq - (g.kappa**2).sum(axis=-1)).max() < 1e-10
         assert np.abs(g.tracefree_sq - (norm_A_sq - g.H**2 / 2)).max() < 1e-12
 
@@ -117,14 +117,17 @@ class TestBundleInvariants:
             assert rel(c.H, g.kappa.sum(-1)) < 1e-12
             assert rel(c.K, g.kappa.prod(-1)) < 1e-12
 
-    def test_sigma_k_matches_elementary_symmetric_oracle(self, spheroid64,
-                                                         harmonic64):
+    def test_H_K_and_sigma_integrals_match_elementary_symmetric_oracle(
+            self, spheroid64, harmonic64):
         for s in (spheroid64, harmonic64):
             g = geometry(s)
             ref = oracles.elementary_symmetric(g.kappa)
-            for k in range(3):
+            for k, values in ((1, g.H), (2, g.K)):
                 scale = np.abs(ref[..., k]).max()
-                assert np.abs(g.sigma_k[..., k] - ref[..., k]).max() < 1e-12 * scale
+                assert np.abs(values - ref[..., k]).max() < 1e-12 * scale
+            for k in range(3):
+                scale = g.integrate(np.abs(ref[..., k]))
+                assert abs(sigma_integral(s, k) - g.integrate(ref[..., k])) < 1e-12 * scale
 
     def test_scaling_covariance(self, spheroid64):
         c = 3.7
@@ -135,7 +138,7 @@ class TestBundleInvariants:
         assert rel(g1.area_density, c**2 * g0.area_density) < 1e-10
         assert rel(g1.H, g0.H / c) < 1e-10
         assert rel(g1.kappa, g0.kappa / c) < 1e-10
-        assert rel(g1.sigma_k[..., 2], g0.sigma_k[..., 2] / c**2) < 1e-10
+        assert rel(g1.K, g0.K / c**2) < 1e-10
         assert np.abs(g1.normal - g0.normal).max() < 1e-10
 
     def test_kappa_are_eigenvalues_of_shape_operator(self, spheroid64, harmonic64):
@@ -393,7 +396,3 @@ class TestErrors:
 
     def test_smooth_surfaces_stay_well_conditioned(self, spheroid64):
         geometry(spheroid64)  # must not raise at the production limit
-
-    def test_sigma_integral_bounds_k(self, sphere64):
-        with pytest.raises(ValueError):
-            sigma_integral(sphere64, 3)
