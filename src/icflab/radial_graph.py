@@ -62,7 +62,7 @@ _COND_LIMIT = 1e8
 class StarShapedHypersurface:
     """Radial graph f over S^2, a closed star-shaped surface in R^3, with
     POSITIVITY_FLOOR < f < 1 / POSITIVITY_FLOOR at every node (f[i] the
-    node in row-major order, as a surface file lists them).  The surface
+    node in row-major order, as a surface file stores them).  The surface
     keeps a private read-only copy of the values it is given, so the
     geometry bundle and the inverse it caches always describe it."""
 

@@ -1,13 +1,16 @@
-"""JSON/CSV serialization; decimal text that round-trips doubles exactly.
+"""JSON/CSV serialization that round-trips doubles exactly.
 
-Floats are emitted with Python's shortest round-trip repr (at most 17
-significant digits), so reading a file back reproduces the original
-binary values bit for bit.  JSON output is strict: a non-finite float
-(an unfitted rate, a singular Gram matrix) is written as null.
+A surface file's "f" is one string: standard padded base64 of the node
+values as little-endian float64 in row-major order, so reading it back
+reproduces the binary values bit for bit.  Decimal "f" lists, as older
+files hold them, are still read.  Other floats are emitted with Python's
+shortest round-trip repr.  JSON output is strict: a non-finite float (an
+unfitted rate, a singular Gram matrix) is written as null.
 """
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import json
 import math
@@ -36,28 +39,39 @@ __all__ = [
 def surface_to_dict(surface: StarShapedHypersurface, meta: dict | None = None) -> dict:
     return {
         "grid": {"n_theta": surface.spec.n_theta, "n_phi": surface.spec.n_phi},
-        "f": surface.values.reshape(-1).tolist(),
+        "f": base64.b64encode(surface.values.astype("<f8").tobytes()).decode("ascii"),
         "meta": meta or {},
     }
 
 
 def surface_from_dict(data: dict) -> StarShapedHypersurface:
     """The surface of a dict from `surface_to_dict`: JSON integer grid sizes
-    and a flat "f" list of n_theta*n_phi finite JSON numbers (not booleans)."""
+    and an "f" that is base64 of n_theta*n_phi little-endian float64
+    values, or (an older file) a flat list of that many JSON numbers, not
+    booleans.  Either way every value must be finite."""
     sizes = {key: data["grid"][key] for key in ("n_theta", "n_phi")}
     if bad := [key for key, n in sizes.items() if type(n) is not int]:
         raise ValueError(f"grid {bad[0]} = {sizes[bad[0]]!r:.40} is not an integer")
     spec = GridSpec(**sizes)
     f, n = data["f"], spec.n_theta * spec.n_phi
-    if type(f) is not list or len(f) != n:
-        raise ValueError(f"f must be a flat list of {n} numbers")
-    values = None
-    with contextlib.suppress(OverflowError):            # an int past 1.8e308
-        values = np.array(f, dtype=float) if set(map(type, f)) <= {float, int} else None
-    if values is None or not np.isfinite(values).all():
-        i, v = next((i, v) for i, v in enumerate(f) if type(v) not in (float, int)
-                    or not abs(v) <= sys.float_info.max)
-        raise ValueError(f"f[{i}] = {v!r:.40} is not a finite number")
+    if type(f) is str:
+        raw = base64.b64decode(f, validate=True)
+        if len(raw) != 8 * n:
+            raise ValueError(f"f holds {len(raw)} bytes, not the {8 * n} of {n} float64 values")
+        values = np.frombuffer(raw, "<f8")
+    elif type(f) is list and len(f) == n:
+        values = None
+        with contextlib.suppress(OverflowError):        # an int past 1.8e308
+            values = np.array(f, dtype=float) if set(map(type, f)) <= {float, int} else None
+        if values is None:
+            i, v = next((i, v) for i, v in enumerate(f) if type(v) not in (float, int)
+                        or not abs(v) <= sys.float_info.max)
+            raise ValueError(f"f[{i}] = {v!r:.40} is not a finite number")
+    else:
+        raise ValueError(f"f must be a base64 string or a flat list of {n} numbers")
+    if not np.isfinite(values).all():
+        i = int(np.argmin(np.isfinite(values)))
+        raise ValueError(f"f[{i}] = {float(values[i])!r} is not a finite number")
     return StarShapedHypersurface(ScalarField(spec, values.reshape(spec.shape)))
 
 
@@ -81,36 +95,14 @@ def _finite_or_null(obj):
     if isinstance(obj, dict):
         return {k: _finite_or_null(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        # plain floats, the bulk of a surface's "f" list, skip the call
-        return [(v if math.isfinite(v) else None) if type(v) is float
-                else _finite_or_null(v) for v in obj]
+        return [_finite_or_null(v) for v in obj]
     return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
-# stands in for a surface's "f" list while json.dumps formats the rest
-_F_MARKER = "\x00f"
-
-
-def _float_lines(values) -> str | None:
-    """The indent-1 JSON text of a top-level list of finite floats, one
-    repr per line as json.dumps writes it; None for any other value."""
-    if (type(values) is not list or set(map(type, values)) != {float}
-            or not all(map(math.isfinite, values))):
-        return None
-    return "[\n  " + ",\n  ".join(map(float.__repr__, values)) + "\n ]"
-
-
 def write_json_atomic(path: str, payload: dict):
-    """Write payload as strict JSON, indent 1.  A top-level "f" list of
-    finite floats (a surface's node values) is formatted by hand and put
-    in place of a marker: json's indenting encoder is pure Python, and
-    that list was most of its time.  The bytes are json.dumps's."""
-    f = _float_lines(payload.get("f"))
-    if f is not None:
-        payload = {**payload, "f": _F_MARKER}
+    """Write payload as strict JSON, indent 1, with each non-finite float
+    written as null."""
     text = json.dumps(_finite_or_null(payload), indent=1, allow_nan=False)
-    if f is not None:
-        text = text.replace(json.dumps(_F_MARKER), f, 1)
     _atomic_write_text(path, text + "\n")
 
 
@@ -125,7 +117,8 @@ def save_surface(path: str, surface: StarShapedHypersurface, meta: dict | None =
 
 def load_surface(path: str) -> StarShapedHypersurface:
     """Read a surface file.  Text that is not JSON or nests too deeply, a wrong
-    structure or a non-finite "f" entry raise ValueError; an "f" out of range
+    structure, an "f" that is not valid base64 of the right length, or a
+    non-finite "f" entry raise ValueError; an "f" out of range
     raises DegenerateSurfaceError.  Each names the file."""
     try:
         with open(path) as fh:

@@ -1,12 +1,14 @@
+import base64
 import contextlib
 import io
 import json
 import os
+import struct
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icflab.cli import main
@@ -24,6 +26,11 @@ import oracles
 from conftest import HARMONIC_TERMS
 
 GRID = "16x32"
+
+
+def b64(values) -> str:
+    """A surface file's "f": base64 of little-endian float64 values."""
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
 
 
 def run_cli(*argv):
@@ -79,6 +86,20 @@ class TestGen:
         assert err["error"] == "DegenerateSurfaceError" and "1e+300" in err["message"]
         assert not (tmp_path / "surface.json").exists()
 
+    def test_surface_file_holds_base64_float64(self, tmp_path):
+        # the values bit for bit, row-major, in about half a decimal file
+        out = tmp_path / "h"
+        terms = [",".join(map(str, t)) for t in HARMONIC_TERMS]
+        assert run_cli("gen", "harmonic", "1.0", *terms, "--grid", "64x128",
+                       "--out", str(out)) == 0
+        path = out / "surface.json"
+        f = load_strict_json(path)["f"]
+        assert type(f) is str
+        values = np.frombuffer(base64.b64decode(f), "<f8")
+        expected = harmonic_surface(1.0, HARMONIC_TERMS, GridSpec(64, 128)).values
+        assert np.array_equal(values, expected.reshape(-1))
+        assert path.stat().st_size < 90_000
+
     def test_manifest_written(self, sphere_file):
         with open(sphere_file + ".manifest.json") as fh:
             manifest = json.load(fh)
@@ -119,12 +140,24 @@ class TestDiag:
         {"grid": {"n_theta": [16], "n_phi": 32}, "f": [1.0], "meta": {}},
         {"grid": {"n_theta": 8, "n_phi": 16}, "f": [[1.0]] * 128, "meta": {}},
         {"grid": {"n_theta": 8, "n_phi": 16}, "f": [True] * 128, "meta": {}},
-    ], ids=["top-level-list", "null-grid", "list-n_theta", "nested-f", "boolean-f"])
+        {"grid": {"n_theta": 8, "n_phi": 16},
+         "f": base64.b64encode(np.ones(128).tobytes()[:-1]).decode()},
+        {"grid": {"n_theta": 8, "n_phi": 16},
+         "f": base64.b64encode(np.ones(128).tobytes() + b"\0").decode()},
+        {"grid": {"n_theta": 8, "n_phi": 16}, "f": b64(np.ones(128)).rstrip("=")},
+        {"grid": {"n_theta": 8, "n_phi": 16}, "f": b64(np.ones(128))[:600] + "\n"
+                                                   + b64(np.ones(128))[600:]},
+        {"grid": {"n_theta": 8, "n_phi": 16}, "f": "\u00e9" + b64(np.ones(128))[1:]},
+    ], ids=["top-level-list", "null-grid", "list-n_theta", "nested-f", "boolean-f",
+            "base64-byte-short", "base64-byte-long", "base64-unpadded",
+            "base64-newline", "base64-non-ascii"])
     def test_malformed_file_is_input_error(self, payload, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         assert run_cli("diag", str(path), "--out", str(tmp_path)) == 3
-        err = json.loads(capsys.readouterr().err)
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
         assert err["error"] == "ValueError" and str(path) in err["message"]
 
     @pytest.mark.parametrize("key, size", [
@@ -152,16 +185,22 @@ class TestDiag:
         err = json.loads(lines[0])
         assert err["error"] == "ValueError" and str(path) in err["message"]
 
-    @pytest.mark.parametrize("entry, error", [
-        ([1.0], "ValueError"), (True, "ValueError"), ("1.0", "ValueError"),
-        (10 ** 400, "ValueError"), (1e300, "DegenerateSurfaceError"),
-        (1e-300, "DegenerateSurfaceError"),
-    ], ids=["one-element-list", "boolean", "string", "int-past-double", "huge", "tiny"])
-    def test_bad_entry_of_f_is_named(self, entry, error, tmp_path, capsys):
-        # one bad entry in an 8x16 unit sphere; f past 1 / POSITIVITY_FLOOR
-        # is rejected on load, not as its inverse inside diag
+    @pytest.mark.parametrize("encode, entry, error", [
+        (list, [1.0], "ValueError"), (list, True, "ValueError"),
+        (list, "1.0", "ValueError"), (list, 10 ** 400, "ValueError"),
+        (list, 1e300, "DegenerateSurfaceError"), (list, 1e-300, "DegenerateSurfaceError"),
+        (b64, float("nan"), "ValueError"), (b64, float("inf"), "ValueError"),
+        (b64, 1e300, "DegenerateSurfaceError"), (b64, 1e-300, "DegenerateSurfaceError"),
+        (b64, -1.0, "DegenerateSurfaceError"),
+    ], ids=["one-element-list", "boolean", "string", "int-past-double", "huge", "tiny",
+            "base64-nan", "base64-inf", "base64-huge", "base64-tiny", "base64-negative"])
+    def test_bad_entry_of_f_is_named(self, encode, entry, error, tmp_path, capsys):
+        # one bad entry in an 8x16 unit sphere, as a decimal list or base64;
+        # f past 1 / POSITIVITY_FLOOR is rejected on load, not as its
+        # inverse inside diag
         f = [1.0] * 128
         f[37] = entry
+        f = encode(f)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"grid": {"n_theta": 8, "n_phi": 16}, "f": f}))
         assert run_cli("diag", str(path), "--out", str(tmp_path)) == 3
@@ -177,29 +216,64 @@ JSON_VALUES = st.recursive(
     max_leaves=8)
 
 
+# signalling NaN, inf, subnormal and negative bit patterns for one entry
+# of a base64 "f"
+SPECIAL_WORDS = [struct.pack("<Q", 0x7FF0000000000001), struct.pack("<d", float("inf")),
+                 struct.pack("<Q", 1), struct.pack("<d", -1.0)]
+
+
+def splice(raw: bytes, i: int, word: bytes) -> bytes:
+    """Float64 bytes raw with entry i replaced by word."""
+    return raw[:8 * i] + word + raw[8 * i + 8:]
+
+
 @st.composite
 def surface_documents(draw):
     """Any JSON value, or an 8x16 sphere, its radius inside or past either
-    bound, whose grid, "f" or one entry of "f" may be replaced by any JSON
-    value."""
+    bound, with "f" a decimal list or base64, whose grid or "f" may be
+    replaced by any JSON value, whose "f" may be cut short, or one entry of
+    whose "f" may be replaced by any JSON value (list) or 8-byte word
+    (base64)."""
     if draw(st.booleans()):
         return draw(JSON_VALUES)
+    radius = draw(st.sampled_from([1.0, 1e-300, 1e-9, 0.5, 1e7, 1e9, 1e300]))
+    encoded = draw(st.booleans())
+    where = draw(st.sampled_from(["none", "grid", "n_theta", "f", "entry", "truncated"]))
+    f, raw = [radius] * 128, np.full(128, radius, "<f8").tobytes()
+    if where == "truncated":
+        cut = draw(st.integers(0, len(raw) - 1))
+        f, raw = f[:cut // 8], raw[:cut]
+    elif where == "entry":
+        i = draw(st.integers(0, 127))
+        if encoded:
+            raw = splice(raw, i, draw(st.sampled_from(SPECIAL_WORDS)
+                                      | st.binary(min_size=8, max_size=8)))
+        else:
+            f[i] = draw(JSON_VALUES)
     doc = {"grid": {"n_theta": 8, "n_phi": 16},
-           "f": [draw(st.sampled_from([1.0, 1e-300, 1e-9, 0.5, 1e7, 1e9, 1e300]))] * 128}
-    where = draw(st.sampled_from(["none", "grid", "n_theta", "f", "entry"]))
+           "f": base64.b64encode(raw).decode("ascii") if encoded else f}
     if where == "grid":
         doc["grid"] = draw(JSON_VALUES)
     elif where == "n_theta":
         doc["grid"]["n_theta"] = draw(JSON_VALUES)
     elif where == "f":
         doc["f"] = draw(JSON_VALUES)
-    elif where == "entry":
-        doc["f"][draw(st.integers(0, 127))] = draw(JSON_VALUES)
     return doc
+
+
+def _with_special_words(test):
+    """The test, also run on a unit sphere whose base64 "f" holds each of
+    SPECIAL_WORDS at entry 37, which its random draws may miss."""
+    for word in SPECIAL_WORDS:
+        raw = splice(np.ones(128).tobytes(), 37, word)
+        test = example(doc={"grid": {"n_theta": 8, "n_phi": 16},
+                            "f": base64.b64encode(raw).decode("ascii")})(test)
+    return test
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(doc=surface_documents())
+@_with_special_words
 def test_any_json_surface_exits_0_or_3(doc):
     # never a traceback (exit 1) or a numpy warning (an error under the
     # test settings); an input error prints one JSON object on stderr
@@ -467,12 +541,18 @@ class TestSerialization:
     @given(f=st.lists(st.floats(1e-8, 1e8, exclude_min=True, exclude_max=True),
                       min_size=128, max_size=128))
     def test_any_admissible_surface_round_trips_bit_exactly(self, f):
+        # and a file of the older format, the same values as decimals, loads
+        # to the same array
         s = StarShapedHypersurface(ScalarField(GridSpec(8, 16),
                                                np.reshape(f, (8, 16))))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "surface.json")
             save_surface(path, s)
             assert np.array_equal(load_surface(path).values, s.values)
+            legacy = os.path.join(tmp, "legacy.json")
+            with open(legacy, "w") as fh:
+                json.dump({"grid": {"n_theta": 8, "n_phi": 16}, "f": f}, fh)
+            assert np.array_equal(load_surface(legacy).values, s.values)
 
     def test_ckf_round_trip(self, rng):
         V = ConformalKillingField(rng.normal(size=3), rng.normal(size=3),
