@@ -12,6 +12,7 @@ version; identical inputs and seed reproduce outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -190,7 +191,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by
+    every later one: parsing reads it and never changes it."""
     parser = _Parser(
         prog="icflab",
         description="Inverse curvature flows of star-shaped hypersurfaces: "
@@ -207,10 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", nargs="+",
                    help="sphere R | spheroid a c | harmonic base l,m,amp ...")
     p.add_argument("--grid", default="64x128")
-    p.set_defaults(func=cmd_gen)
 
     sub.add_parser("diag", help="energy/invariant report of a surface",
-                   parents=[surface]).set_defaults(func=cmd_diag)
+                   parents=[surface])
 
     p = sub.add_parser("flow", help="run an inverse curvature flow",
                        parents=[surface])
@@ -220,23 +223,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="end time, finite and positive; steps never exceed "
                         "0.02 and shorten where the linearized diffusivity "
                         "varies over the surface")
-    p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("invariance", parents=[surface],
                        help="randomized conformal-invariance audit")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_positive(int), default=20)
     p.add_argument("--tol", type=_positive(float), default=1e-6)
-    p.set_defaults(func=cmd_invariance)
 
     p = sub.add_parser("soliton", help="best-fit conformal field and verdict",
                        parents=[surface])
     p.add_argument("--speed", default="H")
     p.add_argument("--tol", type=_positive(float), default=1e-6)
-    p.set_defaults(func=cmd_soliton)
 
     sub.add_parser("inequality", help="two-sided bound on Qbar",
-                   parents=[surface]).set_defaults(func=cmd_inequality)
+                   parents=[surface])
     return parser
 
 
@@ -246,7 +246,13 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         args.command_line, args.started = ["icflab"] + argv, started
-        return args.func(args)
+        # looked up on each call, not stored in the shared parser, so that a
+        # cmd_* rebound after the parser was built (by a test or a tracer)
+        # is the one that runs
+        command = {"gen": cmd_gen, "diag": cmd_diag, "flow": cmd_flow,
+                   "invariance": cmd_invariance, "soliton": cmd_soliton,
+                   "inequality": cmd_inequality}[args.cmd]
+        return command(args)
     except AuditError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

@@ -202,7 +202,8 @@ def step(surface: StarShapedHypersurface, speed: SpeedFunction,
     The linear part L lam, with L = -(D0 l(l+1) + nu_l) per degree, is
     integrated exactly: D0 is half the largest D / (rho^2 f^2) at the
     start, nu the damping rate `_damping`.  The start is the geometry
-    bundle's `lam`, which `stable_dt` builds in a run.  Each of the four
+    bundle's `lam`, which `stable_dt` builds in a run; a step on a
+    surface without a bundle builds only its kernel part.  Each of the four
     stages passes its coefficients lam and f = exp(synthesis(lam)) to the
     curvature kernel, one evaluation per stage, and takes the rest of the
     equation, N = analysis(sqrt(1 + |grad lam|^2) / (f rho)) +
@@ -344,10 +345,12 @@ def run(surface: StarShapedHypersurface, speed: SpeedFunction, t_end: float,
     t_end and enough states between that records are at most 0.02 time
     units apart, fine enough that finite differences of the records
     resolve the energy rates to three digits; `keep_snapshots` keeps each
-    recorded surface in the trace.  `stable_dt` builds each state's
-    geometry bundle, which a record of the state reads; only the final
-    record builds its own.  So a run evaluates the curvature kernel 5
-    times per step (4 stages, 1 step bound) and once more."""
+    recorded surface in the trace.  `stable_dt` builds the kernel part of
+    each state's geometry bundle, which a record of the state reads; only
+    the final record builds its own.  So a run evaluates the curvature
+    kernel 5 times per step (4 stages, 1 step bound) and once more.  A
+    record also builds the bundle's shape part (`kappa`, `tracefree_sq`);
+    no state of a run builds the frame part."""
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ValueError("t_end must be positive and finite")
     trace = FlowTrace(speed_label=speed.label, mu=speed.mu)

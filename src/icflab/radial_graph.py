@@ -17,8 +17,12 @@ where a flow step starts, and the flow passes those of its stages.  It
 returns H = g^ij h_ij and K = det h / det g in closed form from the
 f-free factors gbar = sigma + dlam dlam and
 hbar = gbar - hess lam, so it never forms g, g^-1 or h; the flow reads
-only H and K.  `geometry` keeps g and g^-1, forms h only for the
-principal curvatures, and adds the normal.  Inverting the
+only H and K.  The bundle `geometry` returns has three parts.  The
+kernel part (g, H, K, the area element, |grad lam|^2 and lam) is built
+by the call.  The frame part (position and normal) and the shape part
+(g^-1, the principal curvatures from h, and |A0|^2) are built from the
+kernel output the bundle keeps, each on the first read of one of its
+fields, so a reader pays only for what it reads.  Inverting the
 surface about the unit sphere (f -> 1/f) relates mean curvatures through
 
     H_inverted = -f^2 H + 2 n f / sqrt(1 + |grad lam|^2),
@@ -26,7 +30,8 @@ surface about the unit sphere (f -> 1/f) relates mean curvatures through
 which `inversion_mean_curvature_check` certifies numerically against an
 independent second geometry computation.  A surface owns its geometry:
 `geometry` builds the bundle on the first call and returns the same
-object after that.  The formulas hold for general n; every surface
+object after that; the bundle holds the surface's values, never the
+surface.  The formulas hold for general n; every surface
 here is a radial graph over S^2, so the code writes them at n = 2.
 """
 
@@ -35,6 +40,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -100,15 +106,22 @@ class StarShapedHypersurface:
 
 @dataclass(frozen=True)
 class GeometryBundle:
-    """Per-node extrinsic geometry of an n = 2 surface; every array,
-    including each component of the chart tensors, is read-only after
-    build.
+    """Per-node extrinsic geometry of an n = 2 surface, in three parts.
+    `geometry` builds the kernel part: `metric`, `area_density`, `H`,
+    `K`, `grad_log_sq` and `lam`.  The frame part (`position`, `normal`)
+    and the shape part (`metric_inv`, `kappa`, `tracefree_sq`) are each
+    built once, on the first read of one of their fields, from the
+    kernel output the bundle keeps (`_kernel` and the values `_f`), by
+    the formulas an eager build would use in the same order, so every
+    field has the same bits whenever it is read.  Every array,
+    including each component of the chart tensors, is read-only once
+    built.
 
     Index conventions: the symmetric chart tensors `metric` and
     `metric_inv` are (00, 01, 11) tuples of (nt, nph) component arrays in
-    (theta, phi) order, formed by `geometry` from the f-free factors
-    `curvature` returns; the second form h is not kept, since every
-    reader needs only its invariants.  `H` and `K` are the kernel's
+    (theta, phi) order, formed from the f-free factors `curvature`
+    returns; the second form h is not kept, since every reader needs
+    only its invariants.  `H` and `K` are the kernel's
     kappa_1 + kappa_2 and kappa_1 kappa_2, the elementary symmetric
     polynomials sigma_1 and sigma_2 of the principal curvatures (sigma_0
     is 1); `kappa` is sorted ascending; `tracefree_sq` comes from the
@@ -120,21 +133,63 @@ class GeometryBundle:
     """
 
     spec: GridSpec
-    position: np.ndarray        # (nt, nph, 3) ambient points f*p
-    normal: np.ndarray          # (nt, nph, 3) outward unit normal
     metric: tuple               # g_ij
-    metric_inv: tuple           # g^ij
     area_density: np.ndarray    # dmu / dmu_round
     H: np.ndarray               # mean curvature = sum kappa_i
     K: np.ndarray               # Gauss curvature = kappa_1 kappa_2
-    kappa: np.ndarray           # (nt, nph, 2) principal curvatures
-    tracefree_sq: np.ndarray    # |A - (H/2) g|^2
     grad_log_sq: np.ndarray     # |grad log f|^2 on the round sphere
     lam: np.ndarray             # harmonic coefficients of log f
+    _kernel: Curvature          # what `curvature` returned for lam and f
+    _f: np.ndarray              # node values of f
+
+    # the frame part
+    position = property(lambda b: b._frame[0])      # (nt, nph, 3) ambient points f*p
+    normal = property(lambda b: b._frame[1])        # (nt, nph, 3) outward unit normal
+    # the shape part
+    metric_inv = property(lambda b: b._shape[0])    # g^ij
+    kappa = property(lambda b: b._shape[1])         # (nt, nph, 2) principal curvatures
+    tracefree_sq = property(lambda b: b._shape[2])  # |A - (H/2) g|^2
 
     def integrate(self, values: np.ndarray) -> float:
         """Surface integral of a per-node quantity against dmu."""
         return make_grid(self.spec).integrate_values(values * self.area_density)
+
+    @cached_property
+    def _frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """(position, normal): nu = (p - grad^k lam d_k p) / sqv."""
+        grid = make_grid(self.spec)
+        c = self._kernel
+        p, e_t, e_p = grid.node_frame()
+        st = grid.sin_theta[:, None]
+        e_p = e_p * st[..., None]               # the chart's d/dphi, sin(theta) e_phi
+        lt, lp = c.lam_grad
+        lp_up = lp / st**2
+        nu = (p - lt[..., None] * e_t - lp_up[..., None] * e_p) / c.sqv[..., None]
+        return _read_only((self._f[..., None] * p, nu))
+
+    @cached_property
+    def _shape(self) -> tuple[tuple, np.ndarray, np.ndarray]:
+        """(metric_inv, kappa, tracefree_sq), from the shape operator."""
+        c, f = self._kernel, self._f
+        st = make_grid(self.spec).sin_theta[:, None]
+        # g^-1 = adj gbar / (f^2 s^2 v), h = (f / sqv) hbar
+        f2 = f * f
+        g00, g01, g11 = c.gbar
+        inv_det = 1.0 / (f2 * st**2 * (1.0 + c.grad_sq))
+        gi00, gi01, gi11 = g11 * inv_det, -g01 * inv_det, g00 * inv_det
+        fac = f / c.sqv
+        h00, h01, h11 = (h_ij * fac for h_ij in c.hbar)
+
+        # trace-free discriminant of S = g^-1 h, (kappa_2 - kappa_1)^2 / 4;
+        # H^2/4 - K cancels at umbilics.  |A0|^2 = sum (kappa_i - H/2)^2 is
+        # twice it.
+        half_diff = 0.5 * (gi00 * h00 - gi11 * h11)             # (S00 - S11) / 2
+        S01 = gi00 * h01 + gi01 * h11
+        S10 = gi01 * h00 + gi11 * h01
+        disc_sq = np.clip(half_diff * half_diff + S01 * S10, 0.0, None)
+        disc = np.sqrt(disc_sq)
+        kappa = np.stack([0.5 * c.H - disc, 0.5 * c.H + disc], axis=-1)
+        return _read_only(((gi00, gi01, gi11), kappa, 2.0 * disc_sq))
 
 
 class Curvature(NamedTuple):
@@ -152,10 +207,20 @@ class Curvature(NamedTuple):
     K: np.ndarray               # det h / det g
 
 
+def _read_only(value):
+    """Mark every array in value, a (nested) tuple, read-only; return it."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+    return value
+
+
 def curvature(grid: Grid, lam: np.ndarray, f: np.ndarray) -> Curvature:
     """The curvature kernel: H and K of the radial graph of f on an n = 2
     grid, with the f-free chart factors they are built from; it forms
-    neither g, g^-1 and h (`geometry` does) nor principal curvatures.
+    neither g, g^-1 and h (the geometry bundle does) nor principal curvatures.
     lam holds the harmonic coefficients of log f, shape (m_max+1,
     l_max+1, 2), and f its values at the nodes: `geometry` analyses
     log f, the flow passes the coefficients it steps.  The degree-0
@@ -204,8 +269,10 @@ def curvature(grid: Grid, lam: np.ndarray, f: np.ndarray) -> Curvature:
 
 
 def geometry(surface: StarShapedHypersurface) -> GeometryBundle:
-    """Full geometry bundle of a star-shaped surface, built on the first
-    call and returned again on every later one."""
+    """Geometry bundle of a star-shaped surface, built on the first call
+    and returned again on every later one.  The call builds the kernel
+    part, with one analysis and one kernel evaluation; the frame and
+    shape parts wait for their first read."""
     if surface._geometry is not None:
         return surface._geometry
     grid = surface.grid()
@@ -218,47 +285,14 @@ def geometry(surface: StarShapedHypersurface) -> GeometryBundle:
     lam[0, 0, 0] += math.sqrt(4.0 * math.pi) * mean
     c = curvature(grid, lam, f)
 
-    p, e_t, e_p = grid.node_frame()
-    st = grid.sin_theta[:, None]
-    e_p *= st[..., None]                    # the chart's d/dphi, sin(theta) e_phi
-
-    lt, lp = c.lam_grad
-    lp_up = lp / st**2
-    nu = (p - lt[..., None] * e_t - lp_up[..., None] * e_p) / c.sqv[..., None]
-
-    # g = f^2 gbar, g^-1 = adj gbar / (f^2 s^2 v), h = (f / sqv) hbar:
-    # g^-1 first, then g and h in place in the kernel's own gbar and hbar
-    f2 = f * f
-    (g00, g01, g11), (h00, h01, h11) = c.gbar, c.hbar
-    inv_det = 1.0 / (f2 * st**2 * (1.0 + c.grad_sq))
-    gi00, gi01, gi11 = g11 * inv_det, -g01 * inv_det, g00 * inv_det
-    fac = f / c.sqv
-    for g_ij, h_ij in zip(c.gbar, c.hbar):
-        g_ij *= f2
-        h_ij *= fac
-
-    # trace-free discriminant of S = g^-1 h, (kappa_2 - kappa_1)^2 / 4;
-    # H^2/4 - K cancels at umbilics.  |A0|^2 = sum (kappa_i - H/2)^2 is
-    # twice it.
-    half_diff = 0.5 * (gi00 * h00 - gi11 * h11)             # (S00 - S11) / 2
-    S01 = gi00 * h01 + gi01 * h11
-    S10 = gi01 * h00 + gi11 * h01
-    disc_sq = np.clip(half_diff * half_diff + S01 * S10, 0.0, None)
-    disc = np.sqrt(disc_sq)
-    kappa = np.stack([0.5 * c.H - disc, 0.5 * c.H + disc], axis=-1)
-
+    f2 = f * f                              # g = f^2 gbar
     bundle = GeometryBundle(
-        spec=surface.spec,
-        position=f[..., None] * p, normal=nu,
-        metric=c.gbar, metric_inv=(gi00, gi01, gi11),
-        area_density=f2 * c.sqv,
-        H=c.H, K=c.K, kappa=kappa,
-        tracefree_sq=2.0 * disc_sq, grad_log_sq=c.grad_sq, lam=lam,
+        spec=surface.spec, metric=tuple(g_ij * f2 for g_ij in c.gbar),
+        area_density=f2 * c.sqv, H=c.H, K=c.K, grad_log_sq=c.grad_sq,
+        lam=lam, _kernel=c, _f=f,
     )
     for value in vars(bundle).values():
-        for arr in value if isinstance(value, tuple) else (value,):
-            if isinstance(arr, np.ndarray):
-                arr.setflags(write=False)
+        _read_only(value)
     object.__setattr__(surface, "_geometry", bundle)
     return bundle
 

@@ -180,13 +180,20 @@ class Grid:
 
     def node_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Unit node directions p and unit tangents e_theta, e_phi, each
-        (n_theta, n_phi, 3); built on every call, not stored."""
+        (n_theta, n_phi, 3); built on the first call, then the same
+        read-only arrays on every later one."""
+        return self._node_frame
+
+    @cached_property
+    def _node_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         st, ct = self.sin_theta[:, None], self.cos_theta[:, None]
         sph, cph = np.sin(self.phi)[None, :], np.cos(self.phi)[None, :]
         p = np.stack([st * cph, st * sph, ct * np.ones_like(cph)], axis=-1)
         e_t = np.stack([ct * cph, ct * sph, -st * np.ones_like(cph)], axis=-1)
         e_p = np.stack([-sph * np.ones_like(st), cph * np.ones_like(st),
                         np.zeros(self.spec.shape)], axis=-1)
+        for arr in (p, e_t, e_p):
+            arr.setflags(write=False)
         return p, e_t, e_p
 
     # ------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from icflab.cli import main
+from icflab.cli import build_parser, main
 from icflab.flow import SpeedFunction, run
 from icflab.invariants import e_tensor, energy_report
 from icflab.serialize import (ckf_from_dict, ckf_to_dict, load_surface,
@@ -508,6 +508,26 @@ class TestOutputContract:
             assert manifest["outputs"] == outputs
             assert manifest["inputs"] == [sphere_file]
             assert manifest["config"] == {"speed": "H", "t_end": 0.01}
+
+    def test_commands_in_one_process_share_no_state(self, sphere_file, tmp_path,
+                                                    monkeypatch):
+        # one parser serves every call; no option of one call reaches the
+        # next, and a command rebound after the parser was built still runs
+        import icflab.cli as cli
+        assert build_parser() is build_parser()
+        assert run_cli("flow", sphere_file, "--speed", "quotient:2", "--t-end",
+                       "0.01", "--out", str(tmp_path / "flow")) == 0
+        calls, soliton = [], cli.cmd_soliton
+
+        def counted(args):
+            calls.append(args.cmd)
+            return soliton(args)
+
+        monkeypatch.setattr(cli, "cmd_soliton", counted)
+        assert run_cli("soliton", sphere_file, "--out", str(tmp_path / "sol")) == 0
+        assert calls == ["soliton"]
+        manifest = load_strict_json(tmp_path / "sol" / "soliton.json.manifest.json")
+        assert manifest["config"] == {"speed": "H", "tol": 1e-6}
 
     def test_usage_errors_are_input_errors(self, sphere_file, tmp_path, capsys):
         # an unknown option and a missing argument: exit 3, a JSON error

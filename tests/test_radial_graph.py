@@ -18,6 +18,10 @@ from icflab.surfaces import harmonic_surface, real_harmonic, sphere_surface, sph
 import oracles
 from conftest import HARMONIC_TERMS, SPEC16, SPEC32, SPEC64, nodes, scaled
 
+# every public array field of a geometry bundle, by name
+BUNDLE_FIELDS = ("position", "normal", "metric", "metric_inv", "area_density",
+                 "H", "K", "kappa", "tracefree_sq", "grad_log_sq", "lam")
+
 
 class TestRoundSphere:
     def test_closed_forms(self, sphere64):
@@ -155,12 +159,29 @@ class TestBundleInvariants:
             assert np.abs(g.kappa - eig).max() < 1e-12 * np.abs(g.kappa).max()
 
     def test_bundle_is_read_only(self, harmonic64):
-        g = geometry(harmonic64)
-        arrays = [v for v in vars(g).values() if isinstance(v, np.ndarray)]
-        for tensor in (g.metric, g.metric_inv):
-            assert len(tensor) == 3
-            arrays += tensor
-        assert not any(arr.flags.writeable for arr in arrays)
+        g = geometry(StarShapedHypersurface(harmonic64.f))
+        assert {name for name in dir(g) if not name.startswith("_")} == {
+            *BUNDLE_FIELDS, "spec", "integrate"}
+        for name in BUNDLE_FIELDS:
+            value = getattr(g, name)
+            arrays = value if isinstance(value, tuple) else (value,)
+            assert len(arrays) == (3 if name in ("metric", "metric_inv") else 1)
+            assert not any(arr.flags.writeable for arr in arrays), name
+
+    @pytest.mark.parametrize("fixture", ["sphere64", "spheroid64", "harmonic64"])
+    def test_lazy_parts_are_bit_identical_in_any_read_order(self, fixture,
+                                                            request):
+        # the frame and shape parts are built on first read, from what the
+        # kernel part keeps: the order of reads changes no bit
+        f = request.getfixturevalue(fixture).f
+        fields = []
+        for order in (BUNDLE_FIELDS, BUNDLE_FIELDS[::-1]):
+            g = geometry(StarShapedHypersurface(ScalarField(f.spec, f.values.copy())))
+            fields.append({name: getattr(g, name) for name in order})
+        for name in BUNDLE_FIELDS:
+            a, b = fields[0][name], fields[1][name]
+            pairs = zip(a, b) if isinstance(a, tuple) else [(a, b)]
+            assert all(np.array_equal(x, y) for x, y in pairs), name
 
     def test_appendix_formula_matches_shape_trace(self, spheroid64):
         # the explicit graph mean-curvature formula must reproduce the
@@ -282,13 +303,30 @@ class TestOwnership:
         s = sphere_surface(1.0, SPEC16)
         assert geometry(s) is geometry(s)
 
+    def test_geometry_and_a_cold_step_build_the_kernel_part_only(self):
+        for build in (geometry, lambda s: step(s, SpeedFunction.parse("H"), 1e-3)):
+            s = harmonic_surface(1.0, HARMONIC_TERMS, SPEC16)
+            build(s)
+            assert not {"_frame", "_shape"} & set(vars(geometry(s)))
+
+    @pytest.mark.parametrize("name, part", [
+        ("position", "_frame"), ("normal", "_frame"), ("metric_inv", "_shape"),
+        ("kappa", "_shape"), ("tracefree_sq", "_shape")])
+    def test_a_lazy_field_builds_its_own_part_only(self, name, part):
+        g = geometry(harmonic_surface(1.0, HARMONIC_TERMS, SPEC16))
+        value = getattr(g, name)
+        assert {"_frame", "_shape"} & set(vars(g)) == {part}
+        assert getattr(g, name) is value
+
     @pytest.mark.parametrize("with_inverse", [False, True])
     def test_bundle_is_freed_with_its_surface(self, with_inverse):
         # no reference cycle may keep a dropped surface's bundle alive, so
         # the collector stays off while the surface is dropped
         s = harmonic_surface(1.0, HARMONIC_TERMS, SPEC16)
-        if with_inverse:
-            geometry(invert(s))
+        surfaces = (s, invert(s)) if with_inverse else (s,)
+        for t in surfaces:
+            geometry(t).normal, geometry(t).kappa   # both lazy parts built
+        del surfaces, t
         ref = weakref.ref(geometry(s))
         gc.disable()
         try:

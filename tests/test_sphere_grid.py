@@ -219,6 +219,12 @@ class TestOperatorProperties:
                 table[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
             g._even[0, 0] = False
+        # the node frame is built once per grid and shared
+        frame = g.node_frame()
+        assert g.node_frame() is frame
+        for arr in frame:
+            with pytest.raises(ValueError):
+                arr[0, 0, 0] = 1.0
 
     def test_half_tables_halve_memory_at_128(self):
         # full-height (T3, TW) took 67,108,864 bytes at 128x256
