@@ -33,6 +33,12 @@ is the product of the 15 coefficients (v, M row-major, b) of
 `coefficient_vector` with the 15 `moment_rows` of the surface: nu (3),
 nu_i X_j (9) and 2(X . nu)X - |X|^2 nu (3).  The Hsiung-Minkowski
 residual, the soliton residual and the soliton fit all read these rows.
+The residual takes both k from one pass over blocks of nodes.  Its signed
+sums are linear in the field: the 15 coefficients and the 4 (tr M/3, 2b)
+of alpha_V contract the weighted moments of the rows and of (1, X),
+summed pairwise (a matrix product's long running sums lose digits to the
+cancellation between the two sides).  The coefficients times those rows
+give <V, nu> and alpha_V of every field, whose magnitudes give the L1 sizes.
 
 Sign conventions follow the outward-normal, H > 0 orientation fixed in
 `radial_graph`; every identity's sign is pinned by the round-sphere case.
@@ -64,10 +70,11 @@ __all__ = [
 ]
 
 
-# the invariance audit's sweep of the tensor parameter, (-0.25, 0.0, 1.0);
-# -1/(2n) is where the general-n coefficient 2an+1 vanishes, but in n = 2
-# E(-1/4) = -|A0|^2 g / 2 still vanishes exactly at umbilic points
+# the invariance audit's tensor parameters: it bounds every |2a+1|-scaled
+# sup difference; -1/(2n) is where the general-n coefficient 2an+1
+# vanishes, but in n = 2 E(-1/4) = -|A0|^2 g / 2 still detects umbilics
 DEFAULT_A_VALUES = (-0.25, 0.0, 1.0)
+_HM_BLOCK = 2048      # nodes per block of `hsiung_minkowski_residual`
 
 
 def e_tensor(surface: StarShapedHypersurface,
@@ -163,37 +170,36 @@ def coefficient_vector(V) -> np.ndarray:
     return np.concatenate([v, M.reshape(-1), b])
 
 
-def hsiung_minkowski_residual(surface: StarShapedHypersurface, fields,
-                              k: int) -> np.ndarray:
-    """Relative residuals of the Minkowski-type integral identity for
-    conformal ambient fields, one per field in ``fields``,
+def hsiung_minkowski_residual(surface: StarShapedHypersurface,
+                              fields) -> np.ndarray:
+    """Relative residuals, shape (2, len(fields)), of the Minkowski-type
+    integral identities for conformal ambient fields: row k = 0, 1 holds
 
-        int alpha_V sigma_k / C(n,k) dmu
-            = int <V, nu> sigma_{k+1} / C(n,k+1) dmu,
+        int alpha_V sigma_k / C(n,k) dmu = int <V, nu> sigma_{k+1} / C(n,k+1) dmu,
 
-    which holds for every closed hypersurface when V is conformal Killing
-    (outward-normal convention; the round sphere with V = X gives both
-    sides equal to the area).  Each residual is scaled by the L1 size of
-    its two integrands.
+    true on every closed hypersurface when V is conformal Killing
+    (outward-normal convention; on the round sphere with V = X both sides
+    of k = 0 equal the area), each scaled by the L1 size of its two
+    integrands.  Both rows come from one pass (see the module docstring).
     """
-    if k not in (0, 1):
-        raise ValueError("k must be 0 or 1")
     geom = geometry(surface)
-    rows = moment_rows(surface)
     dmu = (make_grid(surface.spec).weights * geom.area_density).reshape(-1)
-    sigma, binom = (np.ones_like(geom.H), geom.H, geom.K), (1, 2, 1)
-    w_lhs = dmu * sigma[k].reshape(-1) / binom[k]
-    w_rhs = dmu * sigma[k + 1].reshape(-1) / binom[k + 1]
+    weights = np.stack([dmu, dmu * geom.H.reshape(-1) / 2, dmu * geom.K.reshape(-1)])
+    c_nu = np.array([coefficient_vector(V) for V in fields])
+    c_alpha = np.column_stack([c_nu[:, 3:12:4].sum(axis=1) / 3, 2.0 * c_nu[:, 12:]])
 
-    residuals = np.empty(len(fields))
-    for i, V in enumerate(fields):
-        rhs = coefficient_vector(V) @ rows                       # <V, nu>
-        rhs *= w_rhs
-        lhs = V.conformal_factor(geom.position).reshape(-1)      # alpha_V
-        lhs *= w_lhs
-        residuals[i] = (np.sum(lhs - rhs)
-                        / max(np.abs(lhs).sum() + np.abs(rhs).sum(), 1e-300))
-    return residuals
+    # identity k weighs alpha_V by weight k and <V, nu> by weight k + 1
+    rows = moment_rows(surface)
+    ones_x = np.ones((4, dmu.size))   # (1, X), node-contiguous: np.sum runs pairwise
+    ones_x[1:] = geom.position.reshape(-1, 3).T
+    m_nu, m_alpha, l1 = np.zeros((15, 2)), np.zeros((4, 2)), np.zeros((len(fields), 2))
+    for start in range(0, dmu.size, _HM_BLOCK):
+        block = slice(start, start + _HM_BLOCK)
+        nu, x1, w = rows[:, block], ones_x[:, block], weights[:, block]
+        m_nu += np.sum(nu[:, None] * w[1:], axis=2)
+        m_alpha += np.sum(x1[:, None] * w[:2], axis=2)
+        l1 += np.abs(c_nu @ nu) @ np.abs(w[1:].T) + np.abs(c_alpha @ x1) @ np.abs(w[:2].T)
+    return ((c_alpha @ m_alpha - c_nu @ m_nu) / np.maximum(l1, 1e-300)).T
 
 
 def condition_v_residual(surface: StarShapedHypersurface, V, k: int) -> float:

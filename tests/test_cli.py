@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 
 from icflab.cli import build_parser, main
 from icflab.flow import SpeedFunction, run
-from icflab.invariants import e_tensor, energy_report
+from icflab.errors import AuditError
+from icflab.invariants import DEFAULT_A_VALUES, e_tensor, energy_report
 from icflab.serialize import (ckf_from_dict, ckf_to_dict, load_surface,
                               save_surface, surface_from_dict, surface_to_dict,
                               write_json_atomic)
 from icflab.conformal import ConformalKillingField
 from icflab.sphere_grid import GridSpec, ScalarField
-from icflab.radial_graph import StarShapedHypersurface, geometry, sigma_integral
+from icflab.radial_graph import StarShapedHypersurface, geometry, invert, sigma_integral
 from icflab.surfaces import harmonic_surface, sphere_surface, spheroid_surface
 
 import oracles
@@ -414,6 +415,35 @@ class TestInvariance:
         assert load_strict_json(tmp_path / "i" / "invariance.json")["passed"] is False
         assert (tmp_path / "i" / "invariance.json.manifest.json").exists()
 
+    def test_verdict_scales_the_a0_inversion_difference(self, tmp_path):
+        # E(a) = -(2a+1)|A0|^2 g in n = 2, so the audit writes the a = 0
+        # sup difference and holds the largest |2a+1| over the swept a, 3,
+        # times it against --tol; this surface's Hsiung-Minkowski residual
+        # sits far below its E difference, so a tol between the difference
+        # and 3 times it fails on E alone
+        out_g = tmp_path / "g"
+        assert run_cli("gen", "harmonic", "1.0", "2,2,0.1", "3,1,0.05",
+                       "--grid", "32x64", "--out", str(out_g)) == 0
+        surface_file = str(out_g / "surface.json")
+        assert run_cli("invariance", surface_file, "--out", str(tmp_path / "i")) == 0
+        audit = load_strict_json(tmp_path / "i" / "invariance.json")
+        e_diff, hm = audit["e_inversion_sup_diff"], audit["hm_max_relative_residual"]
+        s = load_surface(surface_file)
+        tensors = (e_tensor(s, 0.0)[0], e_tensor(invert(s), 0.0)[0])
+        assert type(e_diff) is float and e_diff == max(
+            float(np.abs(x - y).max()) for x, y in zip(*tensors))
+        assert max(abs(2 * a + 1) for a in DEFAULT_A_VALUES) == 3
+        assert 0 < 100 * hm < e_diff
+        for factor in (2.0, 2.9, 3.1, 4.0):
+            tol = factor * e_diff
+            out = tmp_path / f"t{factor}"
+            code = run_cli("invariance", surface_file, "--tol", repr(tol),
+                           "--out", str(out))
+            audit = load_strict_json(out / "invariance.json")
+            assert audit["passed"] is (3 * e_diff < tol)
+            assert code == (0 if audit["passed"] else 2)
+            assert audit["e_inversion_sup_diff"] == e_diff
+
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_trials_below_one_is_input_error(self, spheroid_file, tmp_path,
                                              capsys, trials):
@@ -528,6 +558,19 @@ class TestOutputContract:
         assert calls == ["soliton"]
         manifest = load_strict_json(tmp_path / "sol" / "soliton.json.manifest.json")
         assert manifest["config"] == {"speed": "H", "tol": 1e-6}
+
+    def test_a_failed_cross_check_exits_2(self, sphere_file, tmp_path, capsys,
+                                          monkeypatch):
+        # an AuditError from any command: exit 2 and a JSON error on stderr
+        import icflab.cli as cli
+
+        def failing(args):
+            raise AuditError("Qbar escapes its bounds")
+
+        monkeypatch.setattr(cli, "cmd_inequality", failing)
+        assert run_cli("inequality", sphere_file, "--out", str(tmp_path / "q")) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "AuditError", "message": "Qbar escapes its bounds"}
 
     def test_usage_errors_are_input_errors(self, sphere_file, tmp_path, capsys):
         # an unknown option and a missing argument: exit 3, a JSON error

@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose
 from icflab.conformal import AffineField, ConformalKillingField, pushforward_surface
 from icflab.errors import MeanConvexityError
 from icflab.flow import SpeedFunction, normal_speed, step
-from icflab.invariants import (condition_v_residual, DEFAULT_A_VALUES, e_tensor,
-                               energy_report, guan_li_q,
+from icflab.invariants import (_HM_BLOCK, condition_v_residual, DEFAULT_A_VALUES,
+                               e_tensor, energy_report, guan_li_q,
                                hsiung_minkowski_residual, qbar, qk_rate,
                                willmore, willmore_rate)
 from icflab.radial_graph import StarShapedHypersurface, geometry, invert, sigma_integral
@@ -185,12 +185,11 @@ class TestHsiungMinkowski:
         assert abs(lhs - 4 * np.pi) < 1e-10
         assert abs(rhs - 4 * np.pi) < 1e-10
         # the residual is relative to the L1 size lhs + rhs of its integrands
-        assert abs(hsiung_minkowski_residual(sphere64, [V], 0)[0]) < 1e-10 / (lhs + rhs)
+        assert abs(hsiung_minkowski_residual(sphere64, [V])[0, 0]) < 1e-10 / (lhs + rhs)
 
     def test_rotation_fields_trivial(self, spheroid64):
         V = ConformalKillingField([0, 0, 0], [0.7, -0.2, 0.4], 0.0, [0, 0, 0])
-        for k in (0, 1):
-            assert abs(hsiung_minkowski_residual(spheroid64, [V], k)[0]) < 1e-8
+        assert np.abs(hsiung_minkowski_residual(spheroid64, [V])).max() < 1e-8
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_generic_fields_on_test_surfaces(self, k, spheroid64, harmonic64, rng):
@@ -200,7 +199,7 @@ class TestHsiungMinkowski:
                                           rng.normal(0, 0.3, 3),
                                           rng.normal(0, 0.3),
                                           rng.normal(0, 0.2, 3))
-                rel = hsiung_minkowski_residual(s, [V], k)[0]
+                rel = hsiung_minkowski_residual(s, [V])[k, 0]
                 assert abs(rel) < 1e-6
 
     def test_non_conformal_negative_control(self, spheroid64):
@@ -208,9 +207,7 @@ class TestHsiungMinkowski:
         # fails decisively for non-conformal linear fields
         M = np.array([[0.3, 0.4, 0.0], [0.4, -0.1, 0.2], [0.0, 0.2, 0.5]])
         bad = AffineField(np.zeros(3), M)
-        for k in (0, 1):
-            rel = hsiung_minkowski_residual(spheroid64, [bad], k)[0]
-            assert abs(rel) > 1e-3
+        assert np.abs(hsiung_minkowski_residual(spheroid64, [bad])).min() > 1e-3
 
     def test_residual_decreases_under_refinement(self):
         # rough surface so truncation still dominates at the coarse grid
@@ -219,14 +216,20 @@ class TestHsiungMinkowski:
         rels = []
         for spec in (GridSpec(12, 24), GridSpec(24, 48)):
             s = harmonic_surface(1.0, terms, spec)
-            rels.append(abs(hsiung_minkowski_residual(s, [V], 0)[0]))
+            rels.append(abs(hsiung_minkowski_residual(s, [V])[0, 0]))
         assert rels[1] < rels[0] / 4.0 or rels[1] < 1e-12
 
+    @staticmethod
+    def oracle_rows(s, fields):
+        return np.array([[oracles.hsiung_minkowski_residual_pointwise(geometry(s), V, k)
+                          for V in fields] for k in (0, 1)])
+
     @pytest.mark.parametrize("k", [0, 1])
-    def test_matches_pointwise_oracle(self, k, spheroid64, harmonic64):
+    def test_matches_pointwise_oracle(self, k, sphere64, spheroid64, harmonic64):
         # 20 conformal fields, the non-conformal control and a general
         # affine field (a skew part and a translation, so the relative
-        # scale sees M's orientation), all in one call
+        # scale sees M's orientation), all in one call; both rows come
+        # from the one pass, and each case checks row k
         rng = np.random.default_rng(7)
         fields = [ConformalKillingField(rng.normal(0, 0.3, 3),
                                         rng.normal(0, 0.3, 3),
@@ -237,12 +240,27 @@ class TestHsiungMinkowski:
         skew = np.array([[0.0, -0.3, 0.1], [0.3, 0.0, -0.2], [-0.1, 0.2, 0.0]])
         fields += [AffineField(np.zeros(3), control),
                    AffineField([0.1, -0.2, 0.05], control + skew)]
-        for s in (spheroid64, harmonic64):
-            got = hsiung_minkowski_residual(s, fields, k)
-            want = [oracles.hsiung_minkowski_residual_pointwise(geometry(s), V, k)
-                    for V in fields]
-            assert got.shape == (len(fields),)
-            assert np.abs(got - want).max() < 1e-15
+        for s in (sphere64, spheroid64, harmonic64):
+            got = hsiung_minkowski_residual(s, fields)
+            assert got.shape == (2, len(fields))
+            assert np.abs(got[k] - self.oracle_rows(s, fields)[k]).max() < 1e-15
+
+    @pytest.mark.parametrize("n_fields", [1, 41])
+    @pytest.mark.parametrize("spec", [GridSpec(15, 32), GridSpec(25, 32), SPEC48],
+                             ids=["15x32", "25x32", "48x96"])
+    def test_block_boundary_matches_oracle(self, spec, n_fields):
+        # 480, 800 and 4608 nodes: the pass ends inside a block, the first
+        # two within their first block
+        assert spec.n_theta * spec.n_phi % _HM_BLOCK != 0
+        rng = np.random.default_rng(n_fields)
+        fields = [ConformalKillingField(rng.normal(0, 0.3, 3), rng.normal(0, 0.3, 3),
+                                        rng.normal(0, 0.3), rng.normal(0, 0.2, 3))
+                  for _ in range(n_fields)]
+        for s in (sphere_surface(1.0, spec), spheroid_surface(1.0, 0.6, spec),
+                  harmonic_surface(1.0, HARMONIC_TERMS, spec)):
+            got = hsiung_minkowski_residual(s, fields)
+            assert got.shape == (2, n_fields)
+            assert np.abs(got - self.oracle_rows(s, fields)).max() < 1e-15
 
 
 class TestQkRate:
@@ -343,8 +361,6 @@ OUT_OF_RANGE_K = [
     (guan_li_q, (), 0), (guan_li_q, (), 2),
     (condition_v_residual, (dilation_field(),), 2),
     (qk_rate, (dilation_field(),), 2),
-    (hsiung_minkowski_residual, ([dilation_field()],), -1),
-    (hsiung_minkowski_residual, ([dilation_field()],), 2),
 ]
 
 
