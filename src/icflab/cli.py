@@ -251,10 +251,14 @@ def main(argv=None) -> int:
                    "invariance": cmd_invariance, "soliton": cmd_soliton,
                    "inequality": cmd_inequality}[args.cmd]
         return command(args)
+    except AuditError as exc:
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
+              file=sys.stderr)
+        return EXIT_AUDIT
     except (IcfLabError, ValueError, OSError, KeyError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
-        return EXIT_AUDIT if isinstance(exc, AuditError) else EXIT_INPUT
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -60,11 +60,16 @@ class _QuadraticField:
         xx = np.sum(x * x, axis=-1)[..., None]
         return v + x @ M.T + 2.0 * bx * x - xx * b
 
+    @property
+    def alpha_coefficients(self) -> np.ndarray:
+        """(tr(M)/3, 2b): the conformal factor is their product with (1, x)."""
+        _, M, b = self.coefficients
+        return np.concatenate([[np.trace(M) / _AMBIENT_DIM], 2.0 * b])
+
     def conformal_factor(self, x: np.ndarray) -> np.ndarray:
         """div(V)/(n+1) = tr(M)/3 + 2<b, x>; affine in x."""
-        _, M, b = self.coefficients
-        x = np.asarray(x, dtype=float)
-        return np.trace(M) / _AMBIENT_DIM + 2.0 * np.tensordot(x, b, axes=(-1, 0))
+        c = self.alpha_coefficients
+        return c[0] + np.tensordot(np.asarray(x, dtype=float), c[1:], axes=(-1, 0))
 
     def divergence(self, x: np.ndarray) -> np.ndarray:
         return _AMBIENT_DIM * self.conformal_factor(x)

@@ -34,11 +34,12 @@ is the product of the 15 coefficients (v, M row-major, b) of
 nu_i X_j (9) and 2(X . nu)X - |X|^2 nu (3).  The Hsiung-Minkowski
 residual, the soliton residual and the soliton fit all read these rows.
 The residual takes both k from one pass over blocks of nodes.  Its signed
-sums are linear in the field: the 15 coefficients and the 4 (tr M/3, 2b)
-of alpha_V contract the weighted moments of the rows and of (1, X),
-summed pairwise (a matrix product's long running sums lose digits to the
-cancellation between the two sides).  The coefficients times those rows
-give <V, nu> and alpha_V of every field, whose magnitudes give the L1 sizes.
+sums are linear in the field: the 15 coefficients and the 4
+`alpha_coefficients` (tr M/3, 2b) of alpha_V contract the weighted
+moments of the rows and of (1, X), summed pairwise (a matrix product's
+long running sums lose digits to the cancellation between the two
+sides).  The coefficients times those rows give <V, nu> and alpha_V of
+every field, whose magnitudes give the L1 sizes.
 
 Sign conventions follow the outward-normal, H > 0 orientation fixed in
 `radial_graph`; every identity's sign is pinned by the round-sphere case.
@@ -185,8 +186,8 @@ def hsiung_minkowski_residual(surface: StarShapedHypersurface,
     geom = geometry(surface)
     dmu = (make_grid(surface.spec).weights * geom.area_density).reshape(-1)
     weights = np.stack([dmu, dmu * geom.H.reshape(-1) / 2, dmu * geom.K.reshape(-1)])
-    c_nu = np.array([coefficient_vector(V) for V in fields])
-    c_alpha = np.column_stack([c_nu[:, 3:12:4].sum(axis=1) / 3, 2.0 * c_nu[:, 12:]])
+    c_nu = np.array([coefficient_vector(V) for V in fields]).reshape(-1, 15)
+    c_alpha = np.array([V.alpha_coefficients for V in fields]).reshape(-1, 4)
 
     # identity k weighs alpha_V by weight k and <V, nu> by weight k + 1
     rows = moment_rows(surface)

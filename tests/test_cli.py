@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from icflab.cli import build_parser, main
 from icflab.flow import SpeedFunction, run
-from icflab.errors import AuditError
 from icflab.invariants import DEFAULT_A_VALUES, e_tensor, energy_report
 from icflab.serialize import (ckf_from_dict, ckf_to_dict, load_surface,
                               save_surface, surface_from_dict, surface_to_dict,
@@ -558,19 +557,6 @@ class TestOutputContract:
         assert calls == ["soliton"]
         manifest = load_strict_json(tmp_path / "sol" / "soliton.json.manifest.json")
         assert manifest["config"] == {"speed": "H", "tol": 1e-6}
-
-    def test_a_failed_cross_check_exits_2(self, sphere_file, tmp_path, capsys,
-                                          monkeypatch):
-        # an AuditError from any command: exit 2 and a JSON error on stderr
-        import icflab.cli as cli
-
-        def failing(args):
-            raise AuditError("Qbar escapes its bounds")
-
-        monkeypatch.setattr(cli, "cmd_inequality", failing)
-        assert run_cli("inequality", sphere_file, "--out", str(tmp_path / "q")) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err == {"error": "AuditError", "message": "Qbar escapes its bounds"}
 
     def test_usage_errors_are_input_errors(self, sphere_file, tmp_path, capsys):
         # an unknown option and a missing argument: exit 3, a JSON error
