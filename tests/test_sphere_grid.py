@@ -56,6 +56,16 @@ class TestGridSpec:
         assert np.all(np.diff(g.theta) > 0.0)
         assert np.all(g.weights > 0.0)
 
+    @pytest.mark.parametrize("n", [16, 25, 128, 256])
+    def test_sin_theta_is_within_an_ulp_or_so(self, n):
+        # sqrt((1 - x)(1 + x)) against an extended-precision reference;
+        # sin(arccos x) is off by up to 74 ulp at n = 256, and numpy's
+        # arccos gives other bits on CPUs without AVX-512
+        g = make_grid(GridSpec(n, 32))
+        x = g.cos_theta.astype(np.longdouble)
+        ref = np.sqrt((1 - x) * (1 + x))
+        assert np.abs((g.sin_theta - ref) / np.spacing(g.sin_theta)).max() <= 1.1
+
 
 class TestQuadrature:
     @pytest.mark.parametrize("spec", [GridSpec(8, 16), SPEC16, SPEC32, SPEC64])
