@@ -306,19 +306,10 @@ class FlowTrace:
         return zip(*(getattr(self, c) for c in self.csv_header()))
 
     def summary(self) -> dict:
-        return {
-            "speed": self.speed_label,
-            "mu": self.mu,
-            "records": len(self.t),
-            "steps": self.steps,
-            "t_final": self.t[-1],
-            "W_initial": self.W[0], "W_final": self.W[-1],
-            "Q1_initial": self.Q1[0], "Q1_final": self.Q1[-1],
-            "osc_final": self.osc[-1],
-            "shape_dev_final": self.shape_dev[-1],
-            "beta": self.beta,
-            "tracefree_sq_sup_final": self.tracefree_sq_sup[-1],
-        }
+        """The run's speed, mu, step count and fitted rate beta; every
+        recorded value is in the CSV rows, and only there."""
+        return {"speed": self.speed_label, "mu": self.mu, "steps": self.steps,
+                "beta": self.beta}
 
 
 def _decay_rate(t: list, values: list, floor: float) -> float:

@@ -264,13 +264,13 @@ def qbar(surface: StarShapedHypersurface) -> tuple[float, float, float]:
 
 
 def energy_report(surface: StarShapedHypersurface) -> dict:
-    """Every scalar diagnostic of one surface, as the dict `icflab diag`
+    """The scalar diagnostics of one surface, as the dict `icflab diag`
     writes: max |A0|^2 stands for every sup |E(a)| = |2a+1| max |A0|^2,
-    and the area is sigma_integrals[0]."""
+    and the area is sigma_integrals[0].  Nothing of the inverse is built:
+    `qbar` is what `icflab inequality` writes."""
     return {
         "W": willmore(surface),
         "Q": {"1": guan_li_q(surface, 1)},
-        "Qbar": qbar(surface)[0],
         "tracefree_sq_sup": float(geometry(surface).tracefree_sq.max()),
         "sigma_integrals": [sigma_integral(surface, k) for k in range(3)],
     }

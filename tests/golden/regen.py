@@ -51,8 +51,7 @@ ROUNDOFF_FLOORS = {"hm_max_relative_residual": 1e-15,
                    "e_inversion_sup_diff": 1e-14,
                    "fitted": 1e-12, "residual_sup": 1e-13, "residual_l2": 1e-13,
                    "relative_residual": 1e-13,
-                   "tracefree_sq_sup": 1e-12, "tracefree_sq_sup_final": 1e-12,
-                   "shape_dev": 1e-12, "shape_dev_final": 1e-12}
+                   "tracefree_sq_sup": 1e-12, "shape_dev": 1e-12}
 MANIFEST_SKIP = ("wall_clock_s", "tool_version")
 
 README_HARMONIC = ["1.0", "2,2,0.1", "3,1,0.05"]

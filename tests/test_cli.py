@@ -18,6 +18,7 @@ from icflab.serialize import (ckf_from_dict, ckf_to_dict, load_surface,
                               save_surface, surface_from_dict, surface_to_dict,
                               write_json_atomic)
 from icflab.conformal import ConformalKillingField
+from icflab.errors import AuditError
 from icflab.sphere_grid import GridSpec, ScalarField
 from icflab.radial_graph import StarShapedHypersurface, geometry, invert, sigma_integral
 from icflab.surfaces import harmonic_surface, sphere_surface, spheroid_surface
@@ -308,17 +309,16 @@ class TestFlow:
         W = np.array([float(l.split(",")[1]) for l in lines[1:]])
         assert np.all(np.diff(W) <= 1e-8 * W[:-1])
         summary = load_strict_json(out / "flow_summary.json")
-        assert summary["records"] == len(lines) - 1
+        rows = len(lines) - 1
         assert type(summary["steps"]) is int
-        assert summary["steps"] >= summary["records"] - 1 >= 1
-        # the max |A0|^2 column is the in-process trace's, bit for bit,
-        # the first entry that of the initial surface, the last the summary's
+        assert summary["steps"] >= rows - 1 >= 1
+        # the max |A0|^2 column is the in-process trace's, bit for bit, and
+        # its first entry that of the initial surface
         surface = load_surface(str(out_g / "surface.json"))
         trace = run(surface, SpeedFunction.parse("H"), 0.5)
         column = [float(l.split(",")[3]) for l in lines[1:]]
         assert column == trace.tracefree_sq_sup
         assert column[0] == float(geometry(surface).tracefree_sq.max())
-        assert summary["tracefree_sq_sup_final"] == column[-1]
         # too few records to fit beta: written as null, not as bare NaN
         short = tmp_path / "short"
         assert run_cli("flow", str(out_g / "surface.json"), "--t-end", "0.01",
@@ -335,9 +335,9 @@ class TestFlow:
                            "--out", str(gen)) == 0
             assert run_cli("flow", str(gen / "surface.json"), "--t-end", "0.1",
                            "--out", str(out)) == 0
-            summary = load_strict_json(out / "flow_summary.json")
-            assert summary["records"] >= 4
-            assert summary["beta"] is None
+            with open(out / "trace.csv") as fh:
+                assert len(fh.read().strip().split("\n")) - 1 >= 4
+            assert load_strict_json(out / "flow_summary.json")["beta"] is None
 
     def test_input_outside_the_cone_is_input_error(self, tmp_path, capsys):
         # a saddle node: the step bound reads the start's curvatures before
@@ -489,17 +489,36 @@ class TestInequality:
         assert run_cli("inequality", spheroid_file, "--out", str(out)) == 0
         with open(out / "inequality.json") as fh:
             rep = json.load(fh)
-        assert rep["lower"] <= rep["Qbar"] <= rep["upper"]
-        assert rep["margin_lower"] > 0 and rep["margin_upper"] > 0
+        assert rep["lower"] < rep["Qbar"] < rep["upper"]
+
+    def test_audit_failure_exits_2_and_writes_nothing(self, spheroid_file,
+                                                      tmp_path, capsys,
+                                                      monkeypatch):
+        import icflab.invariants as inv
+
+        def escapes(surface):
+            raise AuditError("Qbar escapes its bounds")
+
+        monkeypatch.setattr(inv, "qbar", escapes)
+        out = tmp_path / "q"
+        assert run_cli("inequality", spheroid_file, "--out", str(out)) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "AuditError",
+                                        "message": "Qbar escapes its bounds"}
+        assert not (out / "inequality.json").exists()
 
 
 class TestGeometryCache:
     @pytest.mark.parametrize("argv", [("diag",),
                                       ("invariance", "--trials", "20",
-                                       "--tol", "1e-3")])
+                                       "--tol", "1e-3"),
+                                      ("inequality",)])
     def test_one_kernel_call_per_surface(self, argv, spheroid_file, tmp_path,
                                          monkeypatch):
-        # the surface and its inverse each build their bundle once
+        # the surface and, for every command but diag, its inverse each
+        # build their bundle once
+        builds = 1 if argv[0] == "diag" else 2
         import icflab.radial_graph as rg
         calls = []
         kernel = rg.curvature
@@ -511,19 +530,31 @@ class TestGeometryCache:
         monkeypatch.setattr(rg, "curvature", counted)
         assert run_cli(argv[0], spheroid_file, *argv[1:],
                        "--out", str(tmp_path / "o")) == 0
-        assert len(calls) == 2
-        assert np.allclose(calls[0] * calls[1], 1.0, rtol=1e-14, atol=0.0)
+        assert len(calls) == builds
+        if builds == 2:
+            assert np.allclose(calls[0] * calls[1], 1.0, rtol=1e-14, atol=0.0)
 
 
 class TestOutputContract:
     def test_report_key_order(self, spheroid_file, tmp_path):
-        assert run_cli("diag", spheroid_file, "--out", str(tmp_path)) == 0
-        assert run_cli("soliton", spheroid_file, "--out", str(tmp_path)) == 0
-        assert list(load_strict_json(tmp_path / "diag.json")) == [
-            "W", "Q", "Qbar", "tracefree_sq_sup", "sigma_integrals"]
-        assert list(load_strict_json(tmp_path / "soliton.json")) == [
-            "residual_sup", "residual_l2", "verdict", "tolerance",
-            "relative_residual", "gram_condition", "fitted"]
+        # each number once: no copy of another output of the same command
+        # (the trace rows, Qbar) and no difference of keys in one file
+        for argv in (["diag"], ["soliton"], ["inequality"],
+                     ["invariance", "--trials", "2", "--tol", "1e-3"],
+                     ["flow", "--t-end", "0.01"]):
+            assert run_cli(argv[0], spheroid_file, *argv[1:],
+                           "--out", str(tmp_path)) == 0
+        keys = {"diag.json": ["W", "Q", "tracefree_sq_sup", "sigma_integrals"],
+                "soliton.json": ["residual_sup", "residual_l2", "verdict",
+                                 "tolerance", "relative_residual",
+                                 "gram_condition", "fitted"],
+                "inequality.json": ["Qbar", "lower", "upper"],
+                "invariance.json": ["seed", "trials", "tolerance",
+                                    "hm_max_relative_residual",
+                                    "e_inversion_sup_diff", "passed"],
+                "flow_summary.json": ["speed", "mu", "steps", "beta"]}
+        for name, expected in keys.items():
+            assert list(load_strict_json(tmp_path / name)) == expected, name
 
     def test_flow_manifests_list_both_outputs(self, sphere_file, tmp_path):
         assert run_cli("flow", sphere_file, "--t-end", "0.01",

@@ -351,8 +351,7 @@ class TestEnergyReport:
         assert abs(rep["Q"]["1"] - 4 * np.sqrt(np.pi)) < 1e-9
         assert abs(rep["sigma_integrals"][0] - 4 * np.pi) < 1e-10
         assert rep["tracefree_sq_sup"] < 1e-10 / 3
-        assert list(rep) == ["W", "Q", "Qbar", "tracefree_sq_sup",
-                             "sigma_integrals"]
+        assert list(rep) == ["W", "Q", "tracefree_sq_sup", "sigma_integrals"]
 
 
 # every k outside the n = 2 range of each curvature-integral function,
