@@ -255,7 +255,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return EXIT_AUDIT
-    except (IcfLabError, ValueError, OSError, KeyError) as exc:
+    except (IcfLabError, ValueError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return EXIT_INPUT

@@ -297,7 +297,7 @@ class FlowTrace:
         dev = np.abs(f[..., None] * geom.kappa - 1.0).max()
         self.shape_dev.append(float(dev))
         if keep:
-            self.snapshots.append(ScalarField(surface.spec, f.copy()))
+            self.snapshots.append(surface.f)
 
     def csv_header(self) -> list[str]:
         return ["t", "W", "Q1", "tracefree_sq_sup", "osc", "ubar_mean", "shape_dev"]

@@ -38,7 +38,6 @@ here is a radial graph over S^2, so the code writes them at n = 2.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -70,16 +69,11 @@ class StarShapedHypersurface:
     POSITIVITY_FLOOR < f < 1 / POSITIVITY_FLOOR at every node (f[i] the
     node in row-major order, as a surface file stores them).  The surface
     keeps a private read-only copy of the values it is given, so the
-    geometry bundle and the inverse it caches always describe it."""
+    geometry bundle it caches always describes it."""
 
     f: ScalarField
 
-    # caches, not dataclass fields: the bundle set by `geometry`; the
-    # surface an inverse was made from (strong) and the inverse made from
-    # this surface (weak), set by `invert`
-    _geometry = None
-    _original = None
-    _inverse_ref = None
+    _geometry = None    # the bundle set by `geometry`, not a dataclass field
 
     def __post_init__(self):
         values = np.array(self.f.values)
@@ -308,23 +302,9 @@ def sigma_integral(surface: StarShapedHypersurface, k: int) -> float:
 
 
 def invert(surface: StarShapedHypersurface) -> StarShapedHypersurface:
-    """Inversion about the unit sphere at the origin: f -> 1/f.
-
-    Inverting twice returns the original object, so the involution is
-    exact by construction.  The inverse holds its original, but the
-    original holds its inverse only weakly: a surface that is dropped
-    frees its bundle at once, with no reference cycle to collect.
-    """
-    if surface._original is not None:
-        return surface._original
-    ref = surface._inverse_ref
-    inverse = ref() if ref is not None else None
-    if inverse is None:
-        inverse = StarShapedHypersurface(
-            ScalarField(surface.spec, 1.0 / surface.values))
-        object.__setattr__(inverse, "_original", surface)
-        object.__setattr__(surface, "_inverse_ref", weakref.ref(inverse))
-    return inverse
+    """Inversion about the unit sphere at the origin, f -> 1/f, as a new
+    surface on every call; inverting twice gives f back to within one ulp."""
+    return StarShapedHypersurface(ScalarField(surface.spec, 1.0 / surface.values))
 
 
 def inversion_mean_curvature_check(surface: StarShapedHypersurface) -> float:

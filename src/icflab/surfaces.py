@@ -29,7 +29,7 @@ def spheroid_surface(a: float, c: float, spec: GridSpec) -> StarShapedHypersurfa
     grid = make_grid(spec)
     st, ct = grid.sin_theta[:, None], grid.cos_theta[:, None]
     f = 1.0 / np.sqrt(st**2 / a**2 + ct**2 / c**2)
-    return StarShapedHypersurface(ScalarField(spec, np.broadcast_to(f, spec.shape).copy()))
+    return StarShapedHypersurface(ScalarField(spec, np.broadcast_to(f, spec.shape)))
 
 
 def real_harmonic(ell: int, m: int, spec: GridSpec) -> np.ndarray:

@@ -13,8 +13,9 @@ the corpus; `tests/test_golden.py` reruns it and calls `compare`.
 Comparison rules (`compare`):
 - the same files, and in `runs.json` the same exit codes, stdout and
   stderr for every command;
-- JSON keys in the same order, and strings, integers, booleans and
-  nulls equal; CSV headers equal;
+- JSON keys in the same order (a key change is one difference, and the
+  keys both files hold are still compared), and strings, integers,
+  booleans and nulls equal; CSV headers equal;
 - a surface file's `f` equal bit for bit as decoded float64;
 - every other float within `REL_BOUND` of the larger magnitude, or
   within the absolute floor of `ROUNDOFF_FLOORS` for the keys whose
@@ -115,8 +116,7 @@ def _compare_values(a, b, path: tuple, problems: list, moves: dict):
     if isinstance(a, dict) and isinstance(b, dict):
         if list(a) != list(b):
             problems.append(f"{where}: keys {list(a)} != {list(b)}")
-            return
-        for key in a:
+        for key in (k for k in a if k in b):    # the shared keys, in a's order
             _compare_values(a[key], b[key], path + (key,), problems, moves)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):

@@ -590,6 +590,18 @@ class TestOutputContract:
         manifest = load_strict_json(tmp_path / "sol" / "soliton.json.manifest.json")
         assert manifest["config"] == {"speed": "H", "tol": 1e-6}
 
+    def test_a_key_error_is_a_bug_not_an_input_error(self, sphere_file, tmp_path,
+                                                     monkeypatch):
+        # no input raises KeyError, so main lets one through
+        import icflab.cli as cli
+
+        def broken(args):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(cli, "cmd_diag", broken)
+        with pytest.raises(KeyError):
+            run_cli("diag", sphere_file, "--out", str(tmp_path))
+
     def test_usage_errors_are_input_errors(self, sphere_file, tmp_path, capsys):
         # an unknown option and a missing argument: exit 3, a JSON error
         for argv in (["flow", sphere_file, "--bogus", "1"], ["gen", "sphere"]):

@@ -234,6 +234,7 @@ class TestRunOnSpheres:
         trace = run(s, speed, 1.0)
         for t, snap in zip(trace.t, trace.snapshots):
             assert np.abs(snap.values - np.exp(t / speed.mu)).max() < 1e-8
+            assert not snap.values.flags.writeable
         assert np.abs(np.array(trace.ubar_mean) - 1.0).max() < 1e-9
 
     def test_trace_constants(self):

@@ -55,13 +55,20 @@ def test_compare_flags_each_kind_of_difference(tmp_path):
     def wall_clock(doc):
         doc["wall_clock_s"] = 1e6
 
+    def drop_upper_and_bump(doc):
+        # the shared keys are compared past a key change
+        del doc["upper"]
+        doc["Qbar"] *= 1 + 1e-9
+
     edits = [("sphere16/diag.json", bump), ("harmonic16/surface.json", flip_f),
              ("runs.json", exit_code), ("harmonic32/invariance.json", hm),
-             ("sphere16/diag.json.manifest.json", wall_clock)]
+             ("sphere16/diag.json.manifest.json", wall_clock),
+             ("harmonic16/inequality.json", drop_upper_and_bump)]
     for name, edit in edits:
         _edit_json(fresh / name, edit)
     problems = regen.compare(regen.GOLDEN, fresh)[0]
     flagged = {p.split(":")[0] for p in problems}
     assert flagged == {"sphere16/diag.json/W", "harmonic16/surface.json/f",
                        "runs.json/sphere16/diag/exit",
-                       "harmonic32/invariance.json/hm_max_relative_residual"}
+                       "harmonic32/invariance.json/hm_max_relative_residual",
+                       "harmonic16/inequality.json", "harmonic16/inequality.json/Qbar"}
