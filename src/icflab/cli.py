@@ -4,9 +4,10 @@ invariance audits, soliton fitting and the inversion inequality.
 Exit codes: 0 success, 2 an audit or assertion failed its tolerance,
 3 invalid input or usage (a structured JSON error is printed to stderr).
 Commands write the dicts that the report functions return, through one
-writer that pairs every output file with a `<file>.manifest.json`
-recording the exact command, inputs, configuration, seed and tool
-version; identical inputs and seed reproduce outputs byte for byte.
+writer that pairs every output file with a `<file>.manifest.json` whose
+keys are `command`, `inputs`, `config` (with the seed of a seeded
+command), `tool_version`, `grid`, `wall_clock_s` and `outputs`;
+identical inputs and seed reproduce outputs byte for byte.
 Each number is written once: no output repeats a value that another
 output of the same command holds, or a plain difference of keys in its
 own file, and a value two commands could write belongs to the one named

@@ -260,12 +260,12 @@ def pushforward_surface(V, t: float, surface: StarShapedHypersurface
     """Transport a star-shaped surface by the time-t flow Phi_t of V and
     reconstruct it as a radial graph on the same grid.
 
-    The nodes and their normals are mapped by one exp(tA), after the
-    escape check of `flow_map`.  A conformal map takes normals to
-    normals, so the image normal at the image Y of a node is
-    n' = DPhi_t nu, with nu the input's outward normal (the input's
-    geometry bundle is built for it, so a surface the curvature kernel
-    rejects raises ResolutionError before it is mapped).
+    The nodes and their normals, the frame part of the input's geometry
+    bundle, are mapped by one exp(tA), after the escape check of
+    `flow_map`.  A conformal map takes normals to normals, so the image
+    normal at the image Y of a node is n' = DPhi_t nu, with nu the
+    input's outward normal (a surface the curvature kernel rejects
+    raises ResolutionError as its bundle is built, before it is mapped).
     The image is certified star-shaped by <n', Y> > 0 at every node; this
     is the orientation of the image's direction map up to a positive
     factor.
@@ -288,8 +288,8 @@ def pushforward_surface(V, t: float, surface: StarShapedHypersurface
     """
     grid = surface.grid()
     p = grid.node_frame()[0].reshape(-1, 3)
-    X = surface.values.reshape(-1, 1) * p
-    nu = geometry(surface).normal.reshape(-1, 3)
+    geom = geometry(surface)
+    X, nu = geom.position.reshape(-1, 3), geom.normal.reshape(-1, 3)
     E = _light_cone_image(V, t, X)[0]
     Y, n_img = _push(E, X, nu)
     orient = np.einsum("pc,pc->p", n_img, Y)

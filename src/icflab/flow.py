@@ -216,7 +216,8 @@ def step(surface: StarShapedHypersurface, speed: SpeedFunction,
     ll = grid.ell * (grid.ell + 1.0)
 
     def graph_rhs(lam, f):
-        """analysis(sqrt(1 + |grad lam|^2) / (f rho)), curvature(grid, lam, f), rho"""
+        """analysis(sqv / (f rho)), the bundle curvature(grid, lam, f), rho;
+        sqv = sqrt(1 + |grad lam|^2), H and K are read from the bundle"""
         c = curvature(grid, lam, f)
         rho = _cone_rho(speed, c.H, c.K)
         return grid.analysis(c.sqv / (f * rho)), c, rho

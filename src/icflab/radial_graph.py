@@ -12,18 +12,18 @@ round metric sigma, the induced geometry is, in chart components,
 with nu the outward unit normal, so round spheres have H = n/R > 0 and
 principal curvatures 1/R.  `curvature` is the one kernel that evaluates
 them on a grid, from the harmonic coefficients of lam and the values of
-f: `geometry` analyses lam and keeps the coefficients in its bundle,
-where a flow step starts, and the flow passes those of its stages.  It
-returns H = g^ij h_ij and K = det h / det g in closed form from the
-f-free factors gbar = sigma + dlam dlam and
-hbar = gbar - hess lam, so it never forms g, g^-1 or h; the flow reads
-only H and K.  The bundle `geometry` returns has three parts.  The
-kernel part (g, H, K, the area element, |grad lam|^2 and lam) is built
-by the call.  The frame part (position and normal) and the shape part
-(g^-1, the principal curvatures from h, and |A0|^2) are built from the
-kernel output the bundle keeps, each on the first read of one of its
-fields, so a reader pays only for what it reads.  Inverting the
-surface about the unit sphere (f -> 1/f) relates mean curvatures through
+f, and returns them as a geometry bundle: `geometry` analyses lam and
+caches the kernel's bundle on the surface, where a flow step starts, and
+the flow passes the coefficients of its stages.  The kernel returns
+H = g^ij h_ij and K = det h / det g in closed form from the f-free
+factors gbar = sigma + dlam dlam and hbar = gbar - hess lam, so it never
+forms g, g^-1 or h; the flow reads only H, K and sqrt(1 + |grad lam|^2).
+The bundle's kernel part is what the kernel computed.  Its other fields
+are built from that part, each group on the first read of one of its
+fields, so a reader pays only for what it reads: g, the area element,
+the frame part (position and normal) and the shape part (g^-1, the
+principal curvatures from h, and |A0|^2).  Inverting the surface about
+the unit sphere (f -> 1/f) relates mean curvatures through
 
     H_inverted = -f^2 H + 2 n f / sqrt(1 + |grad lam|^2),
 
@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,7 +50,6 @@ __all__ = [
     "POSITIVITY_FLOOR",
     "StarShapedHypersurface",
     "GeometryBundle",
-    "Curvature",
     "curvature",
     "geometry",
     "sigma_integral",
@@ -100,40 +98,43 @@ class StarShapedHypersurface:
 
 @dataclass(frozen=True)
 class GeometryBundle:
-    """Per-node extrinsic geometry of an n = 2 surface, in three parts.
-    `geometry` builds the kernel part: `metric`, `area_density`, `H`,
-    `K`, `grad_log_sq` and `lam`.  The frame part (`position`, `normal`)
-    and the shape part (`metric_inv`, `kappa`, `tracefree_sq`) are each
-    built once, on the first read of one of their fields, from the
-    kernel output the bundle keeps (`_kernel` and the values `_f`), by
-    the formulas an eager build would use in the same order, so every
-    field has the same bits whenever it is read.  Every array,
-    including each component of the chart tensors, is read-only once
-    built.
+    """Per-node extrinsic geometry of an n = 2 surface, as `curvature`
+    returns it.  The kernel part, the dataclass fields, is what the
+    kernel computes: `H`, `K`, `grad_log_sq`, `sqv`, the f-free factors
+    `gbar` and `hbar`, `lam_grad`, and the coefficients `lam` and node
+    values `_f` it read.  `metric`, `area_density`, the frame part
+    (`position`, `normal`) and the shape part (`metric_inv`, `kappa`,
+    `tracefree_sq`) are each built once, on the first read of one of
+    their fields, from the kernel part, by the formulas an eager build
+    would use in the same order, so every field has the same bits
+    whenever it is read.  `geometry` marks the kernel part read-only,
+    and every array built later, including each component of the chart
+    tensors, is read-only too.
 
-    Index conventions: the symmetric chart tensors `metric` and
-    `metric_inv` are (00, 01, 11) tuples of (nt, nph) component arrays in
-    (theta, phi) order, formed from the f-free factors `curvature`
-    returns; the second form h is not kept, since every reader needs
-    only its invariants.  `H` and `K` are the kernel's
-    kappa_1 + kappa_2 and kappa_1 kappa_2, the elementary symmetric
-    polynomials sigma_1 and sigma_2 of the principal curvatures (sigma_0
-    is 1); `kappa` is sorted ascending; `tracefree_sq` comes from the
-    trace-free discriminant, so it is >= 0 and keeps its digits at
-    umbilic points, where |A|^2 - H^2/2 cancels.  `lam` holds
-    the harmonic coefficients of log f that `curvature` read, shape
+    Index conventions: the symmetric chart tensors are (00, 01, 11)
+    tuples of (nt, nph) component arrays in (theta, phi) order; `gbar`
+    and `hbar` are the f-free factors of the first and second forms,
+    g = f^2 gbar and h = (f / sqv) hbar, with det gbar = sin^2(theta) v;
+    h is not kept, since every reader needs only its invariants.  `H`
+    and `K` are kappa_1 + kappa_2 and kappa_1 kappa_2, the elementary
+    symmetric polynomials sigma_1 and sigma_2 of the principal
+    curvatures (sigma_0 is 1); `kappa` is sorted ascending;
+    `tracefree_sq` comes from the trace-free discriminant, so it is >= 0
+    and keeps its digits at umbilic points, where |A|^2 - H^2/2 cancels.
+    `lam` holds the harmonic coefficients of log f, shape
     (m_max+1, l_max+1, 2), with the node mean at degree 0 only; a flow
     step starts from them.
     """
 
     spec: GridSpec
-    metric: tuple               # g_ij
-    area_density: np.ndarray    # dmu / dmu_round
-    H: np.ndarray               # mean curvature = sum kappa_i
-    K: np.ndarray               # Gauss curvature = kappa_1 kappa_2
-    grad_log_sq: np.ndarray     # |grad log f|^2 on the round sphere
-    lam: np.ndarray             # harmonic coefficients of log f
-    _kernel: Curvature          # what `curvature` returned for lam and f
+    lam: np.ndarray             # harmonic coefficients of lam = log f
+    lam_grad: tuple             # (d_theta, d_phi) of lam
+    grad_log_sq: np.ndarray     # |grad lam|^2 on the round sphere
+    sqv: np.ndarray             # sqrt(v), v = 1 + |grad lam|^2
+    gbar: tuple                 # sigma_ij + lam_i lam_j
+    hbar: tuple                 # sigma_ij + lam_i lam_j - hess_ij lam
+    H: np.ndarray               # mean curvature g^ij h_ij = sum kappa_i
+    K: np.ndarray               # Gauss curvature det h / det g = kappa_1 kappa_2
     _f: np.ndarray              # node values of f
 
     # the frame part
@@ -144,6 +145,17 @@ class GeometryBundle:
     kappa = property(lambda b: b._shape[1])         # (nt, nph, 2) principal curvatures
     tracefree_sq = property(lambda b: b._shape[2])  # |A - (H/2) g|^2
 
+    @cached_property
+    def metric(self) -> tuple:
+        """g_ij = f^2 gbar_ij."""
+        f2 = self._f * self._f
+        return _read_only(tuple(g_ij * f2 for g_ij in self.gbar))
+
+    @cached_property
+    def area_density(self) -> np.ndarray:
+        """dmu / dmu_round = f^2 sqv."""
+        return _read_only(self._f * self._f * self.sqv)
+
     def integrate(self, values: np.ndarray) -> float:
         """Surface integral of a per-node quantity against dmu."""
         return make_grid(self.spec).integrate_values(values * self.area_density)
@@ -152,27 +164,26 @@ class GeometryBundle:
     def _frame(self) -> tuple[np.ndarray, np.ndarray]:
         """(position, normal): nu = (p - grad^k lam d_k p) / sqv."""
         grid = make_grid(self.spec)
-        c = self._kernel
         p, e_t, e_p = grid.node_frame()
         st = grid.sin_theta[:, None]
         e_p = e_p * st[..., None]               # the chart's d/dphi, sin(theta) e_phi
-        lt, lp = c.lam_grad
+        lt, lp = self.lam_grad
         lp_up = lp / st**2
-        nu = (p - lt[..., None] * e_t - lp_up[..., None] * e_p) / c.sqv[..., None]
+        nu = (p - lt[..., None] * e_t - lp_up[..., None] * e_p) / self.sqv[..., None]
         return _read_only((self._f[..., None] * p, nu))
 
     @cached_property
     def _shape(self) -> tuple[tuple, np.ndarray, np.ndarray]:
         """(metric_inv, kappa, tracefree_sq), from the shape operator."""
-        c, f = self._kernel, self._f
+        f = self._f
         st = make_grid(self.spec).sin_theta[:, None]
         # g^-1 = adj gbar / (f^2 s^2 v), h = (f / sqv) hbar
         f2 = f * f
-        g00, g01, g11 = c.gbar
-        inv_det = 1.0 / (f2 * st**2 * (1.0 + c.grad_sq))
+        g00, g01, g11 = self.gbar
+        inv_det = 1.0 / (f2 * st**2 * (1.0 + self.grad_log_sq))
         gi00, gi01, gi11 = g11 * inv_det, -g01 * inv_det, g00 * inv_det
-        fac = f / c.sqv
-        h00, h01, h11 = (h_ij * fac for h_ij in c.hbar)
+        fac = f / self.sqv
+        h00, h01, h11 = (h_ij * fac for h_ij in self.hbar)
 
         # trace-free discriminant of S = g^-1 h, (kappa_2 - kappa_1)^2 / 4;
         # H^2/4 - K cancels at umbilics.  |A0|^2 = sum (kappa_i - H/2)^2 is
@@ -182,23 +193,8 @@ class GeometryBundle:
         S10 = gi01 * h00 + gi11 * h01
         disc_sq = np.clip(half_diff * half_diff + S01 * S10, 0.0, None)
         disc = np.sqrt(disc_sq)
-        kappa = np.stack([0.5 * c.H - disc, 0.5 * c.H + disc], axis=-1)
+        kappa = np.stack([0.5 * self.H - disc, 0.5 * self.H + disc], axis=-1)
         return _read_only(((gi00, gi01, gi11), kappa, 2.0 * disc_sq))
-
-
-class Curvature(NamedTuple):
-    """Output of `curvature`, per grid node.  Symmetric chart tensors are
-    given by their (00, 01, 11) components in (theta, phi) order; `gbar`
-    and `hbar` are the f-free factors of the first and second forms,
-    g = f^2 gbar and h = (f / sqv) hbar, with det gbar = sin^2(theta) v."""
-
-    lam_grad: tuple             # (d_theta, d_phi) of lam = log f
-    grad_sq: np.ndarray         # |grad lam|^2 on the round sphere
-    sqv: np.ndarray             # sqrt(v), v = 1 + |grad lam|^2
-    gbar: tuple                 # sigma_ij + lam_i lam_j
-    hbar: tuple                 # sigma_ij + lam_i lam_j - hess_ij lam
-    H: np.ndarray               # g^ij h_ij
-    K: np.ndarray               # det h / det g
 
 
 def _read_only(value):
@@ -211,10 +207,11 @@ def _read_only(value):
     return value
 
 
-def curvature(grid: Grid, lam: np.ndarray, f: np.ndarray) -> Curvature:
+def curvature(grid: Grid, lam: np.ndarray, f: np.ndarray) -> GeometryBundle:
     """The curvature kernel: H and K of the radial graph of f on an n = 2
-    grid, with the f-free chart factors they are built from; it forms
-    neither g, g^-1 and h (the geometry bundle does) nor principal curvatures.
+    grid, with the f-free chart factors they are built from, as a
+    geometry bundle's kernel part; it forms neither g, g^-1 and h (the
+    bundle does, on first read) nor principal curvatures.
     lam holds the harmonic coefficients of log f, shape (m_max+1,
     l_max+1, 2), and f its values at the nodes: `geometry` analyses
     log f, the flow passes the coefficients it steps.  The degree-0
@@ -259,14 +256,15 @@ def curvature(grid: Grid, lam: np.ndarray, f: np.ndarray) -> Curvature:
     f_det = f * det_g
     H = (g11 * h00 - 2.0 * g01 * h01 + g00 * h11) / (f_det * sqv)
     K = (h00 * h11 - h01 * h01) / (f_det * f * v)
-    return Curvature((lt, lp), grad_sq, sqv, (g00, g01, g11), (h00, h01, h11), H, K)
+    return GeometryBundle(grid.spec, lam, (lt, lp), grad_sq, sqv, (g00, g01, g11),
+                          (h00, h01, h11), H, K, f)
 
 
 def geometry(surface: StarShapedHypersurface) -> GeometryBundle:
     """Geometry bundle of a star-shaped surface, built on the first call
     and returned again on every later one.  The call builds the kernel
-    part, with one analysis and one kernel evaluation; the frame and
-    shape parts wait for their first read."""
+    part, with one analysis and one kernel evaluation, and marks it
+    read-only; every other field waits for its first read."""
     if surface._geometry is not None:
         return surface._geometry
     grid = surface.grid()
@@ -277,14 +275,7 @@ def geometry(surface: StarShapedHypersurface) -> GeometryBundle:
     mean = log_f.mean()
     lam = grid.analysis(log_f - mean)
     lam[0, 0, 0] += math.sqrt(4.0 * math.pi) * mean
-    c = curvature(grid, lam, f)
-
-    f2 = f * f                              # g = f^2 gbar
-    bundle = GeometryBundle(
-        spec=surface.spec, metric=tuple(g_ij * f2 for g_ij in c.gbar),
-        area_density=f2 * c.sqv, H=c.H, K=c.K, grad_log_sq=c.grad_sq,
-        lam=lam, _kernel=c, _f=f,
-    )
+    bundle = curvature(grid, lam, f)
     for value in vars(bundle).values():
         _read_only(value)
     object.__setattr__(surface, "_geometry", bundle)
@@ -316,5 +307,5 @@ def inversion_mean_curvature_check(surface: StarShapedHypersurface) -> float:
     geom = geometry(surface)
     geom_inv = geometry(invert(surface))
     f = surface.values
-    predicted = -f**2 * geom.H + 4.0 * f / np.sqrt(1.0 + geom.grad_log_sq)
+    predicted = -f**2 * geom.H + 4.0 * f / geom.sqv
     return float(np.abs(geom_inv.H - predicted).max())

@@ -148,7 +148,7 @@ def unreached_definitions(sources: dict[str, str], exported) -> list[str]:
 
 # methods that no module reads but that bench/spans.py looks up by name:
 # its SYNTH_METHODS list and its TARGETS entry for `project` (ROADMAP
-# item 1)
+# item 2)
 BENCH_LOOKUPS = ["synth_dtheta", "synth_dphi", "synth_d2theta",
                  "synth_dtheta_dphi", "synth_d2phi", "synth_laplacian",
                  "project"]

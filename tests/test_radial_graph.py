@@ -20,7 +20,10 @@ from conftest import HARMONIC_TERMS, SPEC16, SPEC32, SPEC64, nodes, scaled
 
 # every public array field of a geometry bundle, by name
 BUNDLE_FIELDS = ("position", "normal", "metric", "metric_inv", "area_density",
-                 "H", "K", "kappa", "tracefree_sq", "grad_log_sq", "lam")
+                 "H", "K", "kappa", "tracefree_sq", "grad_log_sq", "lam",
+                 "lam_grad", "sqv", "gbar", "hbar")
+# the kernel part: the fields `curvature` computes
+KERNEL_FIELDS = ("H", "K", "grad_log_sq", "sqv", "gbar", "hbar", "lam_grad")
 
 
 class TestRoundSphere:
@@ -162,11 +165,25 @@ class TestBundleInvariants:
         g = geometry(StarShapedHypersurface(harmonic64.f))
         assert {name for name in dir(g) if not name.startswith("_")} == {
             *BUNDLE_FIELDS, "spec", "integrate"}
+        tensors = ("metric", "metric_inv", "gbar", "hbar")
         for name in BUNDLE_FIELDS:
             value = getattr(g, name)
             arrays = value if isinstance(value, tuple) else (value,)
-            assert len(arrays) == (3 if name in ("metric", "metric_inv") else 1)
+            assert len(arrays) == (3 if name in tensors else
+                                   2 if name == "lam_grad" else 1), name
             assert not any(arr.flags.writeable for arr in arrays), name
+
+    @pytest.mark.parametrize("fixture", ["sphere64", "spheroid64", "harmonic64"])
+    def test_kernel_reproduces_the_bundle_kernel_part(self, fixture, request):
+        # a flow step may take its first stage from the bundle only if the
+        # kernel, given the bundle's lam and f, returns the same bits
+        s = request.getfixturevalue(fixture)
+        g = geometry(s)
+        c = curvature(s.grid(), g.lam, s.values)
+        for name in KERNEL_FIELDS:
+            a, b = getattr(c, name), getattr(g, name)
+            pairs = zip(a, b) if isinstance(a, tuple) else [(a, b)]
+            assert all(x.tobytes() == y.tobytes() for x, y in pairs), name
 
     @pytest.mark.parametrize("fixture", ["sphere64", "spheroid64", "harmonic64"])
     def test_lazy_parts_are_bit_identical_in_any_read_order(self, fixture,
@@ -309,7 +326,8 @@ class TestOwnership:
         for build in (geometry, lambda s: step(s, SpeedFunction.parse("H"), 1e-3)):
             s = harmonic_surface(1.0, HARMONIC_TERMS, SPEC16)
             build(s)
-            assert not {"_frame", "_shape"} & set(vars(geometry(s)))
+            assert not ({"_frame", "_shape", "metric", "area_density"}
+                        & set(vars(geometry(s))))
 
     @pytest.mark.parametrize("name, part", [
         ("position", "_frame"), ("normal", "_frame"), ("metric_inv", "_shape"),
