@@ -100,20 +100,21 @@ def _legendre(x, s, P):
     return P
 
 
-def _order_product(table, x, out, degree_rows=False):
-    """Write out[m] = table[m] @ x[m] for every order m, in blocks of
-    _ORDER_BLOCK orders.  The table vanishes at degrees l < m, so block
-    [m0, m1) reads only degrees l >= m0: of the table's last axis and of
-    x's rows, or with `degree_rows` of the table's rows, writing only
-    those rows of `out` (the caller zeroes the rest).  Every operand a
-    block reads or writes keeps a unit last stride, so each product
-    stays a BLAS call."""
-    for m0 in range(0, table.shape[0], _ORDER_BLOCK):
-        m = slice(m0, m0 + _ORDER_BLOCK)
+def _order_product(blocks, x, out, degree_rows=False):
+    """Write out[m] = table[m] @ x[m] for every order m, one block of
+    orders [m0, m0 + _ORDER_BLOCK) at a time.  A table vanishes at degrees
+    l < m, so each block stores only degrees l >= m0: on its last axis,
+    where it reads only those rows of x, or with `degree_rows` on its rows,
+    where it writes only those rows of `out` (the caller zeroes the rest).
+    Every operand a block reads or writes keeps a unit last stride, so each
+    product stays a BLAS call."""
+    for k, table in enumerate(blocks):
+        m0 = k * _ORDER_BLOCK
+        m = slice(m0, m0 + len(table))
         if degree_rows:
-            np.matmul(table[m, ..., m0:, :], x[m], out=out[m, ..., m0:, :])
+            np.matmul(table, x[m], out=out[m, ..., m0:, :])
         else:
-            np.matmul(table[m, ..., m0:], x[m, ..., m0:, :], out=out[m])
+            np.matmul(table, x[m, ..., m0:, :], out=out[m])
 
 
 class Grid:
@@ -128,27 +129,27 @@ class Grid:
     harmonic degree l (entries with l < m are zero), axis 2 holds
     real/imaginary parts.
 
-    `legendre[m, i, l]` is the orthonormal associated Legendre function
-    P_l^m(cos theta_i) (Condon-Shortley phase, zero for l < m) at the
-    northern nodes i < (n_theta+1)//2, an odd grid's equator included,
-    shape (m_max+1, (n_theta+1)//2, l_max+1): the synthesis table, shared
-    with the surface generators, hence read-only, and a non-contiguous
-    view into the stacked (Td, Tdd, P) table `_T3`, whose one product in
-    `chart_derivatives` gives all five partials.  The
-    nodes and weights are symmetric about the equator and P_l^m(-x) =
+    The orthonormal associated Legendre functions P_l^m(cos theta_i)
+    (Condon-Shortley phase; `legendre(m, l)` reads one) are tabulated at
+    the northern nodes i < (n_theta+1)//2, an odd grid's equator included.
+    The nodes and weights are symmetric about the equator and P_l^m(-x) =
     (-1)^(l+m) P_l^m(x), so every table keeps only these rows (Schaeffer,
-    G-cubed 14, 2013): a product with the coefficients split by the
-    parity of l + m gives even and odd sums, whose sum is a northern row
-    and whose difference the mirrored southern one (`_fold`); an analysis
-    folds the row pairs first and picks each degree's sum by parity.
+    G-cubed 14, 2013): a product with the coefficients split by the parity
+    of l + m gives even and odd sums, whose sum is a northern row and whose
+    difference the mirrored southern one (`_fold`); an analysis folds the
+    row pairs first and picks each degree's sum by parity.
 
-    Every Legendre table product (analysis, synthesis, chart_derivatives) goes
-    through `_order_product`, which takes the orders in blocks of
-    _ORDER_BLOCK and skips the degrees l < m0 below each block's first
-    order, where every table vanishes.  The build vectorizes over orders too:
-    its recurrence steps one degree at a time for all orders to min(l_max,
-    m_max + 2) together, in an (order, degree, row) layout, and its
-    derivative ladder takes blocks of orders.
+    Each table is a tuple of blocks of _ORDER_BLOCK orders from m0 = 0,
+    _ORDER_BLOCK, ..., stored at the degrees l >= m0 only, below which
+    every order of the block vanishes (the same paper's triangular
+    storage): `_T3` stacks (Td, Tdd, P), whose one product in
+    `chart_derivatives` gives all five partials and whose P slot serves
+    synthesis, `_TW` is the weighted P of `analysis`, and `_dfs` serves
+    scattered evaluation.  Every product with them goes through
+    `_order_product`, one BLAS call per block.  The build vectorizes over
+    orders too: its recurrence steps one degree at a time for all orders
+    to min(l_max, m_max + 2) together, in an (order, degree, row) layout,
+    and its derivative ladder fills one block at a time.
     """
 
     def __init__(self, spec: GridSpec):
@@ -166,7 +167,6 @@ class Grid:
         order = np.argsort(-x)                    # theta increasing from north
         self.cos_theta = x[order]
         self.w_theta = w[order]
-        self.theta = np.arccos(self.cos_theta)
         self.phi = 2.0 * np.pi * np.arange(nph) / nph
         # <= 1.1 ulp to n = 256 (sin(arccos x): 74), and CPU-independent bits
         self.sin_theta = np.sqrt((1.0 - self.cos_theta) * (1.0 + self.cos_theta))
@@ -201,60 +201,67 @@ class Grid:
     # table construction
 
     def _build_tables(self):
-        """`_T3`, `legendre`, `_TW`, `_even`.  P holds at index m + 2 the signed
-        orders -2 .. min(L, M + 2) + 2 that the Td / Tdd ladder reads."""
+        """`_T3`, `_TW`, `_even`.  Block k, orders from m0 = k * _ORDER_BLOCK
+        at degrees l >= m0: `_T3` (orders, 3, nh, L + 1 - m0) holds (Td, Tdd,
+        P), `_TW` (orders, L + 1 - m0, nh) the weighted P.  P holds at index
+        m + 2 the signed orders -2 .. min(L, M + 2) + 2 that the ladder reads."""
         nt, L, M = self.spec.n_theta, self.l_max, self.m_max
         nh = (nt + 1) // 2              # northern rows, an odd grid's equator too
         P = np.zeros((min(L, M + 2) + 5, L + 1, nh))
         _legendre(self.cos_theta[:nh], self.sin_theta[:nh], P[2:-2])
         P[:2] = P[4], -P[3]                     # \bar P_l^{-m} = (-1)^m \bar P_l^m
+        w = self.w_theta[:nh] * (2.0 * np.pi / self.spec.n_phi)
+        w[nt // 2:] *= 0.5          # an odd grid's equator row enters analysis twice
 
         def ap(l, m):  # sqrt((l-m)(l+m+1)), clipped at the degree boundary
             return np.sqrt(np.clip((l - m) * (l + m + 1.0), 0.0, None))
 
         # d/dtheta and d^2/dtheta^2 of \bar P_l^m(cos theta) from the order
         # ladder, sqrt((l+m)(l-m+1)) = ap(l, -m); exact, zero at l < m.  A block
-        # computes degrees l >= m0 - 2 in P's layout in its free Tdd and P
-        # slots, then writes Td, Tdd transposed into the stacked (Td, Tdd, P)
-        # table, whose views follow setflags: one made before stays writable.
-        T3 = np.zeros((M + 1, 3, nh, L + 1))
+        # computes its degrees in P's layout in its own Tdd and P slots, then
+        # writes Td, Tdd transposed and P over that scratch; its `_TW` block
+        # is P times the weights in P's layout.
+        T3, TW = [], []
         for m0 in range(0, M + 1, _ORDER_BLOCK):
             m = np.arange(m0, min(m0 + _ORDER_BLOCK, M + 1))[:, None, None]
-            lo, blk = max(m0 - 2, 0), T3[m0: m0 + len(m)]
-            l = np.arange(lo, L + 1.0)[:, None]    # degrees, along P's axis 1
-            R, Q = (blk[:, k].reshape(len(m), L + 1, nh)[:, lo:] for k in (2, 1))
-            S = [P[m0 + k: m0 + k + len(m), lo:] for k in range(5)]  # orders m-2..m+2
+            blk = np.empty((len(m), 3, nh, L + 1 - m0))
+            l = np.arange(m0, L + 1.0)[:, None]    # degrees, along P's axis 1
+            R, Q = (blk[:, k].reshape(len(m), L + 1 - m0, nh) for k in (2, 1))
+            S = [P[m0 + k: m0 + k + len(m), m0:] for k in range(5)]  # orders m-2..m+2
             np.multiply(ap(l, m), S[3], out=R)
             np.subtract(R, np.multiply(ap(l, -m), S[1], out=Q), out=R)
-            np.multiply(0.5, R.swapaxes(1, 2), out=blk[:, 0, :, lo:])
+            np.multiply(0.5, R.swapaxes(1, 2), out=blk[:, 0])
             A = ap(l, m) * ap(l, m + 1)
             B = (l - m) * (l + m + 1.0) + (l + m) * (l - m + 1.0)
             C = ap(l, -m) * ap(l, 1 - m)
             np.multiply(A, S[4], out=R)
             np.subtract(R, np.multiply(B, S[2], out=Q), out=R)
             np.add(R, np.multiply(C, S[0], out=Q), out=R)
-            np.multiply(0.25, R.swapaxes(1, 2), out=blk[:, 1, :, lo:])
-            blk[:, 1, :, :lo] = 0.0                 # where Q left scratch
-        T3[:, 2] = P[2: M + 3].swapaxes(1, 2)
-        del P, S  # before _TW is allocated, so that it can reuse this memory
-        T3.setflags(write=False)
-        self._T3 = T3
-        self.legendre = T3[:, 2]                               # (M+1, nh, L+1)
-        w = self.w_theta[:nh] * (2.0 * np.pi / self.spec.n_phi)
-        w[nt // 2:] *= 0.5          # an odd grid's equator row enters analysis twice
-        self._TW = np.multiply(np.swapaxes(self.legendre, 1, 2), w,
-                               out=np.empty((M + 1, L + 1, nh)))
-        self._TW.setflags(write=False)
+            np.multiply(0.25, R.swapaxes(1, 2), out=blk[:, 1])
+            blk[:, 2] = S[2].swapaxes(1, 2)
+            T3.append(blk)
+            TW.append(S[2] * w)
+        for table in T3 + TW:
+            table.setflags(write=False)
+        self._T3, self._TW = tuple(T3), tuple(TW)
         # where l + m is even: P_l^m(-x) = (-1)^(l+m) P_l^m(x)
         self._even = (self.m_values[:, None] + self.ell) % 2 == 0
         self._even.setflags(write=False)
+
+    def legendre(self, m: int, l: int) -> np.ndarray:
+        """P_l^m(cos theta_i) at the northern nodes, 0 <= m <= min(l, m_max):
+        a read-only view into the synthesis table."""
+        if not 0 <= m <= min(l, self.m_max) or l > self.l_max:
+            raise ValueError(f"no table row for order {m}, degree {l}")
+        k, r = divmod(m, _ORDER_BLOCK)
+        return self._T3[k][r, 2, :, l - m + r]
 
     # ------------------------------------------------------------------
     # transforms on raw arrays
 
     def analysis(self, values: np.ndarray) -> np.ndarray:
         """Project grid values onto orthonormal spherical harmonics."""
-        M1, nh = self.m_max + 1, self._TW.shape[-1]
+        M1, nh = self.m_max + 1, (self.spec.n_theta + 1) // 2
         F = np.fft.rfft(values, axis=1)[:, :M1].T
         # per order, north + south and north - south of the mirrored rows;
         # an odd grid's equator row is in both, at half weight in _TW
@@ -288,8 +295,8 @@ class Grid:
         np.subtract(*((even, odd) if sign > 0 else (odd, even)), out=out[:, ::-1][:, :n])
 
     def synthesis(self, C2):
-        Y = np.empty(self.legendre.shape[:-1] + (4,))
-        _order_product(self.legendre, self._split(C2), Y)
+        Y = np.empty((self.m_max + 1, (self.spec.n_theta + 1) // 2, 4))
+        _order_product((blk[:, 2] for blk in self._T3), self._split(C2), Y)
         buf = np.zeros((self.spec.n_theta, self.spec.n_phi // 2 + 1), dtype=complex)
         self._fold(Y, buf[:, : self.m_max + 1].T, 1.0)
         return np.fft.irfft(buf, n=self.spec.n_phi, axis=-1, norm="forward")
@@ -340,7 +347,7 @@ class Grid:
         with the Legendre product, so f_p, f_tp and f_pp reuse the P and Td
         products.
         """
-        Y = np.empty(self._T3.shape[:-1] + (4,))
+        Y = np.empty((self.m_max + 1, 3, (self.spec.n_theta + 1) // 2, 4))
         _order_product(self._T3, self._split(C2)[:, None], Y)
         buf = np.zeros((5, self.spec.n_theta, self.spec.n_phi // 2 + 1), dtype=complex)
         G = buf[..., : self.m_max + 1]
@@ -356,27 +363,29 @@ class Grid:
     # scattered evaluation (used by the conformal pushforward)
 
     @cached_property
-    def _dfs(self) -> np.ndarray:
+    def _dfs(self) -> tuple[np.ndarray, ...]:
         """Double-Fourier-sphere table, built on the first scattered call.
 
-        Row q of `_dfs[m]` holds the coefficients of cos(q theta) (m even)
-        or sin(q theta) (m odd), q = 0..l_max, of P_l^m(cos theta) for
-        each degree l: the signed-sine table at 2*l_max + 2 equispaced
+        Row q of order m's table holds the coefficients of cos(q theta) (m
+        even) or sin(q theta) (m odd), q = 0..l_max, of P_l^m(cos theta)
+        for each degree l: the signed-sine table at 2*l_max + 2 equispaced
         theta on [0, 2pi), in `_legendre`'s (order, degree, theta) layout,
-        transformed by an FFT over its last axis.  Shape (m_max+1, l_max+1,
-        l_max+1); read-only.
+        FFT-transformed over its last axis into order blocks as in `_T3`,
+        shape (orders, l_max+1, l_max+1 - m0); read-only.
         """
         L = self.l_max
         n = 2 * L + 2
         th = 2.0 * np.pi * np.arange(n) / n
-        F = np.fft.rfft(_legendre(np.cos(th), np.sin(th),
-                                  np.zeros((self.m_max + 1, L + 1, n))), axis=-1)
-        F = F[..., : L + 1].swapaxes(1, 2) * (2.0 / n)         # (order, q, degree)
-        F[:, 0] *= 0.5
-        odd = (self.m_values % 2 == 1)[:, None, None]
-        table = np.ascontiguousarray(np.where(odd, -F.imag, F.real))
-        table.setflags(write=False)
-        return table
+        P = _legendre(np.cos(th), np.sin(th), np.zeros((self.m_max + 1, L + 1, n)))
+        blocks = []
+        for m0 in range(0, self.m_max + 1, _ORDER_BLOCK):
+            F = np.fft.rfft(P[m0: m0 + _ORDER_BLOCK, m0:], axis=-1)
+            F = F[..., : L + 1].swapaxes(1, 2) * (2.0 / n)     # (order, q, degree)
+            F[:, 0] *= 0.5
+            odd = (self.m_values[m0: m0 + len(F)] % 2 == 1)[:, None, None]
+            blocks.append(np.ascontiguousarray(np.where(odd, -F.imag, F.real)))
+            blocks[-1].setflags(write=False)
+        return tuple(blocks)
 
     def evaluate_scattered(self, C2: np.ndarray, theta_s, phi_s,
                            derivatives: bool = False):
@@ -392,12 +401,12 @@ class Grid:
         extended by f(-theta, phi + pi) is a bivariate trigonometric
         polynomial, so each order m has a theta profile that is a cosine
         series (m even) or a sine series (m odd) of degree l_max, with
-        coefficients from one batched product with `_dfs`.  Everything is
-        laid out powers-major, points last: the coefficient rows, ordered
-        (real/imag part, order) per parity, multiply the (l_max+1, P)
-        tables cos(q theta_p) and sin(q theta_p) in two real matrix
-        products, which give the profiles and their theta partials as
-        (rows, P).  The phase rows (cos m phi_p, -sin m phi_p) then weight
+        coefficients from the order-blocked `_dfs` (`_order_product`).
+        Everything is laid out powers-major, points last: the coefficient
+        rows, ordered (real/imag part, order) per parity, multiply the
+        (l_max+1, P) tables cos(q theta_p) and sin(q theta_p) in two real
+        matrix products, which give the profiles and their theta partials
+        as (rows, P).  The phase rows (cos m phi_p, -sin m phi_p) then weight
         and sum them over (part, order); the phi partial uses the rows
         (-m sin m phi_p, -m cos m phi_p) on the same profiles.  Points are
         taken in fixed-size blocks, which bounds the memory.
@@ -409,8 +418,9 @@ class Grid:
 
         # coefficients of every order, weighted 1 (m = 0) or 2 (m > 0) for
         # the conjugate order -m
-        w = np.where(self.m_values == 0, 1.0, 2.0)[:, None, None]
-        D = w * np.matmul(self._dfs, C2)
+        D = np.empty((M + 1, L + 1, 2))
+        _order_product(self._dfs, C2, D)
+        D *= np.where(self.m_values == 0, 1.0, 2.0)[:, None, None]
         # per parity, rows ordered (real/imag part, order) against q
         even = D[0::2].transpose(2, 0, 1).reshape(-1, L + 1)  # cos(q theta)
         odd = D[1::2].transpose(2, 0, 1).reshape(-1, L + 1)   # sin(q theta)

@@ -43,7 +43,7 @@ def real_harmonic(ell: int, m: int, spec: GridSpec) -> np.ndarray:
         raise GenerationError(f"degree {ell} outside 0..{grid.l_max}")
     if abs(m) > ell or abs(m) > grid.m_max:
         raise GenerationError(f"order {m} not representable for degree {ell}")
-    north = grid.legendre[abs(m), :, ell]   # the south by P_l^m(-x) = (-1)^(l+m) P_l^m(x)
+    north = grid.legendre(abs(m), ell)   # the south by P_l^m(-x) = (-1)^(l+m) P_l^m(x)
     south = (-1.0) ** (ell + m) * north[: spec.n_theta // 2][::-1]
     pbar = np.concatenate([north, south])[:, None]
     if m == 0:

@@ -42,4 +42,4 @@ def scaled(surface, c):
 
 def nodes(spec):
     grid = make_grid(spec)
-    return np.meshgrid(grid.theta, grid.phi, indexing="ij")
+    return np.meshgrid(np.arccos(grid.cos_theta), grid.phi, indexing="ij")

@@ -119,7 +119,8 @@ def loop_legendre(x, s, L, M):
 
 
 def loop_tables(grid):
-    """(legendre, _T3, _TW, _dfs) of `grid` from order-by-order loops:
+    """Dense (T3, TW, dfs) of `grid` from order-by-order loops, whose order
+    blocks the grid's `_T3`, `_TW` and `_dfs` store at degrees l >= m0:
     `loop_legendre` of every order up to l_max at the northern rows, the
     Td / Tdd order ladder one order at a time, and the double-Fourier
     table from `loop_legendre` at 2 l_max + 2 angles, transformed over
@@ -159,7 +160,7 @@ def loop_tables(grid):
                     axis=1)[:, : L + 1] * (2.0 / n)
     F[:, 0] *= 0.5
     odd = (grid.m_values % 2 == 1)[:, None, None]
-    return T3[:, 2], T3, TW, np.where(odd, -F.imag, F.real)
+    return T3, TW, np.where(odd, -F.imag, F.real)
 
 
 def full_height_tables(grid):

@@ -36,7 +36,7 @@ A_SWEEP = (-0.25, 0.0, 1.0)
 
 def perturbed_sphere_surface(spec):
     grid = make_grid(spec)
-    T, P = np.meshgrid(grid.theta, grid.phi, indexing="ij")
+    T, P = np.meshgrid(np.arccos(grid.cos_theta), grid.phi, indexing="ij")
     return StarShapedHypersurface(
         ScalarField(spec, 1.0 + 0.1 * np.sin(T) ** 2 * np.cos(2 * P)))
 

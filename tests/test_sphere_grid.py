@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 
 from icflab.errors import GridMismatchError
 from icflab.invariants import willmore_rate
-from icflab.sphere_grid import (_SCATTER_BLOCK, Grid, GridSpec, ScalarField,
-                               _exp_powers, make_grid)
+from icflab.sphere_grid import (_ORDER_BLOCK, _SCATTER_BLOCK, Grid, GridSpec,
+                               ScalarField, _exp_powers, make_grid)
 from icflab.surfaces import sphere_surface
 
 import oracles
@@ -52,8 +52,9 @@ class TestGridSpec:
 
     def test_nodes_avoid_poles(self):
         g = make_grid(SPEC32)
-        assert g.theta[0] > 0.0 and g.theta[-1] < np.pi
-        assert np.all(np.diff(g.theta) > 0.0)
+        theta = np.arccos(g.cos_theta)
+        assert theta[0] > 0.0 and theta[-1] < np.pi
+        assert np.all(np.diff(theta) > 0.0)
         assert np.all(g.weights > 0.0)
 
     @pytest.mark.parametrize("n", [16, 25, 128, 256])
@@ -216,17 +217,28 @@ class TestOperatorProperties:
 
     def test_tables_are_read_only(self):
         # a grid built here, not the cached one other tests share; odd
-        # n_theta, so the northern rows include the equator
-        g = Grid(GridSpec(15, 32))
-        north = (g.m_max + 1, 8, g.l_max + 1)
-        slabs = (g._T3[:, 0], g._T3[:, 1], g.legendre)
-        for table in slabs:
-            assert table.shape == north
-        assert g._T3.shape == (g.m_max + 1, 3, 8, g.l_max + 1)
-        assert g._TW.shape == (g.m_max + 1, g.l_max + 1, 8)
-        for table in slabs + (g._T3, g._TW):
+        # n_theta, so the northern rows include the equator, and 33 orders:
+        # two full order blocks and a third of one order
+        g = Grid(GridSpec(33, 66))
+        L, nh = g.l_max, 17
+        g._dfs
+        assert [len(blk) for blk in g._T3] == [16, 16, 1]
+        for k, (T3, TW, dfs) in enumerate(zip(g._T3, g._TW, g._dfs, strict=True)):
+            n, m0 = len(T3), k * _ORDER_BLOCK
+            assert T3.shape == (n, 3, nh, L + 1 - m0)
+            assert TW.shape == (n, L + 1 - m0, nh)
+            assert dfs.shape == (n, L + 1, L + 1 - m0)
+            for table in (T3, TW, dfs):
+                with pytest.raises(ValueError):
+                    table[0, 0, 0] = 1.0
+        north = g.legendre(20, 25)
+        assert north.shape == (nh,)
+        with pytest.raises(ValueError):
+            north[0] = 1.0
+        # degree 10 < m0 = 16 is not stored for order 20: no wrapped index
+        for m, l in ((20, 10), (20, 19), (-1, 3), (0, L + 1), (33, 33)):
             with pytest.raises(ValueError):
-                table[0, 0, 0] = 1.0
+                g.legendre(m, l)
         with pytest.raises(ValueError):
             g._even[0, 0] = False
         # the node frame is built once per grid and shared
@@ -237,9 +249,12 @@ class TestOperatorProperties:
                 arr[0, 0, 0] = 1.0
 
     def test_half_tables_halve_memory_at_128(self):
-        # full-height (T3, TW) took 67,108,864 bytes at 128x256
+        # exact bytes of the order blocks at degrees l >= m0: full-height
+        # (T3, TW) took 67,108,864 bytes at 128x256, dense half-height ones
+        # 33,554,432, and the dense _dfs 16,777,216
         g = Grid(GridSpec(128, 256))
-        assert g._T3.nbytes + g._TW.nbytes <= 67_108_864 // 2
+        assert sum(t.nbytes for t in g._T3 + g._TW) == 18_874_368
+        assert sum(t.nbytes for t in g._dfs) == 9_437_184
 
     @pytest.mark.parametrize("shape", [(8, 16), (15, 32), (16, 16), (25, 32),
                                        (40, 80), (64, 128), (128, 256)],
@@ -249,16 +264,30 @@ class TestOperatorProperties:
         # order-by-order loops: odd n_theta (the equator row); m_max = 7 <
         # l_max; odd with m_max + 2 < l_max, where the build stops its
         # recurrence at order m_max + 2; 40 orders, not a multiple of the
-        # order block; and the two production grids
+        # order block; and the two production grids.  Each block is its
+        # orders' slice of the dense oracle at degrees l >= m0, and the
+        # dense table is exactly zero at the degrees l < m0 it drops.
         g = make_grid(GridSpec(*shape))
-        ref = oracles.loop_tables(g)
-        for name, table in zip(("legendre", "_T3", "_TW", "_dfs"), ref, strict=True):
-            assert np.array_equal(getattr(g, name), table), name
+        T3, TW, dfs = oracles.loop_tables(g)
+        # _TW keeps degrees on its rows: compare it with degrees last
+        for name, ref in (("_T3", T3), ("_TW", TW.swapaxes(1, 2)), ("_dfs", dfs)):
+            blocks = getattr(g, name)
+            assert len(blocks) == -(-(g.m_max + 1) // _ORDER_BLOCK), name
+            for k, blk in enumerate(blocks):
+                m0 = k * _ORDER_BLOCK
+                m = slice(m0, m0 + _ORDER_BLOCK)
+                got = blk.swapaxes(1, 2) if name == "_TW" else blk
+                assert np.array_equal(got, ref[m, ..., m0:]), (name, k)
+                assert not ref[m, ..., :m0].any(), (name, k)
+        for m in range(g.m_max + 1):
+            for l in range(m, g.l_max + 1):
+                assert np.array_equal(g.legendre(m, l), T3[m, 2, :, l]), (m, l)
 
     def test_build_memory_at_128(self):
         # tracemalloc peaks of the grid build and of the lazily built
-        # double-Fourier table on top of it; a first build imports numpy's
-        # lazily loaded modules, which would count otherwise
+        # double-Fourier table on top of it, 26.8 and 43.0 MiB with order
+        # blocks (32.7 and 64.4 with dense tables); a first build imports
+        # numpy's lazily loaded modules, which would count otherwise
         Grid(GridSpec(8, 16))._dfs
         tracemalloc.start()
         try:
@@ -269,8 +298,8 @@ class TestOperatorProperties:
             dfs_peak = tracemalloc.get_traced_memory()[1] - built
         finally:
             tracemalloc.stop()
-        assert build_peak <= 33 * 2**20
-        assert dfs_peak <= 65 * 2**20
+        assert build_peak <= 28 * 2**20
+        assert dfs_peak <= 45 * 2**20
 
     @pytest.mark.parametrize(
         "spec", [GridSpec(15, 32), GridSpec(16, 16), GridSpec(40, 80), SPEC64],
@@ -332,7 +361,8 @@ class TestOperatorProperties:
         f = g.synthesis(g.analysis(rng.standard_normal(SPEC32.shape)))
         C = g.analysis(f)
         ii, jj = [3, 17, 30], [5, 40, 61]
-        v, dt, dp = g.evaluate_scattered(C, g.theta[ii], g.phi[jj], derivatives=True)
+        v, dt, dp = g.evaluate_scattered(C, np.arccos(g.cos_theta[ii]), g.phi[jj],
+                                         derivatives=True)
         assert np.abs(v - f[ii, jj]).max() < 1e-11
         assert np.abs(dt - g.synth_dtheta(C)[ii, jj]).max() < 1e-10
         assert np.abs(dp - g.synth_dphi(C)[ii, jj]).max() < 1e-10
