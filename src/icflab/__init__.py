@@ -7,28 +7,26 @@ from .sphere_grid import GridSpec, ScalarField, make_grid
 from .radial_graph import (StarShapedHypersurface, GeometryBundle, geometry,
                            sigma_integral, invert,
                            inversion_mean_curvature_check)
-from .conformal import (ConformalKillingField, AffineField, flow_map,
-                        pushforward_surface)
+from .conformal import ConformalKillingField, flow_map, pushforward_surface
 from .invariants import (e_tensor, willmore, willmore_rate,
                          guan_li_q, hsiung_minkowski_residual, qk_rate,
-                         condition_v_residual, qbar, energy_report)
+                         qbar, energy_report)
 from .flow import (SpeedFunction, FlowTrace, normal_speed, step, run,
-                   asymptotics_check, class_c_audit, curvature_norm_speed)
+                   asymptotics_check, class_c_audit)
 from .soliton import residual, best_fit_ckf
 from .surfaces import sphere_surface, spheroid_surface, harmonic_surface
-from .serialize import ckf_from_dict, load_surface, save_surface
+from .serialize import load_surface, save_surface
 
 __all__ = [
     "GridSpec", "ScalarField", "make_grid",
     "StarShapedHypersurface", "GeometryBundle", "geometry",
     "sigma_integral", "invert", "inversion_mean_curvature_check",
-    "ConformalKillingField", "AffineField", "flow_map", "pushforward_surface",
+    "ConformalKillingField", "flow_map", "pushforward_surface",
     "e_tensor", "willmore", "willmore_rate", "guan_li_q",
-    "hsiung_minkowski_residual", "qk_rate", "condition_v_residual",
-    "qbar", "energy_report",
+    "hsiung_minkowski_residual", "qk_rate", "qbar", "energy_report",
     "SpeedFunction", "FlowTrace", "normal_speed", "step", "run",
-    "asymptotics_check", "class_c_audit", "curvature_norm_speed",
+    "asymptotics_check", "class_c_audit",
     "residual", "best_fit_ckf",
     "sphere_surface", "spheroid_surface", "harmonic_surface",
-    "ckf_from_dict", "load_surface", "save_surface",
+    "load_surface", "save_surface",
 ]

@@ -4,8 +4,8 @@ invariance audits, soliton fitting and the inversion inequality.
 Exit codes: 0 success, 2 an audit or assertion failed its tolerance,
 3 invalid input or usage (a structured JSON error is printed to stderr).
 Commands write the dicts that the report functions return, through one
-writer that pairs every output file with a `<file>.manifest.json` whose
-keys are `command`, `inputs`, `config` (with the seed of a seeded
+writer that follows a command's outputs with one `<command>.manifest.json`
+whose keys are `command`, `inputs`, `config` (with the seed of a seeded
 command), `tool_version`, `grid`, `wall_clock_s` and `outputs`;
 identical inputs and seed reproduce outputs byte for byte.
 Each number is written once: no output repeats a value that another
@@ -52,8 +52,8 @@ def _parse_grid(text: str) -> GridSpec:
 
 def _write(args, surface, config: dict, outputs: dict):
     """Write each output into --out (a `.csv` name takes a (header, rows)
-    pair, any other a JSON payload), then one manifest per output that
-    lists all of them, and print the first path."""
+    pair, any other a JSON payload), then the command's one manifest,
+    which lists them, and print the first path."""
     os.makedirs(args.out, exist_ok=True)
     paths = [os.path.join(args.out, name) for name in outputs]
     for path, payload in zip(paths, outputs.values()):
@@ -61,18 +61,15 @@ def _write(args, surface, config: dict, outputs: dict):
             write_csv_atomic(path, *payload)
         else:
             write_json_atomic(path, payload)
-    manifest = {
+    write_json_atomic(os.path.join(args.out, f"{args.cmd}.manifest.json"), {
         "command": " ".join(args.command_line),
         "inputs": [args.surface] if "surface" in vars(args) else [],
         "config": config,
         "tool_version": __version__,
         "grid": {"n_theta": surface.spec.n_theta, "n_phi": surface.spec.n_phi},
-        "wall_clock_s": None,
+        "wall_clock_s": time.monotonic() - args.started,
         "outputs": paths,
-    }
-    for path in paths:
-        manifest["wall_clock_s"] = time.monotonic() - args.started
-        write_json_atomic(path + ".manifest.json", manifest)
+    })
     print(paths[0])
 
 
@@ -105,7 +102,7 @@ def cmd_gen(args) -> int:
         meta = {"name": "harmonic",
                 "params": {"base": base,
                            "terms": [list(t) for t in terms]}}
-    _write(args, surface, meta, {"surface.json": surface_to_dict(surface, meta)})
+    _write(args, surface, {}, {"surface.json": surface_to_dict(surface, meta)})
     return EXIT_OK
 
 

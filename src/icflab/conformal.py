@@ -7,13 +7,13 @@ Every conformal Killing field of flat R^3 has the form
 with v, b vectors, mu a dilation rate and S a skew matrix (the rotation
 generator; a non-skew linear part fails the conformal Killing equation,
 which is why the skew generator rather than a full orthogonal matrix is
-stored).  With M = S + mu I it is v + M X + 2<b, X> X - |X|^2 b, one
-form for conformal and affine fields alike (`_QuadraticField`).  The
-conformal factor div(V)/(dim) is tr(M)/3 + 2<b, X> = mu + 2<b, X>, each
-component of V is a quadratic polynomial, and the generated
-diffeomorphisms are Moebius maps wherever they exist.  The conformal
-group acts linearly on the light cone of R^{4,1}, so the flow has the
-closed form exp(tA) there (`flow_map`).  `_expm` takes this 5x5 exponential
+stored).  With M = S + mu I it is v + M X + 2<b, X> X - |X|^2 b, read
+from the field's `coefficients` (v, M, b).  The conformal factor
+div(V)/(dim) is tr(M)/3 + 2<b, X> = mu + 2<b, X>, each component of V
+is a quadratic polynomial, and the generated diffeomorphisms are Moebius
+maps wherever they exist.  The conformal group acts linearly on the
+light cone of R^{4,1}, so the flow has the closed form exp(tA) there
+(`flow_map`).  `_expm` takes this 5x5 exponential
 in numpy by scaling and squaring (Higham, SIMAX 26(4), 2005): the degree-13
 Taylor polynomial of tA / 2^s in Horner form, s least with 1-norm <= 1/2
 (remainder below 1e-15), squared s times.  The special-conformal part can
@@ -34,7 +34,6 @@ from .sphere_grid import ScalarField
 
 __all__ = [
     "ConformalKillingField",
-    "AffineField",
     "flow_map",
     "pushforward_surface",
 ]
@@ -44,21 +43,35 @@ _ESCAPE_RADIUS = 1e6
 _NEWTON_TOL = 1e-12
 
 
-class _QuadraticField:
-    """The methods of v + M X + 2<b, X> X - |X|^2 b, read from the
-    `coefficients` (v, M, b); an affine field is the case b = 0."""
+@dataclass
+class ConformalKillingField:
+    """Parameters (v, S, mu, b); S is stored by its strictly-lower
+    triangle (rows (1,0), (2,0), (2,1)) so skewness holds exactly."""
+
+    v: np.ndarray
+    s_lower: np.ndarray
+    mu: float
+    b: np.ndarray
 
     def __post_init__(self):
-        if not all(np.all(np.isfinite(c)) for c in self.coefficients):
+        self.v = np.asarray(self.v, dtype=float).reshape(_AMBIENT_DIM)
+        self.s_lower = np.asarray(self.s_lower, dtype=float).reshape(_AMBIENT_DIM)
+        self.mu = float(self.mu)
+        self.b = np.asarray(self.b, dtype=float).reshape(_AMBIENT_DIM)
+        if not np.isfinite([*self.v, *self.s_lower, self.mu, *self.b]).all():
             raise ValueError("non-finite field parameters")
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Field value at ambient points of shape (..., 3)."""
-        v, M, b = self.coefficients
-        x = np.asarray(x, dtype=float)
-        bx = np.tensordot(x, b, axes=(-1, 0))[..., None]
-        xx = np.sum(x * x, axis=-1)[..., None]
-        return v + x @ M.T + 2.0 * bx * x - xx * b
+    @property
+    def skew_matrix(self) -> np.ndarray:
+        a, b_, c = self.s_lower
+        return np.array([[0.0, -a, -b_], [a, 0.0, -c], [b_, c, 0.0]])
+
+    @property
+    def coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(v, M, b) with M = S + mu I."""
+        M = self.skew_matrix
+        np.fill_diagonal(M, self.mu)
+        return self.v, M, self.b
 
     @property
     def alpha_coefficients(self) -> np.ndarray:
@@ -73,56 +86,6 @@ class _QuadraticField:
 
     def divergence(self, x: np.ndarray) -> np.ndarray:
         return _AMBIENT_DIM * self.conformal_factor(x)
-
-
-@dataclass
-class ConformalKillingField(_QuadraticField):
-    """Parameters (v, S, mu, b); S is stored by its strictly-lower
-    triangle (rows (1,0), (2,0), (2,1)) so skewness holds exactly."""
-
-    v: np.ndarray
-    s_lower: np.ndarray
-    mu: float
-    b: np.ndarray
-
-    def __post_init__(self):
-        self.v = np.asarray(self.v, dtype=float).reshape(_AMBIENT_DIM)
-        self.s_lower = np.asarray(self.s_lower, dtype=float).reshape(_AMBIENT_DIM)
-        self.mu = float(self.mu)
-        self.b = np.asarray(self.b, dtype=float).reshape(_AMBIENT_DIM)
-        super().__post_init__()
-
-    @property
-    def skew_matrix(self) -> np.ndarray:
-        a, b_, c = self.s_lower
-        return np.array([[0.0, -a, -b_], [a, 0.0, -c], [b_, c, 0.0]])
-
-    @property
-    def coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(v, M, b) with M = S + mu I."""
-        M = self.skew_matrix
-        np.fill_diagonal(M, self.mu)
-        return self.v, M, self.b
-
-
-@dataclass
-class AffineField(_QuadraticField):
-    """General affine ambient field v + M x; conformal exactly when the
-    symmetric trace-free part of M vanishes.  Used as the negative
-    control in conformal-identity tests."""
-
-    v: np.ndarray
-    M: np.ndarray
-
-    def __post_init__(self):
-        self.v = np.asarray(self.v, dtype=float).reshape(_AMBIENT_DIM)
-        self.M = np.asarray(self.M, dtype=float).reshape(_AMBIENT_DIM, _AMBIENT_DIM)
-        super().__post_init__()
-
-    @property
-    def coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(v, M, b) with b = 0."""
-        return self.v, self.M, np.zeros(_AMBIENT_DIM)
 
 
 def _generator(V) -> np.ndarray:

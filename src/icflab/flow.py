@@ -48,7 +48,6 @@ from . import invariants as inv
 
 __all__ = [
     "SpeedFunction",
-    "curvature_norm_speed",
     "FlowTrace",
     "normal_speed",
     "step",
@@ -113,19 +112,6 @@ class SpeedFunction(NamedTuple):
     def mu(self) -> float:
         """rho at the round point kappa = (1, 1): H = 2, K = 1."""
         return float(self.rho(2.0, 1.0))
-
-
-def curvature_norm_speed() -> SpeedFunction:
-    """The Euclidean norm of the shape operator, sqrt(sum kappa_i^2) =
-    sqrt(H^2 - 2K), on the positive cone H > 0, K > 0, with diffusivity
-    sum_i kappa_i / |A| = H / sqrt(H^2 - 2K).
-
-    Degree-1 homogeneous, symmetric, positive and monotone on the
-    positive cone, but convex rather than concave; serves as the negative
-    control for the concavity audit.
-    """
-    return SpeedFunction("|A|", lambda H, K: np.sqrt(H * H - 2.0 * K), _positive,
-                         lambda H, K: H / np.sqrt(H * H - 2.0 * K))
 
 
 # ----------------------------------------------------------------------
@@ -402,6 +388,8 @@ def asymptotics_check(trace: FlowTrace) -> dict:
 # ----------------------------------------------------------------------
 # class-C audit
 
+_CLASS_C_SAMPLES = 10000
+
 
 def _fd_gradient(rho, kappa, h):
     grad = np.empty_like(kappa)
@@ -430,12 +418,13 @@ def _fd_hessian(rho, kappa, h):
     return H
 
 
-def class_c_audit(speed, n_samples: int = 10000, seed: int = 0) -> dict:
+def class_c_audit(speed, seed: int = 0) -> dict:
     """Sample the five admissibility conditions of a curvature function:
     positivity, symmetry, degree-1 homogeneity, strict monotonicity and
     concavity (semi-negative Hessian) on its cone.
 
-    Samples kappa are drawn in the cone and passed to the speed as
+    Of `_CLASS_C_SAMPLES` points kappa in [0.2, 3]^2, those in the cone
+    (the report's `n_samples`) are passed to the speed as
     (H, K) = (kappa.sum(-1), kappa.prod(-1)), so symmetry holds by
     construction; its check stays.  Samples are normalized to unit scale
     before the finite-difference Hessian check (homogeneity makes that
@@ -443,7 +432,7 @@ def class_c_audit(speed, n_samples: int = 10000, seed: int = 0) -> dict:
     Returns a report dict with per-condition verdicts and worst violations.
     """
     rng = np.random.default_rng(seed)
-    kappa = rng.uniform(0.2, 3.0, size=(n_samples, 2))
+    kappa = rng.uniform(0.2, 3.0, size=(_CLASS_C_SAMPLES, 2))
     kappa = kappa[speed.in_cone(kappa.sum(-1), kappa.prod(-1))]
 
     def rho(k):

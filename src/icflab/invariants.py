@@ -23,9 +23,9 @@ therefore vanishes exactly at umbilic points for every a != -1/2, and
 identically at a = -1/2.  One number, max |A0|^2, gives every sup |E(a)|;
 `energy_report` and the flow monitors print it as `tracefree_sq_sup`.
 
-The Hsiung-Minkowski residual is linear in the field.  Both field
-classes of `conformal` share the form V(X) = v + M X + 2<b, X> X - |X|^2 b
-with conformal factor alpha_V = tr(M)/3 + 2<b, X> (`conformal_factor`), so
+The Hsiung-Minkowski residual is linear in the field.  A field is read
+through its `coefficients` (v, M, b) of V(X) = v + M X + 2<b, X> X -
+|X|^2 b, with conformal factor alpha_V = tr(M)/3 + 2<b, X>, so
 
     <V, nu> = v . nu + sum_ij M_ij nu_i X_j + b . (2 (X . nu) X - |X|^2 nu)
 
@@ -65,7 +65,6 @@ __all__ = [
     "coefficient_vector",
     "hsiung_minkowski_residual",
     "qk_rate",
-    "condition_v_residual",
     "qbar",
     "energy_report",
 ]
@@ -203,22 +202,6 @@ def hsiung_minkowski_residual(surface: StarShapedHypersurface,
     return ((c_alpha @ m_alpha - c_nu @ m_nu) / np.maximum(l1, 1e-300)).T
 
 
-def condition_v_residual(surface: StarShapedHypersurface, V, k: int) -> float:
-    """Difference of the sigma_{k-1}- and sigma_k-weighted averages of
-    div(V); zero exactly when the two weighted averages coincide.
-
-    Ordered so that the transport rate of Q_k satisfies
-    qk_rate = -Q_k/(n+1) * condition_v_residual identically.
-    """
-    if k != 1:
-        raise ValueError("k must be 1")
-    geom = geometry(surface)
-    div = np.asarray(V.divergence(geom.position))
-    avg_k = geom.integrate(geom.H * div) / sigma_integral(surface, 1)
-    avg_km1 = geom.integrate(div) / sigma_integral(surface, 0)
-    return avg_km1 - avg_k
-
-
 def qk_rate(surface: StarShapedHypersurface, V, k: int) -> float:
     """Time derivative of Q_k when the surface is transported by the flow
     of the ambient field V (at t = 0):
@@ -230,7 +213,11 @@ def qk_rate(surface: StarShapedHypersurface, V, k: int) -> float:
     constant, and zero on every round sphere.
     """
     q = guan_li_q(surface, k)
-    return -q / 3 * condition_v_residual(surface, V, k)
+    geom = geometry(surface)
+    div = np.asarray(V.divergence(geom.position))
+    avg_k = geom.integrate(geom.H * div) / sigma_integral(surface, 1)
+    avg_km1 = geom.integrate(div) / sigma_integral(surface, 0)
+    return -q / 3 * (avg_km1 - avg_k)
 
 
 def qbar(surface: StarShapedHypersurface) -> tuple[float, float, float]:

@@ -30,7 +30,6 @@ __all__ = [
     "save_surface",
     "load_surface",
     "ckf_to_dict",
-    "ckf_from_dict",
     "write_json_atomic",
     "write_csv_atomic",
 ]
@@ -78,10 +77,6 @@ def surface_from_dict(data: dict) -> StarShapedHypersurface:
 def ckf_to_dict(V: ConformalKillingField) -> dict:
     return {"v": V.v.tolist(), "S_lower": V.s_lower.tolist(),
             "mu": float(V.mu), "b": V.b.tolist()}
-
-
-def ckf_from_dict(data: dict) -> ConformalKillingField:
-    return ConformalKillingField(data["v"], data["S_lower"], data["mu"], data["b"])
 
 
 def _atomic_write_text(path: str, text: str):

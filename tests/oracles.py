@@ -14,17 +14,21 @@ coefficients), an adaptive reference integrator, the light-cone image
 of round spheres and the conformal factor of a flow map, the spectral
 orientation of a mapped surface's direction map, the node-by-node
 Hsiung-Minkowski residual, the element-by-element JSON null walk, the
+value of a field read from its (v, M, b) coefficients, the affine
+non-conformal control field and the convex `|A|` control speed, the
 conformal Killing residual and finite-difference quadratic check of a
 field, the explicit 4-stage reference integrator of the graph flow, and
 frozen constants produced by the quadrature routines in this file.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from icflab.flow import SpeedFunction
 from icflab.radial_graph import StarShapedHypersurface, curvature
 from icflab.soliton import basis_fields
 from icflab.sphere_grid import ScalarField
@@ -283,7 +287,7 @@ def dop853_flow(field, t_end, x0, rtol=3e-14):
     conformal Killing field from the points x0 (..., 3), integrated as
     one system; rtol sits just above the integrator's floor."""
     x0 = np.asarray(x0, dtype=float)
-    sol = solve_ivp(lambda _, y: field.evaluate(y.reshape(-1, 3)).ravel(),
+    sol = solve_ivp(lambda _, y: quadratic_form(field, y.reshape(-1, 3))[0].ravel(),
                     (0.0, float(t_end)), x0.ravel(), method="DOP853",
                     rtol=rtol, atol=1e-2 * rtol)
     assert sol.success, sol.message
@@ -401,8 +405,8 @@ def hsiung_minkowski_residual_pointwise(geom, V, k, n=2):
     """int alpha_V sigma_k / C(n,k) - <V, nu> sigma_{k+1} / C(n,k+1) dmu
     over the L1 size of its two integrands, evaluating the field and its
     conformal factor at every node."""
-    alpha = np.asarray(V.conformal_factor(geom.position))
-    vn = np.einsum("...c,...c->...", V.evaluate(geom.position), geom.normal)
+    value, alpha = quadratic_form(V, geom.position)
+    vn = np.einsum("...c,...c->...", value, geom.normal)
     sigma = (np.ones_like(geom.H), geom.H, geom.K)
     lhs = alpha * sigma[k] / math.comb(n, k)
     rhs = vn * sigma[k + 1] / math.comb(n, k + 1)
@@ -479,6 +483,60 @@ def evaluate_scattered_recurrence(grid, C2_stack, theta_s, phi_s):
     return val, dth, dph
 
 
+def quadratic_form(field, x):
+    """V(x) = v + M x + 2<b, x> x - |x|^2 b and alpha_V(x) = tr(M)/3 +
+    2<b, x> at points (..., 3), read from a field's `coefficients`
+    (v, M, b) and `alpha_coefficients` (tr(M)/3, 2b): the form that
+    conformal Killing fields and affine fields (b = 0) share."""
+    v, M, b = field.coefficients
+    c = field.alpha_coefficients
+    x = np.asarray(x, dtype=float)
+    bx = np.tensordot(x, b, axes=(-1, 0))[..., None]
+    xx = np.sum(x * x, axis=-1)[..., None]
+    return (v + x @ M.T + 2.0 * bx * x - xx * b,
+            c[0] + np.tensordot(x, c[1:], axes=(-1, 0)))
+
+
+@dataclass
+class AffineField:
+    """The affine field v + M x, conformal exactly when the symmetric
+    trace-free part of M vanishes: the non-conformal control of the
+    Hsiung-Minkowski identities (criterion 4) and of the conformal
+    Killing equation.  It carries what `icflab.invariants` reads of a
+    field: `coefficients` (v, M, 0) and `alpha_coefficients` (tr(M)/3, 0)."""
+
+    v: np.ndarray
+    M: np.ndarray
+
+    def __post_init__(self):
+        self.v = np.asarray(self.v, dtype=float).reshape(3)
+        self.M = np.asarray(self.M, dtype=float).reshape(3, 3)
+        if not (np.isfinite(self.v).all() and np.isfinite(self.M).all()):
+            raise ValueError("non-finite field parameters")
+
+    @property
+    def coefficients(self):
+        return self.v, self.M, np.zeros(3)
+
+    @property
+    def alpha_coefficients(self):
+        return np.array([np.trace(self.M) / 3.0, 0.0, 0.0, 0.0])
+
+
+def curvature_norm_speed() -> SpeedFunction:
+    """The Euclidean norm of the shape operator, sqrt(sum kappa_i^2) =
+    sqrt(H^2 - 2K), on the positive cone H > 0, K > 0, with diffusivity
+    sum_i kappa_i / |A| = H / sqrt(H^2 - 2K).
+
+    Degree-1 homogeneous, symmetric, positive and monotone on the
+    positive cone, but convex rather than concave: the negative control
+    of the concavity audit (criterion 10).  No spelling parses to it.
+    """
+    return SpeedFunction("|A|", lambda H, K: np.sqrt(H * H - 2.0 * K),
+                         lambda H, K: (H > 0.0) & (K > 0.0),
+                         lambda H, K: H / np.sqrt(H * H - 2.0 * K))
+
+
 def ckf_parameter_form(field, x):
     """v + S x + mu x + 2<b,x>x - |x|^2 b and mu + 2<b,x> of a conformal
     Killing field at points (..., 3), from its parameters (v, S, mu, b)."""
@@ -519,7 +577,7 @@ def killing_residual(field, x) -> float:
     _, M, b = field.coefficients
     x = np.asarray(x, dtype=float)
     J = M + 2.0 * (x @ b) * np.eye(3) + 2.0 * np.outer(x, b) - 2.0 * np.outer(b, x)
-    R = J + J.T - 2.0 * float(field.conformal_factor(x)) * np.eye(3)
+    R = J + J.T - 2.0 * float(quadratic_form(field, x)[1]) * np.eye(3)
     return float(np.max(np.abs(np.linalg.eigvalsh(R))))
 
 
@@ -546,10 +604,10 @@ def component_quadratic_check(V, seed: int = 0, n_probes: int = 8) -> dict:
         for i in range(3):
             for j in range(3):
                 # central second difference; exact for quadratics at any h
-                fpp = V.evaluate(x + h * eye[i] + h * eye[j])
-                fpm = V.evaluate(x + h * eye[i] - h * eye[j])
-                fmp = V.evaluate(x - h * eye[i] + h * eye[j])
-                fmm = V.evaluate(x - h * eye[i] - h * eye[j])
+                fpp = quadratic_form(V, x + h * eye[i] + h * eye[j])[0]
+                fpm = quadratic_form(V, x + h * eye[i] - h * eye[j])[0]
+                fmp = quadratic_form(V, x - h * eye[i] + h * eye[j])[0]
+                fmm = quadratic_form(V, x - h * eye[i] - h * eye[j])[0]
                 second = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
                 expected = (eye[j] * grad_alpha[i] + eye[i] * grad_alpha[j]
                             - eye[i, j] * grad_alpha)
@@ -563,7 +621,7 @@ def component_quadratic_check(V, seed: int = 0, n_probes: int = 8) -> dict:
                         for s2 in signs:
                             for s3 in signs:
                                 y = x + h * (s1 * eye[i] + s2 * eye[j] + s3 * eye[k])
-                                third = third + s1 * s2 * s3 * V.evaluate(y)
+                                third = third + s1 * s2 * s3 * quadratic_form(V, y)[0]
                     third /= 8.0 * h**3
                     max_third = max(max_third, float(np.abs(third).max()))
     return {

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from icflab.cli import build_parser, main
 from icflab.flow import SpeedFunction, run
 from icflab.invariants import DEFAULT_A_VALUES, e_tensor, energy_report
-from icflab.serialize import (ckf_from_dict, ckf_to_dict, load_surface,
-                              save_surface, surface_from_dict, surface_to_dict,
+from icflab.serialize import (ckf_to_dict, load_surface, save_surface,
+                              surface_from_dict, surface_to_dict,
                               write_json_atomic)
 from icflab.conformal import ConformalKillingField
 from icflab.errors import AuditError
@@ -102,10 +102,16 @@ class TestGen:
         assert path.stat().st_size < 90_000
 
     def test_manifest_written(self, sphere_file):
-        with open(sphere_file + ".manifest.json") as fh:
-            manifest = json.load(fh)
+        # one manifest, named for the command; the surface's parameters are
+        # the `meta` of surface.json, not a config echo
+        out = os.path.dirname(sphere_file)
+        assert sorted(os.listdir(out)) == ["gen.manifest.json", "surface.json"]
+        manifest = load_strict_json(os.path.join(out, "gen.manifest.json"))
         assert manifest["outputs"] == [sphere_file]
+        assert manifest["config"] == {}
         assert "tool_version" in manifest
+        assert load_strict_json(sphere_file)["meta"] == {"name": "sphere",
+                                                         "params": {"R": 1.0}}
 
 
 class TestDiag:
@@ -371,7 +377,7 @@ class TestFlow:
         assert not (out / "trace.csv").exists()
 
     def test_unknown_speed_is_input_error(self, sphere_file, tmp_path, capsys):
-        # |A| has closed forms, but only as curvature_norm_speed's control
+        # |A| has closed forms, but only as the tests' concavity control
         for speed in ("power:3", "|A|"):
             out = tmp_path / "unknown"
             assert run_cli("flow", sphere_file, "--speed", speed,
@@ -413,7 +419,7 @@ class TestInvariance:
                        "--trials", "2", "--out", str(tmp_path / "i")) == 2
         # the failed audit is still written, with its manifest
         assert load_strict_json(tmp_path / "i" / "invariance.json")["passed"] is False
-        assert (tmp_path / "i" / "invariance.json.manifest.json").exists()
+        assert (tmp_path / "i" / "invariance.manifest.json").exists()
 
     def test_verdict_scales_the_a0_inversion_difference(self, tmp_path):
         # E(a) = -(2a+1)|A0|^2 g in n = 2, so the audit writes the a = 0
@@ -557,18 +563,20 @@ class TestOutputContract:
             assert list(load_strict_json(tmp_path / name)) == expected, name
 
     def test_flow_manifests_list_both_outputs(self, sphere_file, tmp_path):
+        # the run's one manifest lists both of its outputs
         assert run_cli("flow", sphere_file, "--t-end", "0.01",
                        "--out", str(tmp_path)) == 0
-        outputs = [str(tmp_path / "trace.csv"),
-                   str(tmp_path / "flow_summary.json")]
-        for path in outputs:
-            manifest = load_strict_json(path + ".manifest.json")
-            assert list(manifest) == ["command", "inputs", "config",
-                                      "tool_version", "grid", "wall_clock_s",
-                                      "outputs"]
-            assert manifest["outputs"] == outputs
-            assert manifest["inputs"] == [sphere_file]
-            assert manifest["config"] == {"speed": "H", "t_end": 0.01}
+        assert sorted(os.listdir(tmp_path)) == ["flow.manifest.json",
+                                                "flow_summary.json", "gen",
+                                                "trace.csv"]
+        manifest = load_strict_json(tmp_path / "flow.manifest.json")
+        assert list(manifest) == ["command", "inputs", "config",
+                                  "tool_version", "grid", "wall_clock_s",
+                                  "outputs"]
+        assert manifest["outputs"] == [str(tmp_path / "trace.csv"),
+                                       str(tmp_path / "flow_summary.json")]
+        assert manifest["inputs"] == [sphere_file]
+        assert manifest["config"] == {"speed": "H", "t_end": 0.01}
 
     def test_commands_in_one_process_share_no_state(self, sphere_file, tmp_path,
                                                     monkeypatch):
@@ -587,7 +595,7 @@ class TestOutputContract:
         monkeypatch.setattr(cli, "cmd_soliton", counted)
         assert run_cli("soliton", sphere_file, "--out", str(tmp_path / "sol")) == 0
         assert calls == ["soliton"]
-        manifest = load_strict_json(tmp_path / "sol" / "soliton.json.manifest.json")
+        manifest = load_strict_json(tmp_path / "sol" / "soliton.manifest.json")
         assert manifest["config"] == {"speed": "H", "tol": 1e-6}
 
     def test_a_key_error_is_a_bug_not_an_input_error(self, sphere_file, tmp_path,
@@ -647,14 +655,15 @@ class TestSerialization:
                 json.dump({"grid": {"n_theta": 8, "n_phi": 16}, "f": f}, fh)
             assert np.array_equal(load_surface(legacy).values, s.values)
 
-    def test_ckf_round_trip(self, rng):
+    def test_ckf_to_dict_keys_and_values(self, rng):
+        # the parameters of soliton.json's `fitted`, exact through JSON text
         V = ConformalKillingField(rng.normal(size=3), rng.normal(size=3),
                                   rng.normal(), rng.normal(size=3))
-        W = ckf_from_dict(json.loads(json.dumps(ckf_to_dict(V))))
-        assert np.array_equal(W.v, V.v)
-        assert np.array_equal(W.s_lower, V.s_lower)
-        assert W.mu == V.mu
-        assert np.array_equal(W.b, V.b)
+        d = json.loads(json.dumps(ckf_to_dict(V)))
+        assert list(d) == ["v", "S_lower", "mu", "b"]
+        assert d["v"] == V.v.tolist() and d["S_lower"] == V.s_lower.tolist()
+        assert type(d["mu"]) is float and d["mu"] == V.mu
+        assert d["b"] == V.b.tolist()
 
     def test_json_bytes_match_recursive_null_walk(self, tmp_path):
         # the surface.json of each gen kind at two grids, diag.json and a

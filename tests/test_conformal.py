@@ -4,8 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from icflab import conformal
-from icflab.conformal import (AffineField, ConformalKillingField, flow_map,
-                              pushforward_surface)
+from icflab.conformal import ConformalKillingField, flow_map, pushforward_surface
 from icflab.errors import FlowBlowUpError, NotStarShapedError
 from icflab.invariants import guan_li_q, willmore
 from icflab.radial_graph import StarShapedHypersurface, geometry, invert
@@ -44,17 +43,17 @@ class TestEvaluate:
     def test_dilation_is_identity_times_mu(self):
         V = ConformalKillingField([0, 0, 0], [0, 0, 0], 1.0, [0, 0, 0])
         x = np.array([1.0, 2.0, 3.0])
-        assert_allclose(V.evaluate(x), x, rtol=0, atol=0)
+        assert_allclose(oracles.quadratic_form(V, x)[0], x, rtol=0, atol=0)
 
     def test_translation_is_constant(self):
         V = ConformalKillingField([2.0, -1.0, 0.5], [0, 0, 0], 0.0, [0, 0, 0])
         pts = np.array([[0.0, 0, 0], [3.0, 1, -2]])
-        assert_allclose(V.evaluate(pts), np.broadcast_to(V.v, (2, 3)))
+        assert_allclose(oracles.quadratic_form(V, pts)[0], np.broadcast_to(V.v, (2, 3)))
 
     def test_special_conformal_hand_value(self):
         # b = e1 at (1,1,0): 2<b,x>x - |x|^2 b = (2,2,0) - (2,0,0)
         V = ConformalKillingField([0, 0, 0], [0, 0, 0], 0.0, [1.0, 0, 0])
-        assert_allclose(V.evaluate(np.array([1.0, 1.0, 0.0])),
+        assert_allclose(oracles.quadratic_form(V, np.array([1.0, 1.0, 0.0]))[0],
                         [0.0, 2.0, 0.0], atol=1e-15)
 
     def test_skewness_is_exact(self):
@@ -82,7 +81,11 @@ class TestDivergence:
         V = random_ckf(rng)
         x = rng.normal(size=3)
         h = 1e-6
-        tr = sum((V.evaluate(x + h * e)[i] - V.evaluate(x - h * e)[i]) / (2 * h)
+
+        def value(y):
+            return oracles.quadratic_form(V, y)[0]
+
+        tr = sum((value(x + h * e)[i] - value(x - h * e)[i]) / (2 * h)
                  for i, e in enumerate(np.eye(3)))
         assert abs(tr - V.divergence(x)) < 1e-6
 
@@ -98,28 +101,31 @@ class TestDivergence:
 class TestCoefficients:
     @pytest.mark.parametrize("kind", ["ckf", "affine"])
     def test_reproduce_evaluate_and_conformal_factor(self, kind, rng):
-        # the quadratic form read from (v, M, b) against each class's own
-        # parameters: v + Sx + mu x + 2<b,x>x - |x|^2 b and mu + 2<b,x>,
-        # or v + x M^T and tr(M)/3
+        # the quadratic form read from (v, M, b) and (tr(M)/3, 2b) against
+        # each class's own parameters: v + Sx + mu x + 2<b,x>x - |x|^2 b and
+        # mu + 2<b,x>, or v + x M^T and tr(M)/3; a conformal Killing
+        # field's own conformal factor too
         for _ in range(5):
             if kind == "ckf":
                 field = random_ckf(rng)
                 form = oracles.ckf_parameter_form
             else:
-                field = AffineField(rng.normal(size=3), rng.normal(size=(3, 3)))
+                field = oracles.AffineField(rng.normal(size=3), rng.normal(size=(3, 3)))
                 form = oracles.affine_parameter_form
             x = rng.normal(0.0, 1.5, size=(64, 3))
             value, alpha = form(field, x)
-            expected = field.evaluate(x)
+            expected, expected_alpha = oracles.quadratic_form(field, x)
             assert np.abs(value - expected).max() <= 1e-13 * np.abs(expected).max()
-            expected = field.conformal_factor(x)
-            assert np.abs(alpha - expected).max() <= 1e-13 * np.abs(expected).max()
+            if kind == "ckf":
+                assert np.array_equal(field.conformal_factor(x), expected_alpha)
+            assert (np.abs(alpha - expected_alpha).max()
+                    <= 1e-13 * np.abs(expected_alpha).max())
 
     @pytest.mark.parametrize("make", [
         lambda bad: ConformalKillingField(bad, [0, 0, 0], 0.0, [0, 0, 0]),
         lambda bad: ConformalKillingField([0, 0, 0], [0, 0, 0], bad[0], [0, 0, 0]),
-        lambda bad: AffineField(bad, np.eye(3)),
-        lambda bad: AffineField([0, 0, 0], np.diag(bad)),
+        lambda bad: oracles.AffineField(bad, np.eye(3)),
+        lambda bad: oracles.AffineField([0, 0, 0], np.diag(bad)),
     ], ids=["ckf-v", "ckf-mu", "affine-v", "affine-M"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_parameters_raise(self, make, value):
@@ -135,7 +141,7 @@ class TestKillingResidual:
 
     def test_non_skew_control_fails(self, rng):
         M = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        bad = AffineField(np.zeros(3), M)
+        bad = oracles.AffineField(np.zeros(3), M)
         assert oracles.killing_residual(bad, rng.normal(size=3)) > 0.5
 
 
@@ -525,8 +531,11 @@ class TestQuadraticStructure:
         x = np.array([0.3, -0.2, 0.5])
         h = 0.25
         e1 = np.array([1.0, 0, 0])
-        second = (V.evaluate(x + h * e1) - 2 * V.evaluate(x)
-                  + V.evaluate(x - h * e1)) / h**2
+
+        def value(y):
+            return oracles.quadratic_form(V, y)[0]
+
+        second = (value(x + h * e1) - 2 * value(x) + value(x - h * e1)) / h**2
         assert_allclose(second[0], 2.0, rtol=1e-12)
         rep = oracles.component_quadratic_check(V)
         assert rep["matches_affine_factor"]

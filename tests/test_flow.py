@@ -3,9 +3,9 @@ import pytest
 
 from icflab import flow
 from icflab.errors import CurvatureConeError
-from icflab.flow import (_DT_SPREAD, SpeedFunction, asymptotics_check,
-                         class_c_audit, curvature_norm_speed, normal_speed,
-                         run, stable_dt, step)
+from icflab.flow import (_DT_SPREAD, FlowTrace, SpeedFunction,
+                         asymptotics_check, class_c_audit, normal_speed, run,
+                         stable_dt, step)
 from icflab.invariants import e_tensor, guan_li_q, willmore
 from icflab.radial_graph import StarShapedHypersurface, geometry
 from icflab.sphere_grid import Grid, GridSpec, ScalarField
@@ -45,7 +45,8 @@ class TestSpeedFunctions:
         for text in ("H", "quotient:2", "power:2", "ratio:2,1"):
             assert SpeedFunction.parse(text).label == text
         # any other spelling is rejected with the list of accepted ones,
-        # |A| too: curvature_norm_speed builds that control, no text does
+        # |A| too: oracles.curvature_norm_speed builds that control, no
+        # text does
         for text in ("bogus:3", "power:3", "quotient:3", "ratio:3,1", "bogus",
                      "quotient:0", "ratio:1,2", "power:02", "quotient:+2", "|A|"):
             with pytest.raises(ValueError, match="quotient:2"):
@@ -109,7 +110,7 @@ class TestSpeedFunctions:
         # the closed-form diffusivity against sum_i d rho / d kappa_i
         kap = rng.uniform(0.3, 2.0, size=(50, 2))
         h = 1e-6
-        for sp in SPELLINGS + [curvature_norm_speed()]:
+        for sp in SPELLINGS + [oracles.curvature_norm_speed()]:
             fd = sum((sp.rho(*hk(kap + h * e)) - sp.rho(*hk(kap - h * e))) / (2 * h)
                      for e in np.eye(2))
             assert np.abs(sp.diffusivity(*hk(kap)) - fd).max() < 1e-8
@@ -422,6 +423,24 @@ class TestRunPerturbed:
         assert not rep["flags_ok"]
 
 
+def test_osc_rising_after_mid_run_fails_the_tail_rule():
+    # osc must be monotone from the middle record on: a rise into record 3
+    # of 8 passes, a rise into the last record fails, and W, Q1 and
+    # max |A0|^2 fall throughout, so the tail rule alone decides
+    falling = [1.0 - 0.1 * i for i in range(8)]
+    for rise, tail_ok in ((3, True), (7, False)):
+        osc = [1.5 - 0.05 * i for i in range(8)]
+        osc[rise] = osc[rise - 1] + 0.01
+        trace = FlowTrace("H", 2.0, t=[0.02 * i for i in range(8)], W=falling,
+                          Q1=falling, tracefree_sq_sup=falling, osc=osc)
+        rep = asymptotics_check(trace)
+        assert rep["osc_monotone_from"] == rise
+        assert rep["willmore_nonincreasing"] and rep["q1_nonincreasing"]
+        assert rep["tracefree_sq_decreased"]
+        assert rep["osc_monotone_tail"] is tail_ok
+        assert rep["flags_ok"] is tail_ok
+
+
 class TestOtherSpeeds:
     def test_gauss_root_flow_contracts_oscillation(self):
         # Gerhardt-Urbas asymptotics are speed-independent within the
@@ -448,15 +467,26 @@ class TestClassCAudit:
                                        SpeedFunction.parse("power:2"),
                                        SpeedFunction.parse("quotient:2")])
     def test_admissible_speeds_pass(self, speed):
-        rep = class_c_audit(speed, n_samples=10000, seed=7)
+        rep = class_c_audit(speed, seed=7)
         assert rep["passed"], rep
 
     def test_norm_speed_fails_concavity_only(self):
-        rep = class_c_audit(curvature_norm_speed(), n_samples=10000, seed=7)
+        rep = class_c_audit(oracles.curvature_norm_speed(), seed=7)
         assert rep["positive"] and rep["symmetric"] and rep["homogeneous"]
         assert rep["monotone"]
         assert not rep["concave"]
         assert rep["max_hessian_eigenvalue"] > 1e-2
+
+    def test_small_convex_part_fails_concavity(self):
+        # H + 1e-5 (kappa_1 - kappa_2)^2 / H: a Hessian eigenvalue of order
+        # 1e-5 at unit scale, far above round-off and the 1e-8 tolerance;
+        # the audit reads no diffusivity
+        probe = SpeedFunction("probe", lambda H, K: H + 1e-5 * (H * H - 4 * K) / H,
+                              lambda H, K: (H > 0.0) & (K > 0.0),
+                              lambda H, K: np.full(np.shape(H), 2.0))
+        rep = class_c_audit(probe, seed=7)
+        assert rep["monotone"] and rep["homogeneous"]
+        assert not rep["concave"] and not rep["passed"]
 
 
 class TestConfigValidation:

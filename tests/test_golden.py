@@ -62,7 +62,7 @@ def test_compare_flags_each_kind_of_difference(tmp_path):
 
     edits = [("sphere16/diag.json", bump), ("harmonic16/surface.json", flip_f),
              ("runs.json", exit_code), ("harmonic32/invariance.json", hm),
-             ("sphere16/diag.json.manifest.json", wall_clock),
+             ("sphere16/diag.manifest.json", wall_clock),
              ("harmonic16/inequality.json", drop_upper_and_bump)]
     for name, edit in edits:
         _edit_json(fresh / name, edit)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from icflab.conformal import AffineField, ConformalKillingField, pushforward_surface
+from icflab.conformal import ConformalKillingField, pushforward_surface
 from icflab.errors import MeanConvexityError
 from icflab.flow import SpeedFunction, normal_speed, step
-from icflab.invariants import (_HM_BLOCK, condition_v_residual, DEFAULT_A_VALUES,
-                               e_tensor, energy_report, guan_li_q,
+from icflab.invariants import (_HM_BLOCK, DEFAULT_A_VALUES, e_tensor,
+                               energy_report, guan_li_q,
                                hsiung_minkowski_residual, qbar, qk_rate,
                                willmore, willmore_rate)
 from icflab.radial_graph import StarShapedHypersurface, geometry, invert, sigma_integral
@@ -179,7 +179,8 @@ class TestHsiungMinkowski:
         g = geometry(sphere64)
         V = dilation_field(1.0)
         alpha = V.conformal_factor(g.position)
-        vn = np.einsum("...c,...c->...", V.evaluate(g.position), g.normal)
+        vn = np.einsum("...c,...c->...", oracles.quadratic_form(V, g.position)[0],
+                       g.normal)
         lhs = g.integrate(alpha)
         rhs = g.integrate(vn * g.H / 2.0)
         assert abs(lhs - 4 * np.pi) < 1e-10
@@ -206,7 +207,7 @@ class TestHsiungMinkowski:
         # symmetric trace-free part with an axial imbalance; the identity
         # fails decisively for non-conformal linear fields
         M = np.array([[0.3, 0.4, 0.0], [0.4, -0.1, 0.2], [0.0, 0.2, 0.5]])
-        bad = AffineField(np.zeros(3), M)
+        bad = oracles.AffineField(np.zeros(3), M)
         assert np.abs(hsiung_minkowski_residual(spheroid64, [bad])).min() > 1e-3
 
     def test_residual_decreases_under_refinement(self):
@@ -232,8 +233,8 @@ class TestHsiungMinkowski:
                   for _ in range(20)]
         control = np.array([[0.3, 0.4, 0.0], [0.4, -0.1, 0.2], [0.0, 0.2, 0.5]])
         skew = np.array([[0.0, -0.3, 0.1], [0.3, 0.0, -0.2], [-0.1, 0.2, 0.0]])
-        fields += [AffineField(np.zeros(3), control),
-                   AffineField([0.1, -0.2, 0.05], control + skew)]
+        fields += [oracles.AffineField(np.zeros(3), control),
+                   oracles.AffineField([0.1, -0.2, 0.05], control + skew)]
         for s in (sphere64, spheroid64, harmonic64):
             got = hsiung_minkowski_residual(s, fields)
             want = [oracles.hsiung_minkowski_residual_pointwise(geometry(s), V, k)
@@ -281,8 +282,10 @@ class TestQkRate:
         assert abs(qk_rate(st, generic_ckf(), 1)) < 1e-8
 
     def test_reflection_symmetric_spheroid_is_stationary(self, spheroid64):
-        # center-of-mass condition via reflection symmetry at the origin
-        assert abs(condition_v_residual(spheroid64, generic_ckf(), 1)) < 1e-10
+        # center-of-mass condition via reflection symmetry at the origin:
+        # the two weighted averages of div V agree to 1e-10
+        q = guan_li_q(spheroid64, 1)
+        assert abs(qk_rate(spheroid64, generic_ckf(), 1)) < 1e-10 * q / 3.0
 
     def test_rate_matches_finite_difference_transport(self, asym48):
         V = generic_ckf()
@@ -295,10 +298,16 @@ class TestQkRate:
         assert abs(rate - fd) / max(abs(rate), abs(fd)) < 1e-3
 
     def test_algebraic_identity_with_condition_residual(self, asym48):
+        # dQ_1/dt = -(Q_1/3) (avg div V - avg_H div V), the area- and
+        # H-weighted averages, with div V = 3 (mu + 2<b, X>) from the
+        # field's parameters
         V = generic_ckf()
-        lhs = qk_rate(asym48, V, 1)
-        rhs = -guan_li_q(asym48, 1) / 3.0 * condition_v_residual(asym48, V, 1)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        g = geometry(asym48)
+        div = 3.0 * oracles.ckf_parameter_form(V, g.position)[1]
+        residual = (g.integrate(div) / g.integrate(np.ones_like(div))
+                    - g.integrate(g.H * div) / g.integrate(g.H))
+        rhs = -guan_li_q(asym48, 1) / 3.0 * residual
+        assert qk_rate(asym48, V, 1) == pytest.approx(rhs, rel=1e-12)
 
 
 class TestQbar:
@@ -359,7 +368,6 @@ class TestEnergyReport:
 OUT_OF_RANGE_K = [
     (sigma_integral, (), -1), (sigma_integral, (), 3),
     (guan_li_q, (), 0), (guan_li_q, (), 2),
-    (condition_v_residual, (dilation_field(),), 2),
     (qk_rate, (dilation_field(),), 2),
 ]
 
