@@ -250,7 +250,7 @@ def pushforward_surface(V, t: float, surface: StarShapedHypersurface
     a solve that does not reach _NEWTON_TOL raises NotStarShapedError.
     """
     grid = surface.grid()
-    p = grid.node_frame()[0].reshape(-1, 3)
+    p = grid.node_frame[0].reshape(-1, 3)
     geom = geometry(surface)
     X, nu = geom.position.reshape(-1, 3), geom.normal.reshape(-1, 3)
     E = _light_cone_image(V, t, X)[0]

@@ -52,7 +52,7 @@ import warnings
 import numpy as np
 
 from .errors import AuditError, ConvexityClassError, GridMismatchError, MeanConvexityError
-from .radial_graph import StarShapedHypersurface, geometry, invert, sigma_integral
+from .radial_graph import StarShapedHypersurface, geometry, sigma_integral
 from .sphere_grid import ScalarField, make_grid
 
 __all__ = [
@@ -97,11 +97,18 @@ def e_tensor(surface: StarShapedHypersurface,
     return tuple(c * g for g in geom.metric), abs(k) * float(geom.tracefree_sq.max())
 
 
+def _mean_convex_geometry(surface: StarShapedHypersurface):
+    """The geometry bundle; MeanConvexityError names the node of least H if it is <= 0."""
+    geom = geometry(surface)
+    idx = tuple(map(int, np.unravel_index(np.argmin(geom.H), geom.H.shape)))
+    if geom.H[idx] <= 0.0:
+        raise MeanConvexityError(f"H = {geom.H[idx]:g} at node {idx}; not mean-convex")
+    return geom
+
+
 def willmore(surface: StarShapedHypersurface) -> float:
     """Willmore energy: integral of H^2; requires mean convexity."""
-    geom = geometry(surface)
-    if geom.H.min() <= 0.0:
-        raise MeanConvexityError(f"H reaches {geom.H.min():g}; not mean-convex")
+    geom = _mean_convex_geometry(surface)
     return geom.integrate(geom.H ** 2)
 
 
@@ -121,9 +128,7 @@ def willmore_rate(surface: StarShapedHypersurface,
     """
     if speed.spec != surface.spec:
         raise GridMismatchError("speed field lives on a different grid")
-    geom = geometry(surface)
-    if geom.H.min() <= 0.0:
-        raise MeanConvexityError(f"H reaches {geom.H.min():g}; not mean-convex")
+    geom = _mean_convex_geometry(surface)
     grid = make_grid(surface.spec)
 
     (dHt, dHp), (dst, dsp) = (grid.chart_derivatives(grid.analysis(x - x.mean()))[:2]
@@ -230,31 +235,30 @@ def qbar(surface: StarShapedHypersurface) -> tuple[float, float, float]:
 
     r and R the min and max of the graph function.  Equality holds
     exactly for round spheres; the bounds are verified before returning.
+    S~ builds no bundle: it has area element f^-4 dmu and mean curvature
+    -f^2 H + 4 f / sqv, as `inversion_mean_curvature_check` certifies (criterion 3).
     """
-    inverse = invert(surface)
-    area_s, area_inv = sigma_integral(surface, 0), sigma_integral(inverse, 0)
+    geom, f = geometry(surface), surface.values
+    dmu_inv = 1.0 / (f * f) ** 2
+    area_s, area_inv = sigma_integral(surface, 0), geom.integrate(dmu_inv)
+    H_inv = -f**2 * geom.H + 4.0 * f / geom.sqv
     value = (sigma_integral(surface, 1) / area_s ** 0.5
-             + sigma_integral(inverse, 1) / area_inv ** 0.5)
+             + geom.integrate(H_inv * dmu_inv) / area_inv ** 0.5)
 
-    r = surface.values.min()
-    R = surface.values.max()
-    sphere_area = make_grid(surface.spec).integrate_values(
-        np.ones(surface.spec.shape))
-    base = 4.0 * sphere_area / (area_s * area_inv) ** 0.25
-    lower = (r / R) ** 1.5 * base
-    upper = (R / r) ** 1.5 * base
+    r, R = f.min(), f.max()
+    base = 4.0 * make_grid(surface.spec).weights.sum() / (area_s * area_inv) ** 0.25  # 4 |S^2|
+    lower, upper = (r / R) ** 1.5 * base, (R / r) ** 1.5 * base
     tol = 1e-9 * (1.0 + abs(value))
     if not (lower - tol <= value <= upper + tol):
-        raise AuditError(
-            f"Qbar = {value:.12g} escapes its bounds [{lower:.12g}, {upper:.12g}]")
+        raise AuditError(f"Qbar = {value:.12g} escapes its bounds [{lower:.12g}, {upper:.12g}]")
     return value, lower, upper
 
 
 def energy_report(surface: StarShapedHypersurface) -> dict:
     """The scalar diagnostics of one surface, as the dict `icflab diag`
     writes: max |A0|^2 stands for every sup |E(a)| = |2a+1| max |A0|^2,
-    and the area is sigma_integrals[0].  Nothing of the inverse is built:
-    `qbar` is what `icflab inequality` writes."""
+    and the area is sigma_integrals[0].  `qbar`, which `icflab inequality`
+    writes, reads the inverse off the same bundle."""
     return {
         "W": willmore(surface),
         "Q": {"1": guan_li_q(surface, 1)},

@@ -28,10 +28,10 @@ the unit sphere (f -> 1/f) relates mean curvatures through
     H_inverted = -f^2 H + 2 n f / sqrt(1 + |grad lam|^2),
 
 which `inversion_mean_curvature_check` certifies numerically against an
-independent second geometry computation.  A surface owns its geometry:
-`geometry` builds the bundle on the first call and returns the same
-object after that; the bundle holds the surface's values, never the
-surface.  The formulas hold for general n; every surface
+independent second geometry computation (`invariants.qbar` relies on it).
+A surface owns its geometry: `geometry` builds the bundle on the first call
+and returns the same object after that; the bundle holds the surface's
+values, never the surface.  The formulas hold for general n; every surface
 here is a radial graph over S^2, so the code writes them at n = 2.
 """
 
@@ -164,7 +164,7 @@ class GeometryBundle:
     def _frame(self) -> tuple[np.ndarray, np.ndarray]:
         """(position, normal): nu = (p - grad^k lam d_k p) / sqv."""
         grid = make_grid(self.spec)
-        p, e_t, e_p = grid.node_frame()
+        p, e_t, e_p = grid.node_frame
         st = grid.sin_theta[:, None]
         e_p = e_p * st[..., None]               # the chart's d/dphi, sin(theta) e_phi
         lt, lp = self.lam_grad
@@ -304,8 +304,7 @@ def inversion_mean_curvature_check(surface: StarShapedHypersurface) -> float:
     evaluations; a small sup norm certifies the identity at the grid's
     resolution.
     """
-    geom = geometry(surface)
-    geom_inv = geometry(invert(surface))
+    geom, geom_inv = geometry(surface), geometry(invert(surface))
     f = surface.values
     predicted = -f**2 * geom.H + 4.0 * f / geom.sqv
     return float(np.abs(geom_inv.H - predicted).max())

@@ -179,14 +179,11 @@ class Grid:
 
         self._build_tables()
 
+    @cached_property
     def node_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Unit node directions p and unit tangents e_theta, e_phi, each
-        (n_theta, n_phi, 3); built on the first call, then the same
+        (n_theta, n_phi, 3); built on the first read, then the same
         read-only arrays on every later one."""
-        return self._node_frame
-
-    @cached_property
-    def _node_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         st, ct = self.sin_theta[:, None], self.cos_theta[:, None]
         sph, cph = np.sin(self.phi)[None, :], np.cos(self.phi)[None, :]
         p = np.stack([st * cph, st * sph, ct * np.ones_like(cph)], axis=-1)

@@ -13,7 +13,8 @@ values through a mean-free analysis (the reference for the kernel on
 coefficients), an adaptive reference integrator, the light-cone image
 of round spheres and the conformal factor of a flow map, the spectral
 orientation of a mapped surface's direction map, the node-by-node
-Hsiung-Minkowski residual, the element-by-element JSON null walk, the
+Hsiung-Minkowski residual, Qbar through a second geometry bundle of
+the inverted surface, the element-by-element JSON null walk, the
 value of a field read from its (v, M, b) coefficients, the affine
 non-conformal control field and the convex `|A|` control speed, the
 conformal Killing residual and finite-difference quadratic check of a
@@ -29,9 +30,10 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from icflab.flow import SpeedFunction
-from icflab.radial_graph import StarShapedHypersurface, curvature
+from icflab.radial_graph import (StarShapedHypersurface, curvature, invert,
+                                 sigma_integral)
 from icflab.soliton import basis_fields
-from icflab.sphere_grid import ScalarField
+from icflab.sphere_grid import ScalarField, make_grid
 
 # frozen outputs of spheroid_integrals(1.0, 0.6) at 400 nodes; the area
 # agrees with the closed form 2*pi*a^2 + pi*c^2/e*log((1+e)/(1-e)) to 2e-13
@@ -413,6 +415,21 @@ def hsiung_minkowski_residual_pointwise(geom, V, k, n=2):
     residual = geom.integrate(lhs - rhs)
     scale = geom.integrate(np.abs(lhs)) + geom.integrate(np.abs(rhs))
     return residual / max(scale, 1e-300)
+
+
+def qbar_two_bundles(surface):
+    """(Qbar, lower, upper) as `invariants.qbar` defines them, with the
+    inverse's area and total mean curvature integrated on its own
+    geometry bundle, built from invert(surface), rather than read off the
+    bundle of the surface through the inversion relation."""
+    inverse = invert(surface)
+    area_s, area_inv = sigma_integral(surface, 0), sigma_integral(inverse, 0)
+    value = (sigma_integral(surface, 1) / area_s ** 0.5
+             + sigma_integral(inverse, 1) / area_inv ** 0.5)
+    r, R = surface.values.min(), surface.values.max()
+    sphere_area = make_grid(surface.spec).integrate_values(np.ones(surface.spec.shape))
+    base = 4.0 * sphere_area / (area_s * area_inv) ** 0.25
+    return value, (r / R) ** 1.5 * base, (R / r) ** 1.5 * base
 
 
 def finite_or_null_recursive(obj):

@@ -135,6 +135,19 @@ class TestDiag:
         assert rep["tracefree_sq_sup"] == m == e_tensor(s, 0.0)[1]
         assert rep["sigma_integrals"][0] == sigma_integral(s, 0)
 
+    def test_saddle_is_input_error_that_names_the_node(self, tmp_path, capsys):
+        # W needs H > 0: the node of least H and the H there, in plain ints
+        gen = tmp_path / "g"
+        assert run_cli("gen", "harmonic", "1.0", "4,0,0.4", "--grid", GRID,
+                       "--out", str(gen)) == 0
+        capsys.readouterr()
+        out = tmp_path / "d"
+        assert run_cli("diag", str(gen / "surface.json"), "--out", str(out)) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "MeanConvexityError"
+        assert err["message"].endswith(" at node (4, 0); not mean-convex")
+        assert not (out / "diag.json").exists()
+
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         assert run_cli("diag", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path)) == 3
@@ -522,9 +535,10 @@ class TestGeometryCache:
                                       ("inequality",)])
     def test_one_kernel_call_per_surface(self, argv, spheroid_file, tmp_path,
                                          monkeypatch):
-        # the surface and, for every command but diag, its inverse each
-        # build their bundle once
-        builds = 1 if argv[0] == "diag" else 2
+        # the surface builds its bundle once, and for invariance its
+        # inverse builds one too; inequality reads the inverse off the
+        # surface's bundle
+        builds = 2 if argv[0] == "invariance" else 1
         import icflab.radial_graph as rg
         calls = []
         kernel = rg.curvature

@@ -29,7 +29,7 @@ def transport_ckf(rng):
 
 def transport_surface(spec):
     """1 + l = 1, 2, 3 modes, the transport64 benchmark surface unrotated."""
-    x, y, z = np.moveaxis(make_grid(spec).node_frame()[0], -1, 0)
+    x, y, z = np.moveaxis(make_grid(spec).node_frame[0], -1, 0)
     f = 1.0 + 0.12 * (x * x - y * y) + 0.07 * x * (5.0 * z * z - 1.0) + 0.1 * z
     return StarShapedHypersurface(ScalarField(spec, f))
 
@@ -366,7 +366,7 @@ class TestPushforward:
         else:
             s, fields = harmonic_surface(1.0, HARMONIC_TERMS, SPEC64), [POLE_FIELD]
         grid = make_grid(SPEC64)
-        p = grid.node_frame()[0].reshape(-1, 3)
+        p = grid.node_frame[0].reshape(-1, 3)
         coeffs = grid.analysis(s.values)[None]
         for V in fields:
             r = pushforward_surface(V, t, s).values.reshape(-1, 1)
@@ -382,7 +382,7 @@ class TestPushforward:
         """<DPhi_t nu, Y> and the spectral (C_theta x C_phi) . Y of the
         interpolated image, at the nodes."""
         grid = make_grid(s.spec)
-        X = s.values[..., None] * grid.node_frame()[0]
+        X = s.values[..., None] * grid.node_frame[0]
         Y = flow_map(V, t, X)
         E = expm(t * conformal._generator(V))
         n_img = conformal._push(E, X.reshape(-1, 3), geometry(s).normal.reshape(-1, 3))[1]
@@ -497,7 +497,7 @@ class TestPointwiseMoebius:
         s = harmonic_surface(1.0, HARMONIC_TERMS, SPEC32)
         image = pushforward_surface(V, self.T, s)
         grid = s.grid()
-        X = (s.values[..., None] * grid.node_frame()[0]).reshape(-1, 3)
+        X = (s.values[..., None] * grid.node_frame[0]).reshape(-1, 3)
         e_u = oracles.conformal_factor(V, self.T, X)
         # the light-cone factor against central differences of flow_map:
         # the cube root of |det d Phi|, to the differences' O(h^2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from icflab.cli import main
 from icflab.conformal import ConformalKillingField, pushforward_surface
 from icflab.errors import MeanConvexityError
 from icflab.flow import SpeedFunction, normal_speed, step
@@ -12,7 +13,8 @@ from icflab.invariants import (_HM_BLOCK, DEFAULT_A_VALUES, e_tensor,
                                hsiung_minkowski_residual, qbar, qk_rate,
                                willmore, willmore_rate)
 from icflab.radial_graph import StarShapedHypersurface, geometry, invert, sigma_integral
-from icflab.sphere_grid import GridSpec, ScalarField, make_grid
+from icflab.serialize import save_surface
+from icflab.sphere_grid import Grid, GridSpec, ScalarField, make_grid
 from icflab.surfaces import harmonic_surface, sphere_surface, spheroid_surface
 
 import oracles
@@ -123,6 +125,18 @@ class TestWillmore:
             ScalarField(SPEC32, 1.0 + 0.3 * np.sin(T) ** 2 * np.cos(2 * P)))
         with pytest.raises(MeanConvexityError):
             willmore(s)
+
+    @pytest.mark.parametrize("functional", [
+        willmore, lambda s: willmore_rate(s, ScalarField(s.spec, np.ones(s.spec.shape)))],
+        ids=["willmore", "willmore_rate"])
+    def test_mean_convexity_error_names_the_node_of_least_H(self, functional):
+        # the axisymmetric saddle of the CLI's cone test: least H on row 4
+        s = harmonic_surface(1.0, [(4, 0, 0.4)], GridSpec(16, 32))
+        H = geometry(s).H
+        with pytest.raises(MeanConvexityError) as exc:
+            functional(s)
+        assert str(exc.value) == f"H = {H.min():g} at node (4, 0); not mean-convex"
+        assert H[4, 0] == H.min() < 0.0
 
 
 class TestWillmoreRate:
@@ -327,6 +341,47 @@ class TestQbar:
         value, lower, upper = qbar(spheroid64)
         assert value - lower > 1e-2
         assert upper - value > 1e-2
+
+    @pytest.mark.parametrize("spec", [GridSpec(15, 32), GridSpec(16, 32),
+                                      GridSpec(25, 32), SPEC64],
+                             ids=lambda spec: f"{spec.n_theta}x{spec.n_phi}")
+    @pytest.mark.parametrize("make", [
+        lambda spec: sphere_surface(1.0, spec),
+        lambda spec: spheroid_surface(1.0, 0.6, spec),
+        lambda spec: harmonic_surface(1.0, HARMONIC_TERMS, spec)],
+        ids=["sphere", "spheroid", "harmonic"])
+    def test_matches_a_second_bundle_of_the_inverse(self, make, spec):
+        # the inverse read off the surface's bundle through the inversion
+        # relation, against the inverse's own spectral geometry
+        got = qbar(make(spec))
+        want = oracles.qbar_two_bundles(make(spec))
+        for x, y in zip(got, want):
+            assert abs(x - y) <= 1e-14 * abs(y)
+
+
+class TestQbarEvaluations:
+    """`qbar` reads S~ off the bundle of S: one analysis of log f and one
+    chart_derivatives call per surface, from a function call or the CLI."""
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        counts = {"chart_derivatives": 0, "analysis": 0}
+        for name in counts:
+            def counted(grid, *args, _method=getattr(Grid, name), _name=name):
+                counts[_name] += 1
+                return _method(grid, *args)
+            monkeypatch.setattr(Grid, name, counted)
+        return counts
+
+    def test_qbar(self, counts):
+        qbar(harmonic_surface(1.0, HARMONIC_TERMS, GridSpec(16, 32)))
+        assert counts == {"chart_derivatives": 1, "analysis": 1}
+
+    def test_inequality_command(self, counts, tmp_path):
+        path = str(tmp_path / "surface.json")
+        save_surface(path, harmonic_surface(1.0, HARMONIC_TERMS, GridSpec(16, 32)))
+        assert main(["inequality", path, "--out", str(tmp_path / "q")]) == 0
+        assert counts == {"chart_derivatives": 1, "analysis": 1}
 
 
 class TestSymmetryInvariance:

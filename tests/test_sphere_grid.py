@@ -242,8 +242,8 @@ class TestOperatorProperties:
         with pytest.raises(ValueError):
             g._even[0, 0] = False
         # the node frame is built once per grid and shared
-        frame = g.node_frame()
-        assert g.node_frame() is frame
+        frame = g.node_frame
+        assert g.node_frame is frame
         for arr in frame:
             with pytest.raises(ValueError):
                 arr[0, 0, 0] = 1.0
