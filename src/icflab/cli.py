@@ -50,6 +50,10 @@ def _parse_grid(text: str) -> GridSpec:
         raise ValueError(f"bad --grid {text!r}; expected NTHETAxNPHI") from exc
 
 
+# the parameters of each kind of `gen`, as its help, errors and `meta` name them
+_GEN_FORMS = {"sphere": "R", "spheroid": "a c", "harmonic": "base L,M,AMP ..."}
+
+
 def _write(args, surface, config: dict, outputs: dict):
     """Write each output into --out (a `.csv` name takes a (header, rows)
     pair, any other a JSON payload), then the command's one manifest,
@@ -83,25 +87,23 @@ def _random_ckf(rng) -> ConformalKillingField:
 
 
 def cmd_gen(args) -> int:
-    grid = _parse_grid(args.grid)
-    if args.kind == "sphere":
-        (radius,) = args.params
-        surface = sphere_surface(float(radius), grid)
-        meta = {"name": "sphere", "params": {"R": float(radius)}}
-    elif args.kind == "spheroid":
-        a, c = args.params
-        surface = spheroid_surface(float(a), float(c), grid)
-        meta = {"name": "spheroid", "params": {"a": float(a), "c": float(c)}}
-    else:
-        base = float(args.params[0])
-        terms = []
-        for term in args.params[1:]:
-            ell, m, amp = term.split(",")
-            terms.append((int(ell), int(m), float(amp)))
-        surface = harmonic_surface(base, terms, grid)
-        meta = {"name": "harmonic",
-                "params": {"base": base,
-                           "terms": [list(t) for t in terms]}}
+    grid, kind, words = _parse_grid(args.grid), args.kind, args.params
+    bad = " ".join(words)           # what a parse error quotes, then each term
+    try:
+        if kind == "harmonic":
+            base, terms = float(words[0]), []
+            for bad in words[1:]:
+                ell, m, amp = bad.split(",")
+                terms.append([int(ell), int(m), float(amp)])
+            params = {"base": base, "terms": terms}
+        else:
+            params = dict(zip(_GEN_FORMS[kind].split(), map(float, words), strict=True))
+    except ValueError as exc:
+        raise ValueError(
+            f"cannot parse {bad!r}; gen {kind} expects {_GEN_FORMS[kind]}") from exc
+    surface = {"sphere": sphere_surface, "spheroid": spheroid_surface,
+               "harmonic": harmonic_surface}[kind](*params.values(), grid)
+    meta = {"name": kind, "params": params}
     _write(args, surface, {}, {"surface.json": surface_to_dict(surface, meta)})
     return EXIT_OK
 
@@ -202,9 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     surface.add_argument("surface")
 
     p = sub.add_parser("gen", help="generate a surface file", parents=[out])
-    p.add_argument("kind", choices=["sphere", "spheroid", "harmonic"])
+    p.add_argument("kind", choices=list(_GEN_FORMS))
     p.add_argument("params", nargs="+",
-                   help="sphere R | spheroid a c | harmonic base l,m,amp ...")
+                   help=" | ".join(f"{kind} {form}" for kind, form in _GEN_FORMS.items()))
     p.add_argument("--grid", default="64x128")
 
     sub.add_parser("diag", help="energy/invariant report of a surface",

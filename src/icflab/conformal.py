@@ -249,9 +249,9 @@ def pushforward_surface(V, t: float, surface: StarShapedHypersurface
     dg/dr <= 0, where the ray does not cross the image transversally, or
     a solve that does not reach _NEWTON_TOL raises NotStarShapedError.
     """
-    grid = surface.grid()
-    p = grid.node_frame[0].reshape(-1, 3)
     geom = geometry(surface)
+    grid = geom.grid
+    p = grid.node_frame[0].reshape(-1, 3)
     X, nu = geom.position.reshape(-1, 3), geom.normal.reshape(-1, 3)
     E = _light_cone_image(V, t, X)[0]
     Y, n_img = _push(E, X, nu)

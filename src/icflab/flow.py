@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import CurvatureConeError
 from .radial_graph import StarShapedHypersurface, curvature, geometry
-from .sphere_grid import ScalarField, make_grid
+from .sphere_grid import ScalarField
 from . import invariants as inv
 
 __all__ = [
@@ -127,32 +127,29 @@ _DT_SPREAD = 0.2 * 0.05
 _CONTOUR = np.exp(1j * np.pi * (np.arange(32) + 0.5) / 32)
 
 
-def _cone_rho(speed, H: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """rho(H, K), after raising CurvatureConeError at the first node
-    outside the speed's cone, with the principal curvatures there."""
-    ok = speed.in_cone(H, K)
+def _cone_rho(speed, geom) -> np.ndarray:
+    """rho(H, K) of a geometry bundle, after raising CurvatureConeError at
+    the first node outside the speed's cone with the bundle's kappa there."""
+    ok = speed.in_cone(geom.H, geom.K)
     if not np.all(ok):
         idx = tuple(map(int, np.unravel_index(int(np.argmin(ok)), ok.shape)))
-        d = math.sqrt(max(0.25 * H[idx] ** 2 - K[idx], 0.0))
-        kappa = np.array([0.5 * H[idx] - d, 0.5 * H[idx] + d])
+        kappa = geom.kappa[idx]
         raise CurvatureConeError(
             f"kappa = {kappa} at node {idx} outside the cone of {speed.label}",
             node=idx, kappa=kappa)
-    return speed.rho(H, K)
+    return speed.rho(geom.H, geom.K)
 
 
 def normal_speed(surface: StarShapedHypersurface,
                  speed: SpeedFunction) -> ScalarField:
     """Outward normal speed field 1/rho(kappa); positive on the cone."""
-    geom = geometry(surface)
-    return ScalarField(surface.spec,
-                       1.0 / _cone_rho(speed, geom.H, geom.K))
+    return ScalarField(surface.spec, 1.0 / _cone_rho(speed, geometry(surface)))
 
 
-def _diffusivity(speed, H, K, f, rho) -> np.ndarray:
-    """D / (rho^2 f^2): the coefficient of the round Laplacian of log f in
-    the linearized graph equation."""
-    return speed.diffusivity(H, K) / (rho * f) ** 2
+def _diffusivity(speed, geom, f, rho) -> np.ndarray:
+    """D / (rho^2 f^2), D from the bundle's H and K: the coefficient of
+    the round Laplacian of log f in the linearized graph equation."""
+    return speed.diffusivity(geom.H, geom.K) / (rho * f) ** 2
 
 
 def _damping(grid) -> np.ndarray:
@@ -198,19 +195,19 @@ def step(surface: StarShapedHypersurface, speed: SpeedFunction,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    grid = surface.grid()
+    geom = geometry(surface)
+    grid, f0, lam0 = geom.grid, surface.values, geom.lam
     ll = grid.ell * (grid.ell + 1.0)
 
     def graph_rhs(lam, f):
         """analysis(sqv / (f rho)), the bundle curvature(grid, lam, f), rho;
         sqv = sqrt(1 + |grad lam|^2), H and K are read from the bundle"""
         c = curvature(grid, lam, f)
-        rho = _cone_rho(speed, c.H, c.K)
+        rho = _cone_rho(speed, c)
         return grid.analysis(c.sqv / (f * rho)), c, rho
 
-    f0, lam0 = surface.values, geometry(surface).lam
     F0, c0, rho0 = graph_rhs(lam0, f0)
-    D0 = 0.5 * float(_diffusivity(speed, c0.H, c0.K, f0, rho0).max())  # at the start only
+    D0 = 0.5 * float(_diffusivity(speed, c0, f0, rho0).max())  # at the start only
     del c0, rho0                # freed before the later stages run the kernel
     # dlam/dt = F - nu lam = L lam + N, F = graph_rhs(lam, f)[0]: N = F + D0 l(l+1) lam
     explicit = (D0 * ll)[:, None]
@@ -242,8 +239,7 @@ def stable_dt(surface: StarShapedHypersurface, speed: SpeedFunction) -> float:
     reads; raises CurvatureConeError if the surface leaves the speed's
     cone."""
     geom = geometry(surface)
-    H, K = geom.H, geom.K
-    D = _diffusivity(speed, H, K, surface.values, _cone_rho(speed, H, K))
+    D = _diffusivity(speed, geom, surface.values, _cone_rho(speed, geom))
     spread = float(D.max() - D.min())
     return min(_MAX_STEP, _DT_SPREAD / spread) if spread > 0.0 else _MAX_STEP
 
@@ -277,8 +273,7 @@ class FlowTrace:
         self.osc.append(float(f.max() / f.min()))
         # rescaled graph exp(-t/mu) f: round-sphere mean (its oscillation is osc)
         scale = math.exp(-t / self.mu)
-        grid = make_grid(surface.spec)
-        self.ubar_mean.append(scale * grid.integrate_values(f) / (4.0 * np.pi))
+        self.ubar_mean.append(scale * geom.grid.integrate_values(f) / (4.0 * np.pi))
         # sup |f kappa_i - 1|: spectral norm of f h_i^j - delta_i^j,
         # invariant under the rescaling
         dev = np.abs(f[..., None] * geom.kappa - 1.0).max()

@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import AuditError, ConvexityClassError, GridMismatchError, MeanConvexityError
 from .radial_graph import StarShapedHypersurface, geometry, sigma_integral
-from .sphere_grid import ScalarField, make_grid
+from .sphere_grid import ScalarField
 
 __all__ = [
     "DEFAULT_A_VALUES",
@@ -129,7 +129,7 @@ def willmore_rate(surface: StarShapedHypersurface,
     if speed.spec != surface.spec:
         raise GridMismatchError("speed field lives on a different grid")
     geom = _mean_convex_geometry(surface)
-    grid = make_grid(surface.spec)
+    grid = geom.grid
 
     (dHt, dHp), (dst, dsp) = (grid.chart_derivatives(grid.analysis(x - x.mean()))[:2]
                               for x in (geom.H, speed.values))
@@ -188,7 +188,7 @@ def hsiung_minkowski_residual(surface: StarShapedHypersurface,
     integrands.  Both rows come from one pass (see the module docstring).
     """
     geom = geometry(surface)
-    dmu = (make_grid(surface.spec).weights * geom.area_density).reshape(-1)
+    dmu = (geom.grid.weights * geom.area_density).reshape(-1)
     weights = np.stack([dmu, dmu * geom.H.reshape(-1) / 2, dmu * geom.K.reshape(-1)])
     c_nu = np.array([coefficient_vector(V) for V in fields]).reshape(-1, 15)
     c_alpha = np.array([V.alpha_coefficients for V in fields]).reshape(-1, 4)
@@ -246,7 +246,7 @@ def qbar(surface: StarShapedHypersurface) -> tuple[float, float, float]:
              + geom.integrate(H_inv * dmu_inv) / area_inv ** 0.5)
 
     r, R = f.min(), f.max()
-    base = 4.0 * make_grid(surface.spec).weights.sum() / (area_s * area_inv) ** 0.25  # 4 |S^2|
+    base = 4.0 * geom.grid.weights.sum() / (area_s * area_inv) ** 0.25  # 4 |S^2|
     lower, upper = (r / R) ** 1.5 * base, (R / r) ** 1.5 * base
     tol = 1e-9 * (1.0 + abs(value))
     if not (lower - tol <= value <= upper + tol):

@@ -12,9 +12,10 @@ round metric sigma, the induced geometry is, in chart components,
 with nu the outward unit normal, so round spheres have H = n/R > 0 and
 principal curvatures 1/R.  `curvature` is the one kernel that evaluates
 them on a grid, from the harmonic coefficients of lam and the values of
-f, and returns them as a geometry bundle: `geometry` analyses lam and
-caches the kernel's bundle on the surface, where a flow step starts, and
-the flow passes the coefficients of its stages.  The kernel returns
+f, and returns them as a geometry bundle that holds the grid: `geometry`
+looks a surface's grid up by spec, the one place that does, analyses lam
+and caches the bundle on the surface, where a flow step starts, and the
+flow passes the coefficients of its stages.  The kernel returns
 H = g^ij h_ij and K = det h / det g in closed form from the f-free
 factors gbar = sigma + dlam dlam and hbar = gbar - hess lam, so it never
 forms g, g^-1 or h; the flow reads only H, K and sqrt(1 + |grad lam|^2).
@@ -92,17 +93,14 @@ class StarShapedHypersurface:
     def values(self) -> np.ndarray:
         return self.f.values
 
-    def grid(self) -> Grid:
-        return make_grid(self.f.spec)
-
 
 @dataclass(frozen=True)
 class GeometryBundle:
     """Per-node extrinsic geometry of an n = 2 surface, as `curvature`
     returns it.  The kernel part, the dataclass fields, is what the
     kernel computes: `H`, `K`, `grad_log_sq`, `sqv`, the f-free factors
-    `gbar` and `hbar`, `lam_grad`, and the coefficients `lam` and node
-    values `_f` it read.  `metric`, `area_density`, the frame part
+    `gbar` and `hbar`, `lam_grad`, and the `grid`, coefficients `lam` and
+    node values `_f` it read.  `metric`, `area_density`, the frame part
     (`position`, `normal`) and the shape part (`metric_inv`, `kappa`,
     `tracefree_sq`) are each built once, on the first read of one of
     their fields, from the kernel part, by the formulas an eager build
@@ -126,7 +124,7 @@ class GeometryBundle:
     step starts from them.
     """
 
-    spec: GridSpec
+    grid: Grid                  # the grid the kernel ran on
     lam: np.ndarray             # harmonic coefficients of lam = log f
     lam_grad: tuple             # (d_theta, d_phi) of lam
     grad_log_sq: np.ndarray     # |grad lam|^2 on the round sphere
@@ -158,14 +156,13 @@ class GeometryBundle:
 
     def integrate(self, values: np.ndarray) -> float:
         """Surface integral of a per-node quantity against dmu."""
-        return make_grid(self.spec).integrate_values(values * self.area_density)
+        return self.grid.integrate_values(values * self.area_density)
 
     @cached_property
     def _frame(self) -> tuple[np.ndarray, np.ndarray]:
         """(position, normal): nu = (p - grad^k lam d_k p) / sqv."""
-        grid = make_grid(self.spec)
-        p, e_t, e_p = grid.node_frame
-        st = grid.sin_theta[:, None]
+        p, e_t, e_p = self.grid.node_frame
+        st = self.grid.sin_theta[:, None]
         e_p = e_p * st[..., None]               # the chart's d/dphi, sin(theta) e_phi
         lt, lp = self.lam_grad
         lp_up = lp / st**2
@@ -176,7 +173,7 @@ class GeometryBundle:
     def _shape(self) -> tuple[tuple, np.ndarray, np.ndarray]:
         """(metric_inv, kappa, tracefree_sq), from the shape operator."""
         f = self._f
-        st = make_grid(self.spec).sin_theta[:, None]
+        st = self.grid.sin_theta[:, None]
         # g^-1 = adj gbar / (f^2 s^2 v), h = (f / sqv) hbar
         f2 = f * f
         g00, g01, g11 = self.gbar
@@ -222,14 +219,16 @@ def curvature(grid: Grid, lam: np.ndarray, f: np.ndarray) -> GeometryBundle:
         H = (gbar11 hbar00 - 2 gbar01 hbar01 + gbar00 hbar11) / (f s^2 v^3/2)
         K = det hbar / (f^2 s^2 v^2).
 
-    Raises ResolutionError when the derivatives of log f are not finite or
-    when tr(g)^2/det(g) = c + 1/c + 2 exceeds C + 1/C + 2: the condition
-    number c of g exceeds C = _COND_LIMIT, read at call time.  f cancels
-    from that ratio, so it is read from gbar.
+    Raises ResolutionError that names a node: the first with a non-finite
+    derivative of log f, or the largest tr(g)^2/det(g) = c + 1/c + 2 if
+    it exceeds C + 1/C + 2, the condition number c of g above C =
+    _COND_LIMIT, read at call time (f cancels, so gbar gives the ratio).
     """
     d = grid.chart_derivatives(lam)
     if not np.all(np.isfinite(d)):
-        raise ResolutionError("non-finite derivatives of log f")
+        node = np.unravel_index(int(np.argmin(np.isfinite(d).all(axis=0))), d.shape[1:])
+        raise ResolutionError(
+            f"non-finite derivatives of log f at node {tuple(map(int, node))}")
     lt, lp, ltt, ltp, lpp = d
 
     st, ct = grid.sin_theta[:, None], grid.cos_theta[:, None]
@@ -242,11 +241,14 @@ def curvature(grid: Grid, lam: np.ndarray, f: np.ndarray) -> GeometryBundle:
     g01 = lt * lp
     g11 = s2 + lp * lp
     det_g = s2 * v
-    q = float(((g00 + g11) ** 2 / det_g).max()) - 2.0     # max c + 1/c
+    ratio = (g00 + g11) ** 2 / det_g                        # c + 1/c + 2
+    node = np.unravel_index(int(ratio.argmax()), ratio.shape)
+    q = float(ratio[node]) - 2.0                            # max c + 1/c
+    del ratio                   # freed before hbar, H and K are allocated
     if q > _COND_LIMIT + 1.0 / _COND_LIMIT:
         raise ResolutionError(
-            f"first fundamental form condition number "
-            f"{0.5 * (q + np.sqrt(q * q - 4.0)):.3g} exceeds {_COND_LIMIT:g}")
+            f"first fundamental form condition number {0.5 * (q + np.sqrt(q * q - 4.0)):.3g}"
+            f" exceeds {_COND_LIMIT:g} at node {tuple(map(int, node))}")
 
     # the covariant Hessian of lam on the round sphere enters hbar
     h00 = g00 - ltt
@@ -256,7 +258,7 @@ def curvature(grid: Grid, lam: np.ndarray, f: np.ndarray) -> GeometryBundle:
     f_det = f * det_g
     H = (g11 * h00 - 2.0 * g01 * h01 + g00 * h11) / (f_det * sqv)
     K = (h00 * h11 - h01 * h01) / (f_det * f * v)
-    return GeometryBundle(grid.spec, lam, (lt, lp), grad_sq, sqv, (g00, g01, g11),
+    return GeometryBundle(grid, lam, (lt, lp), grad_sq, sqv, (g00, g01, g11),
                           (h00, h01, h11), H, K, f)
 
 
@@ -267,7 +269,7 @@ def geometry(surface: StarShapedHypersurface) -> GeometryBundle:
     read-only; every other field waits for its first read."""
     if surface._geometry is not None:
         return surface._geometry
-    grid = surface.grid()
+    grid = make_grid(surface.spec)
     f = surface.values
     # the node mean goes in at degree 0 only: analysed, it leaves eps |mean|
     # at every degree, which l(l+1) amplifies (8.5e-12 of H at 64x128)

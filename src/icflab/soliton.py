@@ -28,7 +28,7 @@ from .flow import SpeedFunction, normal_speed
 from .invariants import coefficient_vector, moment_rows
 from .radial_graph import StarShapedHypersurface, geometry
 from .serialize import ckf_to_dict
-from .sphere_grid import ScalarField, make_grid
+from .sphere_grid import ScalarField
 
 __all__ = [
     "residual",
@@ -76,8 +76,7 @@ def best_fit_ckf(surface: StarShapedHypersurface, speed: SpeedFunction,
     """
     geom = geometry(surface)
     target = normal_speed(surface, speed).values.reshape(-1)
-    grid = make_grid(surface.spec)
-    w = (grid.weights * geom.area_density).reshape(-1)
+    w = (geom.grid.weights * geom.area_density).reshape(-1)
     sqw = np.sqrt(w)
 
     # column a of the design is <V_a, nu> of the a-th basis field

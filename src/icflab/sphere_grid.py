@@ -23,9 +23,9 @@ __all__ = [
     "make_grid",
 ]
 
-# points per block of scattered evaluation: bounds each product's
-# (2K(m_max+1), points) profiles to a few MB at 128x256, where all points at
-# once take hundreds; 256 times about the same, 1024 and more slower
+# points per block of scattered evaluation: bounds a block's profiles,
+# 2(m_max+1) x points (4(m_max+1) with partials), to a few MB at 128x256,
+# where all points at once take hundreds; 256 about the same, 1024+ slower
 _SCATTER_BLOCK = 512
 # orders per block of a Legendre product or of the build's order ladder:
 # block [m0, m0 + 16) skips most of the zero triangle below degree m0, in

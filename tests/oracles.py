@@ -656,7 +656,7 @@ def rk4_flow(surface, speed, t_end, dt_safety=0.2):
     diffusivity, and after each step the exponential filter exp(-36 x^4)
     above 0.9 l_max, x the distance from that cutoff over the rest of the
     band.  Returns the surface at t_end."""
-    grid = surface.grid()
+    grid = make_grid(surface.spec)
     ell = grid.ell.astype(float)
     lc = 0.9 * grid.l_max
     x = (ell - lc) / (grid.l_max - lc)

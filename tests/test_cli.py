@@ -87,6 +87,35 @@ class TestGen:
         assert err["error"] == "DegenerateSurfaceError" and "1e+300" in err["message"]
         assert not (tmp_path / "surface.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["harmonic", "1.0", "99,0,0.1", "--grid", GRID],        # degree outside 0..15
+        ["harmonic", "1.0", "2,3,0.1", "--grid", GRID],         # order above degree
+        ["harmonic", "1.0", "20,16,0.01", "--grid", "25x32"],   # m_max = 15
+        ["spheroid", "1.0", "-0.6", "--grid", GRID],
+    ])
+    def test_generation_error_is_input_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "g"
+        assert run_cli("gen", *argv, "--out", str(out)) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "GenerationError"
+        assert not (out / "surface.json").exists()
+
+    @pytest.mark.parametrize("params, quoted, form", [
+        (["harmonic", "1.0", "2,1"], "'2,1'", "base L,M,AMP ..."),
+        (["harmonic", "1.0", "2,2,0.1", "2,x,0.1"], "'2,x,0.1'", "base L,M,AMP ..."),
+        (["harmonic", "one", "2,2,0.1"], "'one 2,2,0.1'", "base L,M,AMP ..."),
+        (["sphere", "1.0", "2.0"], "'1.0 2.0'", "R"),
+        (["spheroid", "1.0"], "'1.0'", "a c"),
+        (["spheroid", "1.0", "c"], "'1.0 c'", "a c"),
+    ])
+    def test_unparsable_parameters_are_quoted(self, params, quoted, form,
+                                             tmp_path, capsys):
+        out = tmp_path / "g"
+        assert run_cli("gen", *params, "--grid", GRID, "--out", str(out)) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": f"cannot parse {quoted}; gen {params[0]} expects {form}"}
+        assert not (out / "surface.json").exists()
+
     def test_surface_file_holds_base64_float64(self, tmp_path):
         # the values bit for bit, row-major, in about half a decimal file
         out = tmp_path / "h"

@@ -75,7 +75,7 @@ class TestETensor:
     def test_components_match_stacked_matrix_oracle(self, spheroid64, harmonic64):
         for s in (spheroid64, harmonic64):
             g = geometry(s)
-            h = oracles.second_form(oracles.value_curvature(s.grid(), s.values),
+            h = oracles.second_form(oracles.value_curvature(make_grid(s.spec), s.values),
                                     s.values)
             for a in DEFAULT_A_VALUES:
                 E = oracles.stack_sym2(*e_tensor(s, a)[0])

@@ -3,7 +3,9 @@
 No module imports a name it neither uses nor exports.  And every public
 module-level function and class, and every public method of a public
 class, is read somewhere in icflab or exported from the package, so none
-is left that only tests reach.  And the command line imports no scipy."""
+is left that only tests reach.  Only `radial_graph.geometry` and the
+surface generators call make_grid.  And the command line imports no
+scipy."""
 
 import ast
 import os
@@ -148,7 +150,7 @@ def unreached_definitions(sources: dict[str, str], exported) -> list[str]:
 
 # methods that no module reads but that bench/spans.py looks up by name:
 # its SYNTH_METHODS list and its TARGETS entry for `project` (ROADMAP
-# item 2)
+# item 1)
 BENCH_LOOKUPS = ["synth_dtheta", "synth_dphi", "synth_d2theta",
                  "synth_dtheta_dphi", "synth_d2phi", "synth_laplacian",
                  "project"]
@@ -208,6 +210,48 @@ def test_checker_flags_private_access(source):
 ])
 def test_checker_allows_public_and_own_access(source):
     assert private_uses(source) == []
+
+
+def grid_lookups(sources: dict[str, str]) -> set[str]:
+    """Where `sources` call make_grid, each as the dotted path of the
+    function or class around the call, `module.outer.inner`, or as
+    `module` for a call at module level."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        elif (isinstance(node, ast.Call)
+              and (_dotted(node.func) or "").split(".")[-1] == "make_grid"):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module)
+    return found
+
+
+def test_only_geometry_and_the_generators_look_a_grid_up_by_spec():
+    # a surface's grid is its geometry bundle's: `geometry` looks it up
+    # once per surface, and the generators build the surfaces
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    lookups = grid_lookups(sources)
+    assert {where for where in lookups if not where.startswith("surfaces.")} == {
+        "radial_graph.geometry"}
+
+
+@pytest.mark.parametrize("sources, expected", [
+    ({"a": "def f(spec):\n    return make_grid(spec)"}, {"a.f"}),
+    ({"a": "class C:\n    def m(self):\n        return sg.make_grid(self.spec)"},
+     {"a.C.m"}),
+    ({"a": "def f():\n    def g():\n        make_grid(s)\n    return g"}, {"a.f.g"}),
+    ({"a": "grid = make_grid(SPEC)"}, {"a"}),
+    ({"a": "def make_grid(spec):\n    return Grid(spec)"}, set()),
+    ({"a": "from .sphere_grid import make_grid\n__all__ = ['make_grid']"}, set()),
+])
+def test_grid_lookup_checker(sources, expected):
+    assert grid_lookups(sources) == expected
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -114,7 +115,7 @@ class TestBundleInvariants:
             return np.abs(a - b).max() / np.abs(b).max()
 
         for s in (spheroid64, harmonic64):
-            c = oracles.value_curvature(s.grid(), s.values)
+            c = oracles.value_curvature(make_grid(s.spec), s.values)
             g = geometry(s)
             metric = oracles.stack_sym2(*g.metric)
             second_form = oracles.stack_sym2(*oracles.second_form(c, s.values))
@@ -154,17 +155,22 @@ class TestBundleInvariants:
             g = geometry(s)
             metric = oracles.stack_sym2(*g.metric)
             second_form = oracles.stack_sym2(
-                *oracles.second_form(oracles.value_curvature(s.grid(), s.values),
+                *oracles.second_form(oracles.value_curvature(make_grid(s.spec), s.values),
                                      s.values))
             eig = np.linalg.eigvals(np.linalg.inv(metric) @ second_form)
             assert np.abs(eig.imag).max() < 1e-12 * np.abs(g.kappa).max()
             eig = np.sort(eig.real, axis=-1)
             assert np.abs(g.kappa - eig).max() < 1e-12 * np.abs(g.kappa).max()
 
+    def test_bundle_holds_the_grid_it_was_computed_on(self, harmonic64):
+        g = geometry(StarShapedHypersurface(harmonic64.f))
+        assert g.grid is make_grid(harmonic64.spec)
+        assert not hasattr(harmonic64, "grid")
+
     def test_bundle_is_read_only(self, harmonic64):
         g = geometry(StarShapedHypersurface(harmonic64.f))
         assert {name for name in dir(g) if not name.startswith("_")} == {
-            *BUNDLE_FIELDS, "spec", "integrate"}
+            *BUNDLE_FIELDS, "grid", "integrate"}
         tensors = ("metric", "metric_inv", "gbar", "hbar")
         for name in BUNDLE_FIELDS:
             value = getattr(g, name)
@@ -179,7 +185,7 @@ class TestBundleInvariants:
         # kernel, given the bundle's lam and f, returns the same bits
         s = request.getfixturevalue(fixture)
         g = geometry(s)
-        c = curvature(s.grid(), g.lam, s.values)
+        c = curvature(make_grid(s.spec), g.lam, s.values)
         for name in KERNEL_FIELDS:
             a, b = getattr(c, name), getattr(g, name)
             pairs = zip(a, b) if isinstance(a, tuple) else [(a, b)]
@@ -425,11 +431,21 @@ class TestErrors:
         # finite doubles cannot push a smooth graph past the production
         # 1e8 limit, so exercise the code path at a lowered threshold
         import icflab.radial_graph as rg
-        monkeypatch.setattr(rg, "_COND_LIMIT", 1e3)
         vals = np.exp(6.0 * real_harmonic(20, 11, SPEC32))
+        g = geometry(StarShapedHypersurface(ScalarField(SPEC32, vals)))
+        # the guard's (tr g)^2 / det g = (tr gbar)^2 / (s^2 v), in its bits
+        st = g.grid.sin_theta[:, None]
+        ratio = (g.gbar[0] + g.gbar[2]) ** 2 / (st * st * (1.0 + g.grad_log_sq))
+        monkeypatch.setattr(rg, "_COND_LIMIT", 1e3)
         s = StarShapedHypersurface(ScalarField(SPEC32, vals))
-        with pytest.raises(ResolutionError):
+        with pytest.raises(ResolutionError) as err:
             geometry(s)
+        # the node in plain ints, where the ratio is largest
+        node = re.fullmatch(r"first fundamental form condition number \S+ "
+                            r"exceeds 1000 at node \((\d+), (\d+)\)", str(err.value))
+        assert node is not None, str(err.value)
+        worst = np.unravel_index(ratio.argmax(), ratio.shape)
+        assert tuple(map(int, node.groups())) == worst
 
     @pytest.mark.parametrize("factor, raises", [(0.99, True), (1.01, False)])
     def test_condition_threshold(self, monkeypatch, harmonic64, factor, raises):
@@ -441,7 +457,7 @@ class TestErrors:
             g00.shape + (2, 2)))
         cond = float((eig[..., 1] / eig[..., 0]).max())
         monkeypatch.setattr(rg, "_COND_LIMIT", factor * cond)
-        grid, f = harmonic64.grid(), harmonic64.values
+        grid, f = make_grid(harmonic64.spec), harmonic64.values
         if raises:
             with pytest.raises(ResolutionError):
                 oracles.value_curvature(grid, f)
@@ -461,9 +477,24 @@ class TestErrors:
 
         monkeypatch.setattr(Grid, "chart_derivatives", with_nan)
         with pytest.raises(ResolutionError, match="non-finite"):
-            oracles.value_curvature(spheroid64.grid(), spheroid64.values)
+            oracles.value_curvature(make_grid(spheroid64.spec), spheroid64.values)
         with pytest.raises(ResolutionError, match="non-finite"):
             step(spheroid64, SpeedFunction.parse("H"), 1e-4)
+
+    def test_non_finite_derivatives_name_the_first_node(self, monkeypatch,
+                                                        spheroid64):
+        chart_derivatives = Grid.chart_derivatives
+
+        def with_nan(grid, C2):
+            d = chart_derivatives(grid, C2)
+            d[0, 9, 3] = np.inf     # a later node, on an earlier partial
+            d[2, 5, 7] = np.nan
+            return d
+
+        monkeypatch.setattr(Grid, "chart_derivatives", with_nan)
+        with pytest.raises(ResolutionError) as err:
+            oracles.value_curvature(make_grid(spheroid64.spec), spheroid64.values)
+        assert str(err.value) == "non-finite derivatives of log f at node (5, 7)"
 
     def test_smooth_surfaces_stay_well_conditioned(self, spheroid64):
         geometry(spheroid64)  # must not raise at the production limit
