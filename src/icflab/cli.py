@@ -1,18 +1,18 @@
 """Command-line driver: surface generation, flow runs, diagnostics,
 invariance audits, soliton fitting and the inversion inequality.
 
-Exit codes: 0 success, 2 an audit or assertion failed its tolerance,
-3 invalid input or usage (a structured JSON error is printed to stderr).
-Commands write the dicts that the report functions return, through one
-writer that follows a command's outputs with one `<command>.manifest.json`
-whose keys are `command`, `inputs`, `config` (with the seed of a seeded
-command), `tool_version`, `grid`, `wall_clock_s` and `outputs`;
-identical inputs and seed reproduce outputs byte for byte.
-Each number is written once: no output repeats a value that another
-output of the same command holds, or a plain difference of keys in its
-own file, and a value two commands could write belongs to the one named
-for it (`Qbar` to `inequality`).
-"""
+`main` reads the input surface and passes it to the command, which
+computes, writes and returns nothing.  Exit codes: 0 success, 2 an audit
+failed its tolerance, 3 invalid input or usage; every non-zero exit prints
+one JSON error `{"error", "message"}` on stderr.  Outputs go through one
+writer, which follows them with one `<command>.manifest.json` of keys
+`command`, `inputs`, `config` (with the seed of a seeded command),
+`tool_version`, `grid`, `wall_clock_s` and `outputs`; identical inputs and
+seed reproduce outputs byte for byte.  Each number is written once: no
+output repeats a value another output of the command holds, or a plain
+difference of keys in its own file, and a value two commands could write
+belongs to the one named for it (`Qbar` to `inequality`).  Config echoes
+that a verdict in the same file depends on (`seed`, `tolerance`, ...) stay."""
 
 from __future__ import annotations
 
@@ -86,7 +86,7 @@ def _random_ckf(rng) -> ConformalKillingField:
 # subcommands
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args):
     grid, kind, words = _parse_grid(args.grid), args.kind, args.params
     bad = " ".join(words)           # what a parse error quotes, then each term
     try:
@@ -105,27 +105,21 @@ def cmd_gen(args) -> int:
                "harmonic": harmonic_surface}[kind](*params.values(), grid)
     meta = {"name": kind, "params": params}
     _write(args, surface, {}, {"surface.json": surface_to_dict(surface, meta)})
-    return EXIT_OK
 
 
-def cmd_diag(args) -> int:
-    surface = load_surface(args.surface)
+def cmd_diag(args, surface):
     _write(args, surface, {}, {"diag.json": inv.energy_report(surface)})
-    return EXIT_OK
 
 
-def cmd_flow(args) -> int:
-    surface = load_surface(args.surface)
+def cmd_flow(args, surface):
     trace = run(surface, SpeedFunction.parse(args.speed), args.t_end,
                 keep_snapshots=False)
     _write(args, surface, {"speed": args.speed, "t_end": args.t_end},
            {"trace.csv": (trace.csv_header(), trace.csv_rows()),
             "flow_summary.json": trace.summary()})
-    return EXIT_OK
 
 
-def cmd_invariance(args) -> int:
-    surface = load_surface(args.surface)
+def cmd_invariance(args, surface):
     rng = np.random.default_rng(args.seed)
 
     fields = [_random_ckf(rng) for _ in range(args.trials)]
@@ -148,23 +142,21 @@ def cmd_invariance(args) -> int:
     _write(args, surface,
            {"seed": args.seed, "trials": args.trials, "tol": args.tol},
            {"invariance.json": audit})
-    return EXIT_OK if passed else EXIT_AUDIT
+    if not passed:
+        raise AuditError(f"invariance.json: hm_max_relative_residual and {e_scale:g} "
+                         f"* e_inversion_sup_diff must both be below --tol {args.tol!r}")
 
 
-def cmd_soliton(args) -> int:
-    surface = load_surface(args.surface)
+def cmd_soliton(args, surface):
     _, report = best_fit_ckf(surface, SpeedFunction.parse(args.speed), tol=args.tol)
     _write(args, surface, {"speed": args.speed, "tol": args.tol},
            {"soliton.json": report})
-    return EXIT_OK
 
 
-def cmd_inequality(args) -> int:
-    surface = load_surface(args.surface)
+def cmd_inequality(args, surface):
     value, lower, upper = inv.qbar(surface)
     _write(args, surface, {}, {"inequality.json": {
         "Qbar": value, "lower": lower, "upper": upper}})
-    return EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -249,15 +241,13 @@ def main(argv=None) -> int:
         command = {"gen": cmd_gen, "diag": cmd_diag, "flow": cmd_flow,
                    "invariance": cmd_invariance, "soliton": cmd_soliton,
                    "inequality": cmd_inequality}[args.cmd]
-        return command(args)
-    except AuditError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_AUDIT
+        inputs = [load_surface(args.surface)] if "surface" in vars(args) else []
+        command(args, *inputs)
+        return EXIT_OK
     except (IcfLabError, ValueError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_AUDIT if isinstance(exc, AuditError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

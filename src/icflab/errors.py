@@ -48,4 +48,5 @@ class GenerationError(IcfLabError):
 
 
 class AuditError(IcfLabError):
-    """An internal cross-check that must hold by construction failed."""
+    """An audit failed its tolerance: a cross-check that must hold by
+    construction, or the `invariance` verdict against `--tol`."""

@@ -330,7 +330,7 @@ def run(surface: StarShapedHypersurface, speed: SpeedFunction, t_end: float,
 
     t = t_rec = 0.0
     current = surface
-    while t < t_end - 1e-14:
+    while t_end - t > 1e-14 * t_end:
         dt = min(stable_dt(current, speed), t_end - t)
         # record the start, then keep records at most _MAX_STEP apart
         if not trace.t or t + dt > t_rec + _MAX_STEP + 1e-14:

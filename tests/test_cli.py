@@ -456,12 +456,21 @@ class TestInvariance:
         assert audit["passed"]
         assert audit["hm_max_relative_residual"] < 1e-6
 
-    def test_impossible_tolerance_fails_audit(self, spheroid_file, tmp_path):
+    def test_impossible_tolerance_fails_audit(self, spheroid_file, tmp_path,
+                                              capsys):
         assert run_cli("invariance", spheroid_file, "--tol", "1e-18",
                        "--trials", "2", "--out", str(tmp_path / "i")) == 2
         # the failed audit is still written, with its manifest
-        assert load_strict_json(tmp_path / "i" / "invariance.json")["passed"] is False
+        audit = load_strict_json(tmp_path / "i" / "invariance.json")
+        assert audit["passed"] is False
         assert (tmp_path / "i" / "invariance.manifest.json").exists()
+        # and reported as one JSON error that names both checked keys and
+        # the tolerance, but repeats no value of the written audit
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "AuditError", "message": (
+            "invariance.json: hm_max_relative_residual and 3 * "
+            "e_inversion_sup_diff must both be below --tol 1e-18")}
 
     def test_verdict_scales_the_a0_inversion_difference(self, tmp_path):
         # E(a) = -(2a+1)|A0|^2 g in n = 2, so the audit writes the a = 0
@@ -631,9 +640,9 @@ class TestOutputContract:
                        "0.01", "--out", str(tmp_path / "flow")) == 0
         calls, soliton = [], cli.cmd_soliton
 
-        def counted(args):
+        def counted(args, surface):
             calls.append(args.cmd)
-            return soliton(args)
+            soliton(args, surface)
 
         monkeypatch.setattr(cli, "cmd_soliton", counted)
         assert run_cli("soliton", sphere_file, "--out", str(tmp_path / "sol")) == 0
@@ -646,12 +655,55 @@ class TestOutputContract:
         # no input raises KeyError, so main lets one through
         import icflab.cli as cli
 
-        def broken(args):
+        def broken(args, surface):
             raise KeyError("bug")
 
         monkeypatch.setattr(cli, "cmd_diag", broken)
         with pytest.raises(KeyError):
             run_cli("diag", sphere_file, "--out", str(tmp_path))
+
+    @pytest.mark.parametrize("argv, code, error", [
+        (["diag", "MALFORMED"], 3, "ValueError"),
+        (["flow", "SPHERE", "--bogus", "1"], 3, "ValueError"),
+        (["invariance", "SPHEROID", "--tol", "1e-18", "--trials", "2"], 2,
+         "AuditError"),
+        (["inequality", "SPHEROID"], 2, "AuditError"),
+    ], ids=["malformed-surface", "unknown-option", "failed-invariance",
+            "failed-inequality"])
+    def test_every_failure_prints_one_json_error(self, argv, code, error,
+                                                 sphere_file, spheroid_file,
+                                                 tmp_path, capsys, monkeypatch):
+        import icflab.invariants as inv
+
+        def escapes(surface):
+            raise AuditError("Qbar escapes its bounds")
+
+        monkeypatch.setattr(inv, "qbar", escapes)
+        malformed = tmp_path / "bad.json"
+        malformed.write_text("[]")
+        files = {"MALFORMED": str(malformed), "SPHERE": sphere_file,
+                 "SPHEROID": spheroid_file}
+        capsys.readouterr()
+        argv = [files.get(word, word) for word in argv]
+        assert run_cli(*argv, "--out", str(tmp_path / "o")) == code
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert list(err) == ["error", "message"] and err["error"] == error
+        # a run that succeeds prints nothing on stderr
+        assert run_cli("diag", sphere_file, "--out", str(tmp_path / "d")) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_a_load_failure_never_enters_the_command(self, tmp_path, capsys,
+                                                    monkeypatch):
+        import icflab.cli as cli
+        calls = []
+        monkeypatch.setattr(cli, "cmd_diag", lambda *a: calls.append(a))
+        malformed = tmp_path / "bad.json"
+        malformed.write_text("[]")
+        assert run_cli("diag", str(malformed), "--out", str(tmp_path / "d")) == 3
+        assert calls == []
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
     def test_usage_errors_are_input_errors(self, sphere_file, tmp_path, capsys):
         # an unknown option and a missing argument: exit 3, a JSON error

@@ -268,6 +268,13 @@ class TestRunOnSpheres:
         sphere = run(sphere_surface(1.0, SPEC32), SpeedFunction.parse("H"), 0.3)
         assert sphere.steps == 15 and len(sphere.t) == 16
 
+    @pytest.mark.parametrize("t_end", [1e-15, 1e-9])
+    def test_every_positive_t_end_is_reached(self, t_end):
+        # the loop's slack is relative to t_end, so a t_end below 1e-14
+        # still takes its step and records it
+        trace = run(sphere_surface(1.0, SPEC16), SpeedFunction.parse("H"), t_end)
+        assert trace.t == [0.0, t_end] and trace.steps == 1
+
 
 class TestKernelEvaluations:
     def test_one_kernel_evaluation_per_recorded_state(self, monkeypatch):
