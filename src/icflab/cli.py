@@ -33,7 +33,7 @@ from .flow import SpeedFunction, run
 from .radial_graph import invert
 from .serialize import (load_surface, surface_to_dict, write_csv_atomic,
                         write_json_atomic)
-from .soliton import best_fit_ckf
+from .soliton import DEFAULT_TOL, best_fit_ckf
 from .sphere_grid import GridSpec
 from .surfaces import harmonic_surface, sphere_surface, spheroid_surface
 
@@ -125,9 +125,9 @@ def cmd_invariance(args, surface):
     fields = [_random_ckf(rng) for _ in range(args.trials)]
     hm_max = float(np.abs(inv.hsiung_minkowski_residual(surface, fields)).max())
 
-    # sup |E(a)| differences are |2a+1| times the a = 0 one (n = 2)
+    # e_tensor is E(0); every E(a) difference is |2a+1| times this one (n = 2)
     e_diff = float(max(np.abs(x - y).max() for x, y in zip(
-        inv.e_tensor(surface, 0.0)[0], inv.e_tensor(invert(surface), 0.0)[0])))
+        inv.e_tensor(surface), inv.e_tensor(invert(surface)))))
     e_scale = max(abs(2 * a + 1) for a in inv.DEFAULT_A_VALUES)
 
     passed = hm_max < args.tol and e_scale * e_diff < args.tol
@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("soliton", help="best-fit conformal field and verdict",
                        parents=[surface])
     p.add_argument("--speed", default="H")
-    p.add_argument("--tol", type=_positive(float), default=1e-6)
+    p.add_argument("--tol", type=_positive(float), default=DEFAULT_TOL)
 
     sub.add_parser("inequality", help="two-sided bound on Qbar",
                    parents=[surface])

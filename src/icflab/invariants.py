@@ -20,7 +20,8 @@ so the H h terms cancel and
 
 |A0|^2 = H^2/2 - 2K: both g-eigenvalues equal -(2a+1)|A0|^2.  E(a)
 therefore vanishes exactly at umbilic points for every a != -1/2, and
-identically at a = -1/2.  One number, max |A0|^2, gives every sup |E(a)|;
+identically at a = -1/2.  `e_tensor` returns E(0); every E(a) is (2a+1)
+times it, and one number, max |A0|^2, gives every sup |E(a)|;
 `energy_report` and the flow monitors print it as `tracefree_sq_sup`.
 
 The Hsiung-Minkowski residual is linear in the field.  A field is read
@@ -46,8 +47,6 @@ Sign conventions follow the outward-normal, H > 0 orientation fixed in
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -77,24 +76,18 @@ DEFAULT_A_VALUES = (-0.25, 0.0, 1.0)
 _HM_BLOCK = 2048      # nodes per block of `hsiung_minkowski_residual`
 
 
-def e_tensor(surface: StarShapedHypersurface,
-             a: float) -> tuple[tuple, float]:
-    """Pointwise conformal-invariant tensor E(a) and its sup operator norm.
-
-    In n = 2, E(a) = -(2a+1)|A0|^2 g (see the module docstring).  The
-    tensor is returned as the tuple (E00, E01, E11) of its (nt, nph)
-    coordinate components in the fixed (theta, phi) chart, like
-    `GeometryBundle.metric`; its operator norm against the induced metric
-    is |2a+1| |A0|^2.  Warns at 2a+1 = 0, where E(a) vanishes identically.
+def e_tensor(surface: StarShapedHypersurface) -> tuple:
+    """The pointwise conformal-invariant tensor E(0) = -|A0|^2 g, as the
+    tuple (E00, E01, E11) of its (nt, nph) coordinate components in the
+    fixed (theta, phi) chart, like `GeometryBundle.metric`.  In n = 2
+    every E(a) is (2a+1) times it (see the module docstring).  Its sup
+    operator norm against the induced metric is max |A0|^2, which is
+    `geometry(surface).tracefree_sq.max()` and which `energy_report` and
+    the flow trace already write.
     """
-    k = 2.0 * a + 1.0
-    if k == 0.0:
-        warnings.warn(
-            f"a = {a:g}: E(a) = -(2a+1)|A0|^2 g vanishes identically in "
-            "n = 2 and does not detect umbilic points", stacklevel=2)
     geom = geometry(surface)
-    c = -k * geom.tracefree_sq
-    return tuple(c * g for g in geom.metric), abs(k) * float(geom.tracefree_sq.max())
+    c = -geom.tracefree_sq
+    return tuple(c * g for g in geom.metric)
 
 
 def _mean_convex_geometry(surface: StarShapedHypersurface):

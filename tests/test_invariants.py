@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -38,11 +36,29 @@ def asym48():
     return harmonic_surface(1.0, [(2, 2, 0.12), (3, 1, 0.07), (1, 0, 0.1)], SPEC48)
 
 
+# the audit's a, the boundary a = -1/2, where E(a) vanishes identically,
+# and a = -0.3, where 4a+1 < 0 but E(a) = -0.4 |A0|^2 g still vanishes
+# only at umbilics
+E_A_VALUES = DEFAULT_A_VALUES + (-0.5, -0.3)
+
+
+def e_of(surface, a):
+    """E(a) = (2a+1) E(0) in n = 2, from `e_tensor`'s E(0)."""
+    return tuple((2 * a + 1) * c for c in e_tensor(surface))
+
+
 class TestETensor:
+    def test_returns_the_chart_components_of_e0(self, spheroid64):
+        # one tensor, (E00, E01, E11) in the layout of the metric
+        g = geometry(spheroid64)
+        E = e_tensor(spheroid64)
+        assert type(E) is tuple and len(E) == 3
+        for c, m in zip(E, g.metric):
+            assert np.array_equal(c, -g.tracefree_sq * m)
+
     def test_sphere_vanishes_for_all_a(self, sphere64):
-        for a in DEFAULT_A_VALUES:
-            _, sup = e_tensor(sphere64, a)
-            assert sup < 1e-10
+        for a in E_A_VALUES:
+            assert max(np.abs(c).max() for c in e_of(sphere64, a)) < 1e-10
 
     def test_hand_eigenvalues_at_kappa_2_0(self):
         # kappa=(2,0), n=2, a=0: both metric eigenvalues equal -2, through
@@ -60,15 +76,16 @@ class TestETensor:
 
     def test_eigenvalue_routes_agree_on_spheroid(self, spheroid64):
         # the closed form against the general-n eigenvalues at the bundle's
-        # principal curvatures: the sup, and the spectrum of g^-1 E
+        # principal curvatures: the sup |2a+1| max |A0|^2, and the spectrum
+        # of g^-1 E; at a = -1/2 round-off is measured against E(0)
         g = geometry(spheroid64)
         g_inv = np.linalg.inv(oracles.stack_sym2(*g.metric))
-        for a in DEFAULT_A_VALUES:
-            tensor, sup = e_tensor(spheroid64, a)
+        for a in E_A_VALUES:
             eig = oracles.e_eigenvalues(g.kappa, a)
-            assert sup == pytest.approx(np.abs(eig).max(), rel=1e-12)
-            mixed = np.linalg.eigvals(g_inv @ oracles.stack_sym2(*tensor))
-            scale = np.abs(eig).max()
+            scale = np.abs(eig if 2 * a + 1 else oracles.e_eigenvalues(g.kappa, 0.0)).max()
+            sup = abs(2 * a + 1) * g.tracefree_sq.max()
+            assert sup == pytest.approx(np.abs(eig).max(), rel=1e-12, abs=1e-12 * scale)
+            mixed = np.linalg.eigvals(g_inv @ oracles.stack_sym2(*e_of(spheroid64, a)))
             assert np.abs(mixed.imag).max() < 1e-12 * scale
             assert np.abs(np.sort(mixed.real, axis=-1) - eig).max() < 1e-12 * scale
 
@@ -77,33 +94,19 @@ class TestETensor:
             g = geometry(s)
             h = oracles.second_form(oracles.value_curvature(make_grid(s.spec), s.values),
                                     s.values)
-            for a in DEFAULT_A_VALUES:
-                E = oracles.stack_sym2(*e_tensor(s, a)[0])
+            for a in E_A_VALUES:
+                E = oracles.stack_sym2(*e_of(s, a))
                 expected = oracles.e_tensor_stacked(g.metric, h, a)
-                assert np.abs(E - expected).max() < 1e-12 * np.abs(expected).max()
+                scale = np.abs(expected if 2 * a + 1 else
+                               oracles.e_tensor_stacked(g.metric, h, 0.0)).max()
+                assert np.abs(E - expected).max() < 1e-12 * scale
 
     @pytest.mark.parametrize("a", [-0.25, 0.0, 1.0])
     def test_conformal_invariance_under_inversion(self, a, spheroid64,
                                                   harmonic64):
         for s in (spheroid64, harmonic64):
-            E0, _ = e_tensor(s, a)
-            E1, _ = e_tensor(invert(s), a)
+            E0, E1 = e_of(s, a), e_of(invert(s), a)
             assert max(np.abs(c1 - c0).max() for c0, c1 in zip(E0, E1)) < 1e-6
-
-    def test_boundary_case_warns(self, spheroid64):
-        # 2a+1 = 0: E(a) vanishes identically, even off umbilic points
-        with pytest.warns(UserWarning, match="vanishes identically"):
-            E, sup = e_tensor(spheroid64, -0.5)
-        assert sup == 0.0
-        assert all(np.abs(c).max() == 0.0 for c in E)
-
-    def test_negative_4a_plus_1_does_not_warn(self, spheroid64):
-        # in n = 2, E(-0.3) = -0.4 |A0|^2 g still vanishes only at umbilics
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            _, sup = e_tensor(spheroid64, -0.3)
-        g = geometry(spheroid64)
-        assert sup == pytest.approx(0.4 * g.tracefree_sq.max(), rel=1e-15)
 
 
 class TestWillmore:

@@ -4,8 +4,8 @@ No module imports a name it neither uses nor exports.  And every public
 module-level function and class, and every public method of a public
 class, is read somewhere in icflab or exported from the package, so none
 is left that only tests reach.  Only `radial_graph.geometry` and the
-surface generators call make_grid.  And the command line imports no
-scipy."""
+surface generators call make_grid.  The command line imports no scipy,
+and no module imports warnings."""
 
 import ast
 import os
@@ -264,3 +264,32 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules that `source` imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_no_module_imports_warnings():
+    # each result is said once, by a return value or a typed error: a
+    # warning would repeat a reported number on stderr, where a run that
+    # exits 0 prints nothing
+    assert [path.name for path in SRC.glob("*.py")
+            if "warnings" in imported_modules(path.read_text())] == []
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("import warnings", {"warnings"}),
+    ("import os.path as p\nfrom warnings import warn", {"os", "warnings"}),
+    ("def f():\n    import warnings", {"warnings"}),
+    ("from . import warnings\nfrom .flow import run", set()),
+])
+def test_import_checker(source, expected):
+    assert imported_modules(source) == expected
